@@ -46,7 +46,10 @@
 // private — every member sees only the queue length and their own
 // position, live, in backfills and in snapshots. Queue restatements
 // coalesce (ServerConfig.CoalesceInterval, default one probe tick): N
-// transitions per tick cost one logged restatement. And members gone
+// transitions per tick cost one logged restatement. Board operations
+// are paced instead of ticked: one slot is CoalesceInterval/64, a line
+// arriving a slot or more after its group's last one is broadcast
+// inline, and only lines inside a slot — a storm — batch. And members gone
 // longer than ServerConfig.SessionTTL (default one hour) are reaped —
 // token, directory entry, memberships, member log — with a later
 // Reconnect failing as ErrSessionExpired.

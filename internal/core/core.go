@@ -47,8 +47,8 @@ type Options struct {
 	// compacts class-wise, and clients the retained suffix cannot
 	// connect converge through a snapshot instead of a replay.
 	LogCap int
-	// CoalesceInterval batches queue-restatement pushes at the server
-	// (default: one probe tick).
+	// CoalesceInterval is the server's queue-restatement tick (default:
+	// one probe tick); a sixty-fourth of it is the board pacing slot.
 	CoalesceInterval time.Duration
 	// SessionTTL bounds how long a disconnected member's session token
 	// and directory entry outlive their last connection before the

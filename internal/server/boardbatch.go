@@ -1,52 +1,87 @@
 package server
 
 import (
+	"time"
+
 	"dmps/internal/protocol"
 	"dmps/internal/whiteboard"
 )
 
 // boardBatchMax bounds a coalesced board event: a storm longer than
-// this flushes mid-tick, keeping any single logged message (and the
-// burst a catching-up client applies at once) small.
+// this flushes mid-slot, keeping any single logged message (and the
+// burst a catching-up client applies at once) small. It also derives
+// the pacing slot: CoalesceInterval / boardBatchMax, so a saturated
+// single-author storm costs the same ≥ boardBatchMax ops per event
+// whichever edge closes its batches.
 const boardBatchMax = 64
 
+// flushCause says why a board event was logged; the per-cause counters
+// are exported as dmps_board_flush_total{cause}.
+type flushCause int
+
+const (
+	flushInline   flushCause = iota // leading edge: logged on arrival, never held
+	flushDeadline                   // trailing edge: the batch's pacing slot came due
+	flushAuthor                     // a different author or wire type closed the batch
+	flushFull                       // the batch reached boardBatchMax
+	flushExplicit                   // FlushBoardBatches
+	numFlushCauses
+)
+
+var flushCauseNames = [numFlushCauses]string{"inline", "deadline", "author", "full", "explicit"}
+
 // enqueueBoardOp routes one authoritative board operation into the
-// coalescing plane. The idle path pays nothing: when no batch is open
-// and the last logged board event is at least a CoalesceInterval old,
-// the operation logs immediately (leading-edge flush) — a lone chat
-// line is broadcast inline, exactly as before batching. Only ops
-// arriving within an interval of the last logged event accumulate,
-// going out as one logged event per tick; a different author or a
-// different wire type (chat vs annotate) flushes the open batch first,
-// so attribution, typing and ordering survive verbatim, and
-// boardBatchMax bounds any single event. The operation is already
+// coalescing plane, which paces each group to one timer-driven event
+// per slot (s.boardSlot). Leading edge: when no batch is open and the
+// group's last logged board event is at least a slot old, the
+// operation logs inline — a single author slower than one line per
+// slot is never held. Trailing edge: an operation inside the slot
+// opens (or joins) the group's batch, which the coalesce loop flushes
+// when the slot ends, at lastLog + slot; an operation that finds the
+// batch already past that deadline (the loop is late) flushes it first
+// and is judged on its own, so a stale batch never captures later
+// lines. A different author or wire type (chat vs annotate) flushes the
+// open batch too, so attribution, typing and ordering survive verbatim,
+// and boardBatchMax bounds any single event — under a storm those two
+// close batches long before the timer does. The operation is already
 // appended to the board; only the logged broadcast defers, by at most
-// one tick, and only under storm. Requires gb.mu — the same lock that
-// serialized append+broadcast before batching, so log order still
-// equals board order.
+// one slot. Requires gb.mu — the same lock that serialized
+// append+broadcast before batching, so log order still equals board
+// order.
 func (s *Server) enqueueBoardOp(groupID string, gb *groupBoard, op whiteboard.Op, kind string, typ protocol.Type) {
 	s.boardOps.Add(1)
 	now := s.cfg.Clock.Now()
-	if len(gb.pend) > 0 && (gb.pend[0].Author != op.Author || gb.pendType != typ) {
-		s.flushBoardLocked(groupID, gb)
+	if len(gb.pend) > 0 {
+		switch {
+		case !now.Before(gb.lastLog.Add(s.boardSlot)):
+			s.flushBoardLocked(groupID, gb, flushDeadline, now)
+		case gb.pend[0].Author != op.Author || gb.pendType != typ:
+			s.flushBoardLocked(groupID, gb, flushAuthor, now)
+		}
 	}
 	body := protocol.SequencedBody{Seq: op.Seq, Author: op.Author, Kind: kind, Data: op.Data}
-	if len(gb.pend) == 0 && now.Sub(gb.lastLog) >= s.cfg.CoalesceInterval {
-		gb.lastLog = now
-		s.logBoardEvent(groupID, typ, body)
-		return
+	if len(gb.pend) == 0 {
+		if now.Sub(gb.lastLog) >= s.boardSlot {
+			gb.lastLog = now
+			s.logBoardEvent(groupID, typ, body, flushInline)
+			return
+		}
+		gb.pendAt = now
+		s.trackOpenBoard(groupID, gb)
 	}
 	gb.pendType = typ
 	gb.pend = append(gb.pend, body)
 	if len(gb.pend) >= boardBatchMax {
-		s.flushBoardLocked(groupID, gb)
+		s.flushBoardLocked(groupID, gb, flushFull, now)
 	}
 }
 
 // flushBoardLocked logs the group's pending board batch as one event:
 // the first operation rides the top-level body, the rest follow in
-// More. Requires gb.mu.
-func (s *Server) flushBoardLocked(groupID string, gb *groupBoard) {
+// More. A deadline flush is accounted at the instant it was due, not
+// when the loop (or the next arrival) got to it, so a late timer never
+// stretches the following slot. Requires gb.mu.
+func (s *Server) flushBoardLocked(groupID string, gb *groupBoard, cause flushCause, now time.Time) {
 	if len(gb.pend) == 0 {
 		return
 	}
@@ -55,47 +90,94 @@ func (s *Server) flushBoardLocked(groupID string, gb *groupBoard) {
 		body.More = append([]protocol.SequencedBody(nil), gb.pend[1:]...)
 	}
 	gb.pend = gb.pend[:0]
-	gb.lastLog = s.cfg.Clock.Now()
-	s.logBoardEvent(groupID, gb.pendType, body)
+	if cause == flushDeadline {
+		gb.lastLog = gb.lastLog.Add(s.boardSlot)
+	} else {
+		gb.lastLog = now
+	}
+	s.boardHold.Observe(now.Sub(gb.pendAt).Seconds())
+	s.logBoardEvent(groupID, gb.pendType, body, cause)
 }
 
 // logBoardEvent broadcasts one (possibly batched) board event through
-// the log plane, counting it for the storm ratio.
-func (s *Server) logBoardEvent(groupID string, typ protocol.Type, body protocol.SequencedBody) {
-	s.boardEvents.Add(1)
+// the log plane, counting it by cause for the storm ratio.
+func (s *Server) logBoardEvent(groupID string, typ protocol.Type, body protocol.SequencedBody, cause flushCause) {
+	s.boardFlushes[cause].Add(1)
 	event := protocol.MustNew(typ, body)
 	event.Group = groupID
 	s.logBroadcast(groupID, event)
 }
 
-// FlushBoardBatches logs every group's pending board batch now and
-// reports how many events went out. The coalesce loop calls it every
-// CoalesceInterval; tests and benchmarks call it directly for
-// deterministic timing.
-func (s *Server) FlushBoardBatches() int {
-	s.mu.Lock()
-	boards := make(map[string]*groupBoard, len(s.boards))
-	for gid, gb := range s.boards {
-		boards[gid] = gb
+// trackOpenBoard puts a group whose batch just opened into the
+// open-batch set and, if it was not there already, wakes the coalesce
+// loop to arm its deadline. A group still in the set needs no wake:
+// deadlines only move later, so the loop is armed at or before this
+// batch's. Requires gb.mu.
+func (s *Server) trackOpenBoard(groupID string, gb *groupBoard) {
+	s.boMu.Lock()
+	_, tracked := s.boOpen[groupID]
+	s.boOpen[groupID] = gb
+	s.boMu.Unlock()
+	if tracked {
+		return
 	}
-	s.mu.Unlock()
-	flushed := 0
-	for gid, gb := range boards {
+	select {
+	case s.boWake <- struct{}{}:
+	default:
+	}
+}
+
+// flushOpenBoards visits the groups in the open-batch set — O(open
+// batches), nothing at all on an idle server — and flushes every batch
+// whose slot is due (every batch, when cause is flushExplicit). A group
+// found with no batch left leaves the set. It reports how many batches
+// went out and the earliest deadline still open (zero when none).
+func (s *Server) flushOpenBoards(cause flushCause) (flushed int, next time.Time) {
+	s.boMu.Lock()
+	open := make(map[string]*groupBoard, len(s.boOpen))
+	for gid, gb := range s.boOpen {
+		open[gid] = gb
+	}
+	s.boMu.Unlock()
+	for gid, gb := range open {
 		gb.mu.Lock()
 		if len(gb.pend) > 0 {
-			s.flushBoardLocked(gid, gb)
-			flushed++
+			now, due := s.cfg.Clock.Now(), gb.lastLog.Add(s.boardSlot)
+			switch {
+			case cause == flushExplicit || !now.Before(due):
+				s.flushBoardLocked(gid, gb, cause, now)
+				flushed++
+			case next.IsZero() || due.Before(next):
+				next = due
+			}
+		}
+		if len(gb.pend) == 0 {
+			s.boMu.Lock()
+			delete(s.boOpen, gid)
+			s.boMu.Unlock()
 		}
 		gb.mu.Unlock()
 	}
+	return flushed, next
+}
+
+// FlushBoardBatches logs every group's pending board batch now,
+// whatever its deadline, and reports how many events went out. Tests
+// and benchmarks call it for deterministic timing; the coalesce loop
+// flushes only the batches that are due.
+func (s *Server) FlushBoardBatches() int {
+	flushed, _ := s.flushOpenBoards(flushExplicit)
 	return flushed
 }
 
 // BoardStormStats reports the board-op coalescing ratio: ops counts
-// operations appended to boards, logged counts the coalesced events
-// actually logged. logged/ops is what BenchmarkBoardStorm gates —
-// an annotation storm must cost one ring slot and one fan-out per
-// batch, not per stroke.
+// operations appended to boards, logged counts the events actually
+// logged for them, inline or batched. logged/ops is what
+// BenchmarkBoardStorm gates — an annotation storm must cost one ring
+// slot and one fan-out per batch, not per stroke.
 func (s *Server) BoardStormStats() (ops, logged int64) {
-	return s.boardOps.Load(), s.boardEvents.Load()
+	for i := range s.boardFlushes {
+		logged += s.boardFlushes[i].Load()
+	}
+	return s.boardOps.Load(), logged
 }

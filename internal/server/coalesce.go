@@ -1,6 +1,8 @@
 package server
 
 import (
+	"time"
+
 	"dmps/internal/floor"
 	"dmps/internal/protocol"
 )
@@ -54,17 +56,29 @@ func (s *Server) CoalesceStats() (marked, logged int64) {
 	return s.restateMarked.Load(), s.restateLogged.Load()
 }
 
-// coalesceLoop flushes the dirty-queue set and the pending board
-// batches every CoalesceInterval.
+// coalesceLoop drives both coalescers. Queue restatements flush on a
+// free-running CoalesceInterval tick. Board batches are deadline-driven:
+// the loop sleeps to the earliest open batch's pacing deadline and holds
+// no board timer at all while none is open — a batch opening in a group
+// not yet tracked wakes it through boWake.
 func (s *Server) coalesceLoop() {
 	defer s.wg.Done()
+	tick := s.cfg.Clock.After(s.cfg.CoalesceInterval)
+	var deadline <-chan time.Time // nil while no batch is open
 	for {
 		select {
 		case <-s.closed:
 			return
-		case <-s.cfg.Clock.After(s.cfg.CoalesceInterval):
+		case <-tick:
+			s.FlushQueueRestatements()
+			tick = s.cfg.Clock.After(s.cfg.CoalesceInterval)
+			continue
+		case <-s.boWake:
+		case <-deadline:
 		}
-		s.FlushQueueRestatements()
-		s.FlushBoardBatches()
+		deadline = nil
+		if _, next := s.flushOpenBoards(flushDeadline); !next.IsZero() {
+			deadline = s.cfg.Clock.After(next.Sub(s.cfg.Clock.Now()))
+		}
 	}
 }

@@ -30,6 +30,9 @@ import (
 //	dmps_coalesce_logged_total           coalesced restatements logged
 //	dmps_board_ops_total                 board ops accepted into batches
 //	dmps_board_events_total              board batch events logged
+//	dmps_board_flush_total{cause}        logged board events by cause
+//	dmps_board_hold_seconds              oldest-op age of flushed batches
+//	dmps_errors_total{site}              errors counted instead of dropped
 //	dmps_grouplog_logs                   live event logs
 //	dmps_grouplog_entries                retained entries across logs
 //	dmps_grouplog_compactions_total      compaction runs
@@ -113,6 +116,18 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("dmps_board_events_total", "Batched board events logged and fanned out.", func() []metrics.Sample {
 		_, logged := s.BoardStormStats()
 		return one(float64(logged))
+	})
+	reg.CounterFunc("dmps_board_flush_total", "Logged board events by cause: inline (never held), deadline (pacing slot ended), author, full, explicit.", func() []metrics.Sample {
+		out := make([]metrics.Sample, numFlushCauses)
+		for c := range out {
+			out[c] = metrics.Sample{LabelKey: "cause", LabelValue: flushCauseNames[c], Value: float64(s.boardFlushes[c].Load())}
+		}
+		return out
+	})
+	reg.RegisterHistogram("dmps_board_hold_seconds",
+		"Age of the oldest operation in a board batch when it was logged; inline events are never held and not observed.", s.boardHold)
+	reg.CounterFunc("dmps_errors_total", "Errors counted at sites that used to discard them.", func() []metrics.Sample {
+		return []metrics.Sample{{LabelKey: "site", LabelValue: "log_append", Value: float64(s.logAppendErrs.Load())}}
 	})
 	reg.GaugeFunc("dmps_grouplog_logs", "Live per-key event logs.", func() []metrics.Sample {
 		return one(float64(s.logs.Stats().Logs))

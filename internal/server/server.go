@@ -31,7 +31,9 @@
 // TSnapshot only when a needed class no longer connects. The same
 // path serves late joiners, explicit replays and token-based session
 // reconnects. Queue restatements coalesce per CoalesceInterval tick,
-// and members silent past SessionTTL are reaped — tokens, directory
+// board operations are paced to one held event per CoalesceInterval/64
+// slot per group (a line outside a storm is never held at all), and
+// members silent past SessionTTL are reaped — tokens, directory
 // entries and member logs track the live population.
 package server
 
@@ -50,6 +52,7 @@ import (
 	"dmps/internal/floor"
 	"dmps/internal/group"
 	"dmps/internal/grouplog"
+	"dmps/internal/metrics"
 	"dmps/internal/protocol"
 	"dmps/internal/resource"
 	"dmps/internal/trace"
@@ -124,11 +127,15 @@ type Config struct {
 	// TSnapshot. The capacity trades backfill reach against retained
 	// memory per group — never correctness.
 	LogCap int
-	// CoalesceInterval batches the queue-restatement pushes: floor
-	// transitions that shift the pending queue mark their group dirty,
-	// and one logged "queue" restatement per dirty group goes out per
-	// interval — N transitions in a tick cost one ring slot and one
-	// fan-out, not N. Defaults to one probe tick (ProbeInterval).
+	// CoalesceInterval is the queue-restatement tick: floor transitions
+	// that shift the pending queue mark their group dirty, and one
+	// logged "queue" restatement per dirty group goes out per interval
+	// — N transitions in a tick cost one ring slot and one fan-out, not
+	// N. It also derives the board plane's pacing slot, CoalesceInterval
+	// / 64 (the batch bound; 3.125 ms at the default): a board line logs
+	// inline unless its group logged another inside the last slot, and a
+	// held line goes out when that slot ends — never at the restatement
+	// tick. Defaults to one probe tick (ProbeInterval).
 	CoalesceInterval time.Duration
 	// SessionTTL bounds how long a disconnected member's session token,
 	// directory entry and private event log outlive their last
@@ -212,11 +219,24 @@ type Server struct {
 	// the coalescing ratio the queue-churn benchmark gates on.
 	restateMarked atomic.Int64
 	restateLogged atomic.Int64
-	// boardOps counts board operations appended; boardEvents the
-	// coalesced logged events they produced — the annotation-storm
-	// ratio BenchmarkBoardStorm gates on.
-	boardOps    atomic.Int64
-	boardEvents atomic.Int64
+	// Board pacing state. boardSlot is the pacing slot, CoalesceInterval
+	// / boardBatchMax. boOpen is the set of groups with an open batch —
+	// what a flush visits instead of every board — and boWake tells the
+	// coalesce loop that a group joined it. Lock order: gb.mu, then boMu.
+	boardSlot time.Duration
+	boMu      sync.Mutex
+	boOpen    map[string]*groupBoard
+	boWake    chan struct{}
+	// boardOps counts board operations appended; boardFlushes the logged
+	// events they produced, by cause — their sum over boardOps is the
+	// annotation-storm ratio BenchmarkBoardStorm gates on. boardHold is
+	// the age of the oldest operation in each flushed batch.
+	boardOps     atomic.Int64
+	boardFlushes [numFlushCauses]atomic.Int64
+	boardHold    *metrics.Histogram
+	// logAppendErrs counts events logBroadcast's append refused
+	// (dmps_errors_total{site="log_append"}).
+	logAppendErrs atomic.Int64
 
 	// Wire-path telemetry: payload bytes read off client connections
 	// (wireIn) and handed to writers (wireOut), writer flushes and the
@@ -673,11 +693,16 @@ func New(cfg Config) (*Server, error) {
 		sessions: make(map[group.MemberID]*session),
 		conns:    make(map[transport.Conn]bool),
 		boards:   make(map[string]*groupBoard),
+		boOpen:   make(map[string]*groupBoard),
 		tokens:   make(map[string]group.MemberID),
 		tokenOf:  make(map[group.MemberID]string),
 		cluster:  cl,
 		plane:    trace.NewPlane(l.Addr(), trace.ServerStages, 0),
 		closed:   make(chan struct{}),
+
+		boardSlot: cfg.CoalesceInterval / boardBatchMax,
+		boWake:    make(chan struct{}, 1),
+		boardHold: metrics.NewHistogram(nil),
 	}
 	if cl != nil {
 		// Replication round trips become repl_ack spans: the ack table
@@ -1141,17 +1166,20 @@ func (s *Server) disconnect(sess *session) {
 // append+broadcast, so every connection observes operations in sequence
 // order (concurrent handler goroutines would otherwise interleave a later
 // sequence number ahead of an earlier one). pend is the group's pending
-// coalesced board batch: contiguous same-author operations accumulate
-// here and go out as one logged event per CoalesceInterval tick.
+// coalesced board batch: contiguous same-author operations arriving
+// inside one pacing slot accumulate here and go out as one logged event
+// when the slot ends.
 type groupBoard struct {
 	mu    sync.Mutex
 	board *whiteboard.Board
-	// pend is the open coalesced batch (one author, one wire type);
-	// pendType its envelope type and lastLog when the group last logged
-	// a board event — the leading-edge clock that lets an idle board
-	// broadcast inline.
+	// pend is the open coalesced batch (one author, one wire type),
+	// pendType its envelope type and pendAt when its first operation
+	// arrived. lastLog is when the group last logged a board event — the
+	// pacing clock: an operation a slot or more after it logs inline,
+	// and an open batch is due at lastLog + slot.
 	pend     []protocol.SequencedBody
 	pendType protocol.Type
+	pendAt   time.Time
 	lastLog  time.Time
 }
 
@@ -1322,7 +1350,7 @@ func (s *Server) logBroadcast(groupID string, msg protocol.Message) {
 	if tc.sampled() {
 		a0 = time.Now()
 	}
-	_, _ = s.logs.Get(groupID).Append(class, false, func(gseq, cseq int64) ([]byte, error) {
+	_, err := s.logs.Get(groupID).Append(class, false, func(gseq, cseq int64) ([]byte, error) {
 		gseqAt, cseqAt = gseq, cseq
 		stampLogged(&msg, groupID, class, false, gseq, cseq)
 		var e0 time.Time
@@ -1341,6 +1369,12 @@ func (s *Server) logBroadcast(groupID string, msg protocol.Message) {
 			s.replicateLogged(groupID, class, wire)
 		}
 	})
+	if err != nil {
+		// The event could not be encoded and the log is untouched: no
+		// recipient sees it live, and nobody can repair what was never
+		// sequenced, so the loss is at least counted.
+		s.logAppendErrs.Add(1)
+	}
 	if tc.sampled() {
 		s.plane.Span(tc.id, tc.id, trace.StageLogAppend, a0)
 	}
