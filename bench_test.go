@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,6 +26,8 @@ import (
 	"dmps/internal/ocpn"
 	"dmps/internal/petri"
 	"dmps/internal/protocol"
+	"dmps/internal/server"
+	"dmps/internal/transport"
 	"dmps/internal/whiteboard"
 )
 
@@ -552,6 +555,127 @@ func BenchmarkClusterBroadcast(b *testing.B) {
 			b.ReportMetric(float64(encoded)/float64(b.N), "encodes/op")
 		})
 	}
+}
+
+// BenchmarkTCPFrame measures the transport layer alone: one 128-byte
+// frame sent and received over a loopback TCP connection — the cost
+// every leg of a routed operation pays per message.
+func BenchmarkTCPFrame(b *testing.B) {
+	l, err := transport.TCP{}.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	out, err := transport.TCP{}.Dial(l.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer out.Close()
+	in, err := l.Accept()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer in.Close()
+	frame := make([]byte, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := out.Send(frame); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := in.Recv(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouterFanout measures the routed fan-out on real sockets:
+// one logged event from its owning node, through the router, to sixteen
+// members each on a loopback TCP session — the relay leg of a floor
+// hand-off, which BenchmarkClusterBroadcast's in-memory network prices
+// at zero syscalls.
+func BenchmarkRouterFanout(b *testing.B) {
+	const members = 16
+	b.Run(fmt.Sprintf("members-%d", members), func(b *testing.B) {
+		// Nodes must know each other's addresses before either listens.
+		addrs := make([]string, 2)
+		for i := range addrs {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			addrs[i] = l.Addr().String()
+			if err := l.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		nodes := make([]*server.Server, len(addrs))
+		for i := range nodes {
+			srv, err := server.New(server.Config{
+				Network: transport.TCP{}, Addr: addrs[i], ProbeInterval: time.Hour,
+				Cluster: &server.ClusterConfig{Nodes: addrs, Self: i},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv.Start()
+			defer srv.Close()
+			nodes[i] = srv
+		}
+		router, err := cluster.NewRouter(cluster.RouterConfig{Network: transport.TCP{}, Addr: "127.0.0.1:0", Nodes: addrs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		router.Start()
+		defer router.Close()
+		pmap := cluster.NewMap(addrs)
+		gid := ""
+		for i := 0; gid == ""; i++ {
+			if key := fmt.Sprintf("rbench%d", i); pmap.Primary(key) == 1 {
+				gid = key
+			}
+		}
+		clients := make([]*client.Client, 0, members)
+		for i := 0; i < members; i++ {
+			c, err := client.Dial(client.Config{
+				Network: transport.TCP{}, Addr: router.Addr(),
+				Name: fmt.Sprintf("m%d", i), Role: "participant", Priority: 2,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Join(gid); err != nil {
+				b.Fatal(err)
+			}
+			clients = append(clients, c)
+		}
+		const window = 128
+		converged := func(upTo int64) {
+			deadline := time.Now().Add(30 * time.Second)
+			for _, c := range clients {
+				for c.Board(gid).Seq() < upTo {
+					if time.Now().After(deadline) {
+						b.Fatalf("routed TCP fan-out stalled at %d/%d", c.Board(gid).Seq(), upTo)
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev := protocol.MustNew(protocol.TChatEvent, protocol.SequencedBody{
+				Seq: int64(i + 1), Author: "bench", Kind: "text", Data: "fanout",
+			})
+			ev.Group = gid
+			nodes[1].Broadcast(gid, ev)
+			if (i+1)%window == 0 {
+				converged(int64(i + 1))
+			}
+		}
+		converged(int64(b.N))
+	})
 }
 
 func BenchmarkPetriFireChain(b *testing.B) {

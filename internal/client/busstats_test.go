@@ -2,7 +2,7 @@ package client_test
 
 import (
 	"errors"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,18 +28,11 @@ func TestSubscriberBackpressureStats(t *testing.T) {
 	srv.Start()
 	t.Cleanup(srv.Close)
 
-	var mu sync.Mutex
-	snapshots := 0
+	var snapshots snapshotCounter
 	lazyOwner, err := client.Dial(client.Config{
 		Network: n, Addr: "srv:1", Name: "watcher", Role: "chair", Priority: 5,
 		Timeout: 3 * time.Second,
-		OnEvent: func(msg protocol.Message) {
-			if msg.Type == protocol.TSnapshot {
-				mu.Lock()
-				snapshots++
-				mu.Unlock()
-			}
-		},
+		OnEvent: snapshots.tap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,32 +51,35 @@ func TestSubscriberBackpressureStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mu.Lock()
-	joinSnapshots := snapshots
-	mu.Unlock()
+	snapshots.await(t, 1)
 
 	lazy := lazyOwner.Subscribe(client.FloorEvents) // never drained
 	diligent := lazyOwner.Subscribe(client.FloorEvents)
-	go func() {
-		for range diligent {
-		}
-	}()
 
 	// Each grant/release cycle publishes two floor events; push well
 	// past the lazy channel's 256-slot buffer, ending on a grant so the
-	// holder cache has a definite final value.
+	// holder cache has a definite final value. The diligent subscriber
+	// takes each event before the next operation goes out, which is
+	// what diligent means here: were it drained from a goroutine of its
+	// own, a scheduler that starved that goroutine for 256 events (ten
+	// milliseconds of this loop) would make it drop too — and the same
+	// burst could overflow the server's queue for this session, whose
+	// repair is the very snapshot the test forbids.
 	const grants = 301
 	for i := 0; i < grants/2; i++ {
 		if _, err := requester.RequestFloor("class", floor.EqualControl, ""); err != nil {
 			t.Fatal(err)
 		}
+		drain(t, diligent, 1)
 		if err := requester.ReleaseFloor("class"); err != nil {
 			t.Fatal(err)
 		}
+		drain(t, diligent, 1)
 	}
 	if _, err := requester.RequestFloor("class", floor.EqualControl, ""); err != nil {
 		t.Fatal(err)
 	}
+	drain(t, diligent, 1)
 	// Delivery is asynchronous: wait until every event reached the bus.
 	waitLong(t, func() bool {
 		stats := lazyOwner.SubscriberStats()
@@ -113,13 +109,28 @@ func TestSubscriberBackpressureStats(t *testing.T) {
 	// The read loop stayed in sequence throughout (holder cache is the
 	// last grant), and the local drops triggered no gap repair.
 	waitLong(t, func() bool { return lazyOwner.Holder("class") == requester.MemberID() })
-	mu.Lock()
-	extra := snapshots - joinSnapshots
-	mu.Unlock()
-	if extra != 0 {
+	if extra := snapshots.n.Load() - 1; extra != 0 {
 		t.Errorf("%d snapshots after local subscriber drops: gap detection was fooled", extra)
 	}
 	_ = lazy
+}
+
+// snapshotCounter is an OnEvent tap counting the snapshots a client has
+// applied. The server sends a join's snapshot after the join's ack, so
+// a test that needs the snapshot behind it — a baseline count, a
+// subscription that must not see the snapshot's floor event — awaits it
+// here rather than assuming it beat Join's return.
+type snapshotCounter struct{ n atomic.Int64 }
+
+func (s *snapshotCounter) tap(msg protocol.Message) {
+	if msg.Type == protocol.TSnapshot {
+		s.n.Add(1)
+	}
+}
+
+func (s *snapshotCounter) await(t *testing.T, want int64) {
+	t.Helper()
+	waitLong(t, func() bool { return s.n.Load() >= want })
 }
 
 // waitLong polls a condition with a CI-friendly deadline: this file's

@@ -202,10 +202,12 @@ func TestSubscribeDeniedEvent(t *testing.T) {
 	t.Cleanup(srv.Close)
 	// Priority 1 is below the token modes' requirement, so the request
 	// below is denied outright (neither granted nor queued).
+	var snapshots snapshotCounter
 	weak, err := client.Dial(client.Config{
 		Network: net, Addr: "srv:1",
 		Name: "weak", Role: "participant", Priority: 1,
 		Timeout: 3 * time.Second,
+		OnEvent: snapshots.tap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,6 +216,7 @@ func TestSubscribeDeniedEvent(t *testing.T) {
 	if err := weak.Join("class"); err != nil {
 		t.Fatal(err)
 	}
+	snapshots.await(t, 1)
 	events := weak.Subscribe(client.FloorEvents)
 	if _, err := weak.RequestFloor("class", floor.EqualControl, ""); err == nil {
 		t.Fatal("low-priority request should be denied")

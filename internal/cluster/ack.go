@@ -72,11 +72,17 @@ type AckTable struct {
 // NewAckTable returns an empty ack table. observe (optional) receives
 // each fully-acked forward's round-trip latency in seconds.
 func NewAckTable(observe func(seconds float64)) *AckTable {
-	return &AckTable{entries: make(map[int64]*inflight), observe: observe}
+	t := &AckTable{entries: make(map[int64]*inflight), observe: observe}
+	// IDs start at the wall clock so that a restarted sender's IDs carry
+	// on above its previous life's: receivers that order a sender's
+	// forwards by ID (ReplicaStore.ApplyMembers) must not take the new
+	// process's first forwards for old ones.
+	t.nextID.Store(time.Now().UnixNano())
+	return t
 }
 
-// NextID mints the next forward ID (per-sender monotonic, starting at 1
-// so 0 stays the fire-and-forget sentinel).
+// NextID mints the next forward ID: per-sender monotonic, across
+// restarts too, and never 0, the fire-and-forget sentinel.
 func (t *AckTable) NextID() int64 { return t.nextID.Add(1) }
 
 // OnTraceAck installs the callback fired (outside the table's lock)

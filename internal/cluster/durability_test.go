@@ -181,15 +181,20 @@ func TestRF3SurvivesDoubleFailure(t *testing.T) {
 	waitFor(t, "pre-kill convergence at the watcher", func() bool {
 		return watcher.Board(g).Seq() == 1 && watcher.Holder(g) == alice.MemberID()
 	})
-	// Let every append reach its full replica set before the kills: a
-	// drained ack table on each node means RF acks landed.
+	// Let every append reach its full replica set before the kills. The
+	// survivor must hold all three logged events — the grant, bob's
+	// queueing and the chat: a request is acknowledged before its event
+	// is appended, so bob's ack alone does not mean "queued" is in the
+	// log yet, and an ack table that drained before the append would say
+	// nothing about it. With the head there, a drained ack table on each
+	// node means the RF acks landed.
 	waitFor(t, "replication drained at RF=3", func() bool {
 		for _, n := range cl.Nodes {
 			if n.ReplicationPending() != 0 {
 				return false
 			}
 		}
-		return cl.Nodes[0].ReplicaHead(g) >= 1
+		return cl.Nodes[0].ReplicaHead(g) >= 3
 	})
 
 	cl.KillNode(1)
@@ -353,8 +358,11 @@ func TestRecoveredNodeMigratesPartitionsHomeUnderNewEpoch(t *testing.T) {
 	if err := alice.Chat(g, "born on the owner"); err != nil {
 		t.Fatal(err)
 	}
+	// Both logged events, the grant and the chat: a request is acked
+	// before its event is appended and replication is asynchronous, so
+	// the chat's ack does not put it on the successor yet.
 	waitFor(t, "replica at the successor", func() bool {
-		return cl.Nodes[0].ReplicaHead(g) >= 1
+		return cl.Nodes[0].ReplicaHead(g) >= 2
 	})
 	epoch0 := cl.Router.Map().Epoch()
 

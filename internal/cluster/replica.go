@@ -48,6 +48,9 @@ type ReplicaStore struct {
 	cap     int
 	groups  map[string]*GroupReplica
 	members map[string]*MemberHome
+	// rosters records, per group, the sender and forward ID of the roster
+	// last applied: the same sender's older rosters are stale.
+	rosters map[string]rosterVersion
 	// epochs records, per key, the newest migration epoch whose takeover
 	// package this store (or its node) has installed; packages stamped
 	// older are stale and discarded.
@@ -72,6 +75,7 @@ func NewReplicaStore(cap int) *ReplicaStore {
 	return &ReplicaStore{
 		cap: cap, groups: make(map[string]*GroupReplica),
 		members: make(map[string]*MemberHome), epochs: make(map[string]int64),
+		rosters: make(map[string]rosterVersion),
 	}
 }
 
@@ -137,10 +141,26 @@ func (s *ReplicaStore) ApplyEvent(groupID string, wire []byte, floor *protocol.F
 	}
 }
 
-// ApplyMembers records a group's replicated membership roster and chair.
-func (s *ReplicaStore) ApplyMembers(groupID, chair string, members []protocol.NodeMemberInfo) {
+// rosterVersion identifies a roster forward: who sent it and the ID the
+// sender gave it. IDs rise with every forward a sender makes.
+type rosterVersion struct {
+	from string
+	id   int64
+}
+
+// ApplyMembers records a group's replicated membership roster and chair,
+// sent by from as forward id. Rosters replace each other whole, and a
+// forward can arrive late (the ack table resends what was not
+// acknowledged in time), so a roster older than the one already held
+// from the same sender is dropped: a late duplicate must not take a
+// member back out of the group.
+func (s *ReplicaStore) ApplyMembers(groupID, chair string, members []protocol.NodeMemberInfo, from string, id int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if last := s.rosters[groupID]; last.from == from && id <= last.id {
+		return
+	}
+	s.rosters[groupID] = rosterVersion{from: from, id: id}
 	g := s.group(groupID)
 	g.Chair = chair
 	g.Members = members

@@ -68,17 +68,20 @@ type RouterConfig struct {
 // home node (the plain hello travels there, so the home node mints the
 // member ID, the session token and the member event log), and proxies
 // group-scoped traffic to each group's owning node over per-session
-// upstream connections opened with TNodeHello. Replies and events relay
-// back verbatim — the router re-encodes nothing on the hot path (the
-// one exception is the welcome, whose token it tags with the home node
+// upstreams opened with TNodeHello — streams on the one trunk connection
+// the router keeps per node, so what a node sends its routed members in
+// one instant arrives in one read. Replies and events relay back
+// verbatim — the router re-encodes nothing on the hot path (the one
+// exception is the welcome, whose token it tags with the home node
 // index so a later resume routes straight back).
 //
-// The router is also the failure detector: when an upstream connection
-// dies it marks the node down in the shared partition map, pushes a
-// TNodeMoved naming the groups that were flowing through it, and routes
-// their next traffic to the ring successor — where the replication
-// plane already delivered the partition's takeover state. The client
-// converges through its ordinary backfill path, like a reconnect.
+// The router is also the failure detector: when a node's trunk dies and
+// the node answers no fresh dial, it marks the node down in the shared
+// partition map (once, however many sessions rode the trunk), pushes
+// each a TNodeMoved naming the groups that were flowing through it, and
+// routes their next traffic to the ring successor — where replication
+// already delivered the partition's takeover state. The client converges
+// through its ordinary backfill path, like a reconnect.
 type Router struct {
 	cfg      RouterConfig
 	pmap     *Map
@@ -89,6 +92,11 @@ type Router struct {
 
 	mu       sync.Mutex
 	sessions map[*routerSession]bool
+
+	// trunks holds the connection to each node, by node index; trunkStats
+	// counts their work (the dmps_trunk_* series).
+	trunks     []*transport.Trunk
+	trunkStats transport.MuxStats
 
 	// routed counts client messages forwarded up to nodes, relayed the
 	// node messages relayed back down — the routing tier's throughput
@@ -131,7 +139,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		listener: l,
 		plane:    trace.NewPlane("router@"+l.Addr(), trace.RouterStages, 0),
 		sessions: make(map[*routerSession]bool),
+		trunks:   make([]*transport.Trunk, len(cfg.Nodes)),
 		closed:   make(chan struct{}),
+	}
+	for i, addr := range cfg.Nodes {
+		r.trunks[i] = transport.NewTrunk(cfg.Network, addr, &r.trunkStats, func() { r.trunkDown(i) })
 	}
 	if cfg.RecoverInterval > 0 {
 		r.wg.Add(1)
@@ -174,12 +186,10 @@ func (r *Router) Serve() error {
 	for {
 		conn, err := r.listener.Accept()
 		if err != nil {
-			select {
-			case <-r.closed:
+			if r.isClosed() {
 				return nil
-			default:
-				return fmt.Errorf("cluster: router accept: %w", err)
 			}
+			return fmt.Errorf("cluster: router accept: %w", err)
 		}
 		rs := &routerSession{r: r, client: conn, ups: make(map[int]*upstream)}
 		r.mu.Lock()
@@ -204,9 +214,70 @@ func (r *Router) Close() {
 			rs.teardown()
 		}
 		r.mu.Unlock()
+		for _, t := range r.trunks {
+			t.Close()
+		}
 	})
 	r.wg.Wait()
 	r.plane.Close()
+}
+
+// openUpstream opens a stream on node idx's trunk (dialing it if there
+// is none or the last one died) and does the upstream handshake: hello
+// goes up, the reply comes back decoded and verbatim. A node that cannot
+// be dialed is marked down.
+func (r *Router) openUpstream(idx int, hello protocol.Message) (transport.Conn, protocol.Message, []byte, error) {
+	conn, err := r.trunks[idx].Open()
+	if err != nil {
+		if errors.Is(err, transport.ErrUnknownAddress) {
+			r.pmap.MarkDown(idx)
+		}
+		return nil, protocol.Message{}, nil, err
+	}
+	var reply protocol.Message
+	var replyWire []byte
+	wire, err := protocol.Encode(hello)
+	if err == nil {
+		err = conn.Send(wire)
+	}
+	if err == nil {
+		replyWire, err = conn.Recv()
+	}
+	if err == nil {
+		reply, err = protocol.Decode(replyWire)
+	}
+	if err != nil {
+		_ = conn.Close()
+		return nil, protocol.Message{}, nil, err
+	}
+	return conn, reply, replyWire, nil
+}
+
+// trunkDown runs once when a node's trunk dies, before any session on it
+// hears. The connection alone may have broken, so the node is probed
+// with one fresh dial and marked down only if that fails.
+func (r *Router) trunkDown(idx int) {
+	if !r.isClosed() && r.probe(idx) != nil {
+		r.pmap.MarkDown(idx)
+	}
+}
+
+// probe dials node idx once and hangs up.
+func (r *Router) probe(idx int) error {
+	conn, err := r.cfg.Network.Dial(r.pmap.Addr(idx))
+	if err == nil {
+		_ = conn.Close()
+	}
+	return err
+}
+
+func (r *Router) isClosed() bool {
+	select {
+	case <-r.closed:
+		return true
+	default:
+		return false
+	}
 }
 
 // TracePlane exposes the router's tracing plane (for tests and the
@@ -310,21 +381,18 @@ func (rs *routerSession) admit() error {
 	} else {
 		// Always the PRIMARY home, ignoring the down-set: member state
 		// (directory, tokens, member logs) lives only there, and a
-		// successor would just bounce the hello with a redirect. The
-		// dial doubles as the liveness probe — a recovered home serves
-		// new members again without any un-mark step, while group
-		// partitions stay failed over (the successor holds their
-		// adopted state; routing them back to a blank primary would
-		// reset them).
+		// successor would just bounce the hello with a redirect. Opening
+		// the stream re-dials a dead trunk, which doubles as the liveness
+		// probe — a recovered home serves new members again without any
+		// un-mark step, while group partitions stay failed over (the
+		// successor holds their adopted state; routing them back to a
+		// blank primary would reset them).
 		homeIdx = rs.r.pmap.Primary(HomeKey(group.SanitizeName(hello.Name)))
 	}
-	conn, err := rs.r.cfg.Network.Dial(rs.r.pmap.Addr(homeIdx))
-	if err != nil {
-		rs.r.pmap.MarkDown(homeIdx)
-		if hello.Token == "" {
-			rs.reject(msg.Seq, "node_down", "home node unreachable")
-			return err
-		}
+	fwd := protocol.MustNew(protocol.THello, hello)
+	fwd.Seq = msg.Seq
+	conn, reply, replyWire, err := rs.r.openUpstream(homeIdx, fwd)
+	if err != nil && hello.Token != "" {
 		// Resume failover: the token's minting node is gone, but its ring
 		// successors hold the member's replicated home state (directory
 		// row, token, member log). Route the resume to the first reachable
@@ -332,38 +400,14 @@ func (rs *routerSession) admit() error {
 		// member — and tag the welcome token with the serving node so the
 		// NEXT resume goes straight there.
 		for _, j := range rs.r.pmap.Successors(homeIdx, rs.r.pmap.Len()-1) {
-			c, derr := rs.r.cfg.Network.Dial(rs.r.pmap.Addr(j))
-			if derr != nil {
-				rs.r.pmap.MarkDown(j)
-				continue
+			if conn, reply, replyWire, err = rs.r.openUpstream(j, fwd); err == nil {
+				homeIdx = j
+				break
 			}
-			conn, homeIdx, err = c, j, nil
-			break
-		}
-		if err != nil {
-			rs.reject(msg.Seq, "node_down", "home node unreachable")
-			return err
 		}
 	}
-	fwd := protocol.MustNew(protocol.THello, hello)
-	fwd.Seq = msg.Seq
-	fwdWire, err := protocol.Encode(fwd)
 	if err != nil {
-		_ = conn.Close()
-		return err
-	}
-	if err := conn.Send(fwdWire); err != nil {
-		_ = conn.Close()
-		return err
-	}
-	replyWire, err := conn.Recv()
-	if err != nil {
-		_ = conn.Close()
-		return err
-	}
-	reply, err := protocol.Decode(replyWire)
-	if err != nil {
-		_ = conn.Close()
+		rs.reject(msg.Seq, "node_down", "home node unreachable")
 		return err
 	}
 	if reply.Type != protocol.TWelcome {
@@ -448,14 +492,10 @@ func (rs *routerSession) route(msg protocol.Message, wire []byte) {
 		}
 		up, err := rs.ensureUpstream(idx)
 		if err != nil {
-			if rs.closing() {
-				// The session (or router) is tearing down: the failure is
-				// ours, not the node's — never poison the shared map.
-				return
-			}
-			rs.r.pmap.MarkDown(idx)
-			if gid == "" {
-				return // the home node is gone; the session cannot continue
+			// An undialable node is marked down by now; a trunk that only
+			// just died is re-dialed by the next attempt.
+			if rs.closing() || gid == "" {
+				return // torn down, or the home node is gone: the session cannot continue
 			}
 			continue
 		}
@@ -480,14 +520,9 @@ func (rs *routerSession) homeIdxLocked() int {
 
 // closing reports whether the session or its router is tearing down.
 func (rs *routerSession) closing() bool {
-	select {
-	case <-rs.r.closed:
-		return true
-	default:
-	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	return rs.done
+	return rs.done || rs.r.isClosed()
 }
 
 // eachUpstream runs fn over a snapshot of the session's live upstreams.
@@ -503,9 +538,9 @@ func (rs *routerSession) eachUpstream(fn func(*upstream)) {
 	}
 }
 
-// ensureUpstream returns the session's connection to node idx, opening
-// it — dial plus a TNodeHello binding the member identity — on first
-// use.
+// ensureUpstream returns the session's upstream to node idx, opening
+// it — a stream on the node's trunk plus a TNodeHello binding the member
+// identity — on first use.
 func (rs *routerSession) ensureUpstream(idx int) (*upstream, error) {
 	rs.mu.Lock()
 	if up, ok := rs.ups[idx]; ok {
@@ -514,27 +549,11 @@ func (rs *routerSession) ensureUpstream(idx int) (*upstream, error) {
 	}
 	identity := rs.identity
 	rs.mu.Unlock()
-	conn, err := rs.r.cfg.Network.Dial(rs.r.pmap.Addr(idx))
+	conn, reply, _, err := rs.r.openUpstream(idx, protocol.MustNew(protocol.TNodeHello, identity))
 	if err != nil {
 		return nil, err
 	}
-	hello := protocol.MustNew(protocol.TNodeHello, identity)
-	helloWire, err := protocol.Encode(hello)
-	if err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	if err := conn.Send(helloWire); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	replyWire, err := conn.Recv()
-	if err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	reply, err := protocol.Decode(replyWire)
-	if err != nil || reply.Type != protocol.TWelcome {
+	if reply.Type != protocol.TWelcome {
 		_ = conn.Close()
 		return nil, fmt.Errorf("cluster: node %d refused node hello (%v)", idx, reply.Type)
 	}
@@ -576,20 +595,18 @@ func (rs *routerSession) relay(up *upstream) {
 	}
 }
 
-// upstreamDown handles a dead node-side connection. One session's
-// upstream dying is not node death — the node may have closed just
-// this connection (a session reaped for silence, displaced by a
-// resume, or torn down by the slow-consumer policy) — so the node is
-// probed with a fresh dial first and only an unreachable node is
-// marked down in the shared map. Either way the client receives a
-// TNodeMoved naming the groups that were flowing through the dead
-// upstream — its cue to backfill each one, which re-opens an upstream
-// to wherever the map now points (the same node when it was alive, the
-// ring successor when it was not).
+// upstreamDown handles a dead upstream. One stream ending is not node
+// death — the node may have closed just this one (a session reaped for
+// silence, displaced by a resume, dropped as a slow consumer, or reset
+// because this side fell an inbox behind) — and when the whole trunk
+// died, trunkDown has already judged the node. Either way the client
+// receives a TNodeMoved naming the groups that were flowing through the
+// dead upstream — its cue to backfill each one, which re-opens an
+// upstream wherever the map now points (the same node, or its successor).
 func (rs *routerSession) upstreamDown(up *upstream) {
 	_ = up.conn.Close()
 	rs.mu.Lock()
-	if rs.done || rs.ups[up.idx] != up {
+	if rs.done || rs.ups[up.idx] != up || rs.r.isClosed() {
 		rs.mu.Unlock()
 		return
 	}
@@ -600,19 +617,6 @@ func (rs *routerSession) upstreamDown(up *upstream) {
 		groups = append(groups, g)
 	}
 	rs.mu.Unlock()
-	select {
-	case <-rs.r.closed:
-		return
-	default:
-	}
-	alive := false
-	if probe, err := rs.r.cfg.Network.Dial(rs.r.pmap.Addr(up.idx)); err == nil {
-		_ = probe.Close()
-		alive = true
-	}
-	if !alive {
-		rs.r.pmap.MarkDown(up.idx)
-	}
 	if home {
 		// The home node carried the session's identity and token: there
 		// is nothing to transparently move it to. Severing the client
@@ -621,7 +625,7 @@ func (rs *routerSession) upstreamDown(up *upstream) {
 		return
 	}
 	moved := protocol.NodeMovedBody{Groups: groups, Epoch: rs.r.pmap.Epoch()}
-	if !alive {
+	if rs.r.pmap.Down(up.idx) {
 		// Name the dead node's lights shard so clients can flip its
 		// members red: their home stopped reporting, and a frozen last
 		// value would read as a healthy connection forever.
@@ -656,11 +660,9 @@ func (r *Router) Recover(idx int) error {
 		return fmt.Errorf("cluster: recover: node %d out of range", idx)
 	}
 	addr := r.pmap.Addr(idx)
-	probe, err := r.cfg.Network.Dial(addr)
-	if err != nil {
+	if err := r.probe(idx); err != nil {
 		return fmt.Errorf("cluster: recover: node %d unreachable: %w", idx, err)
 	}
-	_ = probe.Close()
 	epoch := r.pmap.NextEpoch()
 	var moved []string
 	for j := 0; j < r.pmap.Len(); j++ {
@@ -730,10 +732,7 @@ func (r *Router) askMigrate(j, node int, addr string, epoch int64) ([]string, er
 func (rs *routerSession) teardown() {
 	rs.mu.Lock()
 	rs.done = true
-	ups := make([]*upstream, 0, len(rs.ups))
-	for _, up := range rs.ups {
-		ups = append(ups, up)
-	}
+	ups := rs.ups
 	rs.ups = make(map[int]*upstream)
 	rs.mu.Unlock()
 	_ = rs.client.Close()

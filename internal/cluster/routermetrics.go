@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dmps/internal/metrics"
+	"dmps/internal/transport"
 )
 
 // RegisterMetrics wires the router's observability series into reg.
@@ -19,6 +20,8 @@ import (
 //	dmps_router_relayed_total       node messages relayed to clients
 //	dmps_cluster_map_version        partition map change counter
 //	dmps_cluster_node_down{node}    1 when the node is in the down-set
+//
+// plus the dmps_trunk_* series of RegisterTrunkMetrics, side="router".
 func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 	// The tracing plane (dmps_stage_seconds{stage="relay"}, span/trace
 	// counters, /debug/traces) and the runtime health gauges ride the
@@ -35,6 +38,44 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 		return []metrics.Sample{{Value: float64(r.relayed.Load())}}
 	})
 	RegisterMapMetrics(reg, r.pmap)
+	RegisterTrunkMetrics(reg, "router", &r.trunkStats)
+}
+
+// RegisterTrunkMetrics exports one end's view of its router↔node trunks
+// — the router's over the trunks it dials, a node's over those it
+// accepts; side says which:
+//
+//	dmps_trunk_streams                         session streams open now
+//	dmps_trunk_flushes_total                   trunk writes
+//	dmps_trunk_frames_per_flush                mean frames per trunk write
+//	dmps_trunk_stream_resets_total{side,cause} streams reset: overflow (this
+//	                                           end's consumer fell an inbox
+//	                                           behind) or peer (the other end did)
+//	dmps_trunk_down_total                      trunks that died
+func RegisterTrunkMetrics(reg *metrics.Registry, side string, stats *transport.MuxStats) {
+	one := func(v int64) []metrics.Sample { return []metrics.Sample{{Value: float64(v)}} }
+	reg.GaugeFunc("dmps_trunk_streams", "Session streams open on this end's trunks.", func() []metrics.Sample {
+		return one(stats.Streams.Load())
+	})
+	reg.CounterFunc("dmps_trunk_flushes_total", "Trunk writes (each carries every frame gathered since the last).", func() []metrics.Sample {
+		return one(stats.Flushes.Load())
+	})
+	reg.GaugeFunc("dmps_trunk_frames_per_flush", "Mean frames per trunk write.", func() []metrics.Sample {
+		flushes := stats.Flushes.Load()
+		if flushes == 0 {
+			return []metrics.Sample{{Value: 0}}
+		}
+		return []metrics.Sample{{Value: float64(stats.Frames.Load()) / float64(flushes)}}
+	})
+	reg.CounterFunc("dmps_trunk_stream_resets_total", "Streams reset alone, by the end that observed it and why: overflow (its consumer fell an inbox behind) or peer (the other end reset it).", func() []metrics.Sample {
+		sample := func(cause string, v int64) metrics.Sample {
+			return metrics.Sample{LabelKey: "side", LabelValue: side, Label2Key: "cause", Label2Value: cause, Value: float64(v)}
+		}
+		return []metrics.Sample{sample("overflow", stats.ResetsOverflow.Load()), sample("peer", stats.ResetsPeer.Load())}
+	})
+	reg.CounterFunc("dmps_trunk_down_total", "Trunk connections that died (not those closed on shutdown).", func() []metrics.Sample {
+		return one(stats.Down.Load())
+	})
 }
 
 // RegisterMapMetrics exports a partition map's version and down-set.

@@ -249,6 +249,10 @@ type Sample struct {
 	// both empty means the bare metric.
 	LabelKey   string
 	LabelValue string
+	// Label2Key/Label2Value add a second label to a sample that has a
+	// first ("side"/"router" beside "cause"/"overflow").
+	Label2Key   string
+	Label2Value string
 	// Value is the sample's value.
 	Value float64
 }
@@ -453,10 +457,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch {
 		case m.collect != nil:
 			for _, s := range m.collect() {
-				if s.LabelKey == "" {
+				switch {
+				case s.LabelKey == "":
 					fmt.Fprintf(&b, "%s %s\n", m.name, fmtValue(s.Value))
-				} else {
+				case s.Label2Key == "":
 					fmt.Fprintf(&b, "%s{%s=%q} %s\n", m.name, s.LabelKey, escapeLabel(s.LabelValue), fmtValue(s.Value))
+				default:
+					fmt.Fprintf(&b, "%s{%s=%q,%s=%q} %s\n", m.name, s.LabelKey, escapeLabel(s.LabelValue),
+						s.Label2Key, escapeLabel(s.Label2Value), fmtValue(s.Value))
 				}
 			}
 		case m.counter != nil:

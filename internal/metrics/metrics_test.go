@@ -99,6 +99,9 @@ func TestCollectorSamples(t *testing.T) {
 	r.CounterFunc("dmps_test_flat", "bare collected total", func() []Sample {
 		return []Sample{{Value: 42}}
 	})
+	r.CounterFunc("dmps_test_resets", "two labels", func() []Sample {
+		return []Sample{{LabelKey: "side", LabelValue: "node", Label2Key: "cause", Label2Value: "overflow", Value: 3}}
+	})
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -108,6 +111,7 @@ func TestCollectorSamples(t *testing.T) {
 		`dmps_test_peers{peer="a:1"} 7`,
 		`dmps_test_peers{peer="b:2"} 9`,
 		"dmps_test_flat 42",
+		`dmps_test_resets{side="node",cause="overflow"} 3`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

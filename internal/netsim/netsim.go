@@ -195,6 +195,13 @@ func (n *Net) DialFrom(localHost, addr string) (transport.Conn, error) {
 		return nil, fmt.Errorf("netsim: %q: %w", addr, transport.ErrUnknownAddress)
 	}
 	client, server := newPair(n, localHost, addr)
+	// Close closes the backlog under closeMu; holding it here keeps a
+	// dial that raced the close from sending on a closed channel.
+	l.closeMu.Lock()
+	defer l.closeMu.Unlock()
+	if l.closed {
+		return nil, fmt.Errorf("netsim: %q: %w", addr, transport.ErrUnknownAddress)
+	}
 	select {
 	case l.backlog <- server:
 		return client, nil

@@ -61,6 +61,11 @@ type clusterState struct {
 	acks       *cluster.AckTable
 	ackLatency *metrics.Histogram
 
+	// rosterMu orders roster forwards: a roster is read and its forward
+	// given an ID under it, so a higher ID always carries a newer roster
+	// and replicas can refuse the older one however late it arrives.
+	rosterMu sync.Mutex
+
 	mu      sync.Mutex
 	adopted map[string]bool
 	// adoptedMembers tracks member IDs whose home this node adopted
@@ -488,6 +493,8 @@ func (s *Server) replicateMembers(groupID string) {
 	if !s.servesGroup(groupID) {
 		return
 	}
+	s.cluster.rosterMu.Lock()
+	defer s.cluster.rosterMu.Unlock()
 	members, err := s.registry.GroupMembers(groupID)
 	if err != nil {
 		return
@@ -609,7 +616,7 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 		}
 	case protocol.ForwardMembers:
 		if body.Group != "" {
-			s.cluster.store.ApplyMembers(body.Group, body.Chair, body.Members)
+			s.cluster.store.ApplyMembers(body.Group, body.Chair, body.Members, body.From, body.ID)
 			s.ackForward(body)
 		}
 	case protocol.ForwardMemberHome:

@@ -66,7 +66,9 @@ import (
 //	dmps_repl_lost_total                 forwards written off after retries
 //
 // plus the shared partition-map series from cluster.RegisterMapMetrics
-// (including dmps_cluster_map_epoch).
+// (including dmps_cluster_map_epoch) and the dmps_trunk_* series of
+// cluster.RegisterTrunkMetrics, side="node", over the routing tier's
+// trunk connections this node serves.
 func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 	one := func(v float64) []metrics.Sample { return []metrics.Sample{{Value: v}} }
 	// The tracing plane (dmps_stage_seconds{stage}, span/trace counters,
@@ -212,4 +214,5 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 		return out
 	})
 	cluster.RegisterMapMetrics(reg, s.cluster.topo)
+	cluster.RegisterTrunkMetrics(reg, "node", &s.trunks)
 }

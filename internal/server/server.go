@@ -202,7 +202,9 @@ type Server struct {
 	// handler exits, so Close severs them all — the session table alone
 	// misses inter-node peer links (no session) and conns still mid-
 	// handshake (session not yet installed), and an unsevered connection
-	// parks its handler on Recv forever, deadlocking Close's wg.Wait.
+	// parks its handler on Recv forever, deadlocking Close's wg.Wait. The
+	// value marks the routing tier's trunk connections, which Close
+	// severs first.
 	conns map[transport.Conn]bool
 	// tokens maps session-resume tokens to members (and tokenOf the
 	// reverse): a reconnecting client presents its token in THello and
@@ -246,6 +248,9 @@ type Server struct {
 	wireOut     atomic.Int64
 	wireFlushes atomic.Int64
 	wireMsgsOut atomic.Int64
+	// trunks counts the work of the routing tier's trunk connections
+	// this node serves (the dmps_trunk_* series).
+	trunks transport.MuxStats
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
@@ -760,21 +765,37 @@ func (s *Server) Serve() error {
 				return fmt.Errorf("server: accept: %w", err)
 			}
 		}
-		s.mu.Lock()
-		select {
-		case <-s.closed:
-			// Close already swept the conn table; a late accept must not
-			// slip past it into a handler nobody can unblock.
-			s.mu.Unlock()
-			_ = conn.Close()
-			continue
-		default:
-		}
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
+		s.spawn(conn, true)
 	}
+}
+
+// spawn serves a newly accepted connection — a socket (which may turn
+// out to be a trunk), or a stream of a trunk (which may not) — on its own
+// goroutine, tracked so that Close severs it. After Close it only closes
+// the connection.
+func (s *Server) spawn(conn transport.Conn, mayTrunk bool) {
+	s.mu.Lock()
+	select {
+	case <-s.closed:
+		// Close already swept the conn table; a late accept must not
+		// slip past it into a handler nobody can unblock.
+		s.mu.Unlock()
+		_ = conn.Close()
+		return
+	default:
+	}
+	s.conns[conn] = false
+	s.wg.Add(1)
+	s.mu.Unlock()
+	go func() {
+		defer s.wg.Done()
+		defer func() {
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
+		}()
+		s.serve(conn, mayTrunk)
+	}()
 }
 
 // Start runs Serve on a goroutine.
@@ -786,6 +807,15 @@ func (s *Server) Close() {
 		close(s.closed)
 		_ = s.listener.Close()
 		s.mu.Lock()
+		// Trunks first, so that a router sees this node go the way a
+		// crashed one does — one connection dying — and not sixteen
+		// streams closing one by one ahead of it, each of which it would
+		// answer by trying the node again.
+		for conn, trunk := range s.conns {
+			if trunk {
+				_ = conn.Close()
+			}
+		}
 		for _, sess := range s.sessions {
 			_ = sess.conn.Close()
 		}
@@ -806,17 +836,30 @@ func (s *Server) Close() {
 	}
 }
 
-// handle runs one client session: handshake, then the message loop. A
-// connection whose first message is a TForward is an inter-node peer
-// link and runs the forward loop instead.
-func (s *Server) handle(conn transport.Conn) {
-	defer s.wg.Done()
-	defer func() {
+// serve runs one connection: handshake, then the message loop. A first
+// message that is a TForward makes it an inter-node peer link, which
+// runs the forward loop instead; one that is the trunk preface (on a
+// socket) makes it a trunk, whose streams carry the routing tier's
+// sessions and are each served exactly like a socket of their own.
+func (s *Server) serve(conn transport.Conn, mayTrunk bool) {
+	first, err := conn.Recv()
+	if err != nil {
+		_ = conn.Close()
+		return
+	}
+	if mayTrunk && transport.IsTrunkPreface(first) {
 		s.mu.Lock()
-		delete(s.conns, conn)
+		s.conns[conn] = true
 		s.mu.Unlock()
-	}()
-	sess, peer, err := s.handshake(conn)
+		mux := transport.AcceptMux(conn, &s.trunks, func(stream transport.Conn) {
+			s.spawn(stream, false)
+		})
+		// Close severs conn like any tracked connection, which ends the
+		// trunk and with it every stream.
+		mux.Wait()
+		return
+	}
+	sess, peer, err := s.handshake(conn, first)
 	if err != nil {
 		_ = conn.Close()
 		return
@@ -874,17 +917,14 @@ func rejectExpired(conn transport.Conn, seq int64) {
 	}
 }
 
-// handshake admits a client: the first message must be THello (or, on a
-// cluster node, a TNodeHello binding a remote-homed member, or a
-// TForward opening a peer link — returned with a nil session). A hello
+// handshake admits a client: wire, the connection's first message, must
+// be THello (or, on a cluster node, a TNodeHello binding a remote-homed
+// member, or a TForward opening a peer link — returned with a nil
+// session). A hello
 // carrying a session token resumes the member it was issued to — the
 // new connection displaces any stale session still in the table, and
 // the client converges through TBackfill instead of re-joining groups.
-func (s *Server) handshake(conn transport.Conn) (*session, protocol.Message, error) {
-	wire, err := conn.Recv()
-	if err != nil {
-		return nil, protocol.Message{}, err
-	}
+func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol.Message, error) {
 	msg, err := protocol.Decode(wire)
 	if err != nil {
 		return nil, protocol.Message{}, fmt.Errorf("server: handshake: %w (%w)", err, transport.ErrClosed)

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,7 +11,10 @@ import (
 )
 
 // TCP is the real-socket implementation of Network. Messages are framed
-// with a 4-byte big-endian length prefix.
+// with a 4-byte big-endian length prefix. A frame, or a whole batch of
+// frames, costs one write on the way out and is read through a
+// per-connection buffer on the way in, so frames that arrive together
+// cost one read.
 type TCP struct{}
 
 var _ Network = TCP{}
@@ -59,6 +63,7 @@ func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
 type tcpConn struct {
 	c       net.Conn
+	r       *bufio.Reader
 	sendMu  sync.Mutex
 	recvMu  sync.Mutex
 	lenBuf  [4]byte
@@ -67,29 +72,20 @@ type tcpConn struct {
 	dead    bool
 }
 
-func newTCPConn(c net.Conn) *tcpConn { return &tcpConn{c: c} }
+// recvBufBytes sizes a connection's read buffer: room for a fan-out
+// burst of small frames in one read, small enough to hold per
+// connection. Payloads larger than the buffer are read straight into
+// their own slice.
+const recvBufBytes = 8 << 10
 
+func newTCPConn(c net.Conn) *tcpConn {
+	return &tcpConn{c: c, r: bufio.NewReaderSize(c, recvBufBytes)}
+}
+
+// Send is a batch of one: header and payload leave in a single write.
 func (t *tcpConn) Send(payload []byte) error {
-	if len(payload) > MaxMessageSize {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
-	}
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	t.closeMu.Lock()
-	dead := t.dead
-	t.closeMu.Unlock()
-	if dead {
-		return ErrClosed
-	}
-	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], uint32(len(payload)))
-	if _, err := t.c.Write(header[:]); err != nil {
-		return t.mapErr(err)
-	}
-	if _, err := t.c.Write(payload); err != nil {
-		return t.mapErr(err)
-	}
-	return nil
+	one := [1][]byte{payload}
+	return t.SendBatch(one[:])
 }
 
 // packBufs pools batch packing buffers. Oversized buffers (past 1 MiB)
@@ -138,7 +134,7 @@ func (t *tcpConn) SendBatch(payloads [][]byte) error {
 func (t *tcpConn) Recv() ([]byte, error) {
 	t.recvMu.Lock()
 	defer t.recvMu.Unlock()
-	if _, err := io.ReadFull(t.c, t.lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(t.r, t.lenBuf[:]); err != nil {
 		return nil, t.mapErr(err)
 	}
 	n := binary.BigEndian.Uint32(t.lenBuf[:])
@@ -146,7 +142,7 @@ func (t *tcpConn) Recv() ([]byte, error) {
 		return nil, fmt.Errorf("%w: frame of %d bytes", ErrTooLarge, n)
 	}
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(t.c, payload); err != nil {
+	if _, err := io.ReadFull(t.r, payload); err != nil {
 		return nil, t.mapErr(err)
 	}
 	return payload, nil
