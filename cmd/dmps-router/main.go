@@ -46,7 +46,6 @@ func run() int {
 	nodes := flag.String("nodes", "", "comma-separated node addresses, in ring order")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://ADDR/metrics (off when empty)")
 	recoverEvery := flag.Duration("recover", 2*time.Second, "re-probe down nodes and migrate their partitions home on this cadence (0 disables)")
-	wireJSON := flag.Bool("wire-json", false, "strip the binary-framing ask from client hellos; the whole cluster speaks JSON (debugging escape hatch)")
 	flag.Parse()
 
 	nodeList := strings.Split(*nodes, ",")
@@ -62,7 +61,6 @@ func run() int {
 		Addr:            *addr,
 		Nodes:           nodeList,
 		RecoverInterval: *recoverEvery,
-		WireJSON:        *wireJSON,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dmps-router:", err)

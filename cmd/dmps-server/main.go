@@ -58,7 +58,6 @@ func run() int {
 	rf := flag.Int("rf", 0, "replication factor: nodes holding each logged append (default 2 in cluster mode)")
 	walDir := flag.String("wal", "", "write-ahead log directory; journals and replays logged state (off when empty)")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics at http://ADDR/metrics (off when empty)")
-	wireJSON := flag.Bool("wire-json", false, "refuse binary wire framing; every session speaks JSON (debugging escape hatch)")
 	flag.Parse()
 
 	mon, err := resource.New(resource.MinBound, resource.Thresholds{Alpha: *alpha, Beta: *beta})
@@ -72,7 +71,6 @@ func run() int {
 		Monitor:       mon,
 		ProbeInterval: *probe,
 		SessionTTL:    *sessionTTL,
-		WireJSON:      *wireJSON,
 	}
 	if *clusterNodes != "" {
 		nodes := strings.Split(*clusterNodes, ",")

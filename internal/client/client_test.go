@@ -90,7 +90,7 @@ func silentServer(t *testing.T, n *netsim.Net) {
 		if err != nil {
 			return
 		}
-		welcome := protocol.MustNew(protocol.TWelcome, protocol.WelcomeBody{MemberID: "m#1"})
+		welcome := protocol.MustNew(protocol.TWelcome, protocol.WelcomeBody{MemberID: "m#1", WireVersion: protocol.WireVersion})
 		welcome.Seq = msg.Seq
 		out, _ := protocol.Encode(welcome)
 		_ = conn.Send(out)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,32 +93,10 @@ func NewPool(network transport.Network) *Pool {
 	return &Pool{network: network, peers: make(map[string]*peerLink), stats: make(map[string]*peerStat)}
 }
 
-// WrapForward encodes a TForward envelope around the body with plain
-// json.Marshal, deliberately outside protocol.Encode: replication rides
-// the broadcast hot path (one forward per logged append), and the
-// encode-once gate counts protocol.Encode calls per broadcast — the
-// per-RECIPIENT cost. The forward is per-append, reuses the already-
-// encoded event bytes verbatim (ForwardBody.Msg is raw JSON), and must
-// not read as fan-out amplification.
+// WrapForward frames a node-to-node forward for the peer link
+// (protocol.EncodeForward), nil when the body cannot be encoded.
 func WrapForward(body protocol.ForwardBody) []byte {
-	return WrapForwardTrace(body, 0, 0)
-}
-
-// WrapForwardTrace is WrapForward with a trace context stamped on the
-// envelope: the receiving peer records its replica-apply span under the
-// originating operation's trace ID. Forward envelopes are always JSON
-// (peer links never negotiate framing), so the fields ride freely and a
-// zero tid produces bytes identical to the untraced form.
-func WrapForwardTrace(body protocol.ForwardBody, tid uint64, flags uint8) []byte {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return nil
-	}
-	env := protocol.Message{Type: protocol.TForward, Body: raw}
-	if tid != 0 {
-		env.TraceID, env.TraceParent, env.TraceFlags = tid, tid, flags
-	}
-	wire, err := json.Marshal(env)
+	wire, err := protocol.EncodeForward(body)
 	if err != nil {
 		return nil
 	}

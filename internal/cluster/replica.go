@@ -10,13 +10,9 @@ import (
 // exactly as the owner fanned them out, plus the sequence fields parsed
 // back out so a takeover can install them into the adopting node's log
 // plane with the original numbering (clients' cursors keep counting).
-type ReplicaEvent struct {
-	GSeq  int64
-	CSeq  int64
-	Class string
-	State bool
-	Wire  []byte
-}
+// It is the takeover package's own event form, so a stored replica
+// ships as it stands.
+type ReplicaEvent = protocol.ReplicaEventBody
 
 // GroupReplica is the takeover package for one group partition: the
 // retained logged-event suffix, the latest floor-state blob (mode,
@@ -49,8 +45,13 @@ type ReplicaStore struct {
 	groups  map[string]*GroupReplica
 	members map[string]*MemberHome
 	// rosters records, per group, the sender and forward ID of the roster
-	// last applied: the same sender's older rosters are stale.
-	rosters map[string]rosterVersion
+	// last applied: the same sender's older rosters are stale. homes does
+	// the same per member for member_home and member_drop forwards; a
+	// drop keeps its entry as a tombstone, and tombs lists those in drop
+	// order so that only the newest maxTombstones are kept.
+	rosters map[string]forwardVersion
+	homes   map[string]forwardVersion
+	tombs   []string
 	// epochs records, per key, the newest migration epoch whose takeover
 	// package this store (or its node) has installed; packages stamped
 	// older are stale and discarded.
@@ -75,7 +76,7 @@ func NewReplicaStore(cap int) *ReplicaStore {
 	return &ReplicaStore{
 		cap: cap, groups: make(map[string]*GroupReplica),
 		members: make(map[string]*MemberHome), epochs: make(map[string]int64),
-		rosters: make(map[string]rosterVersion),
+		rosters: make(map[string]forwardVersion), homes: make(map[string]forwardVersion),
 	}
 }
 
@@ -89,8 +90,8 @@ func (s *ReplicaStore) group(id string) *GroupReplica {
 }
 
 // ApplyEvent records one replicated logged event for a group. The wire
-// bytes are the owner's stamped fan-out bytes in either framing; their
-// envelope is parsed here (off the owner's hot path) to recover the
+// bytes are the owner's stamped fan-out bytes; their envelope is parsed
+// here (off the owner's hot path) to recover the
 // sequence fields. An optional floor blob replaces the group's takeover
 // floor state.
 func (s *ReplicaStore) ApplyEvent(groupID string, wire []byte, floor *protocol.FloorReplicaBody) {
@@ -141,26 +142,34 @@ func (s *ReplicaStore) ApplyEvent(groupID string, wire []byte, floor *protocol.F
 	}
 }
 
-// rosterVersion identifies a roster forward: who sent it and the ID the
-// sender gave it. IDs rise with every forward a sender makes.
-type rosterVersion struct {
+// forwardVersion identifies a replication forward: who sent it and the
+// ID the sender gave it. IDs rise with every forward a sender makes.
+type forwardVersion struct {
 	from string
 	id   int64
 }
 
+// stale reports whether a forward is no newer than the last one applied
+// for the same key. The ack table resends what was not acknowledged in
+// time, so a forward can arrive after one the same sender made later.
+// Forwards of different senders are not ordered, and an unidentified
+// one (id 0: a migration's takeover package, ordered by epoch instead)
+// is never stale.
+func (last forwardVersion) stale(from string, id int64) bool {
+	return id != 0 && last.from == from && id <= last.id
+}
+
 // ApplyMembers records a group's replicated membership roster and chair,
-// sent by from as forward id. Rosters replace each other whole, and a
-// forward can arrive late (the ack table resends what was not
-// acknowledged in time), so a roster older than the one already held
-// from the same sender is dropped: a late duplicate must not take a
-// member back out of the group.
+// sent by from as forward id. Rosters replace each other whole, so a
+// stale one is dropped: a late duplicate must not take a member back out
+// of the group.
 func (s *ReplicaStore) ApplyMembers(groupID, chair string, members []protocol.NodeMemberInfo, from string, id int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if last := s.rosters[groupID]; last.from == from && id <= last.id {
+	if s.rosters[groupID].stale(from, id) {
 		return
 	}
-	s.rosters[groupID] = rosterVersion{from: from, id: id}
+	s.rosters[groupID] = forwardVersion{from: from, id: id}
 	g := s.group(groupID)
 	g.Chair = chair
 	g.Members = members
@@ -224,23 +233,50 @@ func (s *ReplicaStore) MemberIDs() []string {
 	return out
 }
 
+// maxTombstones bounds the dropped members whose forward version is
+// remembered. A tombstone only has to outlive the resends of the homes
+// sent before the drop, and the sender gives those up within seconds
+// (ackMaxAttempts); the ack table holds at most ackTableCap forwards at
+// once, so that many drops cannot all be newer than a live resend.
+const maxTombstones = ackTableCap
+
 // ApplyMemberHome records a member's replicated home state (directory
-// row + resume token), keyed by member ID.
-func (s *ReplicaStore) ApplyMemberHome(info protocol.NodeMemberInfo, token string) {
+// row + resume token), keyed by member ID, sent by from as forward id.
+// A stale forward is dropped: a resent home must not bring a dropped
+// member back to life, nor put an old token over a new one.
+func (s *ReplicaStore) ApplyMemberHome(info protocol.NodeMemberInfo, token, from string, id int64) {
 	if info.ID == "" {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.homes[info.ID].stale(from, id) {
+		return
+	}
+	s.homes[info.ID] = forwardVersion{from: from, id: id}
 	s.members[info.ID] = &MemberHome{Info: info, Token: token}
 }
 
 // DropMemberHome retracts a replicated member home — the home node
 // expired the session, so the replica must not adopt it back to life.
-func (s *ReplicaStore) DropMemberHome(memberID string) {
+// The drop's version stays behind as a tombstone against older homes
+// still in flight.
+func (s *ReplicaStore) DropMemberHome(memberID, from string, id int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.homes[memberID].stale(from, id) {
+		return
+	}
+	s.homes[memberID] = forwardVersion{from: from, id: id}
 	delete(s.members, memberID)
+	s.tombs = append(s.tombs, memberID)
+	if len(s.tombs) > maxTombstones {
+		oldest := s.tombs[0]
+		s.tombs = s.tombs[1:]
+		if _, live := s.members[oldest]; !live {
+			delete(s.homes, oldest)
+		}
+	}
 }
 
 // MemberByToken finds the replicated member home holding the given

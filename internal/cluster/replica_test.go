@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"dmps/internal/protocol"
@@ -40,5 +41,60 @@ func TestAckTableIDsRiseAcrossRestarts(t *testing.T) {
 	}
 	if first := NewAckTable(nil).NextID(); first <= last {
 		t.Fatalf("restarted sender's first ID %d does not exceed its previous life's %d", first, last)
+	}
+}
+
+// TestMemberHomeForwardsDropStale replays what the ack table's resend
+// can do to member homes: a home (forward 5), its drop (6), and then the
+// home again — unacknowledged in time and resent. The member must stay
+// dropped, or a reaped member's resume token comes back to life on the
+// successor. Likewise an older token must not land over a newer one.
+// Forwards of another sender, and a migration's unidentified install,
+// always apply.
+func TestMemberHomeForwardsDropStale(t *testing.T) {
+	alice := protocol.NodeMemberInfo{ID: "alice#1", Name: "alice"}
+	s := NewReplicaStore(0)
+	s.ApplyMemberHome(alice, "tok-old", "n1", 5)
+	s.DropMemberHome("alice#1", "n1", 6)
+	s.ApplyMemberHome(alice, "tok-old", "n1", 5)
+	if _, ok := s.MemberByToken("tok-old"); ok {
+		t.Fatal("a resent member_home brought a dropped member back")
+	}
+	if len(s.MemberIDs()) != 0 {
+		t.Fatalf("members after drop + stale home: %v", s.MemberIDs())
+	}
+
+	s.ApplyMemberHome(alice, "tok-1", "n1", 7)
+	s.ApplyMemberHome(alice, "tok-2", "n1", 8)
+	s.ApplyMemberHome(alice, "tok-1", "n1", 7)
+	if _, ok := s.MemberByToken("tok-2"); !ok {
+		t.Fatal("a resent member_home put an old token over the new one")
+	}
+	s.DropMemberHome("alice#1", "n1", 7)
+	if _, ok := s.MemberByToken("tok-2"); !ok {
+		t.Fatal("a stale member_drop retracted a newer home")
+	}
+
+	s.ApplyMemberHome(alice, "tok-n2", "n2", 1)
+	if _, ok := s.MemberByToken("tok-n2"); !ok {
+		t.Fatal("a home from the member's new home node was not applied")
+	}
+	s.ApplyMemberHome(alice, "tok-migrated", "", 0)
+	if _, ok := s.MemberByToken("tok-migrated"); !ok {
+		t.Fatal("a takeover package's member home was not installed")
+	}
+}
+
+// TestTombstonesAreBounded: drops leave version tombstones, and only
+// the newest maxTombstones of them are kept.
+func TestTombstonesAreBounded(t *testing.T) {
+	s := NewReplicaStore(0)
+	for i := 0; i < maxTombstones+10; i++ {
+		id := fmt.Sprintf("m#%d", i)
+		s.ApplyMemberHome(protocol.NodeMemberInfo{ID: id}, "tok", "n1", int64(2*i+1))
+		s.DropMemberHome(id, "n1", int64(2*i+2))
+	}
+	if len(s.homes) != maxTombstones || len(s.tombs) != maxTombstones {
+		t.Fatalf("%d versions and %d tombstones kept, want %d", len(s.homes), len(s.tombs), maxTombstones)
 	}
 }

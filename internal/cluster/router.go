@@ -56,11 +56,6 @@ type RouterConfig struct {
 	// Zero leaves recovery to explicit Recover calls (tests, admin
 	// tooling).
 	RecoverInterval time.Duration
-	// WireJSON, when set, strips the binary-framing ask from every
-	// client hello before it reaches the home node, pinning the whole
-	// cluster's client traffic to JSON — the same debugging escape
-	// hatch as server.Config.WireJSON, applied at the routing tier.
-	WireJSON bool
 }
 
 // Router is the thin routing tier in front of a node cluster: it
@@ -327,7 +322,7 @@ func (rs *routerSession) run() {
 		if err != nil {
 			return
 		}
-		msg, err := protocol.DecodeAny(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			continue
 		}
@@ -365,9 +360,6 @@ func (rs *routerSession) admit() error {
 	var hello protocol.HelloBody
 	if err := msg.Into(&hello); err != nil {
 		return err
-	}
-	if rs.r.cfg.WireJSON {
-		hello.WireVersion = 0
 	}
 	homeIdx := -1
 	if hello.Token != "" {
@@ -430,10 +422,9 @@ func (rs *routerSession) admit() error {
 		Role:     hello.Role,
 		Priority: hello.Priority,
 		Classes:  hello.Classes,
-		// The home node's welcome fixes the session's wire version; the
-		// identity carries it so every later upstream speaks the same
-		// format to this client without renegotiating.
-		WireVersion: welcome.WireVersion,
+		// The home node accepted the hello's stamp, so it is the one
+		// version every node speaks.
+		WireVersion: hello.WireVersion,
 	}
 	up := &upstream{idx: homeIdx, conn: conn, groups: make(map[string]bool)}
 	rs.ups[homeIdx] = up
@@ -632,7 +623,7 @@ func (rs *routerSession) upstreamDown(up *upstream) {
 		moved.Origin = fmt.Sprintf("n%d", up.idx)
 	}
 	note := protocol.MustNew(protocol.TNodeMoved, moved)
-	if wire, err := protocol.Encode(note); err == nil {
+	if wire, err := protocol.EncodeBinary(note); err == nil {
 		_ = rs.sendClient(wire)
 	}
 }
@@ -678,7 +669,7 @@ func (r *Router) Recover(idx int) error {
 		moved = append(moved, groups...)
 	}
 	r.pmap.MarkUp(idx)
-	if wire, err := protocol.Encode(protocol.MustNew(protocol.TNodeMoved, protocol.NodeMovedBody{
+	if wire, err := protocol.EncodeBinary(protocol.MustNew(protocol.TNodeMoved, protocol.NodeMovedBody{
 		Groups: moved, Epoch: epoch,
 	})); err == nil {
 		r.mu.Lock()
@@ -717,7 +708,7 @@ func (r *Router) askMigrate(j, node int, addr string, epoch int64) ([]string, er
 		if err != nil {
 			return nil, err
 		}
-		msg, err := protocol.Decode(reply)
+		msg, err := protocol.DecodeAny(reply)
 		if err != nil || msg.Type != protocol.TForward {
 			continue
 		}

@@ -37,14 +37,15 @@ func stagesByTrace(p *trace.Plane) map[uint64]map[string]bool {
 }
 
 // TestTraceCrossesThreeProcessesTCPE2E drives traced floor grants over
-// a real TCP deployment — 1 router + 2 cluster nodes — from a
-// JSON-framed client and a binary-framed client in the SAME group, and
-// requires that each framing yields at least one assembled trace whose
-// spans cross all three processes: the router's relay span, the owner
-// node's dispatch pipeline, and the replica node's replication ack —
-// with at least 5 distinct named stages in the union. This is the
-// tentpole's end-to-end claim: one wire-propagated trace ID stitches
-// the whole request path together, whichever framing carried it.
+// a real TCP deployment — 1 router + 2 cluster nodes — from two clients
+// homed on different nodes in the SAME group, and requires that each
+// client's grant yields an assembled trace whose spans cross all three
+// processes: the router's relay span, the owner node's dispatch
+// pipeline, and the replica node's replication ack — with at least 5
+// distinct named stages in the union. One wire-propagated trace ID
+// stitches the whole request path together: the client's frame carries
+// it to the owner, the logged event's frame keeps it, and the replica
+// forward's frame takes it from the event it carries.
 func TestTraceCrossesThreeProcessesTCPE2E(t *testing.T) {
 	addrs := freePorts(t, 3)
 	nodeAddrs, routerAddr := addrs[:2], addrs[2]
@@ -77,13 +78,12 @@ func TestTraceCrossesThreeProcessesTCPE2E(t *testing.T) {
 	router.Start()
 	t.Cleanup(router.Close)
 
-	dial := func(name string, wireJSON bool) *client.Client {
+	dial := func(name string) *client.Client {
 		t.Helper()
 		c, err := client.Dial(client.Config{
 			Network: transport.TCP{}, Addr: routerAddr,
 			Name: name, Role: "participant", Priority: 5,
-			WireJSON: wireJSON,
-			Trace:    true,
+			Trace: true,
 		})
 		if err != nil {
 			t.Fatalf("dial %s: %v", name, err)
@@ -94,10 +94,10 @@ func TestTraceCrossesThreeProcessesTCPE2E(t *testing.T) {
 
 	// The group is owned by node 1, so node 0 is its replica — every
 	// logged event's trace must cross to it through the forward path.
-	legacy := dial(pickKeyFor(t, nodeAddrs, "trace-json", 0), true)
-	modern := dial(pickKeyFor(t, nodeAddrs, "trace-bin", 1), false)
+	remote := dial(pickKeyFor(t, nodeAddrs, "trace-remote", 0))
+	local := dial(pickKeyFor(t, nodeAddrs, "trace-local", 1))
 	group := pickKeyFor(t, nodeAddrs, "trace-class", 1)
-	for _, c := range []*client.Client{legacy, modern} {
+	for _, c := range []*client.Client{remote, local} {
 		if err := c.Join(group); err != nil {
 			t.Fatal(err)
 		}
@@ -129,27 +129,26 @@ func TestTraceCrossesThreeProcessesTCPE2E(t *testing.T) {
 		return ok
 	}
 
-	// Grant on the binary framing first.
-	if dec, err := modern.RequestFloor(group, floor.EqualControl, ""); err != nil || !dec.Granted {
-		t.Fatalf("binary-side grant: dec=%+v err=%v", dec, err)
+	// Grant to the member homed on the group's owner first.
+	if dec, err := local.RequestFloor(group, floor.EqualControl, ""); err != nil || !dec.Granted {
+		t.Fatalf("owner-homed grant: dec=%+v err=%v", dec, err)
 	}
-	waitFor(t, "a binary-framed trace crosses router, owner and replica", func() bool {
+	waitFor(t, "a trace crosses router, owner and replica", func() bool {
 		return len(qualifying()) >= 1
 	})
-	fromBinary := qualifying()
+	first := qualifying()
 
-	// Hand the floor across and grant on the JSON framing: its trace
-	// must qualify too, as a NEW trace ID (JSON carries the context as
-	// optional envelope fields rather than the binary frame extension).
-	if err := modern.ReleaseFloor(group); err != nil {
+	// Hand the floor across and grant to the member homed on the replica:
+	// its trace must qualify too, as a NEW trace ID.
+	if err := local.ReleaseFloor(group); err != nil {
 		t.Fatal(err)
 	}
-	if dec, err := legacy.RequestFloor(group, floor.EqualControl, ""); err != nil || !dec.Granted {
-		t.Fatalf("JSON-side grant: dec=%+v err=%v", dec, err)
+	if dec, err := remote.RequestFloor(group, floor.EqualControl, ""); err != nil || !dec.Granted {
+		t.Fatalf("replica-homed grant: dec=%+v err=%v", dec, err)
 	}
-	waitFor(t, "a JSON-framed trace crosses router, owner and replica", func() bool {
+	waitFor(t, "a second trace crosses router, owner and replica", func() bool {
 		for id := range qualifying() {
-			if !fromBinary[id] {
+			if !first[id] {
 				return true
 			}
 		}

@@ -38,41 +38,24 @@ const (
 // WALNextID reuse GSeq as the value; the remaining kinds carry their
 // payload in Data (shape owned by the writer, opaque here).
 type WALRecord struct {
-	Kind  string          `json:"kind"`
-	Key   string          `json:"key,omitempty"`
-	GSeq  int64           `json:"gseq,omitempty"`
-	CSeq  int64           `json:"cseq,omitempty"`
-	Class string          `json:"class,omitempty"`
-	State bool            `json:"state,omitempty"`
-	Wire  json.RawMessage `json:"wire,omitempty"`
-	// WireB carries binary-framed wire bytes (base64 on disk): a binary
-	// frame is not valid JSON, so it cannot ride the Wire field's raw
-	// embedding. Writers use SetWire to route by framing; readers use
-	// WireBytes. Exactly one of Wire/WireB is set per event record.
-	WireB []byte          `json:"wire_b,omitempty"`
-	Data  json.RawMessage `json:"data,omitempty"`
+	Kind  string `json:"kind"`
+	Key   string `json:"key,omitempty"`
+	GSeq  int64  `json:"gseq,omitempty"`
+	CSeq  int64  `json:"cseq,omitempty"`
+	Class string `json:"class,omitempty"`
+	State bool   `json:"state,omitempty"`
+	// Wire is the event's binary frame, base64 on disk. It keeps the
+	// "wire_b" key it had beside a raw-JSON twin, so that segments written
+	// before the twin was dropped still replay.
+	Wire []byte          `json:"wire_b,omitempty"`
+	Data json.RawMessage `json:"data,omitempty"`
 }
 
-// SetWire stores stamped wire bytes in the field matching their framing:
-// JSON frames embed raw (human-greppable segments), binary frames go to
-// the base64 twin.
-func (r *WALRecord) SetWire(wire []byte) {
-	if len(wire) > 0 && wire[0] != '{' {
-		r.WireB = wire
-		r.Wire = nil
-		return
-	}
-	r.Wire = wire
-	r.WireB = nil
-}
+// SetWire stores the event's stamped wire bytes.
+func (r *WALRecord) SetWire(wire []byte) { r.Wire = wire }
 
-// WireBytes returns the record's wire bytes whichever field carries them.
-func (r *WALRecord) WireBytes() []byte {
-	if len(r.WireB) > 0 {
-		return r.WireB
-	}
-	return r.Wire
-}
+// WireBytes returns the event's stamped wire bytes.
+func (r *WALRecord) WireBytes() []byte { return r.Wire }
 
 // WALStats is the segment store's occupancy digest for the metrics
 // endpoint: live segment count and their total bytes.

@@ -1,9 +1,8 @@
-// Binary wire framing (wire version 1). The handshake always speaks
-// JSON; a client that sets HelloBody.WireVersion and gets it echoed in
-// the welcome switches the rest of its session to these frames. A
-// binary-negotiated endpoint still accepts JSON frames — the first byte
-// discriminates (binMagic vs '{'), so retained log bytes, WAL records
-// and replica stores can mix formats freely and DecodeAny reads either.
+// Binary wire framing — the one framing of client sessions, peer links
+// and the journal. The handshake (hello, node_hello, welcome and the
+// typed errors answering them) speaks JSON; everything after it is
+// these frames. The first byte discriminates (binMagic vs '{'), so
+// DecodeAny reads either.
 //
 // Frame layout (the outer transport already delimits the frame, so no
 // inner length prefix is needed; all lengths are uvarints that the
@@ -13,7 +12,6 @@
 //	          self-describing)
 //	byte 1    flags: bit0 = body is natively encoded (vs embedded JSON),
 //	          bit1 = Message.State, bit2 = trace context present
-//	          (wire version 2)
 //	byte 2    type code: index into AllTypes (append-only — codes are
 //	          wire-significant)
 //	uvarint   Seq, GSeq, CSeq (three uvarints)
@@ -22,17 +20,16 @@
 //	lp-string From, To, Group (uvarint length + bytes each)
 //	trace     only when bit2 is set: uvarint TraceID, uvarint
 //	          TraceParent, 1 byte TraceFlags — the causal trace context
-//	          of wire version 2; senders set bit2 only on sessions that
-//	          negotiated version ≥ 2
-//	rest      body: native binary for the hot event types when bit0 is
-//	          set, the body's JSON otherwise; empty = no body
+//	rest      body: native binary for the hot types when bit0 is set,
+//	          the body's JSON otherwise; empty = no body
 //
 // Hot types (SequencedBody, FloorEventBody, SuspendBody, ChatBody,
-// AnnotateBody) get native body codecs; every other body rides as
-// embedded JSON, which keeps the codec small where it doesn't pay.
-// Decoding is zero-copy: envelope and native-body strings alias the
-// frame buffer (via unsafe.String) and an embedded JSON body is a
-// subslice — wire bytes are immutable once handed to a decoder.
+// AnnotateBody, and ForwardBody's replica and ack kinds) get native
+// body codecs; every other body rides as embedded JSON, which keeps the
+// codec small where it doesn't pay. Decoding is zero-copy: envelope and
+// native-body strings alias the frame buffer (via unsafe.String) and an
+// embedded JSON body or a forward's inner frame is a subslice — wire
+// bytes are immutable once handed to a decoder.
 package protocol
 
 import (
@@ -51,7 +48,7 @@ const binMagic = 0xDF
 const (
 	flagNativeBody = 1 << 0 // body is natively encoded, not embedded JSON
 	flagState      = 1 << 1 // Message.State
-	flagTrace      = 1 << 2 // trace context follows the Group string (wire v2)
+	flagTrace      = 1 << 2 // trace context follows the Group string
 )
 
 // classEscape marks a class string outside AllClasses, carried
@@ -87,11 +84,32 @@ var encScratch = sync.Pool{
 // against EncodeCount like Encode: the encode-once benchmarks gate the
 // sum of both formats.
 func EncodeBinary(m Message) ([]byte, error) {
+	encodes.Add(1)
+	return encodeFrame(m, nil)
+}
+
+// EncodeForward frames a node-to-node forward as a TForward message. It
+// stays outside EncodeCount, which gates the per-recipient cost of a
+// broadcast: a forward is per append and carries the already-encoded
+// event bytes verbatim. When the inner frame belongs to a sampled trace
+// the forward's envelope carries the same context, so the receiving
+// peer records its span under the originating operation.
+func EncodeForward(body ForwardBody) ([]byte, error) {
+	m := Message{Type: TForward}
+	if id, _, fl := FrameTrace(body.Msg); fl&TraceSampled != 0 {
+		m.TraceID, m.TraceParent, m.TraceFlags = id, id, fl
+	}
+	return encodeFrame(m, &body)
+}
+
+// encodeFrame builds one frame around m's body, or around fwd's native
+// form when fwd is set (a parameter of its own, not Message.bodyObj, so
+// that the forward stays on its caller's stack).
+func encodeFrame(m Message, fwd *ForwardBody) ([]byte, error) {
 	code, ok := typeCodes[m.Type]
 	if !ok {
 		return nil, fmt.Errorf("protocol: encode: unknown type %q", m.Type)
 	}
-	encodes.Add(1)
 	bp := encScratch.Get().(*[]byte)
 	b := (*bp)[:0]
 	var flags byte
@@ -119,7 +137,13 @@ func EncodeBinary(m Message) ([]byte, error) {
 		b = binary.AppendUvarint(b, m.TraceParent)
 		b = append(b, m.TraceFlags)
 	}
-	b, err := appendBody(b, m) // may flip flagNativeBody in b[1]
+	var err error
+	if fwd != nil {
+		b[1] |= flagNativeBody
+		b, err = appendForward(b, fwd)
+	} else {
+		b, err = appendBody(b, m) // may flip flagNativeBody in b[1]
+	}
 	if err != nil {
 		*bp = b
 		encScratch.Put(bp)
@@ -209,8 +233,72 @@ func appendFloorEvent(b []byte, v FloorEventBody) []byte {
 func appendSuspend(b []byte, v SuspendBody) []byte {
 	b = appendLPString(b, v.Member)
 	b = appendLPString(b, v.Level)
-	b = binary.AppendUvarint(b, uint64(len(v.Suspended)))
-	for _, s := range v.Suspended {
+	return appendStrings(b, v.Suspended)
+}
+
+// Native forward body. Replication is the peer link's hot path — one
+// forward out and one ack back per logged append — so those two kinds
+// are encoded natively, and a replica carries the logged frame's bytes
+// verbatim. Only the fields those kinds use are carried. Every other
+// kind keeps ForwardBody's JSON, which opens with '{' where a native
+// body has its form byte:
+//
+//	byte    form: fwdReplica or fwdAck
+//	uvarint ID
+//	lp      From
+//	-- fwdReplica only --
+//	lp      Group
+//	byte    1 when a floor blob follows, else 0
+//	blob    lp Mode, lp Holder, byte Pinned, counted Queue, counted
+//	        Suspended (uvarint count, then that many lp-strings)
+//	rest    the inner frame, never empty
+const (
+	fwdReplica = 1
+	fwdAck     = 2
+)
+
+func appendForward(b []byte, v *ForwardBody) ([]byte, error) {
+	switch v.Kind {
+	case ForwardReplica:
+		b = append(b, fwdReplica)
+	case ForwardAck:
+		b = append(b, fwdAck)
+	default:
+		// By value: a pointer handed to json.Marshal would move every
+		// forward to the heap, the native kinds included.
+		raw, err := json.Marshal(*v)
+		if err != nil {
+			return b, fmt.Errorf("protocol: encode forward: %w", err)
+		}
+		return append(b, raw...), nil
+	}
+	b = binary.AppendUvarint(b, uint64(v.ID))
+	b = appendLPString(b, v.From)
+	if v.Kind == ForwardAck {
+		return b, nil
+	}
+	b = appendLPString(b, v.Group)
+	if f := v.Floor; f == nil {
+		b = append(b, 0)
+	} else {
+		b = append(b, 1)
+		b = appendLPString(b, f.Mode)
+		b = appendLPString(b, f.Holder)
+		if f.Pinned {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+		b = appendStrings(b, f.Queue)
+		b = appendStrings(b, f.Suspended)
+	}
+	return append(b, v.Msg...), nil
+}
+
+// appendStrings appends a counted run of lp-strings.
+func appendStrings(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
 		b = appendLPString(b, s)
 	}
 	return b
@@ -222,28 +310,14 @@ func appendLPString(b []byte, s string) []byte {
 }
 
 // DecodeAny dispatches on the first byte: binary frames to
-// DecodeBinary, everything else to the JSON Decode. This is the decoder
-// every binary-negotiated endpoint (and every reader of retained log,
-// WAL or replica bytes) uses, since stored bytes may predate — or
-// outlive — a format switch.
+// DecodeBinary, everything else to the JSON Decode. A connection's
+// first message needs it (a JSON hello, or a peer's binary forward), as
+// does anything that prints captured traffic.
 func DecodeAny(data []byte) (Message, error) {
 	if len(data) > 0 && data[0] == binMagic {
 		return DecodeBinary(data)
 	}
 	return Decode(data)
-}
-
-// IsBinaryFrame reports whether wire bytes are a binary frame (vs JSON).
-func IsBinaryFrame(data []byte) bool {
-	return len(data) > 0 && data[0] == binMagic
-}
-
-// FrameHasTrace reports whether a binary frame carries the wire-v2
-// trace extension. JSON frames report false — peeking their trace
-// fields would need a full decode, and the callers (fan-out sharing,
-// enqueue stamping) only ever need the cheap binary check.
-func FrameHasTrace(data []byte) bool {
-	return len(data) > 1 && data[0] == binMagic && data[1]&flagTrace != 0
 }
 
 // FrameTrace peeks a binary frame's trace context without decoding the
@@ -252,7 +326,7 @@ func FrameHasTrace(data []byte) bool {
 // Frames without the extension — including every JSON frame — return
 // the zero context, so the untraced fast path is two byte reads.
 func FrameTrace(data []byte) (id, parent uint64, flags uint8) {
-	if !FrameHasTrace(data) {
+	if len(data) < 2 || data[0] != binMagic || data[1]&flagTrace == 0 {
 		return 0, 0, 0
 	}
 	r := &frameReader{data: data, off: 3}
@@ -284,29 +358,6 @@ func FrameTrace(data []byte) (id, parent uint64, flags uint8) {
 		return 0, 0, 0
 	}
 	return id, parent, fl
-}
-
-// StripTrace re-encodes a binary frame without its trace extension —
-// what the fan-out path hands a session that negotiated wire version 1,
-// whose frame layout predates flagTrace (the extension would shift its
-// body parse). Frames without the extension pass through untouched, so
-// the untraced path pays two byte reads and no allocation. A frame that
-// fails to decode also passes through: the session's own decoder
-// surfaces the error instead of this path eating the event.
-func StripTrace(wire []byte) []byte {
-	if !FrameHasTrace(wire) {
-		return wire
-	}
-	m, err := DecodeBinary(wire)
-	if err != nil {
-		return wire
-	}
-	m.TraceID, m.TraceParent, m.TraceFlags = 0, 0, 0
-	out, err := EncodeBinary(m)
-	if err != nil {
-		return wire
-	}
-	return out
 }
 
 // frameReader walks a frame with bounds-checked reads: every length is
@@ -457,7 +508,7 @@ func DecodeBinary(data []byte) (Message, error) {
 // codec (the hot event/request types).
 func hasNativeCodec(t Type) bool {
 	switch t {
-	case TChatEvent, TAnnotateEvent, TFloorEvent, TSuspend, TResume, TChat, TAnnotate:
+	case TChatEvent, TAnnotateEvent, TFloorEvent, TSuspend, TResume, TChat, TAnnotate, TForward:
 		return true
 	}
 	return false
@@ -481,18 +532,14 @@ func checkNativeBody(t Type, body []byte) error {
 		}
 	case TSuspend, TResume:
 		if err = skipStrings(r, 2); err == nil {
-			var n uint64
-			if n, err = r.uvarint(); err == nil {
-				if n > uint64(len(r.data)-r.off) {
-					return fmt.Errorf("suspended count %d exceeds frame", n)
-				}
-				err = skipStrings(r, int(n))
-			}
+			err = skipCounted(r)
 		}
 	case TChat:
 		err = skipStrings(r, 1)
 	case TAnnotate:
 		err = skipStrings(r, 2)
+	case TForward:
+		err = skipForward(r)
 	}
 	if err != nil {
 		return err
@@ -509,6 +556,72 @@ func skipStrings(r *frameReader, n int) error {
 			return err
 		}
 	}
+	return nil
+}
+
+// skipCounted skips a counted run of lp-strings. Each entry takes at
+// least one byte, so a count beyond the remaining bytes is malformed.
+func skipCounted(r *frameReader) error {
+	n, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	if n > uint64(len(r.data)-r.off) {
+		return fmt.Errorf("count %d exceeds frame", n)
+	}
+	return skipStrings(r, int(n))
+}
+
+// skipForward walks a forward body (see appendForward for the layout).
+func skipForward(r *frameReader) error {
+	form, err := r.byteAt()
+	if err != nil {
+		return err
+	}
+	switch form {
+	case '{':
+		if !json.Valid(r.data) {
+			return fmt.Errorf("forward body is not valid JSON")
+		}
+		r.off = len(r.data)
+		return nil
+	case fwdReplica, fwdAck:
+	default:
+		return fmt.Errorf("unknown forward form %d", form)
+	}
+	if _, err := r.uvarint(); err != nil { // ID
+		return err
+	}
+	if form == fwdAck {
+		return skipStrings(r, 1) // From
+	}
+	if err := skipStrings(r, 2); err != nil { // From, Group
+		return err
+	}
+	hasFloor, err := r.byteAt()
+	if err != nil {
+		return err
+	}
+	if hasFloor > 1 {
+		return fmt.Errorf("bad floor marker %d", hasFloor)
+	}
+	if hasFloor == 1 {
+		if err := skipStrings(r, 2); err != nil { // Mode, Holder
+			return err
+		}
+		if _, err := r.byteAt(); err != nil { // Pinned
+			return err
+		}
+		for i := 0; i < 2; i++ { // Queue, Suspended
+			if err := skipCounted(r); err != nil {
+				return err
+			}
+		}
+	}
+	if r.off == len(r.data) {
+		return fmt.Errorf("replica forward without an inner frame")
+	}
+	r.off = len(r.data)
 	return nil
 }
 
@@ -573,6 +686,12 @@ func intoNative(t Type, body []byte, out any) error {
 		if v.Kind, err = r.lpString(); err == nil {
 			v.Data, err = r.lpString()
 		}
+	case TForward:
+		v, ok := out.(*ForwardBody)
+		if !ok {
+			return fmt.Errorf("%w: %s: native body needs *ForwardBody", ErrBodyMismatch, t)
+		}
+		err = readForward(body, v)
 	default:
 		return fmt.Errorf("%w: %s has no native codec", ErrBodyMismatch, t)
 	}
@@ -653,28 +772,86 @@ func readSuspend(r *frameReader, v *SuspendBody) error {
 	if v.Level, err = r.lpString(); err != nil {
 		return err
 	}
+	v.Suspended, err = readStrings(r)
+	return err
+}
+
+// readStrings reads a counted run of lp-strings (nil when empty). The
+// count is bounded by the remaining bytes before it sizes anything.
+func readStrings(r *frameReader) ([]string, error) {
 	n, err := r.uvarint()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if n > uint64(len(r.data)-r.off) {
+		return nil, fmt.Errorf("count %d exceeds frame", n)
+	}
+	out := make([]string, n)
+	for i := range out {
+		if out[i], err = r.lpString(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// readForward decodes a forward body skipForward has accepted. Msg
+// aliases the frame.
+func readForward(body []byte, v *ForwardBody) error {
+	if len(body) > 0 && body[0] == '{' {
+		return json.Unmarshal(body, v)
+	}
+	r := &frameReader{data: body}
+	form, err := r.byteAt()
 	if err != nil {
 		return err
 	}
-	if n == 0 {
-		return nil
+	*v = ForwardBody{Kind: ForwardReplica}
+	if form == fwdAck {
+		v.Kind = ForwardAck
 	}
-	if n > uint64(len(r.data)-r.off) {
-		return fmt.Errorf("suspended count %d exceeds frame", n)
+	id, err := r.uvarint()
+	if err != nil {
+		return err
 	}
-	v.Suspended = make([]string, n)
-	for i := range v.Suspended {
-		if v.Suspended[i], err = r.lpString(); err != nil {
+	v.ID = int64(id)
+	if v.From, err = r.lpString(); err != nil || form == fwdAck {
+		return err
+	}
+	if v.Group, err = r.lpString(); err != nil {
+		return err
+	}
+	hasFloor, err := r.byteAt()
+	if err != nil {
+		return err
+	}
+	if hasFloor == 1 {
+		f := &FloorReplicaBody{}
+		if f.Mode, err = r.lpString(); err != nil {
 			return err
 		}
+		if f.Holder, err = r.lpString(); err != nil {
+			return err
+		}
+		pinned, err := r.byteAt()
+		if err != nil {
+			return err
+		}
+		f.Pinned = pinned != 0
+		if f.Queue, err = readStrings(r); err != nil {
+			return err
+		}
+		if f.Suspended, err = readStrings(r); err != nil {
+			return err
+		}
+		v.Floor = f
 	}
+	v.Msg = body[r.off:]
 	return nil
 }
 
-// jsonBody materializes the JSON form of a natively-decoded body — the
-// binary→JSON transcode step Encode needs when re-encoding a frame for
-// a JSON-negotiated session.
+// jsonBody materializes the JSON form of a natively-decoded body, for
+// Encode's debug rendering of a binary frame.
 func jsonBody(t Type, body []byte) (json.RawMessage, error) {
 	var out any
 	switch t {
@@ -688,6 +865,8 @@ func jsonBody(t Type, body []byte) (json.RawMessage, error) {
 		out = &ChatBody{}
 	case TAnnotate:
 		out = &AnnotateBody{}
+	case TForward:
+		out = &ForwardBody{}
 	default:
 		return nil, fmt.Errorf("%w: %s has no native codec", ErrBodyMismatch, t)
 	}

@@ -12,9 +12,9 @@ import (
 func sampleBody(t Type) any {
 	switch t {
 	case THello:
-		return HelloBody{Name: "Alice", Role: "chair", Priority: 5, WireVersion: 1}
+		return HelloBody{Name: "Alice", Role: "chair", Priority: 5, WireVersion: WireVersion}
 	case TWelcome:
-		return WelcomeBody{MemberID: "m1", Token: "tok", WireVersion: 1}
+		return WelcomeBody{MemberID: "m1", Token: "tok", WireVersion: WireVersion}
 	case TJoin, TLeave, TCreateGroup:
 		return GroupBody{Group: "class"}
 	case TFloorRequest:
@@ -34,6 +34,8 @@ func sampleBody(t Type) any {
 		return SequencedBody{Seq: 1, Author: "m1", Kind: "text", Data: "hi"}
 	case TErr:
 		return ErrBody{Code: "no_floor", Detail: "nope"}
+	case TForward:
+		return sampleForwards()["replica with floor"]
 	default:
 		return nil
 	}
@@ -57,7 +59,7 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", typ, err)
 		}
-		if !IsBinaryFrame(wire) {
+		if wire[0] != binMagic {
 			t.Fatalf("%s: frame not recognized as binary", typ)
 		}
 		got, err := DecodeAny(wire)
@@ -271,7 +273,7 @@ func TestDecodeAnyDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IsBinaryFrame(js) {
+	if js[0] == binMagic {
 		t.Fatal("JSON frame sniffed as binary")
 	}
 	for _, wire := range [][]byte{bin, js} {
@@ -301,6 +303,14 @@ func FuzzDecodeBinary(f *testing.F) {
 			f.Add(wire)
 		}
 	}
+	for _, fwd := range sampleForwards() {
+		if wire, err := EncodeForward(fwd); err == nil {
+			f.Add(wire)
+		}
+	}
+	for _, frame := range hostileForwards() {
+		f.Add(frame)
+	}
 	f.Add([]byte{binMagic})
 	f.Add([]byte{binMagic, flagNativeBody | flagState, 14, 0x80, 0x01})
 	f.Add([]byte(`{"type":"chat","body":{"text":"hi"}}`))
@@ -309,7 +319,7 @@ func FuzzDecodeBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !IsBinaryFrame(data) {
+		if data[0] != binMagic {
 			return
 		}
 		wire, err := EncodeBinary(msg)

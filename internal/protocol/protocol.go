@@ -3,10 +3,12 @@
 // client↔server traffic — handshake, group administration, floor
 // control requests, chat/whiteboard, clock synchronization, status
 // probing and presentation control — uses these messages. The envelope
-// has two wire forms: the JSON encoding every session starts in
-// (Encode/Decode), and the compact binary framing of binary.go
-// (EncodeBinary/DecodeBinary) a session switches to when the handshake
-// negotiates HelloBody.WireVersion. DecodeAny reads either.
+// has one wire form, the binary framing of binary.go
+// (EncodeBinary/DecodeBinary): sessions, peer links and the journal all
+// carry it. JSON (Encode/Decode) is spoken only by the handshake —
+// hello, node_hello, welcome and the typed errors that answer them —
+// and doubles as the debug rendering of a binary frame; DecodeAny reads
+// either.
 package protocol
 
 import (
@@ -268,13 +270,7 @@ type Message struct {
 	// the span context the sender was inside when it emitted this frame
 	// (0 at the root), and TraceFlags carries TraceSampled. All three
 	// are omitted from the wire — JSON omitempty, binary flagTrace —
-	// whenever TraceID is zero, so an untraced message is byte-for-byte
-	// what a pre-trace peer would have produced. On the JSON framing the
-	// fields ride freely (JSON decoders ignore unknown fields, so every
-	// older peer tolerates them); on the binary framing the flagTrace
-	// extension shifts the body, so a sender must clear the fields
-	// before encoding a binary frame for a session that negotiated
-	// WireVersion < 2.
+	// whenever TraceID is zero.
 	TraceID     uint64 `json:"trace_id,omitempty"`
 	TraceParent uint64 `json:"trace_parent,omitempty"`
 	TraceFlags  uint8  `json:"trace_flags,omitempty"`
@@ -304,16 +300,21 @@ type HelloBody struct {
 	// event classes this client wants pushed (nil or empty means all;
 	// ClassNone alone means none). TSubscribe replaces it later.
 	Classes []string `json:"classes,omitempty"`
-	// WireVersion asks to speak a newer wire framing after the
-	// handshake: 0 (or absent — every pre-binary client) keeps the
-	// session on JSON, 1 requests the binary framing of binary.go, 2
-	// requests binary plus the trace-context frame extension (a sender
-	// may stamp TraceID/TraceParent/TraceFlags onto its frames). The
-	// server echoes the version it accepted in WelcomeBody.WireVersion
-	// — never higher than asked — and both sides switch only after the
-	// welcome; the handshake itself is always JSON.
+	// WireVersion stamps the framing the client speaks once the JSON
+	// handshake is over. It must equal the WireVersion constant: a hello
+	// stamped otherwise is answered with a CodeWireUnsupported error and
+	// the connection is closed.
 	WireVersion int `json:"wire_version,omitempty"`
 }
+
+// WireVersion is the one wire framing: binary frames with the
+// trace-context extension (binary.go). Versions 0 (JSON) and 1 (binary
+// without the extension) are no longer spoken.
+const WireVersion = 2
+
+// CodeWireUnsupported is the TErr code that answers a hello whose
+// WireVersion stamp is not WireVersion.
+const CodeWireUnsupported = "wire_unsupported"
 
 // SubscribeBody replaces the session's event-class mask: the server
 // stops queuing logged events of classes outside it. Nil or empty means
@@ -331,11 +332,8 @@ type WelcomeBody struct {
 	// Token is the session-resume credential: presenting it in a later
 	// THello reconnects as the same member.
 	Token string `json:"token,omitempty"`
-	// WireVersion is the wire framing the server accepted for the rest
-	// of the session: 0 = JSON (also what a pre-binary server, which
-	// never sets the field, answers), 1 = binary, 2 = binary with the
-	// trace-context extension. Never higher than the version the hello
-	// asked for.
+	// WireVersion echoes the hello's stamp (always the WireVersion
+	// constant).
 	WireVersion int `json:"wire_version,omitempty"`
 }
 
@@ -597,9 +595,8 @@ type NodeHelloBody struct {
 	Role     string   `json:"role"`
 	Priority int      `json:"priority"`
 	Classes  []string `json:"classes,omitempty"`
-	// WireVersion carries the client's negotiated wire framing to the
-	// serving node, so a routed session speaks one format end to end
-	// (the router relays frames verbatim).
+	// WireVersion is the same stamp HelloBody carries (the router relays
+	// frames verbatim, so the node speaks to the client directly).
 	WireVersion int `json:"wire_version,omitempty"`
 }
 
@@ -675,35 +672,14 @@ const (
 
 // ReplicaEventBody is one retained log event riding a takeover package:
 // the stamped wire bytes plus the sequence coordinates needed to
-// re-install them with AppendRaw, preserving GSeq/CSeq exactly. The
-// wire bytes ride one of two fields — Wire embeds a JSON frame
-// directly, WireB carries a binary frame base64-encoded (binary bytes
-// are not valid JSON) — so peers on either side of the format switch
-// parse the envelope; use SetWire/WireBytes, which route by format.
+// re-install them with AppendRaw, preserving GSeq/CSeq exactly. Wire is
+// the binary frame (base64 inside the package's JSON).
 type ReplicaEventBody struct {
-	GSeq  int64           `json:"gseq"`
-	CSeq  int64           `json:"cseq"`
-	Class string          `json:"class,omitempty"`
-	State bool            `json:"state,omitempty"`
-	Wire  json.RawMessage `json:"wire,omitempty"`
-	WireB []byte          `json:"wire_b,omitempty"`
-}
-
-// SetWire stores stamped wire bytes in the field matching their format.
-func (b *ReplicaEventBody) SetWire(wire []byte) {
-	if IsBinaryFrame(wire) {
-		b.Wire, b.WireB = nil, wire
-	} else {
-		b.Wire, b.WireB = wire, nil
-	}
-}
-
-// WireBytes returns the stamped wire bytes, whichever field carried them.
-func (b *ReplicaEventBody) WireBytes() []byte {
-	if len(b.WireB) > 0 {
-		return b.WireB
-	}
-	return b.Wire
+	GSeq  int64  `json:"gseq"`
+	CSeq  int64  `json:"cseq"`
+	Class string `json:"class,omitempty"`
+	State bool   `json:"state,omitempty"`
+	Wire  []byte `json:"wire,omitempty"`
 }
 
 // TakeoverBody is a complete partition package shipped by an
@@ -734,7 +710,9 @@ type TakeoverBody struct {
 // To; ForwardMigrate carries Node and Addr; ForwardMigrated carries
 // Groups; ForwardTakeover carries Takeover. Replicated kinds (replica,
 // members, member_home, member_drop) additionally carry ID and From so
-// the receiver can ack them.
+// the receiver can ack them. On the wire a forward is an ordinary binary
+// frame: the replica and ack kinds have a native body (binary.go), the
+// rest ride as this struct's JSON inside the frame.
 type ForwardBody struct {
 	Kind    string            `json:"kind"`
 	Group   string            `json:"group,omitempty"`
@@ -742,11 +720,9 @@ type ForwardBody struct {
 	Chair   string            `json:"chair,omitempty"`
 	Members []NodeMemberInfo  `json:"members,omitempty"`
 	Floor   *FloorReplicaBody `json:"floor,omitempty"`
-	// Msg embeds a JSON inner frame; MsgB carries a binary one
-	// base64-encoded (binary bytes are not valid JSON inside the
-	// TForward envelope). Use SetMsg/WireMsg, which route by format.
-	Msg  json.RawMessage `json:"msg,omitempty"`
-	MsgB []byte          `json:"msg_b,omitempty"`
+	// Msg is the inner binary frame: verbatim in a replica forward's
+	// native body, base64 where the body rides as JSON (invite).
+	Msg []byte `json:"msg,omitempty"`
 	// ID identifies an acked replication forward (per-sender monotonic,
 	// 0 = unacked fire-and-forget); From is the sender's peer address the
 	// ack is sent back to.
@@ -767,22 +743,11 @@ type ForwardBody struct {
 	Takeover *TakeoverBody `json:"takeover,omitempty"`
 }
 
-// SetMsg stores inner wire bytes in the field matching their format.
-func (b *ForwardBody) SetMsg(wire []byte) {
-	if IsBinaryFrame(wire) {
-		b.Msg, b.MsgB = nil, wire
-	} else {
-		b.Msg, b.MsgB = wire, nil
-	}
-}
+// SetMsg stores the inner frame's wire bytes.
+func (b *ForwardBody) SetMsg(wire []byte) { b.Msg = wire }
 
-// WireMsg returns the inner wire bytes, whichever field carried them.
-func (b *ForwardBody) WireMsg() []byte {
-	if len(b.MsgB) > 0 {
-		return b.MsgB
-	}
-	return b.Msg
-}
+// WireMsg returns the inner frame's wire bytes.
+func (b *ForwardBody) WireMsg() []byte { return b.Msg }
 
 // NodeMovedBody names the groups whose partition moved to another node.
 // Addr is the new owner (informational — a routed client keeps talking
@@ -869,10 +834,9 @@ var encodes atomic.Int64
 // EncodeCount returns the number of Encode calls since process start.
 func EncodeCount() int64 { return encodes.Load() }
 
-// Encode serializes a message as JSON. A message decoded from a binary
-// frame with a natively-encoded body has its JSON body materialized
-// here — the binary→JSON transcode a mixed-format deployment needs when
-// replaying stored binary frames to a JSON-negotiated session.
+// Encode serializes a message as JSON: the handshake's framing, and the
+// debug rendering of a decoded binary frame, whose natively-encoded
+// body has its JSON form materialized here.
 func Encode(m Message) ([]byte, error) {
 	encodes.Add(1)
 	if len(m.Body) == 0 && m.bodyBin != nil {

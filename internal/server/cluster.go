@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dmps/internal/cluster"
-	"dmps/internal/floor"
 	"dmps/internal/group"
 	"dmps/internal/grouplog"
 	"dmps/internal/metrics"
@@ -256,19 +255,7 @@ func (s *Server) installGroupReplica(groupID string, rep cluster.GroupReplica) {
 		}
 	}
 	if rep.Floor != nil {
-		mode, ok := floor.ParseMode(rep.Floor.Mode)
-		if !ok {
-			mode = floor.FreeAccess
-		}
-		queue := make([]group.MemberID, 0, len(rep.Floor.Queue))
-		for _, m := range rep.Floor.Queue {
-			queue = append(queue, group.MemberID(m))
-		}
-		suspended := make([]group.MemberID, 0, len(rep.Floor.Suspended))
-		for _, m := range rep.Floor.Suspended {
-			suspended = append(suspended, group.MemberID(m))
-		}
-		s.floorCtl.Restore(groupID, mode, group.MemberID(rep.Floor.Holder), queue, suspended, rep.Floor.Pinned)
+		s.restoreFloor(groupID, rep.Floor)
 	}
 	lg := s.logs.Get(groupID)
 	gb := s.board(groupID)
@@ -395,28 +382,23 @@ func memberInfo(m group.Member) protocol.NodeMemberInfo {
 // in-flight ack table against every replica peer, and ships it. The
 // receivers ack by ID; the probe loop resends overdue entries with
 // backoff. Only the ack table's own lock is taken, so this is safe
-// inside a log-append deliver callback.
+// inside a log-append deliver callback. A forward whose inner frame
+// belongs to a sampled trace rides that trace (the replica records its
+// apply span under it), and the ack table learns the trace ID, so the
+// full-ack round trip becomes this node's repl_ack span.
 func (s *Server) replicateTracked(fwd protocol.ForwardBody) {
-	s.replicateTraced(fwd, 0, 0)
-}
-
-// replicateTraced is replicateTracked carrying a sampled trace context:
-// the forward envelope is stamped with it (so the replica records its
-// apply span under the same trace), and the ack table learns the trace
-// ID (so the full-ack round trip becomes this node's repl_ack span).
-func (s *Server) replicateTraced(fwd protocol.ForwardBody, tid uint64, tflags uint8) {
 	peers := s.cluster.replicaPeers()
 	if len(peers) == 0 {
 		return
 	}
 	fwd.ID = s.cluster.acks.NextID()
 	fwd.From = s.cluster.selfAddr()
-	wire := cluster.WrapForwardTrace(fwd, tid, tflags)
+	wire := cluster.WrapForward(fwd)
 	if wire == nil {
 		return
 	}
 	s.cluster.acks.Track(fwd.ID, peers, wire)
-	if tid != 0 {
+	if tid, _, flags := protocol.FrameTrace(wire); flags&protocol.TraceSampled != 0 {
 		s.cluster.acks.TrackTrace(fwd.ID, tid)
 	}
 	for _, peer := range peers {
@@ -443,10 +425,8 @@ func (s *Server) resendOverdue(now time.Time) {
 // group logs, which is what lets a resume survive home-node death. It
 // runs inside the log append's deliver callback — the pool enqueue
 // never blocks — so the replica stream observes exactly the log's
-// order. The envelope is built with cluster.WrapForward (plain
-// json.Marshal, reusing the already-encoded event bytes), keeping the
-// encode-once invariant of the per-recipient hot path intact.
-func (s *Server) replicateLogged(key, class string, wire []byte) {
+// order.
+func (s *Server) replicateLogged(key string, wire []byte, blob *protocol.FloorReplicaBody) {
 	if s.cluster == nil {
 		return
 	}
@@ -457,28 +437,7 @@ func (s *Server) replicateLogged(key, class string, wire []byte) {
 	} else if !s.servesGroupFast(key) {
 		return
 	}
-	fwd := protocol.ForwardBody{Kind: protocol.ForwardReplica, Group: key}
-	fwd.SetMsg(wire)
-	if class == protocol.ClassFloor || class == protocol.ClassSuspend {
-		mode, holder, queue, suspended, pinned := s.floorCtl.StateSnapshot(key)
-		blob := &protocol.FloorReplicaBody{
-			Mode: mode.String(), Holder: string(holder), Pinned: pinned,
-		}
-		for _, m := range queue {
-			blob.Queue = append(blob.Queue, string(m))
-		}
-		for _, m := range suspended {
-			blob.Suspended = append(blob.Suspended, string(m))
-		}
-		fwd.Floor = blob
-	}
-	// The logged bytes carry the operation's trace context when sampled
-	// (a cheap frame peek otherwise): replication rides the same trace.
-	tid, _, tflags := protocol.FrameTrace(wire)
-	if tflags&protocol.TraceSampled == 0 {
-		tid = 0
-	}
-	s.replicateTraced(fwd, tid, tflags)
+	s.replicateTracked(protocol.ForwardBody{Kind: protocol.ForwardReplica, Group: key, Msg: wire, Floor: blob})
 }
 
 // replicateMembers durably records a group's membership roster and
@@ -543,13 +502,12 @@ func (s *Server) deliverMemberEvent(id group.MemberID, msg protocol.Message) {
 		s.logSendTo(id, msg)
 		return
 	}
-	wire, err := s.encodeCanonical(msg)
+	wire, err := protocol.EncodeBinary(msg)
 	if err != nil {
 		return
 	}
-	fwd := protocol.ForwardBody{Kind: protocol.ForwardInvite, To: string(id)}
-	fwd.SetMsg(wire)
-	s.cluster.pool.Send(s.ownerAddr(cluster.HomeKey(string(id))), cluster.WrapForward(fwd))
+	s.cluster.pool.Send(s.ownerAddr(cluster.HomeKey(string(id))),
+		cluster.WrapForward(protocol.ForwardBody{Kind: protocol.ForwardInvite, To: string(id), Msg: wire}))
 }
 
 // peerLoop serves one inter-node link: a connection whose first message
@@ -567,7 +525,7 @@ func (s *Server) peerLoop(conn transport.Conn, first protocol.Message) {
 		if err != nil {
 			return
 		}
-		msg, err := protocol.Decode(wire)
+		msg, err := protocol.DecodeAny(wire)
 		if err != nil || msg.Type != protocol.TForward {
 			continue
 		}
@@ -621,12 +579,12 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 		}
 	case protocol.ForwardMemberHome:
 		if body.Member != nil {
-			s.cluster.store.ApplyMemberHome(*body.Member, body.Token)
+			s.cluster.store.ApplyMemberHome(*body.Member, body.Token, body.From, body.ID)
 			s.ackForward(body)
 		}
 	case protocol.ForwardMemberDrop:
 		if body.To != "" {
-			s.cluster.store.DropMemberHome(body.To)
+			s.cluster.store.DropMemberHome(body.To, body.From, body.ID)
 			s.ackForward(body)
 		}
 	case protocol.ForwardAck:
@@ -652,7 +610,7 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 		if body.To == "" || len(body.WireMsg()) == 0 {
 			return
 		}
-		inner, err := protocol.DecodeAny(body.WireMsg())
+		inner, err := protocol.DecodeBinary(body.WireMsg())
 		if err != nil {
 			return
 		}

@@ -129,7 +129,10 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterHistogram("dmps_board_hold_seconds",
 		"Age of the oldest operation in a board batch when it was logged; inline events are never held and not observed.", s.boardHold)
 	reg.CounterFunc("dmps_errors_total", "Errors counted at sites that used to discard them.", func() []metrics.Sample {
-		return []metrics.Sample{{LabelKey: "site", LabelValue: "log_append", Value: float64(s.logAppendErrs.Load())}}
+		return []metrics.Sample{
+			{LabelKey: "site", LabelValue: "log_append", Value: float64(s.logAppendErrs.Load())},
+			{LabelKey: "site", LabelValue: "wal_append", Value: float64(s.walAppendErrs.Load())},
+		}
 	})
 	reg.GaugeFunc("dmps_grouplog_logs", "Live per-key event logs.", func() []metrics.Sample {
 		return one(float64(s.logs.Stats().Logs))

@@ -25,72 +25,46 @@ import (
 	"dmps/internal/transport"
 )
 
-// replicaEventsToWire converts retained replica events to their wire
-// (takeover-package) form.
-func replicaEventsToWire(events []cluster.ReplicaEvent) []protocol.ReplicaEventBody {
-	out := make([]protocol.ReplicaEventBody, 0, len(events))
-	for _, e := range events {
-		eb := protocol.ReplicaEventBody{GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State}
-		eb.SetWire(e.Wire)
-		out = append(out, eb)
-	}
-	return out
-}
-
-// wireEventsToReplica converts takeover-package events back to replica
-// form, reporting the highest GSeq alongside.
-func wireEventsToReplica(events []protocol.ReplicaEventBody) ([]cluster.ReplicaEvent, int64) {
-	out := make([]cluster.ReplicaEvent, 0, len(events))
+// headOf reports the highest GSeq among a takeover package's events.
+func headOf(events []protocol.ReplicaEventBody) int64 {
 	var head int64
 	for _, e := range events {
-		out = append(out, cluster.ReplicaEvent{
-			GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.WireBytes(),
-		})
 		if e.GSeq > head {
 			head = e.GSeq
 		}
 	}
-	return out, head
+	return head
 }
 
 // takeoverFromReplica builds a takeover package from a stored replica.
 func takeoverFromReplica(key string, epoch int64, rep cluster.GroupReplica) protocol.TakeoverBody {
-	tb := protocol.TakeoverBody{
+	return protocol.TakeoverBody{
 		Key: key, Epoch: epoch, Chair: rep.Chair, Members: rep.Members,
-		Floor: rep.Floor, BoardHead: rep.BoardHead,
-		Events: replicaEventsToWire(rep.Events),
+		Floor: rep.Floor, BoardHead: rep.BoardHead, Events: rep.Events,
 	}
-	return tb
+}
+
+// dumpEvents exports a log's retained window in takeover-package form.
+func (s *Server) dumpEvents(key string) []protocol.ReplicaEventBody {
+	lg, ok := s.logs.Peek(key)
+	if !ok {
+		return nil
+	}
+	var out []protocol.ReplicaEventBody
+	for _, e := range lg.Dump() {
+		out = append(out, protocol.ReplicaEventBody{GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.Wire})
+	}
+	return out
 }
 
 // liveGroupTakeover dumps a group's LIVE state — registry roster, floor
 // controller snapshot, retained log window, board head — into a
 // takeover package. Used for partitions this node adopted and served.
 func (s *Server) liveGroupTakeover(gid string, epoch int64) protocol.TakeoverBody {
-	tb := protocol.TakeoverBody{Key: gid, Epoch: epoch}
-	if members, err := s.registry.GroupMembers(gid); err == nil {
-		for _, m := range members {
-			tb.Members = append(tb.Members, memberInfo(m))
-		}
-	}
-	if chair, err := s.registry.Chair(gid); err == nil {
-		tb.Chair = string(chair)
-	}
-	mode, holder, queue, suspended, pinned := s.floorCtl.StateSnapshot(gid)
-	blob := &protocol.FloorReplicaBody{Mode: mode.String(), Holder: string(holder), Pinned: pinned}
-	for _, m := range queue {
-		blob.Queue = append(blob.Queue, string(m))
-	}
-	for _, m := range suspended {
-		blob.Suspended = append(blob.Suspended, string(m))
-	}
-	tb.Floor = blob
-	if lg, ok := s.logs.Peek(gid); ok {
-		for _, e := range lg.Dump() {
-			eb := protocol.ReplicaEventBody{GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State}
-			eb.SetWire(e.Wire)
-			tb.Events = append(tb.Events, eb)
-		}
+	data := s.groupData(gid)
+	tb := protocol.TakeoverBody{
+		Key: gid, Epoch: epoch, Chair: data.Chair, Members: data.Members,
+		Floor: s.floorBlob(gid), Events: s.dumpEvents(gid),
 	}
 	gb := s.board(gid)
 	gb.mu.Lock()
@@ -109,13 +83,7 @@ func (s *Server) liveMemberTakeover(id string, epoch int64) protocol.TakeoverBod
 	s.mu.Lock()
 	tb.Token = s.tokenOf[group.MemberID(id)]
 	s.mu.Unlock()
-	if lg, ok := s.logs.Peek(grouplog.MemberKey(id)); ok {
-		for _, e := range lg.Dump() {
-			eb := protocol.ReplicaEventBody{GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State}
-			eb.SetWire(e.Wire)
-			tb.Events = append(tb.Events, eb)
-		}
-	}
+	tb.Events = s.dumpEvents(tb.Key)
 	return tb
 }
 
@@ -246,7 +214,7 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 			reply(nil)
 			return
 		}
-		msg, err := protocol.Decode(wire)
+		msg, err := protocol.DecodeAny(wire)
 		if err != nil || msg.Type != protocol.TForward {
 			continue
 		}
@@ -289,11 +257,10 @@ func (s *Server) installTakeover(tb protocol.TakeoverBody) {
 		native := s.cluster.topo.Primary(cluster.HomeKey(id)) == s.cluster.cfg.Self
 		if !native {
 			if tb.Member != nil {
-				s.cluster.store.ApplyMemberHome(*tb.Member, tb.Token)
+				s.cluster.store.ApplyMemberHome(*tb.Member, tb.Token, "", 0)
 			}
 			if len(tb.Events) > 0 {
-				events, head := wireEventsToReplica(tb.Events)
-				s.cluster.store.Install(tb.Key, cluster.GroupReplica{Events: events, Head: head})
+				s.cluster.store.Install(tb.Key, cluster.GroupReplica{Events: tb.Events, Head: headOf(tb.Events)})
 			}
 			return
 		}
@@ -310,15 +277,14 @@ func (s *Server) installTakeover(tb protocol.TakeoverBody) {
 		}
 		lg := s.logs.Get(tb.Key)
 		for _, e := range tb.Events {
-			lg.AppendRaw(e.GSeq, e.CSeq, e.Class, e.State, e.WireBytes())
-			s.walEvent(tb.Key, e.GSeq, e.CSeq, e.Class, e.State, e.WireBytes())
+			lg.AppendRaw(e.GSeq, e.CSeq, e.Class, e.State, e.Wire)
+			s.walEvent(tb.Key, e.GSeq, e.CSeq, e.Class, e.State, e.Wire)
 		}
 		return
 	}
-	events, head := wireEventsToReplica(tb.Events)
 	rep := cluster.GroupReplica{
 		Chair: tb.Chair, Members: tb.Members, Floor: tb.Floor,
-		Events: events, Head: head, BoardHead: tb.BoardHead,
+		Events: tb.Events, Head: headOf(tb.Events), BoardHead: tb.BoardHead,
 	}
 	if s.cluster.topo.Primary(tb.Key) != s.cluster.cfg.Self {
 		s.cluster.store.Install(tb.Key, rep)

@@ -1,0 +1,258 @@
+package server
+
+import (
+	"time"
+
+	"dmps/internal/floor"
+	"dmps/internal/group"
+	"dmps/internal/grouplog"
+	"dmps/internal/protocol"
+	"dmps/internal/resource"
+	"dmps/internal/trace"
+)
+
+// broadcastGroup delivers a transient (unlogged) message to every
+// connected member of a group: one encode, the same wire bytes queued to
+// each recipient's writer. Drops are final — state events must go
+// through the publish pipeline instead.
+func (s *Server) broadcastGroup(groupID string, msg protocol.Message) {
+	wire, err := protocol.EncodeBinary(msg)
+	if err != nil {
+		return
+	}
+	for _, sess := range s.groupTargets(groupID) {
+		s.sendWire(sess, wire)
+	}
+}
+
+// publication says where a state event goes: which log sequences it,
+// who is sent it, and what rides along.
+type publication struct {
+	// key names the event log (a group ID, or a "~member" key); group is
+	// the Message.Group the event carries — clients key their cursors by
+	// it, so it is the group ID for a group log and empty for a member
+	// log.
+	key, group string
+	class      string
+	// state marks a state-bearing event (protocol.Message.State).
+	state bool
+	// tc is the sampled trace of the request that caused the event.
+	tc      traceCtx
+	targets []*session
+	// floor asks for the group's floor state to be read under the log
+	// lock: build receives it, and where there is a journal or a replica
+	// it goes to them beside the event (the queue's member identities,
+	// which the event's own bytes redact).
+	floor bool
+}
+
+// publish is the one path of a logged state event, in stages: stamp
+// (sequence numbers assigned by the log, floor state re-read), encode
+// (once, whatever the group size), append (retained for backfill),
+// fan-out, journal, replicate. Everything from stamp to replicate runs
+// under the log's lock, so every consumer — sessions, WAL, replicas —
+// sees the log's order; fan-out comes first because recipients are who
+// is waiting. A recipient whose queue drops the event needs no
+// server-side bookkeeping: the hole in its per-class CSeq stream — or
+// the heads digest riding the lights broadcast, for drops with no later
+// event behind them — makes the client ask TBackfill.
+//
+// build returns the event in its canonical form — what the log retains
+// and everyone without a personal copy receives; fs is the zero state
+// unless p.floor is set. personal, when not nil, may replace the body for one
+// recipient; the copy carries the canonical event's sequence numbers.
+// (Both are parameters rather than fields of p so that the callers'
+// closures, and what they capture, stay on the stack.)
+func (s *Server) publish(p publication, build func(fs floorState) protocol.Message, personal func(sess *session) (body any, ok bool)) {
+	sampled := p.tc.sampled()
+	var a0 time.Time
+	if sampled {
+		a0 = time.Now()
+	}
+	var msg protocol.Message
+	var blob *protocol.FloorReplicaBody
+	var gseq, cseq int64
+	stamp := func(m *protocol.Message) {
+		m.Group, m.GSeq, m.Class, m.CSeq, m.State = p.group, gseq, p.class, cseq, p.state
+		p.tc.stamp(m)
+	}
+	_, err := s.logs.Get(p.key).Append(p.class, p.state, func(g, c int64) ([]byte, error) {
+		gseq, cseq = g, c
+		var fs floorState
+		if p.floor {
+			fs = s.floorState(p.key)
+			if s.wal != nil || s.cluster != nil {
+				blob = fs.blob()
+			}
+		}
+		msg = build(fs)
+		stamp(&msg)
+		var e0 time.Time
+		if sampled {
+			e0 = time.Now()
+		}
+		wire, err := protocol.EncodeBinary(msg)
+		if sampled {
+			s.plane.Span(p.tc.id, p.tc.id, trace.StageEncode, e0)
+		}
+		return wire, err
+	}, func(wire []byte) {
+		for _, sess := range p.targets {
+			if !sess.wantsClass(p.class) {
+				// Masked sessions get nothing, not even a marker — which is
+				// why logged events are sequenced per class.
+				sess.filtered.Add(1)
+				continue
+			}
+			w := wire
+			if personal != nil {
+				if body, ok := personal(sess); ok {
+					pm := protocol.MustNew(msg.Type, body)
+					stamp(&pm)
+					if pw, err := protocol.EncodeBinary(pm); err == nil {
+						w = pw
+					}
+				}
+			}
+			s.sendWire(sess, w)
+		}
+		s.walEvent(p.key, gseq, cseq, p.class, p.state, wire)
+		if blob != nil {
+			s.walFloor(p.key, blob)
+		}
+		s.replicateLogged(p.key, wire, blob)
+	})
+	if err != nil {
+		// The event could not be encoded and the log is untouched: no
+		// recipient sees it live, and nobody can repair what was never
+		// sequenced, so the loss is at least counted.
+		s.logAppendErrs.Add(1)
+	}
+	if sampled {
+		s.plane.Span(p.tc.id, p.tc.id, trace.StageLogAppend, a0)
+	}
+}
+
+// logBroadcast publishes a state event to a group as given (board
+// events, and whatever Broadcast is handed). A type outside the logged
+// classes is delivered transiently rather than corrupt the class
+// sequencing.
+func (s *Server) logBroadcast(groupID string, msg protocol.Message) {
+	class, ok := protocol.ClassOf(msg.Type)
+	if !ok {
+		s.broadcastGroup(groupID, msg)
+		return
+	}
+	s.publish(publication{
+		key: groupID, group: groupID, class: class, tc: traceOf(msg), targets: s.groupTargets(groupID),
+	}, func(floorState) protocol.Message { return msg }, nil)
+}
+
+// logFloorEvent publishes a floor event, with two extra guarantees.
+// First, Mode, Holder and the queue shape are re-read from the
+// authoritative floor state inside the log lock, not taken from the
+// state the caller computed earlier: handlers run concurrently, so two
+// transitions can append in the opposite order of their state mutations
+// — a "released" computed before a concurrent grant could otherwise
+// become the log's last word and clobber every client's caches with
+// values the server has already moved past. Re-reading at append time
+// makes whichever entry lands last carry the current state (which is
+// also what lets these events be marked state-bearing: compaction keeps
+// only the latest one, and clients may jump a hole onto it). Second,
+// queue slots stay private: the canonical logged bytes carry only the
+// queue length, and a member who owns a slot gets a personal copy — same
+// sequence numbers, plus their own QueuePosition. Nobody ever receives
+// another member's position, live or via backfill. Direct Contact grants
+// are exempt from the refresh: they run concurrently with the prevailing
+// mode, name their own Mode, and deliberately carry no group-floor claim.
+func (s *Server) logFloorEvent(groupID string, body protocol.FloorEventBody, tc traceCtx) {
+	refresh := !(body.Event == "granted" && body.Mode == floor.DirectContact.String())
+	var queue []group.MemberID
+	s.publish(publication{
+		key: groupID, group: groupID, class: protocol.ClassFloor, state: refresh, tc: tc,
+		targets: s.groupTargets(groupID), floor: true,
+	}, func(fs floorState) protocol.Message {
+		if refresh {
+			body.Mode, body.Holder, body.QueueLen = fs.mode.String(), string(fs.holder), len(fs.queue)
+		}
+		queue = fs.queue
+		body.QueuePosition = 0 // canonical form: slots are per-recipient
+		return protocol.MustNew(protocol.TFloorEvent, body)
+	}, func(sess *session) (any, bool) {
+		pos := queueSlotFor(body, queue, string(sess.member.ID))
+		if pos == 0 {
+			return nil, false
+		}
+		personal := body
+		personal.QueuePosition = pos
+		return personal, true
+	})
+}
+
+// queueSlotFor returns the recipient's own 1-based slot when this floor
+// event should carry it: queue restatements tell every queued member
+// their slot, and queued/approved/queue_position events tell their
+// subject. Everyone else gets 0 — the redacted canonical form.
+func queueSlotFor(body protocol.FloorEventBody, queue []group.MemberID, recipient string) int {
+	switch body.Event {
+	case "queue":
+	case "queued", "approved", "queue_position":
+		if body.Member != recipient {
+			return 0
+		}
+	default:
+		return 0
+	}
+	for i, m := range queue {
+		if string(m) == recipient {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// logSuspend publishes a Media-Suspend/Resume transition as a
+// state-bearing suspend-class event: the whole suspended set is re-read
+// inside the log lock and rides the notice, so any single suspend event
+// fully restates the group's suspension state — a recipient that missed
+// earlier transitions reconciles from whichever notice it sees next, and
+// compaction can retain just the latest one.
+func (s *Server) logSuspend(groupID string, typ protocol.Type, member string, level resource.Level, tc traceCtx) {
+	s.publish(publication{
+		key: groupID, group: groupID, class: protocol.ClassSuspend, state: true, tc: tc,
+		targets: s.groupTargets(groupID), floor: true,
+	}, func(fs floorState) protocol.Message {
+		body := protocol.SuspendBody{Member: member, Level: level.String()}
+		for _, m := range fs.suspended {
+			body.Suspended = append(body.Suspended, string(m))
+		}
+		return protocol.MustNew(typ, body)
+	}, nil)
+}
+
+// logSendTo publishes a member-directed state event (an invitation)
+// through the member's private event log, so it enjoys the same
+// drop-repair and durability as group state: logged, journaled,
+// replicated to the home's successors, and backfillable.
+func (s *Server) logSendTo(id group.MemberID, msg protocol.Message) {
+	class, ok := protocol.ClassOf(msg.Type)
+	if !ok {
+		s.sendTo(id, msg)
+		return
+	}
+	var targets []*session
+	if sess, ok := s.session(id); ok {
+		targets = []*session{sess}
+	}
+	s.publish(publication{
+		key: grouplog.MemberKey(string(id)), class: class, tc: traceOf(msg), targets: targets,
+	}, func(floorState) protocol.Message { return msg }, nil)
+}
+
+// Broadcast delivers a server-originated message to every connected
+// member of a group — announcements, and the fan-out benchmarks. State
+// event types go through the log plane (append + stamp on the hot
+// path); transient types fan out unlogged.
+func (s *Server) Broadcast(groupID string, msg protocol.Message) {
+	s.logBroadcast(groupID, msg)
+}

@@ -23,9 +23,22 @@ func rawDial(t *testing.T, l *lab) transport.Conn {
 	return conn
 }
 
+// sendMsg sends a handshake message (JSON); sendFrame one of the binary
+// frames everything after the handshake must be.
 func sendMsg(t *testing.T, conn transport.Conn, msg protocol.Message) {
 	t.Helper()
 	wire, err := protocol.Encode(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Send(wire); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func sendFrame(t *testing.T, conn transport.Conn, msg protocol.Message) {
+	t.Helper()
+	wire, err := protocol.EncodeBinary(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,33 +77,41 @@ func TestServerRejectsNonHelloFirstMessage(t *testing.T) {
 func TestServerSurvivesMalformedBodies(t *testing.T) {
 	l := newLab(t)
 	conn := rawDial(t, l)
-	hello := protocol.MustNew(protocol.THello, protocol.HelloBody{Name: "abuser", Priority: 2})
+	hello := protocol.MustNew(protocol.THello, protocol.HelloBody{Name: "abuser", Priority: 2, WireVersion: protocol.WireVersion})
 	hello.Seq = 1
 	sendMsg(t, conn, hello)
 	if _, err := conn.Recv(); err != nil { // welcome
 		t.Fatal(err)
 	}
 	// Now a barrage of malformed requests: wrong body shapes, unknown
-	// types, missing groups. Every one must be answered or ignored, never
-	// crash the session.
+	// type codes, missing groups, a JSON frame where only binary is
+	// spoken. Every one must be answered or ignored, never crash the
+	// session.
+	for _, raw := range [][]byte{
+		{0xDF, 0, 0xF0, 0, 0, 0, 0, 0, 0, 0},
+		[]byte(`{"type":"join","seq":5,"body":{"group":"class"}}`),
+	} {
+		if err := conn.Send(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
 	abuses := []protocol.Message{
 		{Type: protocol.TJoin, Seq: 2, Body: []byte(`{"group": 42}`)},
 		{Type: protocol.TFloorRequest, Seq: 3, Group: "ghost", Body: []byte(`{"mode":"imaginary"}`)},
 		{Type: protocol.TFloorRequest, Seq: 4, Group: "ghost", Body: []byte(`{"mode":"free-access"}`)},
-		{Type: "warp_core_breach", Seq: 5},
 		{Type: protocol.TTokenPass, Seq: 6, Group: "ghost", Body: []byte(`{"to":""}`)},
 		{Type: protocol.TInviteReply, Seq: 7, Body: []byte(`{"invite_id":"NaN"}`)},
 		{Type: protocol.TAnnotate, Seq: 8, Group: "ghost", Body: []byte(`{"kind":"explode"}`)},
 		{Type: protocol.TClockSync, Seq: 9, Body: []byte(`[]`)},
 	}
 	for _, msg := range abuses {
-		sendMsg(t, conn, msg)
+		sendFrame(t, conn, msg)
 	}
-	// Collect replies; each abuse with a Seq gets an err (or is ignored
-	// for unknown types, which reply too per dispatch).
+	// Collect replies: the two undecodable frames and each abuse with a
+	// Seq get an err.
 	errCount := 0
 	deadline := time.After(2 * time.Second)
-	for errCount < 7 {
+	for errCount < 8 {
 		select {
 		case <-deadline:
 			t.Fatalf("only %d error replies", errCount)
@@ -100,7 +121,7 @@ func TestServerSurvivesMalformedBodies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("session died: %v", err)
 		}
-		msg, err := protocol.Decode(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			continue
 		}
@@ -111,13 +132,13 @@ func TestServerSurvivesMalformedBodies(t *testing.T) {
 	// The session is still usable afterwards.
 	join := protocol.MustNew(protocol.TJoin, protocol.GroupBody{Group: "recovery"})
 	join.Seq = 100
-	sendMsg(t, conn, join)
+	sendFrame(t, conn, join)
 	for {
 		wire, err := conn.Recv()
 		if err != nil {
 			t.Fatalf("post-abuse recv: %v", err)
 		}
-		msg, err := protocol.Decode(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			continue
 		}

@@ -160,12 +160,6 @@ type Config struct {
 	// (default 30s). Checkpoints bound replay time and disk; between
 	// them the journal only grows.
 	WALCheckpointInterval time.Duration
-	// WireJSON disables binary wire negotiation: every session stays on
-	// the JSON framing regardless of what its hello asks for, and
-	// retained log bytes are encoded as JSON. The escape hatch for
-	// debugging with wire captures; off (binary negotiated when
-	// requested) is the default.
-	WireJSON bool
 	// Cluster, when set, runs this server as one group-partition node of
 	// a multi-process cluster: it serves only the partitions the shared
 	// map assigns to it (rejecting the rest with a node_moved redirect),
@@ -236,9 +230,11 @@ type Server struct {
 	boardOps     atomic.Int64
 	boardFlushes [numFlushCauses]atomic.Int64
 	boardHold    *metrics.Histogram
-	// logAppendErrs counts events logBroadcast's append refused
-	// (dmps_errors_total{site="log_append"}).
+	// logAppendErrs counts events the publish pipeline's log append
+	// refused and walAppendErrs records the journal failed to write
+	// (dmps_errors_total{site="log_append"|"wal_append"}).
 	logAppendErrs atomic.Int64
+	walAppendErrs atomic.Int64
 
 	// Wire-path telemetry: payload bytes read off client connections
 	// (wireIn) and handed to writers (wireOut), writer flushes and the
@@ -270,13 +266,6 @@ type session struct {
 	// the lights/backpressure tables cover homed sessions only — a node
 	// tracks lights for exactly the members it homes.
 	homed bool
-	// wireVer is the session's negotiated wire framing (0 = JSON, 1 =
-	// binary, 2 = binary with the trace-context frame extension), fixed
-	// by the handshake before the session is installed — read without
-	// locking ever after. Everything sent to the session is encoded (or
-	// transcoded, or trace-stripped) to this version; inbound frames of
-	// either format are accepted regardless.
-	wireVer int
 
 	// queue carries encoded wire messages to the writer goroutine.
 	queue chan queued
@@ -382,32 +371,6 @@ func classSet(classes []string) *map[string]bool {
 	return &m
 }
 
-// loggable reports whether a broadcast type is a sequenced state event:
-// appended to the group's event log and stamped with a GSeq, so a drop
-// on any recipient's queue is repairable through TBackfill. Everything
-// else (media units, lights, probes, presentation starts, private
-// lines, replies) is transient and delivered best-effort.
-func loggable(t protocol.Type) bool {
-	switch t {
-	case protocol.TFloorEvent, protocol.TSuspend, protocol.TResume,
-		protocol.TChatEvent, protocol.TAnnotateEvent:
-		return true
-	default:
-		return false
-	}
-}
-
-// sendDirect encodes and writes synchronously on the connection. Only
-// the handshake uses it, before the writer goroutine exists — the
-// welcome must be on the wire before the session joins any fan-out.
-func (s *session) sendDirect(msg protocol.Message) error {
-	wire, err := protocol.Encode(msg)
-	if err != nil {
-		return err
-	}
-	return s.conn.Send(wire)
-}
-
 func (s *session) touch(now time.Time) {
 	s.mu.Lock()
 	s.lastSeen = now
@@ -423,72 +386,12 @@ func (s *session) light(now time.Time, timeout time.Duration) Light {
 	return Green
 }
 
-// encodeFor encodes a message in the session's negotiated wire framing.
-// Version-1 sessions predate the trace-context frame extension, so the
-// trace fields are cleared before the encode (msg is a copy); JSON
-// sessions keep them — unknown JSON fields are ignored by any decoder.
-func encodeFor(sess *session, msg protocol.Message) ([]byte, error) {
-	if sess.wireVer == 1 {
-		msg.TraceID, msg.TraceParent, msg.TraceFlags = 0, 0, 0
-	}
-	if sess.wireVer >= 1 {
-		return protocol.EncodeBinary(msg)
-	}
-	return protocol.Encode(msg)
-}
-
-// encodeCanonical produces the retained wire form shared by the group
-// log, WAL, and replication stream: binary unless the node is pinned to
-// JSON. Retained bytes are self-describing (DecodeAny reads either
-// framing), so mixed-config clusters interoperate; sessions negotiated
-// to the other framing get a transcode at fan-out via wireFor.
-func (s *Server) encodeCanonical(msg protocol.Message) ([]byte, error) {
-	if s.cfg.WireJSON {
-		return protocol.Encode(msg)
-	}
-	return protocol.EncodeBinary(msg)
-}
-
-// transcodeJSON re-encodes retained binary wire bytes as a JSON frame
-// for a JSON-negotiated session. On a malformed frame the original
-// bytes pass through: the session surfaces a decode error rather than
-// silently losing the event.
-func transcodeJSON(wire []byte) []byte {
-	msg, err := protocol.DecodeAny(wire)
-	if err != nil {
-		return wire
-	}
-	out, err := protocol.Encode(msg)
-	if err != nil {
-		return wire
-	}
-	return out
-}
-
-// wireFor adapts retained wire bytes to the session's negotiated
-// framing. Version-2 sessions accept either form verbatim (clients
-// decode both); version-1 sessions additionally get the trace-context
-// extension stripped (a no-op peek unless the frame carries it); only
-// the JSON-session/binary-bytes pairing pays a transcode.
-func wireFor(sess *session, wire []byte) []byte {
-	switch {
-	case sess.wireVer >= 2:
-		return wire
-	case sess.wireVer == 1:
-		return protocol.StripTrace(wire)
-	case protocol.IsBinaryFrame(wire):
-		return transcodeJSON(wire)
-	default:
-		return wire
-	}
-}
-
 // sendMsg encodes a message and queues it for this session alone,
 // reporting whether it fit (an unencodable message reports true: there
 // is nothing to retry). Events shared by many recipients should be
-// encoded once with encodeCanonical and fanned out via sendWire.
+// encoded once and fanned out via sendWire.
 func (s *Server) sendMsg(sess *session, msg protocol.Message) bool {
-	wire, err := encodeFor(sess, msg)
+	wire, err := protocol.EncodeBinary(msg)
 	if err != nil {
 		return true
 	}
@@ -504,7 +407,7 @@ func (s *Server) sendMsg(sess *session, msg protocol.Message) bool {
 // must use sendWire instead (blocking on someone else's queue would let
 // one slow consumer stall another member's handler).
 func (s *Server) sendReliable(sess *session, msg protocol.Message) {
-	wire, err := encodeFor(sess, msg)
+	wire, err := protocol.EncodeBinary(msg)
 	if err != nil {
 		return
 	}
@@ -875,7 +778,7 @@ func (s *Server) serve(conn transport.Conn, mayTrunk bool) {
 			return
 		}
 		s.wireIn.Add(int64(len(wire)))
-		msg, err := protocol.DecodeAny(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			s.replyErr(sess, 0, "decode", err)
 			continue
@@ -902,19 +805,42 @@ func (s *Server) serve(conn transport.Conn, mayTrunk bool) {
 // the window a concurrent Reap can revoke the token in.
 var testResumeRaceHook func()
 
-// rejectExpired answers a resume attempt whose token no longer resolves
-// with the typed session_expired error before the connection closes, so
-// the client can tell an expired session apart from a network failure —
-// on every path, including the reap-races-the-resume window.
-func rejectExpired(conn transport.Conn, seq int64) {
-	reject := protocol.MustNew(protocol.TErr, protocol.ErrBody{
-		Code:   "session_expired",
-		Detail: "unknown or expired session token; reconnect with a fresh hello",
-	})
-	reject.Seq = seq
-	if wire, err := protocol.Encode(reject); err == nil {
-		_ = conn.Send(wire)
+// sendHandshake writes one of the server's handshake messages — the
+// welcome, or a typed refusal — synchronously and in JSON, the
+// handshake's framing.
+func sendHandshake(conn transport.Conn, msg protocol.Message) error {
+	wire, err := protocol.Encode(msg)
+	if err != nil {
+		return err
 	}
+	return conn.Send(wire)
+}
+
+// reject answers a handshake with a typed error before the connection
+// closes, so the client can tell the refusal apart from a network
+// failure. The send is best-effort: the connection is being given up
+// either way.
+func reject(conn transport.Conn, seq int64, code, detail string) {
+	msg := protocol.MustNew(protocol.TErr, protocol.ErrBody{Code: code, Detail: detail})
+	msg.Seq = seq
+	_ = sendHandshake(conn, msg)
+}
+
+// rejectExpired answers a resume attempt whose token no longer resolves
+// — on every path, including the reap-races-the-resume window.
+func rejectExpired(conn transport.Conn, seq int64) {
+	reject(conn, seq, "session_expired", "unknown or expired session token; reconnect with a fresh hello")
+}
+
+// rejectWire refuses a hello stamped with a wire version this server
+// does not speak; it reports whether it did.
+func rejectWire(conn transport.Conn, seq int64, version int) bool {
+	if version == protocol.WireVersion {
+		return false
+	}
+	reject(conn, seq, protocol.CodeWireUnsupported,
+		fmt.Sprintf("wire version %d is not spoken; the only framing is version %d", version, protocol.WireVersion))
+	return true
 }
 
 // handshake admits a client: wire, the connection's first message, must
@@ -925,7 +851,7 @@ func rejectExpired(conn transport.Conn, seq int64) {
 // new connection displaces any stale session still in the table, and
 // the client converges through TBackfill instead of re-joining groups.
 func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol.Message, error) {
-	msg, err := protocol.Decode(wire)
+	msg, err := protocol.DecodeAny(wire) // a JSON hello, or a peer's binary forward
 	if err != nil {
 		return nil, protocol.Message{}, fmt.Errorf("server: handshake: %w (%w)", err, transport.ErrClosed)
 	}
@@ -937,6 +863,9 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 	case protocol.THello:
 		if err := msg.Into(&hello); err != nil {
 			return nil, protocol.Message{}, err
+		}
+		if rejectWire(conn, msg.Seq, hello.WireVersion) {
+			return nil, protocol.Message{}, fmt.Errorf("server: handshake: wire version %d (%w)", hello.WireVersion, transport.ErrClosed)
 		}
 	case protocol.TForward:
 		if s.cluster == nil {
@@ -954,12 +883,14 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 		if nh.MemberID == "" {
 			return nil, protocol.Message{}, fmt.Errorf("server: handshake: node hello without member (%w)", transport.ErrClosed)
 		}
+		if rejectWire(conn, msg.Seq, nh.WireVersion) {
+			return nil, protocol.Message{}, fmt.Errorf("server: handshake: wire version %d (%w)", nh.WireVersion, transport.ErrClosed)
+		}
 		member = memberFromInfo(protocol.NodeMemberInfo{ID: nh.MemberID, Name: nh.Name, Role: nh.Role, Priority: nh.Priority})
 		if err := s.registry.EnsureMember(member); err != nil {
 			return nil, protocol.Message{}, err
 		}
 		hello.Classes = nh.Classes
-		hello.WireVersion = nh.WireVersion
 		homed = false
 		fresh = false
 	default:
@@ -979,13 +910,7 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 			if s.cluster != nil {
 				key := cluster.HomeKey(group.SanitizeName(hello.Name))
 				if !s.homesMember(group.MemberID(key)) {
-					reject := protocol.MustNew(protocol.TErr, protocol.ErrBody{
-						Code: protocol.CodeNodeMoved, Detail: s.ownerAddr(key),
-					})
-					reject.Seq = msg.Seq
-					if w, encErr := protocol.Encode(reject); encErr == nil {
-						_ = conn.Send(w)
-					}
+					reject(conn, msg.Seq, protocol.CodeNodeMoved, s.ownerAddr(key))
 					return nil, protocol.Message{}, fmt.Errorf("server: handshake: member homed elsewhere (%w)", transport.ErrClosed)
 				}
 			}
@@ -1009,13 +934,7 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 				var redirect string
 				if id, redirect, ok = s.adoptResume(hello.Token); !ok {
 					if redirect != "" {
-						reject := protocol.MustNew(protocol.TErr, protocol.ErrBody{
-							Code: protocol.CodeNodeMoved, Detail: redirect,
-						})
-						reject.Seq = msg.Seq
-						if w, encErr := protocol.Encode(reject); encErr == nil {
-							_ = conn.Send(w)
-						}
+						reject(conn, msg.Seq, protocol.CodeNodeMoved, redirect)
 						return nil, protocol.Message{}, fmt.Errorf("server: handshake: member homed elsewhere (%w)", transport.ErrClosed)
 					}
 					// The token was reaped (SessionTTL) or never issued.
@@ -1046,25 +965,10 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 		}
 	}
 
-	// The hello's wire_version is a request; the server grants it only
-	// when not pinned to JSON, and never a higher version than asked —
-	// capped at 2, the highest this server speaks (binary frames with
-	// the trace-context extension). A v1 peer keeps the layout it knows:
-	// frames sent to it never carry the extension. Both sides switch
-	// framing strictly after the welcome: the whole handshake is JSON,
-	// so a v0 peer never sees a frame it cannot read.
-	wireVer := 0
-	if !s.cfg.WireJSON && hello.WireVersion >= 1 {
-		wireVer = hello.WireVersion
-		if wireVer > 2 {
-			wireVer = 2
-		}
-	}
 	sess := &session{
 		member:   member,
 		conn:     conn,
 		homed:    homed,
-		wireVer:  wireVer,
 		queue:    make(chan queued, s.cfg.SendQueueCap),
 		down:     make(chan struct{}),
 		lastSeen: s.cfg.Clock.Now(),
@@ -1078,7 +982,7 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 		MemberID:        string(member.ID),
 		ServerTimeNanos: protocol.Nanos(s.master.GlobalNow()),
 		Token:           token,
-		WireVersion:     wireVer,
+		WireVersion:     protocol.WireVersion,
 	})
 	welcome.Seq = msg.Seq
 	s.mu.Lock()
@@ -1119,7 +1023,7 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 	// The session is in the table, but its writer has not started: the
 	// direct welcome send below is still the first message on the wire —
 	// broadcasts racing this window only queue.
-	if err := sess.sendDirect(welcome); err != nil {
+	if err := sendHandshake(conn, welcome); err != nil {
 		s.mu.Lock()
 		if s.sessions[member.ID] == sess {
 			delete(s.sessions, member.ID)
@@ -1285,364 +1189,4 @@ func (s *Server) groupTargets(groupID string) []*session {
 	}
 	s.mu.Unlock()
 	return targets
-}
-
-// broadcastGroup delivers a transient (unlogged) message to every
-// connected member of a group: the message is encoded at most once per
-// wire framing — lazily, so a uniform group pays exactly one encode —
-// and the wire bytes are queued to each recipient's writer. Drops are
-// final — state events must go through logBroadcast instead.
-func (s *Server) broadcastGroup(groupID string, msg protocol.Message) {
-	var jsonWire, binWire []byte
-	for _, sess := range s.groupTargets(groupID) {
-		var wire []byte
-		if sess.wireVer >= 1 {
-			if binWire == nil {
-				w, err := protocol.EncodeBinary(msg)
-				if err != nil {
-					continue
-				}
-				binWire = w
-			}
-			wire = binWire
-		} else {
-			if jsonWire == nil {
-				w, err := protocol.Encode(msg)
-				if err != nil {
-					continue
-				}
-				jsonWire = w
-			}
-			wire = jsonWire
-		}
-		s.sendWire(sess, wire)
-	}
-}
-
-// stampLogged writes the log-plane envelope fields onto a message: the
-// group the log is keyed by (clients key their cursors by Message.Group,
-// so a mismatch would desynchronize every member's cursor into a
-// permanent backfill loop), the log-wide GSeq, and the class-sequencing
-// triple that per-recipient filtering admits against.
-func stampLogged(msg *protocol.Message, groupID, class string, state bool, gseq, cseq int64) {
-	msg.Group = groupID
-	msg.GSeq = gseq
-	msg.Class = class
-	msg.CSeq = cseq
-	msg.State = state
-}
-
-// fanOutLogged queues pre-encoded logged-event bytes to every target
-// session whose event-class mask admits the class; masked sessions get
-// nothing — not even a marker — which is exactly why logged events are
-// sequenced per class. When the retained bytes are binary and the group
-// mixes in JSON-negotiated sessions, the JSON form is produced once and
-// shared — a uniform group still pays exactly one encode per event.
-func (s *Server) fanOutLogged(targets []*session, class string, wire []byte) {
-	isBin := protocol.IsBinaryFrame(wire)
-	hasTrace := isBin && protocol.FrameHasTrace(wire)
-	var jsonWire, v1Wire []byte
-	for _, sess := range targets {
-		if !sess.wantsClass(class) {
-			sess.filtered.Add(1)
-			continue
-		}
-		w := wire
-		if isBin && sess.wireVer == 0 {
-			if jsonWire == nil {
-				jsonWire = transcodeJSON(wire)
-			}
-			w = jsonWire
-		} else if hasTrace && sess.wireVer == 1 {
-			// v1 peers predate the trace extension: strip it once and
-			// share, exactly like the JSON transcode above.
-			if v1Wire == nil {
-				v1Wire = protocol.StripTrace(wire)
-			}
-			w = v1Wire
-		}
-		s.sendWire(sess, w)
-	}
-}
-
-// logBroadcast delivers a state event to a group through the event-log
-// plane: the append assigns the event its sequence numbers, stamps them
-// into the wire bytes (one encode per broadcast, group size
-// notwithstanding) and retains them for backfill; the same bytes are
-// fanned out to every connected, subscribed member while the log's lock
-// is held, so fan-out order equals log order and clients can apply
-// strictly in sequence. A recipient whose queue drops the event needs
-// no server-side bookkeeping: the hole in its per-class CSeq stream —
-// or the heads digest riding the lights broadcast, for drops with no
-// later event behind them — makes the client ask TBackfill.
-func (s *Server) logBroadcast(groupID string, msg protocol.Message) {
-	class, ok := protocol.ClassOf(msg.Type)
-	if !ok {
-		// Not a logged state type; deliver transiently rather than
-		// corrupt the class sequencing.
-		s.broadcastGroup(groupID, msg)
-		return
-	}
-	tc := traceOf(msg)
-	targets := s.groupTargets(groupID)
-	var gseqAt, cseqAt int64
-	var a0 time.Time
-	if tc.sampled() {
-		a0 = time.Now()
-	}
-	_, err := s.logs.Get(groupID).Append(class, false, func(gseq, cseq int64) ([]byte, error) {
-		gseqAt, cseqAt = gseq, cseq
-		stampLogged(&msg, groupID, class, false, gseq, cseq)
-		var e0 time.Time
-		if tc.sampled() {
-			e0 = time.Now()
-		}
-		wire, err := s.encodeCanonical(msg)
-		if tc.sampled() {
-			s.plane.Span(tc.id, tc.id, trace.StageEncode, e0)
-		}
-		return wire, err
-	}, func(wire []byte) {
-		s.fanOutLogged(targets, class, wire)
-		s.walEvent(groupID, gseqAt, cseqAt, class, false, wire)
-		if s.cluster != nil {
-			s.replicateLogged(groupID, class, wire)
-		}
-	})
-	if err != nil {
-		// The event could not be encoded and the log is untouched: no
-		// recipient sees it live, and nobody can repair what was never
-		// sequenced, so the loss is at least counted.
-		s.logAppendErrs.Add(1)
-	}
-	if tc.sampled() {
-		s.plane.Span(tc.id, tc.id, trace.StageLogAppend, a0)
-	}
-}
-
-// logFloorEvent is logBroadcast for floor events, with two extra
-// guarantees. First, Mode, Holder and the queue shape are re-read from
-// the authoritative floor state inside the log lock, not taken from the
-// state snapshot the caller computed earlier: handlers run
-// concurrently, so two transitions can append in the opposite order of
-// their state mutations — a "released" computed before a concurrent
-// grant could otherwise become the log's last word and clobber every
-// client's caches with values the server has already moved past.
-// Re-reading at append time makes whichever entry lands last carry the
-// current state (which is also what lets these events be marked
-// state-bearing: compaction keeps only the latest one, and clients may
-// jump a hole onto it). Second, queue slots stay private: the canonical
-// logged bytes carry only the queue length, and a member who owns a
-// slot gets a personalized copy — same sequence numbers, plus their own
-// QueuePosition. Nobody ever receives another member's position, live
-// or via backfill. Direct Contact grants are exempt from the refresh:
-// they run concurrently with the prevailing mode, name their own Mode,
-// and deliberately carry no group-floor claim.
-func (s *Server) logFloorEvent(groupID string, body protocol.FloorEventBody, tc traceCtx) {
-	targets := s.groupTargets(groupID)
-	refresh := !(body.Event == "granted" && body.Mode == floor.DirectContact.String())
-	var queue []group.MemberID
-	var gseqAt, cseqAt int64
-	var a0 time.Time
-	if tc.sampled() {
-		a0 = time.Now()
-	}
-	_, _ = s.logs.Get(groupID).Append(protocol.ClassFloor, refresh, func(gseq, cseq int64) ([]byte, error) {
-		gseqAt, cseqAt = gseq, cseq
-		if refresh {
-			mode, holder, q, _, _ := s.floorCtl.StateSnapshot(groupID)
-			body.Mode = mode.String()
-			body.Holder = string(holder)
-			queue = q
-			body.QueueLen = len(q)
-		}
-		body.QueuePosition = 0 // canonical form: slots are per-recipient
-		msg := protocol.MustNew(protocol.TFloorEvent, body)
-		stampLogged(&msg, groupID, protocol.ClassFloor, refresh, gseq, cseq)
-		tc.stamp(&msg)
-		var e0 time.Time
-		if tc.sampled() {
-			e0 = time.Now()
-		}
-		wire, err := s.encodeCanonical(msg)
-		if tc.sampled() {
-			s.plane.Span(tc.id, tc.id, trace.StageEncode, e0)
-		}
-		return wire, err
-	}, func(wire []byte) {
-		isBin := protocol.IsBinaryFrame(wire)
-		hasTrace := isBin && protocol.FrameHasTrace(wire)
-		var jsonWire, v1Wire []byte
-		for _, sess := range targets {
-			if !sess.wantsClass(protocol.ClassFloor) {
-				sess.filtered.Add(1)
-				continue
-			}
-			var w []byte
-			if pos := queueSlotFor(body, queue, string(sess.member.ID)); pos > 0 {
-				// Personalized copies are per-recipient by nature, so they
-				// encode straight into the session's negotiated framing.
-				personal := body
-				personal.QueuePosition = pos
-				pmsg := protocol.MustNew(protocol.TFloorEvent, personal)
-				stampLogged(&pmsg, groupID, protocol.ClassFloor, refresh, gseqAt, cseqAt)
-				tc.stamp(&pmsg)
-				if pw, err := encodeFor(sess, pmsg); err == nil {
-					w = pw
-				}
-			}
-			if w == nil {
-				w = wire
-				if isBin && sess.wireVer == 0 {
-					if jsonWire == nil {
-						jsonWire = transcodeJSON(wire)
-					}
-					w = jsonWire
-				} else if hasTrace && sess.wireVer == 1 {
-					if v1Wire == nil {
-						v1Wire = protocol.StripTrace(wire)
-					}
-					w = v1Wire
-				}
-			}
-			s.sendWire(sess, w)
-		}
-		// The canonical (redacted) bytes journal and replicate; the
-		// queue's member identities travel in the floor blob the WAL
-		// record and replicateLogged attach alongside.
-		s.walEvent(groupID, gseqAt, cseqAt, protocol.ClassFloor, refresh, wire)
-		s.walFloor(groupID)
-		if s.cluster != nil {
-			s.replicateLogged(groupID, protocol.ClassFloor, wire)
-		}
-	})
-	if tc.sampled() {
-		s.plane.Span(tc.id, tc.id, trace.StageLogAppend, a0)
-	}
-}
-
-// queueSlotFor returns the recipient's own 1-based slot when this floor
-// event should carry it: queue restatements tell every queued member
-// their slot, and queued/approved/queue_position events tell their
-// subject. Everyone else gets 0 — the redacted canonical form.
-func queueSlotFor(body protocol.FloorEventBody, queue []group.MemberID, recipient string) int {
-	switch body.Event {
-	case "queue":
-	case "queued", "approved", "queue_position":
-		if body.Member != recipient {
-			return 0
-		}
-	default:
-		return 0
-	}
-	for i, m := range queue {
-		if string(m) == recipient {
-			return i + 1
-		}
-	}
-	return 0
-}
-
-// logSuspend broadcasts a Media-Suspend/Resume transition as a
-// state-bearing suspend-class event: the whole suspended set is re-read
-// from the controller inside the log lock and rides the notice, so any
-// single suspend event fully restates the group's suspension state — a
-// recipient that missed earlier transitions reconciles from whichever
-// notice it sees next, and compaction can retain just the latest one.
-func (s *Server) logSuspend(groupID string, typ protocol.Type, member string, level resource.Level, tc traceCtx) {
-	targets := s.groupTargets(groupID)
-	var gseqAt, cseqAt int64
-	var a0 time.Time
-	if tc.sampled() {
-		a0 = time.Now()
-	}
-	_, _ = s.logs.Get(groupID).Append(protocol.ClassSuspend, true, func(gseq, cseq int64) ([]byte, error) {
-		gseqAt, cseqAt = gseq, cseq
-		body := protocol.SuspendBody{Member: member, Level: level.String()}
-		body.Suspended = []string{}
-		for _, m := range s.floorCtl.Suspended(groupID) {
-			body.Suspended = append(body.Suspended, string(m))
-		}
-		msg := protocol.MustNew(typ, body)
-		stampLogged(&msg, groupID, protocol.ClassSuspend, true, gseq, cseq)
-		tc.stamp(&msg)
-		var e0 time.Time
-		if tc.sampled() {
-			e0 = time.Now()
-		}
-		wire, err := s.encodeCanonical(msg)
-		if tc.sampled() {
-			s.plane.Span(tc.id, tc.id, trace.StageEncode, e0)
-		}
-		return wire, err
-	}, func(wire []byte) {
-		s.fanOutLogged(targets, protocol.ClassSuspend, wire)
-		s.walEvent(groupID, gseqAt, cseqAt, protocol.ClassSuspend, true, wire)
-		s.walFloor(groupID)
-		if s.cluster != nil {
-			s.replicateLogged(groupID, protocol.ClassSuspend, wire)
-		}
-	})
-	if tc.sampled() {
-		s.plane.Span(tc.id, tc.id, trace.StageLogAppend, a0)
-	}
-}
-
-// logSendTo delivers a member-directed state event (an invitation)
-// through the member's private event log, so it enjoys the same
-// drop-repair as group state: logged, stamped, and backfillable.
-func (s *Server) logSendTo(id group.MemberID, msg protocol.Message) {
-	class, ok := protocol.ClassOf(msg.Type)
-	if !ok {
-		s.sendTo(id, msg)
-		return
-	}
-	key := grouplog.MemberKey(string(id))
-	tc := traceOf(msg)
-	var gseqAt, cseqAt int64
-	var a0 time.Time
-	if tc.sampled() {
-		a0 = time.Now()
-	}
-	defer func() {
-		if tc.sampled() {
-			s.plane.Span(tc.id, tc.id, trace.StageLogAppend, a0)
-		}
-	}()
-	_, _ = s.logs.Get(key).Append(class, false, func(gseq, cseq int64) ([]byte, error) {
-		gseqAt, cseqAt = gseq, cseq
-		msg.GSeq = gseq
-		msg.Class = class
-		msg.CSeq = cseq
-		return s.encodeCanonical(msg)
-	}, func(wire []byte) {
-		// Member logs are durable like group logs: journaled, and
-		// replicated to the R-1 successors — an invitation survives the
-		// home node's death alongside the member's resume token.
-		s.walEvent(key, gseqAt, cseqAt, class, false, wire)
-		if s.cluster != nil {
-			s.replicateLogged(key, class, wire)
-		}
-		sess, ok := s.session(id)
-		if !ok {
-			return
-		}
-		if !sess.wantsClass(class) {
-			sess.filtered.Add(1)
-			return
-		}
-		s.sendWire(sess, wireFor(sess, wire))
-	})
-}
-
-// Broadcast delivers a server-originated message to every connected
-// member of a group — announcements, and the fan-out benchmarks. State
-// event types go through the log plane (append + stamp on the hot
-// path); transient types fan out unlogged.
-func (s *Server) Broadcast(groupID string, msg protocol.Message) {
-	if loggable(msg.Type) {
-		s.logBroadcast(groupID, msg)
-		return
-	}
-	s.broadcastGroup(groupID, msg)
 }

@@ -34,7 +34,7 @@ func (s *Server) probeLoop() {
 		case <-s.cfg.Clock.After(s.cfg.ProbeInterval):
 		}
 		// One encode for the whole probe fan-out.
-		wire, err := protocol.Encode(protocol.MustNew(protocol.TStatusProbe, nil))
+		wire, err := protocol.EncodeBinary(protocol.MustNew(protocol.TStatusProbe, nil))
 		if err != nil {
 			continue
 		}

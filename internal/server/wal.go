@@ -40,12 +40,16 @@ type walGroupData struct {
 
 // walAppend journals one record, best-effort: a full disk must not
 // take the live service down with it — replication to the R-1 peers
-// still covers the state, which is the documented durability split.
+// still covers the state, which is the documented durability split. A
+// record the journal refused is counted
+// (dmps_errors_total{site="wal_append"}).
 func (s *Server) walAppend(rec grouplog.WALRecord) {
 	if s.wal == nil {
 		return
 	}
-	_ = s.wal.Append(rec)
+	if err := s.wal.Append(rec); err != nil {
+		s.walAppendErrs.Add(1)
+	}
 }
 
 // walEvent journals one logged append — the stamped canonical wire
@@ -64,37 +68,65 @@ func (s *Server) walEvent(key string, gseq, cseq int64, class string, state bool
 	s.walAppend(rec)
 }
 
-// walFloor journals a group's current floor blob — the queue member
-// identities the redacted wire bytes deliberately do not carry.
-func (s *Server) walFloor(groupID string) {
+// walFloor journals a group's floor blob — the queue member identities
+// the redacted wire bytes deliberately do not carry.
+func (s *Server) walFloor(groupID string, blob *protocol.FloorReplicaBody) {
 	if s.wal == nil {
 		return
 	}
-	s.walAppend(grouplog.WALRecord{
-		Kind: grouplog.WALFloor, Key: groupID, Data: mustJSON(s.floorBlob(groupID)),
-	})
+	s.walAppend(grouplog.WALRecord{Kind: grouplog.WALFloor, Key: groupID, Data: mustJSON(blob)})
 }
 
-// floorBlob snapshots a group's floor state in its replication form.
-func (s *Server) floorBlob(groupID string) *protocol.FloorReplicaBody {
-	mode, holder, queue, suspended, pinned := s.floorCtl.StateSnapshot(groupID)
-	blob := &protocol.FloorReplicaBody{Mode: mode.String(), Holder: string(holder), Pinned: pinned}
-	for _, m := range queue {
+// floorState is a group's floor state as the controller reports it.
+type floorState struct {
+	mode             floor.Mode
+	holder           group.MemberID
+	queue, suspended []group.MemberID
+	pinned           bool
+}
+
+func (s *Server) floorState(groupID string) (fs floorState) {
+	fs.mode, fs.holder, fs.queue, fs.suspended, fs.pinned = s.floorCtl.StateSnapshot(groupID)
+	return fs
+}
+
+// blob is the state in its replication and journal form.
+func (fs floorState) blob() *protocol.FloorReplicaBody {
+	blob := &protocol.FloorReplicaBody{Mode: fs.mode.String(), Holder: string(fs.holder), Pinned: fs.pinned}
+	for _, m := range fs.queue {
 		blob.Queue = append(blob.Queue, string(m))
 	}
-	for _, m := range suspended {
+	for _, m := range fs.suspended {
 		blob.Suspended = append(blob.Suspended, string(m))
 	}
 	return blob
 }
 
-// walGroupState journals a group's full non-log serving state: roster
-// and chair, the floor blob, and the board head (so a restarted board
-// never re-mints sequence numbers clients already applied).
-func (s *Server) walGroupState(groupID string) {
-	if s.wal == nil {
-		return
+// floorBlob snapshots a group's floor state in its replication form.
+func (s *Server) floorBlob(groupID string) *protocol.FloorReplicaBody {
+	return s.floorState(groupID).blob()
+}
+
+// restoreFloor installs a replicated or journaled floor blob as the
+// group's floor state — floorBlob's inverse.
+func (s *Server) restoreFloor(groupID string, blob *protocol.FloorReplicaBody) {
+	mode, ok := floor.ParseMode(blob.Mode)
+	if !ok {
+		mode = floor.FreeAccess
 	}
+	queue := make([]group.MemberID, 0, len(blob.Queue))
+	for _, m := range blob.Queue {
+		queue = append(queue, group.MemberID(m))
+	}
+	suspended := make([]group.MemberID, 0, len(blob.Suspended))
+	for _, m := range blob.Suspended {
+		suspended = append(suspended, group.MemberID(m))
+	}
+	s.floorCtl.Restore(groupID, mode, group.MemberID(blob.Holder), queue, suspended, blob.Pinned)
+}
+
+// groupData snapshots a group's roster and chair in their WAL form.
+func (s *Server) groupData(groupID string) walGroupData {
 	data := walGroupData{}
 	if members, err := s.registry.GroupMembers(groupID); err == nil {
 		for _, m := range members {
@@ -104,8 +136,18 @@ func (s *Server) walGroupState(groupID string) {
 	if chair, err := s.registry.Chair(groupID); err == nil {
 		data.Chair = string(chair)
 	}
-	s.walAppend(grouplog.WALRecord{Kind: grouplog.WALGroup, Key: groupID, Data: mustJSON(data)})
-	s.walFloor(groupID)
+	return data
+}
+
+// walGroupState journals a group's full non-log serving state: roster
+// and chair, the floor blob, and the board head (so a restarted board
+// never re-mints sequence numbers clients already applied).
+func (s *Server) walGroupState(groupID string) {
+	if s.wal == nil {
+		return
+	}
+	s.walAppend(grouplog.WALRecord{Kind: grouplog.WALGroup, Key: groupID, Data: mustJSON(s.groupData(groupID))})
+	s.walFloor(groupID, s.floorBlob(groupID))
 	gb := s.board(groupID)
 	gb.mu.Lock()
 	head := gb.board.Seq()
@@ -150,7 +192,7 @@ func mustJSON(v any) json.RawMessage {
 // authoritative — this node's own journal or a replicated suffix — so
 // a leading hole is history the retention window dropped, not loss.
 func applyBoardWire(gb *groupBoard, wire []byte) {
-	msg, err := protocol.DecodeAny(wire)
+	msg, err := protocol.DecodeBinary(wire)
 	if err != nil {
 		return
 	}
@@ -205,19 +247,7 @@ func (s *Server) replayWAL(w *grouplog.WAL) error {
 			if rec.Key == "" || json.Unmarshal(rec.Data, &blob) != nil {
 				return nil
 			}
-			mode, ok := floor.ParseMode(blob.Mode)
-			if !ok {
-				mode = floor.FreeAccess
-			}
-			queue := make([]group.MemberID, 0, len(blob.Queue))
-			for _, m := range blob.Queue {
-				queue = append(queue, group.MemberID(m))
-			}
-			suspended := make([]group.MemberID, 0, len(blob.Suspended))
-			for _, m := range blob.Suspended {
-				suspended = append(suspended, group.MemberID(m))
-			}
-			s.floorCtl.Restore(rec.Key, mode, group.MemberID(blob.Holder), queue, suspended, blob.Pinned)
+			s.restoreFloor(rec.Key, &blob)
 		case grouplog.WALMember:
 			var data walMemberData
 			if json.Unmarshal(rec.Data, &data) != nil || data.Info.ID == "" {
@@ -289,17 +319,8 @@ func (s *Server) Checkpoint() error {
 		})
 	}
 	for _, gid := range s.registry.Groups() {
-		data := walGroupData{}
-		if members, err := s.registry.GroupMembers(gid); err == nil {
-			for _, m := range members {
-				data.Members = append(data.Members, memberInfo(m))
-			}
-		}
-		if chair, err := s.registry.Chair(gid); err == nil {
-			data.Chair = string(chair)
-		}
 		recs = append(recs,
-			grouplog.WALRecord{Kind: grouplog.WALGroup, Key: gid, Data: mustJSON(data)},
+			grouplog.WALRecord{Kind: grouplog.WALGroup, Key: gid, Data: mustJSON(s.groupData(gid))},
 			grouplog.WALRecord{Kind: grouplog.WALFloor, Key: gid, Data: mustJSON(s.floorBlob(gid))},
 		)
 		gb := s.board(gid)
