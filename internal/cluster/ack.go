@@ -75,7 +75,7 @@ func NewAckTable(observe func(seconds float64)) *AckTable {
 	t := &AckTable{entries: make(map[int64]*inflight), observe: observe}
 	// IDs start at the wall clock so that a restarted sender's IDs carry
 	// on above its previous life's: receivers that order a sender's
-	// forwards by ID (ReplicaStore.ApplyMembers) must not take the new
+	// forwards by ID (ReplicaStore.Apply) must not take the new
 	// process's first forwards for old ones.
 	t.nextID.Store(time.Now().UnixNano())
 	return t

@@ -6,109 +6,68 @@ import (
 	"dmps/internal/protocol"
 )
 
-// ReplicaEvent is one replicated logged event: the stamped wire bytes
-// exactly as the owner fanned them out, plus the sequence fields parsed
-// back out so a takeover can install them into the adopting node's log
-// plane with the original numbering (clients' cursors keep counting).
-// It is the takeover package's own event form, so a stored replica
-// ships as it stands.
-type ReplicaEvent = protocol.ReplicaEventBody
-
-// GroupReplica is the takeover package for one group partition: the
-// retained logged-event suffix, the latest floor-state blob (mode,
-// holder, the queue the redacted wire bytes cannot carry, suspensions,
-// pin), and the membership roster with its chair.
-type GroupReplica struct {
-	Events  []ReplicaEvent
-	Floor   *protocol.FloorReplicaBody
-	Members []protocol.NodeMemberInfo
-	Chair   string
-	Head    int64
-	// BoardHead is the highest board operation sequence the owner was
-	// known to have issued. The adopting node advances its board past it
-	// even when the retained event suffix is incomplete (trimmed by the
-	// cap, or a dropped best-effort forward), so a takeover can never
-	// re-mint board sequence numbers clients already applied.
-	BoardHead int64
-}
-
-// ReplicaStore holds the group replicas a node keeps on behalf of its
-// ring predecessor: ForwardReplica and ForwardMembers forwards
-// accumulate here, and a takeover drains one group's package into the
-// live planes. Retention is bounded per group (at least cap events,
-// trimmed amortized at 2×cap, FIFO) — a client older than the retained
-// suffix converges through the snapshot fallback, same as with the
-// in-process log ring. Safe for concurrent use.
+// ReplicaStore holds the partition packages a node keeps on behalf of
+// its ring predecessors, one per partition key (a group ID or a
+// "~member" key): replica forwards accumulate a package's log part,
+// state forwards replace its directory part, and a takeover drains one
+// package into the live planes. Retention is bounded per key (at least
+// cap events, trimmed amortized at 2×cap, FIFO) — a client older than
+// the retained suffix converges through the snapshot fallback, same as
+// with the in-process log ring. Safe for concurrent use.
 type ReplicaStore struct {
-	mu      sync.Mutex
-	cap     int
-	groups  map[string]*GroupReplica
-	members map[string]*MemberHome
-	// rosters records, per group, the sender and forward ID of the roster
-	// last applied: the same sender's older rosters are stale. homes does
-	// the same per member for member_home and member_drop forwards; a
-	// drop keeps its entry as a tombstone, and tombs lists those in drop
-	// order so that only the newest maxTombstones are kept.
-	rosters map[string]forwardVersion
-	homes   map[string]forwardVersion
-	tombs   []string
+	mu   sync.Mutex
+	cap  int
+	pkgs map[string]*protocol.TakeoverBody
+	// versions records, per key, the sender and forward ID of the state
+	// forward or drop last applied: the same sender's older ones are
+	// stale. A drop keeps its entry as a tombstone, and tombs lists those
+	// in drop order so that only the newest maxTombstones are kept.
+	versions map[string]forwardVersion
+	tombs    []string
 	// epochs records, per key, the newest migration epoch whose takeover
 	// package this store (or its node) has installed; packages stamped
 	// older are stale and discarded.
 	epochs map[string]int64
 }
 
-// MemberHome is a member's replicated home-node state: the directory
-// row and the session-resume token. The home's successor holds it so a
-// resume presented after home-node death can be adopted instead of
-// expiring the session.
-type MemberHome struct {
-	Info  protocol.NodeMemberInfo
-	Token string
-}
-
 // NewReplicaStore returns an empty store retaining up to cap events per
-// group (cap <= 0 means 512, matching the log plane's default).
+// key (cap <= 0 means 512, matching the log plane's default).
 func NewReplicaStore(cap int) *ReplicaStore {
 	if cap <= 0 {
 		cap = 512
 	}
 	return &ReplicaStore{
-		cap: cap, groups: make(map[string]*GroupReplica),
-		members: make(map[string]*MemberHome), epochs: make(map[string]int64),
-		rosters: make(map[string]forwardVersion), homes: make(map[string]forwardVersion),
+		cap: cap, pkgs: make(map[string]*protocol.TakeoverBody),
+		versions: make(map[string]forwardVersion), epochs: make(map[string]int64),
 	}
 }
 
-func (s *ReplicaStore) group(id string) *GroupReplica {
-	g, ok := s.groups[id]
-	if !ok {
-		g = &GroupReplica{}
-		s.groups[id] = g
-	}
-	return g
-}
-
-// ApplyEvent records one replicated logged event for a group. The wire
+// ApplyEvent records one replicated logged event for a key. The wire
 // bytes are the owner's stamped fan-out bytes; their envelope is parsed
-// here (off the owner's hot path) to recover the
-// sequence fields. An optional floor blob replaces the group's takeover
-// floor state.
-func (s *ReplicaStore) ApplyEvent(groupID string, wire []byte, floor *protocol.FloorReplicaBody) {
+// here (off the owner's hot path) to recover the sequence fields. An
+// optional floor blob replaces the package's floor state. A dropped
+// member's log takes no late events: the drop's tombstone refuses them.
+func (s *ReplicaStore) ApplyEvent(key string, wire []byte, floor *protocol.FloorReplicaBody) {
 	env, err := protocol.DecodeAny(wire)
 	if err != nil || env.GSeq == 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	g := s.group(groupID)
+	p, ok := s.pkgs[key]
+	if !ok {
+		if s.versions[key].dropped {
+			return
+		}
+		p = &protocol.TakeoverBody{Key: key}
+		s.pkgs[key] = p
+	}
 	// Forwards ride FIFO per-peer queues, so duplicates cannot happen but
 	// a re-dial after a pool hiccup can replay nothing; only advance.
-	if env.GSeq <= g.Head {
+	if n := len(p.Events); n > 0 && env.GSeq <= p.Events[n-1].GSeq {
 		return
 	}
-	g.Head = env.GSeq
-	g.Events = append(g.Events, ReplicaEvent{
+	p.Events = append(p.Events, protocol.ReplicaEventBody{
 		GSeq: env.GSeq, CSeq: env.CSeq, Class: env.Class, State: env.State, Wire: wire,
 	})
 	if env.Class == protocol.ClassBoard {
@@ -117,17 +76,17 @@ func (s *ReplicaStore) ApplyEvent(groupID string, wire []byte, floor *protocol.F
 		// earlier board events were trimmed from the retained suffix.
 		var body protocol.SequencedBody
 		if env.Into(&body) == nil {
-			if body.Seq > g.BoardHead {
-				g.BoardHead = body.Seq
+			if body.Seq > p.BoardHead {
+				p.BoardHead = body.Seq
 			}
 			for _, op := range body.More {
-				if op.Seq > g.BoardHead {
-					g.BoardHead = op.Seq
+				if op.Seq > p.BoardHead {
+					p.BoardHead = op.Seq
 				}
 			}
 		}
 	}
-	if len(g.Events) >= 2*s.cap {
+	if len(p.Events) >= 2*s.cap {
 		// Amortized trim: compacting on every event past the cap would
 		// copy the whole window per append — O(cap) on the replication
 		// hot path. Letting the slice run to 2×cap and then cutting
@@ -135,18 +94,20 @@ func (s *ReplicaStore) ApplyEvent(groupID string, wire []byte, floor *protocol.F
 		// steady-state cost is one event-copy per event. Takeover only
 		// needs the retained suffix, so briefly holding up to 2×cap-1
 		// events is extra safety margin, never staleness.
-		g.Events = append(g.Events[:0:0], g.Events[len(g.Events)-s.cap:]...)
+		p.Events = append(p.Events[:0:0], p.Events[len(p.Events)-s.cap:]...)
 	}
 	if floor != nil {
-		g.Floor = floor
+		p.Floor = floor
 	}
 }
 
 // forwardVersion identifies a replication forward: who sent it and the
 // ID the sender gave it. IDs rise with every forward a sender makes.
+// dropped marks a drop's tombstone.
 type forwardVersion struct {
-	from string
-	id   int64
+	from    string
+	id      int64
+	dropped bool
 }
 
 // stale reports whether a forward is no newer than the last one applied
@@ -159,154 +120,132 @@ func (last forwardVersion) stale(from string, id int64) bool {
 	return id != 0 && last.from == from && id <= last.id
 }
 
-// ApplyMembers records a group's replicated membership roster and chair,
-// sent by from as forward id. Rosters replace each other whole, so a
-// stale one is dropped: a late duplicate must not take a member back out
-// of the group.
-func (s *ReplicaStore) ApplyMembers(groupID, chair string, members []protocol.NodeMemberInfo, from string, id int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.rosters[groupID].stale(from, id) {
+// Apply records a package sent by from as forward id — a state forward's
+// partial package, or (from "", id 0) a migration's whole one. A stale
+// package is dropped: a late resend must neither take a member back out
+// of a group nor bring a dropped member back to life. The directory part
+// (chair and roster, or member row and token) replaces the stored one
+// whole; the log part, which ApplyEvent otherwise keeps, only where the
+// package carries it — a state forward carries none.
+func (s *ReplicaStore) Apply(p protocol.TakeoverBody, from string, id int64) {
+	if p.Key == "" {
 		return
 	}
-	s.rosters[groupID] = forwardVersion{from: from, id: id}
-	g := s.group(groupID)
-	g.Chair = chair
-	g.Members = members
-}
-
-// Has reports whether the store holds any replica state for a group —
-// the adoption test: a node asked to serve a partition it does not
-// primarily own adopts it exactly when a replica is present.
-func (s *ReplicaStore) Has(groupID string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.groups[groupID]
-	return ok
-}
-
-// Head returns the highest replicated GSeq for a group (0 when none) —
-// what tests wait on to know replication caught up before a kill.
-func (s *ReplicaStore) Head(groupID string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g, ok := s.groups[groupID]; ok {
-		return g.Head
+	if s.versions[p.Key].stale(from, id) {
+		return
 	}
-	return 0
-}
-
-// Take removes and returns a group's replica package for takeover. The
-// removal is what makes adoption idempotent: the second caller finds
-// nothing and treats the group as already live.
-func (s *ReplicaStore) Take(groupID string) (GroupReplica, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.groups[groupID]
+	s.versions[p.Key] = forwardVersion{from: from, id: id}
+	q, ok := s.pkgs[p.Key]
 	if !ok {
-		return GroupReplica{}, false
+		q = &protocol.TakeoverBody{Key: p.Key}
+		s.pkgs[p.Key] = q
 	}
-	delete(s.groups, groupID)
-	return *g, true
+	q.Chair, q.Members, q.Member, q.Token = p.Chair, p.Members, p.Member, p.Token
+	if p.Floor != nil {
+		q.Floor = p.Floor
+	}
+	if p.BoardHead > q.BoardHead {
+		q.BoardHead = p.BoardHead
+	}
+	if len(p.Events) > 0 {
+		q.Events = append(q.Events[:0:0], p.Events...)
+	}
 }
 
-// GroupKeys lists the keys the store holds replica packages for —
-// migration's enumeration of what a recovering node may be owed.
-func (s *ReplicaStore) GroupKeys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.groups))
-	for k := range s.groups {
-		out = append(out, k)
-	}
-	return out
-}
-
-// MemberIDs lists the member IDs the store holds replicated homes for.
-func (s *ReplicaStore) MemberIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.members))
-	for id := range s.members {
-		out = append(out, id)
-	}
-	return out
-}
-
-// maxTombstones bounds the dropped members whose forward version is
-// remembered. A tombstone only has to outlive the resends of the homes
+// maxTombstones bounds the dropped keys whose forward version is
+// remembered. A tombstone only has to outlive the resends of the state
 // sent before the drop, and the sender gives those up within seconds
 // (ackMaxAttempts); the ack table holds at most ackTableCap forwards at
 // once, so that many drops cannot all be newer than a live resend.
 const maxTombstones = ackTableCap
 
-// ApplyMemberHome records a member's replicated home state (directory
-// row + resume token), keyed by member ID, sent by from as forward id.
-// A stale forward is dropped: a resent home must not bring a dropped
-// member back to life, nor put an old token over a new one.
-func (s *ReplicaStore) ApplyMemberHome(info protocol.NodeMemberInfo, token, from string, id int64) {
-	if info.ID == "" {
-		return
-	}
+// Drop retracts a key's package, sent by from as forward id — a member's
+// home node expired the session, so the replica must not adopt any of
+// it (row, token, member log) back to life. The drop's version stays
+// behind as a tombstone against older state still in flight.
+func (s *ReplicaStore) Drop(key, from string, id int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.homes[info.ID].stale(from, id) {
+	if s.versions[key].stale(from, id) {
 		return
 	}
-	s.homes[info.ID] = forwardVersion{from: from, id: id}
-	s.members[info.ID] = &MemberHome{Info: info, Token: token}
-}
-
-// DropMemberHome retracts a replicated member home — the home node
-// expired the session, so the replica must not adopt it back to life.
-// The drop's version stays behind as a tombstone against older homes
-// still in flight.
-func (s *ReplicaStore) DropMemberHome(memberID, from string, id int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.homes[memberID].stale(from, id) {
-		return
-	}
-	s.homes[memberID] = forwardVersion{from: from, id: id}
-	delete(s.members, memberID)
-	s.tombs = append(s.tombs, memberID)
+	s.versions[key] = forwardVersion{from: from, id: id, dropped: true}
+	delete(s.pkgs, key)
+	s.tombs = append(s.tombs, key)
 	if len(s.tombs) > maxTombstones {
 		oldest := s.tombs[0]
 		s.tombs = s.tombs[1:]
-		if _, live := s.members[oldest]; !live {
-			delete(s.homes, oldest)
+		if s.versions[oldest].dropped {
+			delete(s.versions, oldest)
 		}
 	}
 }
 
-// MemberByToken finds the replicated member home holding the given
-// resume token — the lookup a successor runs when a resume arrives for
-// a token it never minted.
-func (s *ReplicaStore) MemberByToken(token string) (MemberHome, bool) {
-	if token == "" {
-		return MemberHome{}, false
-	}
+// Has reports whether the store holds a package for a key — the
+// adoption test: a node asked to serve a partition it does not
+// primarily own adopts it exactly when a replica is present.
+func (s *ReplicaStore) Has(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, mh := range s.members {
-		if mh.Token == token {
-			return *mh, true
-		}
-	}
-	return MemberHome{}, false
+	_, ok := s.pkgs[key]
+	return ok
 }
 
-// TakeMember removes and returns a member's replicated home for
-// adoption — delete-on-read idempotency, like Take.
-func (s *ReplicaStore) TakeMember(memberID string) (MemberHome, bool) {
+// Head returns the GSeq of the last replicated event for a key (0 when
+// none) — what tests wait on to know replication caught up before a
+// kill.
+func (s *ReplicaStore) Head(key string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mh, ok := s.members[memberID]
+	if p, ok := s.pkgs[key]; ok && len(p.Events) > 0 {
+		return p.Events[len(p.Events)-1].GSeq
+	}
+	return 0
+}
+
+// Take removes and returns a key's package for takeover. The removal is
+// what makes adoption idempotent: the second caller finds nothing and
+// treats the key as already live.
+func (s *ReplicaStore) Take(key string) (protocol.TakeoverBody, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, ok := s.pkgs[key]
 	if !ok {
-		return MemberHome{}, false
+		return protocol.TakeoverBody{}, false
 	}
-	delete(s.members, memberID)
-	return *mh, true
+	delete(s.pkgs, key)
+	return *p, true
+}
+
+// Keys lists the keys the store holds packages for — migration's
+// enumeration of what a recovering node may be owed.
+func (s *ReplicaStore) Keys() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]string, 0, len(s.pkgs))
+	for k := range s.pkgs {
+		out = append(out, k)
+	}
+	return out
+}
+
+// KeyOfToken finds the member package holding the given resume token —
+// the lookup a successor runs when a resume arrives for a token it never
+// minted.
+func (s *ReplicaStore) KeyOfToken(token string) (string, bool) {
+	if token == "" {
+		return "", false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, p := range s.pkgs {
+		if p.Token == token {
+			return k, true
+		}
+	}
+	return "", false
 }
 
 // AdmitEpoch checks a takeover package's epoch against the newest this
@@ -322,15 +261,4 @@ func (s *ReplicaStore) AdmitEpoch(key string, epoch int64) bool {
 	}
 	s.epochs[key] = epoch
 	return true
-}
-
-// Install replaces a group's replica package wholesale — how a
-// takeover package shipped by a migration lands on a node that does not
-// natively own the key (it becomes replica state for a later failover).
-func (s *ReplicaStore) Install(groupID string, rep GroupReplica) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cp := rep
-	cp.Events = append([]ReplicaEvent(nil), rep.Events...)
-	s.groups[groupID] = &cp
 }

@@ -9,7 +9,6 @@ import (
 	"dmps/internal/core"
 	"dmps/internal/floor"
 	"dmps/internal/resource"
-	"dmps/internal/trace"
 	"dmps/internal/workload"
 )
 
@@ -44,7 +43,7 @@ func RunE1(sizes []int) (*Table, error) {
 }
 
 // arbitrationRound drives one (mode, size) cell.
-func arbitrationRound(n int, mode floor.Mode) (*trace.LatencyStats, int, time.Duration, error) {
+func arbitrationRound(n int, mode floor.Mode) (*LatencyStats, int, time.Duration, error) {
 	lab, err := core.NewLab(core.Options{Seed: int64(n) * 17})
 	if err != nil {
 		return nil, 0, 0, err
@@ -61,7 +60,7 @@ func arbitrationRound(n int, mode floor.Mode) (*trace.LatencyStats, int, time.Du
 		}
 		clients = append(clients, c)
 	}
-	stats := &trace.LatencyStats{}
+	stats := &LatencyStats{}
 	const perClient = 5
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -217,7 +216,7 @@ func RunE6(sizes []int) (*Table, error) {
 		}
 		holds := make(map[string]float64)
 		holds[ids[0]]++
-		stats := &trace.LatencyStats{}
+		stats := &LatencyStats{}
 		passes := workload.RoundRobinPasses(ids, 4*n)
 		holder := 0
 		for range passes {
@@ -236,7 +235,7 @@ func RunE6(sizes []int) (*Table, error) {
 			shares = append(shares, holds[id])
 		}
 		t.AddRow(n, len(passes),
-			fmt.Sprintf("%.4f", trace.JainIndex(shares)),
+			fmt.Sprintf("%.4f", JainIndex(shares)),
 			stats.Percentile(50).Round(10*time.Microsecond),
 			stats.Percentile(95).Round(10*time.Microsecond))
 		lab.Close()
@@ -276,7 +275,7 @@ func RunE7(k int) (*Table, error) {
 		ids[i] = c.MemberID()
 		byID[c.MemberID()] = c
 	}
-	inviteStats := &trace.LatencyStats{}
+	inviteStats := &LatencyStats{}
 	groups := workload.Fanout(ids, k)
 	// Build each sub-group: creator joins, invites the rest.
 	for gi, members := range groups {
@@ -495,7 +494,7 @@ func RunE10(sizes []int) (*Table, error) {
 				return nil, fmt.Errorf("student should queue, got %+v, %v", dec, err)
 			}
 		}
-		stats := &trace.LatencyStats{}
+		stats := &LatencyStats{}
 		ordered := true
 		// Approve in reverse request order: approval, not arrival,
 		// decides who speaks.

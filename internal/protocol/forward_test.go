@@ -35,8 +35,8 @@ func sampleForwards() map[string]ForwardBody {
 		"replica traced":     {Kind: ForwardReplica, Group: "~m1#1", Msg: loggedFrame(true), ID: 7, From: "n0:1"},
 		"ack":                {Kind: ForwardAck, ID: 5, From: "n1:1"},
 		"invite":             {Kind: ForwardInvite, To: "m1#1", Msg: inner},
-		"members":            {Kind: ForwardMembers, Group: "g", Chair: "m1#1", Members: []NodeMemberInfo{info}, ID: 8, From: "n0:1"},
-		"member_home":        {Kind: ForwardMemberHome, Member: &info, Token: "tok", ID: 9, From: "n0:1"},
+		"state roster":       {Kind: ForwardState, Takeover: &TakeoverBody{Key: "g", Chair: "m1#1", Members: []NodeMemberInfo{info}}, ID: 8, From: "n0:1"},
+		"state member":       {Kind: ForwardState, Takeover: &TakeoverBody{Key: "~m1#1", Member: &info, Token: "tok"}, ID: 9, From: "n0:1"},
 		"member_drop":        {Kind: ForwardMemberDrop, To: "m1#1", ID: 10, From: "n0:1"},
 		"migrate":            {Kind: ForwardMigrate, Node: 1, Addr: "n1:1", Epoch: 3},
 		"migrated":           {Kind: ForwardMigrated, Groups: []string{"g", "~m1#1"}, Epoch: 3, ID: 11, From: "n0:1"},

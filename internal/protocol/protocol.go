@@ -634,22 +634,20 @@ const (
 	// bytes, plus the floor blob for floor/suspend classes) to the
 	// partition's successor node for takeover.
 	ForwardReplica = "replica"
-	// ForwardMembers replicates a group's membership roster (and chair)
-	// to the successor, so a takeover can restore who belongs where.
-	ForwardMembers = "members"
+	// ForwardState replicates the directory part of a partition package
+	// (Takeover): a group's roster and chair, so a takeover can restore
+	// who belongs where, or a member's row and session-resume token, so a
+	// resume (Client.Reconnect) survives home-node death — the successor
+	// adopts the member the way it adopts groups.
+	ForwardState = "state"
 	// ForwardAck acknowledges an identified replication forward: the
 	// receiver echoes ID back to From once the payload is durably applied
 	// to its replica store. The sender's in-flight table clears the entry
 	// (or resends it after a timeout) — replication factor R means a
 	// logged append is only lost if R nodes die before any ack lands.
 	ForwardAck = "ack"
-	// ForwardMemberHome replicates a member's home-node state — the
-	// directory row and the session-resume token — to the home's
-	// successor list, so a resume (Client.Reconnect) survives home-node
-	// death: the successor adopts the member the way it adopts groups.
-	ForwardMemberHome = "member_home"
-	// ForwardMemberDrop retracts a replicated member home after the home
-	// node expires the session (reap), so a dead member cannot be
+	// ForwardMemberDrop retracts a member's replicated package after the
+	// home node expires the session (reap), so a dead member cannot be
 	// adopted back to life from a stale replica.
 	ForwardMemberDrop = "member_drop"
 	// ForwardMigrate asks a node to ship every partition it adopted from
@@ -682,13 +680,16 @@ type ReplicaEventBody struct {
 	Wire  []byte `json:"wire,omitempty"`
 }
 
-// TakeoverBody is a complete partition package shipped by an
-// epoch-versioned migration: everything a node needs to serve the key —
-// roster and chair, the floor blob, the retained log suffix, and the
-// board head. For a "~member" key, Member and Token carry the home-node
-// state instead of the group fields. Epoch stamps the migration; a
-// receiver discards packages older than the newest epoch it has
-// installed for the key.
+// TakeoverBody is the partition package: the one form a partition key's
+// state takes wherever it moves — WAL checkpoint and replay, a replica
+// store's standby copy, failover adoption, epoch migration. A group key
+// carries its roster and chair, the floor blob, the board head and the
+// retained log suffix; a "~member" key carries the member's row, their
+// resume token and their member log's events. A package may be partial:
+// a state forward carries only the directory part (chair and roster, or
+// member row and token), a journal record one field. Epoch stamps a
+// migration's package; a receiver discards packages older than the
+// newest epoch it has installed for the key.
 type TakeoverBody struct {
 	Key       string             `json:"key"`
 	Epoch     int64              `json:"epoch"`
@@ -704,22 +705,19 @@ type TakeoverBody struct {
 // ForwardBody is a typed node-to-node forward. Kind selects the shape:
 // ForwardInvite carries To (the member) and Msg (the inner event);
 // ForwardReplica carries Group, Msg (the logged wire bytes, sequence
-// numbers already stamped) and optionally Floor; ForwardMembers carries
-// Group, Members and Chair; ForwardAck carries ID and From;
-// ForwardMemberHome carries Member and Token; ForwardMemberDrop carries
-// To; ForwardMigrate carries Node and Addr; ForwardMigrated carries
-// Groups; ForwardTakeover carries Takeover. Replicated kinds (replica,
-// members, member_home, member_drop) additionally carry ID and From so
-// the receiver can ack them. On the wire a forward is an ordinary binary
-// frame: the replica and ack kinds have a native body (binary.go), the
-// rest ride as this struct's JSON inside the frame.
+// numbers already stamped) and optionally Floor; ForwardState and
+// ForwardTakeover carry Takeover; ForwardAck carries ID and From;
+// ForwardMemberDrop carries To; ForwardMigrate carries Node and Addr;
+// ForwardMigrated carries Groups. Replicated kinds (replica, state,
+// member_drop) additionally carry ID and From so the receiver can ack
+// them. On the wire a forward is an ordinary binary frame: the replica
+// and ack kinds have a native body (binary.go), the rest ride as this
+// struct's JSON inside the frame.
 type ForwardBody struct {
-	Kind    string            `json:"kind"`
-	Group   string            `json:"group,omitempty"`
-	To      string            `json:"to,omitempty"`
-	Chair   string            `json:"chair,omitempty"`
-	Members []NodeMemberInfo  `json:"members,omitempty"`
-	Floor   *FloorReplicaBody `json:"floor,omitempty"`
+	Kind  string            `json:"kind"`
+	Group string            `json:"group,omitempty"`
+	To    string            `json:"to,omitempty"`
+	Floor *FloorReplicaBody `json:"floor,omitempty"`
 	// Msg is the inner binary frame: verbatim in a replica forward's
 	// native body, base64 where the body rides as JSON (invite).
 	Msg []byte `json:"msg,omitempty"`
@@ -731,15 +729,13 @@ type ForwardBody struct {
 	// Epoch stamps migration-coordination forwards with the partition-map
 	// epoch they belong to.
 	Epoch int64 `json:"epoch,omitempty"`
-	// Member and Token carry a replicated member home (ForwardMemberHome).
-	Member *NodeMemberInfo `json:"member,omitempty"`
-	Token  string          `json:"token,omitempty"`
 	// Node and Addr identify the recovering node of a ForwardMigrate;
 	// Groups lists the shipped keys of a ForwardMigrated reply.
 	Node   int      `json:"node,omitempty"`
 	Addr   string   `json:"addr,omitempty"`
 	Groups []string `json:"groups,omitempty"`
-	// Takeover is the partition package of a ForwardTakeover.
+	// Takeover is the partition package of a ForwardTakeover, or the
+	// partial one of a ForwardState.
 	Takeover *TakeoverBody `json:"takeover,omitempty"`
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -50,8 +49,8 @@ type ClusterConfig struct {
 // clusterState is a node's runtime cluster machinery: the shared
 // partition map, the pooled peer transport, the replica store holding
 // partitions this node stands by for, the in-flight ack table for the
-// replication stream, and the partitions/member homes it has adopted
-// after a failover.
+// replication stream, and the partition keys it has adopted after a
+// failover.
 type clusterState struct {
 	cfg        ClusterConfig
 	topo       *cluster.Map
@@ -60,29 +59,26 @@ type clusterState struct {
 	acks       *cluster.AckTable
 	ackLatency *metrics.Histogram
 
-	// rosterMu orders roster forwards: a roster is read and its forward
-	// given an ID under it, so a higher ID always carries a newer roster
-	// and replicas can refuse the older one however late it arrives.
-	rosterMu sync.Mutex
+	// stateMu orders state forwards: a key's directory part is read and
+	// its forward given an ID under it, so a higher ID always carries
+	// newer state and replicas can refuse the older one however late it
+	// arrives.
+	stateMu sync.Mutex
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// adopted holds the partition keys — group IDs and "~member" keys —
+	// this node took over from its replica store after their owner died.
 	adopted map[string]bool
-	// adoptedMembers tracks member IDs whose home this node adopted
-	// after their home node died (resume-time adoption).
-	adoptedMembers map[string]bool
 	// migrating marks keys mid-handoff to a recovering node: the gate
 	// answers node_moved for them until the migration completes, so no
 	// append can land between the takeover dump and the epoch bump.
 	migrating map[string]bool
 	// served mirrors adopted with lock-free reads for the append path:
-	// replicateLogged runs inside a group's log lock, and taking mu
-	// there would invert against adoption (which holds mu while
-	// installing into log locks). Entries are stored only after a
-	// takeover's restore completes.
+	// replicateLogged runs inside a log's lock, and taking mu there
+	// would invert against adoption (which holds mu while installing
+	// into log locks). Entries are stored only after a takeover's
+	// install completes.
 	served sync.Map
-	// homes mirrors adoptedMembers with lock-free reads, for the same
-	// reason (member-log appends replicate inside the log lock).
-	homes sync.Map
 }
 
 // newClusterState validates and assembles a node's cluster machinery.
@@ -103,14 +99,13 @@ func newClusterState(cfg ClusterConfig, fallback transport.Network, replicaCap i
 		cfg.ReplicationFactor = len(cfg.Nodes)
 	}
 	cs := &clusterState{
-		cfg:            cfg,
-		topo:           cluster.NewMap(cfg.Nodes),
-		pool:           cluster.NewPool(cfg.Network),
-		store:          cluster.NewReplicaStore(replicaCap),
-		adopted:        make(map[string]bool),
-		adoptedMembers: make(map[string]bool),
-		migrating:      make(map[string]bool),
-		ackLatency:     metrics.NewHistogram(nil),
+		cfg:        cfg,
+		topo:       cluster.NewMap(cfg.Nodes),
+		pool:       cluster.NewPool(cfg.Network),
+		store:      cluster.NewReplicaStore(replicaCap),
+		adopted:    make(map[string]bool),
+		migrating:  make(map[string]bool),
+		ackLatency: metrics.NewHistogram(nil),
 	}
 	cs.acks = cluster.NewAckTable(func(sec float64) { cs.ackLatency.Observe(sec) })
 	return cs, nil
@@ -118,6 +113,15 @@ func newClusterState(cfg ClusterConfig, fallback transport.Network, replicaCap i
 
 // selfAddr is this node's own peer address — what receivers ack back to.
 func (c *clusterState) selfAddr() string { return c.cfg.Nodes[c.cfg.Self] }
+
+// partitionOwner is the node a partition key natively belongs to: the
+// hash of a group ID, or of a "~member" key's home key.
+func (c *clusterState) partitionOwner(key string) int {
+	if id, ok := strings.CutPrefix(key, "~"); ok {
+		key = cluster.HomeKey(id)
+	}
+	return c.topo.Primary(key)
+}
 
 // replicaPeers lists the R-1 ring successors this node replicates its
 // partitions to (empty outside cluster mode or in a single-node ring).
@@ -153,14 +157,7 @@ func (s *Server) ReplicationPending() int {
 // owner of their directory entry, session token and private event log —
 // natively or by adoption. Standalone servers home everyone.
 func (s *Server) homesMember(id group.MemberID) bool {
-	if s.cluster == nil {
-		return true
-	}
-	if s.cluster.topo.Primary(cluster.HomeKey(string(id))) == s.cluster.cfg.Self {
-		return true
-	}
-	_, ok := s.cluster.homes.Load(string(id))
-	return ok
+	return s.cluster == nil || s.servesKey(grouplog.MemberKey(string(id)))
 }
 
 // ownerAddr names the node currently assigned a partition key (primary
@@ -207,109 +204,31 @@ func (s *Server) servesGroup(groupID string) bool {
 	return true
 }
 
-// servesGroupFast is the append-path form of servesGroup: primary
-// ownership or a completed adoption, with no locks the log append could
-// deadlock against — and no adoption side effect.
-func (s *Server) servesGroupFast(groupID string) bool {
-	if s.cluster.topo.Primary(groupID) == s.cluster.cfg.Self {
+// servesKey is the append-path form of servesGroup, for any partition
+// key: native ownership or a completed adoption, with no locks the log
+// append could deadlock against — and no adoption side effect.
+func (s *Server) servesKey(key string) bool {
+	if s.cluster.partitionOwner(key) == s.cluster.cfg.Self {
 		return true
 	}
-	_, ok := s.cluster.served.Load(groupID)
+	_, ok := s.cluster.served.Load(key)
 	return ok
 }
 
-// adoptLocked takes over a group partition from its replica package.
-// Requires s.cluster.mu.
-func (s *Server) adoptLocked(groupID string) {
-	rep, ok := s.cluster.store.Take(groupID)
+// adoptLocked takes over a partition key — a group, or a member's home —
+// from its replica package: the package is installed into the live
+// planes, and clients converge through their ordinary backfill path —
+// the restored log replays with the same CSeqs their cursors expect, so
+// a handoff looks exactly like a reconnect, with zero duplicate grants
+// (the holder is restored, never re-granted). Requires s.cluster.mu.
+func (s *Server) adoptLocked(key string) {
+	p, ok := s.cluster.store.Take(key)
 	if !ok {
 		return
 	}
-	s.cluster.adopted[groupID] = true
-	s.installGroupReplica(groupID, rep)
-}
-
-// installGroupReplica restores a partition package into the live
-// planes: membership into the registry, the floor state (mode, holder,
-// queue, suspensions, pin) into the controller, the logged suffix into
-// the log plane with its original sequence numbers, and the board ops
-// into the authoritative board. Clients then converge through their
-// ordinary backfill path — the restored log replays with the same CSeqs
-// their cursors expect, so a handoff looks exactly like a reconnect,
-// with zero duplicate grants (the holder is restored, never
-// re-granted). Shared by failover adoption and migration takeover.
-func (s *Server) installGroupReplica(groupID string, rep cluster.GroupReplica) {
-	defer s.cluster.served.Store(groupID, true)
-	chair := group.MemberID(rep.Chair)
-	for _, m := range rep.Members {
-		_ = s.registry.EnsureMember(memberFromInfo(m))
-	}
-	if chair != "" {
-		if err := s.registry.CreateGroup(groupID, chair); err != nil && !errors.Is(err, group.ErrDuplicate) {
-			// Without a chair record the group cannot be rebuilt; serve
-			// what the floor/log restore below still provides.
-			_ = err
-		}
-		for _, m := range rep.Members {
-			_ = s.registry.Join(groupID, group.MemberID(m.ID))
-		}
-	}
-	if rep.Floor != nil {
-		s.restoreFloor(groupID, rep.Floor)
-	}
-	lg := s.logs.Get(groupID)
-	gb := s.board(groupID)
-	for _, ev := range rep.Events {
-		lg.AppendRaw(ev.GSeq, ev.CSeq, ev.Class, ev.State, ev.Wire)
-		s.walEvent(groupID, ev.GSeq, ev.CSeq, ev.Class, ev.State, ev.Wire)
-		if ev.Class == protocol.ClassBoard {
-			applyBoardWire(gb, ev.Wire)
-		}
-	}
-	// Never re-mint board sequence numbers clients already applied: even
-	// if the retained suffix missed tail ops (a trimmed window, a
-	// dropped best-effort forward), minting resumes past the owner's
-	// known head.
-	gb.mu.Lock()
-	gb.board.SkipTo(rep.BoardHead)
-	gb.mu.Unlock()
-	// The adopted partition is part of this node's serving state now:
-	// journal its roster, floor blob and board head so a restart of THIS
-	// process resumes serving it too.
-	s.walGroupState(groupID)
-}
-
-// adoptMemberLocked takes over a member's replicated home: the
-// directory row is restored, the resume token installed, the member's
-// private event log replayed from its replica, and the ID counter
-// bumped past the adopted ID so this node can never re-mint it.
-// Requires s.cluster.mu.
-func (s *Server) adoptMemberLocked(mh cluster.MemberHome) {
-	id := mh.Info.ID
-	if _, ok := s.cluster.store.TakeMember(id); !ok {
-		// Already adopted by a racing resume; fall through only when the
-		// store still held the record.
-		if _, adopted := s.cluster.homes.Load(id); adopted {
-			return
-		}
-	}
-	s.cluster.adoptedMembers[id] = true
-	_ = s.registry.EnsureMember(memberFromInfo(mh.Info))
-	s.bumpNextID(id)
-	if mh.Token != "" {
-		s.mu.Lock()
-		s.tokens[mh.Token] = group.MemberID(id)
-		s.tokenOf[group.MemberID(id)] = mh.Token
-		s.mu.Unlock()
-	}
-	if rep, ok := s.cluster.store.Take(grouplog.MemberKey(id)); ok {
-		lg := s.logs.Get(grouplog.MemberKey(id))
-		for _, ev := range rep.Events {
-			lg.AppendRaw(ev.GSeq, ev.CSeq, ev.Class, ev.State, ev.Wire)
-			s.walEvent(grouplog.MemberKey(id), ev.GSeq, ev.CSeq, ev.Class, ev.State, ev.Wire)
-		}
-	}
-	s.cluster.homes.Store(id, true)
+	s.cluster.adopted[key] = true
+	s.install(p)
+	s.cluster.served.Store(key, true)
 }
 
 // adoptResume resolves a resume token this node never minted: when the
@@ -322,60 +241,23 @@ func (s *Server) adoptResume(token string) (group.MemberID, string, bool) {
 	if s.cluster == nil {
 		return "", "", false
 	}
-	mh, found := s.cluster.store.MemberByToken(token)
+	key, found := s.cluster.store.KeyOfToken(token)
 	if !found {
 		return "", "", false
 	}
-	home := s.cluster.topo.Primary(cluster.HomeKey(mh.Info.ID))
-	if home != s.cluster.cfg.Self {
+	if home := s.cluster.partitionOwner(key); home != s.cluster.cfg.Self {
 		if probe, err := s.cluster.cfg.Network.Dial(s.cluster.cfg.Nodes[home]); err == nil {
 			_ = probe.Close()
 			return "", s.cluster.cfg.Nodes[home], false
 		}
 	}
 	s.cluster.mu.Lock()
-	s.adoptMemberLocked(mh)
+	s.adoptLocked(key)
 	s.cluster.mu.Unlock()
-	// The member homes here now: journal the claim and replicate it to
-	// THIS node's successors, so the adoption itself is durable.
-	s.walMemberHome(memberFromInfo(mh.Info), mh.Token)
-	s.replicateMemberHome(memberFromInfo(mh.Info), mh.Token)
-	return group.MemberID(mh.Info.ID), "", true
-}
-
-// bumpNextID advances the member-ID counter past the numeric suffix of
-// an installed member ID ("alice#7" → at least 7), so adoption, WAL
-// replay and migration can never lead to re-minting an ID clients
-// already hold.
-func (s *Server) bumpNextID(memberID string) {
-	i := strings.LastIndexByte(memberID, '#')
-	if i < 0 {
-		return
-	}
-	n, err := strconv.ParseInt(memberID[i+1:], 10, 64)
-	if err != nil {
-		return
-	}
-	for {
-		cur := s.nextID.Load()
-		if cur >= n || s.nextID.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// memberFromInfo converts a replicated directory row back to a Member.
-func memberFromInfo(m protocol.NodeMemberInfo) group.Member {
-	role := group.Participant
-	if strings.EqualFold(m.Role, "chair") {
-		role = group.Chair
-	}
-	return group.Member{ID: group.MemberID(m.ID), Name: m.Name, Role: role, Priority: m.Priority}
-}
-
-// memberInfo converts a directory row to its replication form.
-func memberInfo(m group.Member) protocol.NodeMemberInfo {
-	return protocol.NodeMemberInfo{ID: string(m.ID), Name: m.Name, Role: m.Role.String(), Priority: m.Priority}
+	// The member homes here now: replicate the claim to THIS node's
+	// successors, so the adoption itself is durable.
+	s.persist(key)
+	return group.MemberID(key[1:]), "", true
 }
 
 // replicateTracked assigns the forward an ID, registers it in the
@@ -427,61 +309,13 @@ func (s *Server) resendOverdue(now time.Time) {
 // never blocks — so the replica stream observes exactly the log's
 // order.
 func (s *Server) replicateLogged(key string, wire []byte, blob *protocol.FloorReplicaBody) {
-	if s.cluster == nil {
-		return
-	}
-	if strings.HasPrefix(key, "~") {
-		if !s.homesMember(group.MemberID(key[1:])) {
-			return
-		}
-	} else if !s.servesGroupFast(key) {
+	if s.cluster == nil || !s.servesKey(key) {
 		return
 	}
 	s.replicateTracked(protocol.ForwardBody{Kind: protocol.ForwardReplica, Group: key, Msg: wire, Floor: blob})
 }
 
-// replicateMembers durably records a group's membership roster and
-// chair after a membership change: journaled to the WAL (when on), and
-// shipped to the replica peers so a takeover can restore who belongs
-// where. The replication half is a no-op outside cluster mode.
-func (s *Server) replicateMembers(groupID string) {
-	s.walGroupState(groupID)
-	if s.cluster == nil {
-		return
-	}
-	if !s.servesGroup(groupID) {
-		return
-	}
-	s.cluster.rosterMu.Lock()
-	defer s.cluster.rosterMu.Unlock()
-	members, err := s.registry.GroupMembers(groupID)
-	if err != nil {
-		return
-	}
-	chair, _ := s.registry.Chair(groupID)
-	fwd := protocol.ForwardBody{Kind: protocol.ForwardMembers, Group: groupID, Chair: string(chair)}
-	for _, m := range members {
-		fwd.Members = append(fwd.Members, memberInfo(m))
-	}
-	s.replicateTracked(fwd)
-}
-
-// replicateMemberHome ships a member's home-node state — directory row
-// and resume token — to the replica peers, so a resume presented after
-// this node's death can be adopted by a successor instead of expiring.
-// Called whenever a homed member's token is minted or their directory
-// row changes. No-op outside cluster mode.
-func (s *Server) replicateMemberHome(m group.Member, token string) {
-	if s.cluster == nil {
-		return
-	}
-	info := memberInfo(m)
-	s.replicateTracked(protocol.ForwardBody{
-		Kind: protocol.ForwardMemberHome, Member: &info, Token: token,
-	})
-}
-
-// replicateMemberDrop retracts a member's replicated home after the
+// replicateMemberDrop retracts a member's replicated package after the
 // home node expires the session, so a dead member cannot be adopted
 // back to life from a stale replica. No-op outside cluster mode.
 func (s *Server) replicateMemberDrop(id group.MemberID) {
@@ -572,19 +406,14 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 				s.plane.Span(msg.TraceID, msg.TraceParent, trace.StageReplAck, t0)
 			}
 		}
-	case protocol.ForwardMembers:
-		if body.Group != "" {
-			s.cluster.store.ApplyMembers(body.Group, body.Chair, body.Members, body.From, body.ID)
-			s.ackForward(body)
-		}
-	case protocol.ForwardMemberHome:
-		if body.Member != nil {
-			s.cluster.store.ApplyMemberHome(*body.Member, body.Token, body.From, body.ID)
+	case protocol.ForwardState:
+		if body.Takeover != nil {
+			s.cluster.store.Apply(*body.Takeover, body.From, body.ID)
 			s.ackForward(body)
 		}
 	case protocol.ForwardMemberDrop:
 		if body.To != "" {
-			s.cluster.store.DropMemberHome(body.To, body.From, body.ID)
+			s.cluster.store.Drop(grouplog.MemberKey(body.To), body.From, body.ID)
 			s.ackForward(body)
 		}
 	case protocol.ForwardAck:

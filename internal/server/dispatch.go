@@ -94,7 +94,7 @@ func (s *Server) onJoin(sess *session, msg protocol.Message) {
 		return
 	}
 	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
-	s.replicateMembers(body.Group)
+	s.persist(body.Group)
 	// One snapshot converges the late joiner: board history, floor
 	// state, suspensions, and the log position live events continue from.
 	s.sendSnapshot(sess, body.Group, 0)
@@ -116,7 +116,7 @@ func (s *Server) onCreateGroup(sess *session, msg protocol.Message) {
 		return
 	}
 	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
-	s.replicateMembers(body.Group)
+	s.persist(body.Group)
 }
 
 func (s *Server) onLeave(sess *session, msg protocol.Message) {
@@ -130,7 +130,7 @@ func (s *Server) onLeave(sess *session, msg protocol.Message) {
 		return
 	}
 	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
-	s.replicateMembers(body.Group)
+	s.persist(body.Group)
 }
 
 // onFloorRequest runs FCM-Arbitrate and reports the decision. Every
@@ -393,7 +393,7 @@ func (s *Server) onInviteReply(sess *session, msg protocol.Message) {
 	outcome := "declined"
 	if inv.Status == group.Accepted {
 		outcome = "accepted"
-		s.replicateMembers(inv.Group)
+		s.persist(inv.Group)
 		// One snapshot converges the new member on the sub-group.
 		s.sendSnapshot(sess, inv.Group, 0)
 	}

@@ -132,6 +132,7 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 		return []metrics.Sample{
 			{LabelKey: "site", LabelValue: "log_append", Value: float64(s.logAppendErrs.Load())},
 			{LabelKey: "site", LabelValue: "wal_append", Value: float64(s.walAppendErrs.Load())},
+			{LabelKey: "site", LabelValue: "state_install", Value: float64(s.installErrs.Load())},
 		}
 	})
 	reg.GaugeFunc("dmps_grouplog_logs", "Live per-key event logs.", func() []metrics.Sample {

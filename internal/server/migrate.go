@@ -16,76 +16,10 @@ package server
 // state.
 
 import (
-	"strings"
-
 	"dmps/internal/cluster"
-	"dmps/internal/group"
-	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
 	"dmps/internal/transport"
 )
-
-// headOf reports the highest GSeq among a takeover package's events.
-func headOf(events []protocol.ReplicaEventBody) int64 {
-	var head int64
-	for _, e := range events {
-		if e.GSeq > head {
-			head = e.GSeq
-		}
-	}
-	return head
-}
-
-// takeoverFromReplica builds a takeover package from a stored replica.
-func takeoverFromReplica(key string, epoch int64, rep cluster.GroupReplica) protocol.TakeoverBody {
-	return protocol.TakeoverBody{
-		Key: key, Epoch: epoch, Chair: rep.Chair, Members: rep.Members,
-		Floor: rep.Floor, BoardHead: rep.BoardHead, Events: rep.Events,
-	}
-}
-
-// dumpEvents exports a log's retained window in takeover-package form.
-func (s *Server) dumpEvents(key string) []protocol.ReplicaEventBody {
-	lg, ok := s.logs.Peek(key)
-	if !ok {
-		return nil
-	}
-	var out []protocol.ReplicaEventBody
-	for _, e := range lg.Dump() {
-		out = append(out, protocol.ReplicaEventBody{GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.Wire})
-	}
-	return out
-}
-
-// liveGroupTakeover dumps a group's LIVE state — registry roster, floor
-// controller snapshot, retained log window, board head — into a
-// takeover package. Used for partitions this node adopted and served.
-func (s *Server) liveGroupTakeover(gid string, epoch int64) protocol.TakeoverBody {
-	data := s.groupData(gid)
-	tb := protocol.TakeoverBody{
-		Key: gid, Epoch: epoch, Chair: data.Chair, Members: data.Members,
-		Floor: s.floorBlob(gid), Events: s.dumpEvents(gid),
-	}
-	gb := s.board(gid)
-	gb.mu.Lock()
-	tb.BoardHead = gb.board.Seq()
-	gb.mu.Unlock()
-	return tb
-}
-
-// liveMemberTakeover dumps an adopted member home's live state.
-func (s *Server) liveMemberTakeover(id string, epoch int64) protocol.TakeoverBody {
-	tb := protocol.TakeoverBody{Key: grouplog.MemberKey(id), Epoch: epoch}
-	if m, err := s.registry.Member(group.MemberID(id)); err == nil {
-		info := memberInfo(m)
-		tb.Member = &info
-	}
-	s.mu.Lock()
-	tb.Token = s.tokenOf[group.MemberID(id)]
-	s.mu.Unlock()
-	tb.Events = s.dumpEvents(tb.Key)
-	return tb
-}
 
 // runMigration is the node side of a coordinated recovery: freeze every
 // key this node holds for the recovering node (adopted live state and
@@ -110,17 +44,11 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	// Freeze: collect the adopted keys owed to the recovering node and
 	// gate traffic for them (node_moved) until the handoff completes.
 	s.cluster.mu.Lock()
-	var groups, members []string
-	for gid := range s.cluster.adopted {
-		if s.cluster.topo.Primary(gid) == body.Node {
-			groups = append(groups, gid)
-			s.cluster.migrating[gid] = true
-		}
-	}
-	for id := range s.cluster.adoptedMembers {
-		if s.cluster.topo.Primary(cluster.HomeKey(id)) == body.Node {
-			members = append(members, id)
-			s.cluster.migrating[grouplog.MemberKey(id)] = true
+	var live []string
+	for key := range s.cluster.adopted {
+		if s.cluster.partitionOwner(key) == body.Node {
+			live = append(live, key)
+			s.cluster.migrating[key] = true
 		}
 	}
 	s.cluster.mu.Unlock()
@@ -130,72 +58,52 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	// holds can be the only copy of a partition that saw no traffic
 	// while the node was down.
 	var packages []protocol.TakeoverBody
-	for _, key := range s.cluster.store.GroupKeys() {
-		owner := key
-		if strings.HasPrefix(key, "~") {
-			owner = cluster.HomeKey(strings.TrimPrefix(key, "~"))
-		}
-		if s.cluster.topo.Primary(owner) != body.Node {
+	for _, key := range s.cluster.store.Keys() {
+		if s.cluster.partitionOwner(key) != body.Node {
 			continue
 		}
-		if rep, ok := s.cluster.store.Take(key); ok {
-			packages = append(packages, takeoverFromReplica(key, epoch, rep))
+		if p, ok := s.cluster.store.Take(key); ok {
+			packages = append(packages, p)
 		}
 	}
-	for _, id := range s.cluster.store.MemberIDs() {
-		if s.cluster.topo.Primary(cluster.HomeKey(id)) != body.Node {
-			continue
-		}
-		if mh, ok := s.cluster.store.TakeMember(id); ok {
-			info := mh.Info
-			packages = append(packages, protocol.TakeoverBody{
-				Key: grouplog.MemberKey(id), Epoch: epoch, Member: &info, Token: mh.Token,
-			})
-		}
-	}
-	for _, gid := range groups {
-		packages = append(packages, s.liveGroupTakeover(gid, epoch))
-	}
-	for _, id := range members {
-		packages = append(packages, s.liveMemberTakeover(id, epoch))
+	for _, key := range live {
+		packages = append(packages, s.dump(key))
 	}
 
-	unfreeze := func() {
+	// abort unfreezes and reports nothing shipped: this node keeps
+	// serving what it holds.
+	abort := func() {
 		s.cluster.mu.Lock()
-		for _, gid := range groups {
-			delete(s.cluster.migrating, gid)
-		}
-		for _, id := range members {
-			delete(s.cluster.migrating, grouplog.MemberKey(id))
+		for _, key := range live {
+			delete(s.cluster.migrating, key)
 		}
 		s.cluster.mu.Unlock()
+		reply(nil)
 	}
 
 	if len(packages) == 0 {
-		unfreeze()
-		reply(nil)
+		abort()
 		return
 	}
 
 	ship, err := s.cluster.cfg.Network.Dial(body.Addr)
 	if err != nil {
-		// The recovering node vanished again: abort, keep serving.
-		unfreeze()
-		reply(nil)
+		// The recovering node vanished again.
+		abort()
 		return
 	}
 	defer ship.Close()
 	shipped := make([]string, 0, len(packages))
 	for i := range packages {
-		tb := packages[i]
+		p := &packages[i]
+		p.Epoch = epoch
 		if err := ship.Send(cluster.WrapForward(protocol.ForwardBody{
-			Kind: protocol.ForwardTakeover, Takeover: &tb,
+			Kind: protocol.ForwardTakeover, Takeover: p,
 		})); err != nil {
-			unfreeze()
-			reply(nil)
+			abort()
 			return
 		}
-		shipped = append(shipped, tb.Key)
+		shipped = append(shipped, p.Key)
 	}
 	// Barrier: the receiver acks this marker only after processing every
 	// package that preceded it on this in-order connection.
@@ -203,15 +111,13 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	if err := ship.Send(cluster.WrapForward(protocol.ForwardBody{
 		Kind: protocol.ForwardMigrated, ID: barrierID, From: s.cluster.selfAddr(), Groups: shipped,
 	})); err != nil {
-		unfreeze()
-		reply(nil)
+		abort()
 		return
 	}
 	for {
 		wire, err := ship.Recv()
 		if err != nil {
-			unfreeze()
-			reply(nil)
+			abort()
 			return
 		}
 		msg, err := protocol.DecodeAny(wire)
@@ -229,15 +135,10 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	// keys now, and a future re-adoption installs idempotently on top
 	// (AppendRaw dedups, CreateGroup tolerates duplicates).
 	s.cluster.mu.Lock()
-	for _, gid := range groups {
-		delete(s.cluster.adopted, gid)
-		delete(s.cluster.migrating, gid)
-		s.cluster.served.Delete(gid)
-	}
-	for _, id := range members {
-		delete(s.cluster.adoptedMembers, id)
-		delete(s.cluster.migrating, grouplog.MemberKey(id))
-		s.cluster.homes.Delete(id)
+	for _, key := range live {
+		delete(s.cluster.adopted, key)
+		delete(s.cluster.migrating, key)
+		s.cluster.served.Delete(key)
 	}
 	s.cluster.mu.Unlock()
 	reply(shipped)
@@ -247,48 +148,14 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 // when this node natively owns the key (the recovering primary), into
 // the replica store otherwise (a successor restocking its standby
 // copy). Stale epochs are discarded.
-func (s *Server) installTakeover(tb protocol.TakeoverBody) {
-	if tb.Key == "" || !s.cluster.store.AdmitEpoch(tb.Key, tb.Epoch) {
+func (s *Server) installTakeover(p protocol.TakeoverBody) {
+	if p.Key == "" || !s.cluster.store.AdmitEpoch(p.Key, p.Epoch) {
 		return
 	}
-	s.cluster.topo.AdvanceEpoch(tb.Epoch)
-	if strings.HasPrefix(tb.Key, "~") {
-		id := strings.TrimPrefix(tb.Key, "~")
-		native := s.cluster.topo.Primary(cluster.HomeKey(id)) == s.cluster.cfg.Self
-		if !native {
-			if tb.Member != nil {
-				s.cluster.store.ApplyMemberHome(*tb.Member, tb.Token, "", 0)
-			}
-			if len(tb.Events) > 0 {
-				s.cluster.store.Install(tb.Key, cluster.GroupReplica{Events: tb.Events, Head: headOf(tb.Events)})
-			}
-			return
-		}
-		if tb.Member != nil {
-			_ = s.registry.EnsureMember(memberFromInfo(*tb.Member))
-			s.walMemberHome(memberFromInfo(*tb.Member), tb.Token)
-		}
-		s.bumpNextID(id)
-		if tb.Token != "" {
-			s.mu.Lock()
-			s.tokens[tb.Token] = group.MemberID(id)
-			s.tokenOf[group.MemberID(id)] = tb.Token
-			s.mu.Unlock()
-		}
-		lg := s.logs.Get(tb.Key)
-		for _, e := range tb.Events {
-			lg.AppendRaw(e.GSeq, e.CSeq, e.Class, e.State, e.Wire)
-			s.walEvent(tb.Key, e.GSeq, e.CSeq, e.Class, e.State, e.Wire)
-		}
+	s.cluster.topo.AdvanceEpoch(p.Epoch)
+	if s.cluster.partitionOwner(p.Key) == s.cluster.cfg.Self {
+		s.install(p)
 		return
 	}
-	rep := cluster.GroupReplica{
-		Chair: tb.Chair, Members: tb.Members, Floor: tb.Floor,
-		Events: tb.Events, Head: headOf(tb.Events), BoardHead: tb.BoardHead,
-	}
-	if s.cluster.topo.Primary(tb.Key) != s.cluster.cfg.Self {
-		s.cluster.store.Install(tb.Key, rep)
-		return
-	}
-	s.installGroupReplica(tb.Key, rep)
+	s.cluster.store.Apply(p, "", 0)
 }

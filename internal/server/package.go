@@ -1,0 +1,187 @@
+package server
+
+// The partition package (protocol.TakeoverBody) is the one form a
+// partition key's state takes when it leaves or enters the live planes:
+// dump is the only producer (migration, checkpoint), install the only
+// consumer (WAL replay, failover adoption of a group or a member home,
+// a migration's takeover), and persist journals and replicates the
+// directory part whenever it changes.
+
+import (
+	"errors"
+	"strconv"
+	"strings"
+
+	"dmps/internal/group"
+	"dmps/internal/protocol"
+)
+
+// directory is a partition key's directory part: a group's chair and
+// roster, or a "~member" key's member row and resume token.
+func (s *Server) directory(key string) protocol.TakeoverBody {
+	p := protocol.TakeoverBody{Key: key}
+	if id, member := strings.CutPrefix(key, "~"); member {
+		if m, err := s.registry.Member(group.MemberID(id)); err == nil {
+			info := memberInfo(m)
+			p.Member = &info
+		}
+		s.mu.Lock()
+		p.Token = s.tokenOf[group.MemberID(id)]
+		s.mu.Unlock()
+		return p
+	}
+	if members, err := s.registry.GroupMembers(key); err == nil {
+		for _, m := range members {
+			p.Members = append(p.Members, memberInfo(m))
+		}
+	}
+	if chair, err := s.registry.Chair(key); err == nil {
+		p.Chair = string(chair)
+	}
+	return p
+}
+
+// dump exports a partition key's live state as a package: the directory
+// part, a group's floor blob and board head, and the log's retained
+// window.
+func (s *Server) dump(key string) protocol.TakeoverBody {
+	p := s.directory(key)
+	if !strings.HasPrefix(key, "~") {
+		p.Floor = s.floorState(key).blob()
+		gb := s.board(key)
+		gb.mu.Lock()
+		p.BoardHead = gb.board.Seq()
+		gb.mu.Unlock()
+	}
+	if lg, ok := s.logs.Peek(key); ok {
+		for _, e := range lg.Dump() {
+			p.Events = append(p.Events, protocol.ReplicaEventBody{GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.Wire})
+		}
+	}
+	return p
+}
+
+// install puts a package — whole or partial — into the live planes:
+// member rows into the registry (and the ID counter past them), a
+// member's resume token into the token map, a group's roster and chair,
+// its floor state (mode, holder, queue, suspensions, pin) into the
+// controller, the events into the log plane with their original
+// sequence numbers and the board ops among them into the authoritative
+// board, which never re-mints below the package's board head. Every
+// step is idempotent — a duplicate is state already live — so replaying
+// a journal that restates a key, or adopting on top of a migration's
+// residue, converges. The package is then journalled, so a restart of
+// this process installs it again.
+func (s *Server) install(p protocol.TakeoverBody) {
+	if id, member := strings.CutPrefix(p.Key, "~"); member {
+		if p.Member != nil {
+			s.installed(s.registry.EnsureMember(memberFromInfo(*p.Member)))
+		}
+		s.bumpNextID(id)
+		if p.Token != "" {
+			s.mu.Lock()
+			s.revokeTokenLocked(group.MemberID(id))
+			s.tokens[p.Token] = group.MemberID(id)
+			s.tokenOf[group.MemberID(id)] = p.Token
+			s.mu.Unlock()
+		}
+	}
+	for _, m := range p.Members {
+		s.installed(s.registry.EnsureMember(memberFromInfo(m)))
+		s.bumpNextID(m.ID)
+	}
+	if p.Chair != "" {
+		s.installed(s.registry.CreateGroup(p.Key, group.MemberID(p.Chair)))
+		for _, m := range p.Members {
+			s.installed(s.registry.Join(p.Key, group.MemberID(m.ID)))
+		}
+	}
+	if p.Floor != nil {
+		s.restoreFloor(p.Key, p.Floor)
+	}
+	if len(p.Events) > 0 {
+		lg := s.logs.Get(p.Key)
+		for _, e := range p.Events {
+			lg.AppendRaw(e.GSeq, e.CSeq, e.Class, e.State, e.Wire)
+			if e.Class == protocol.ClassBoard {
+				s.installed(applyBoardWire(s.board(p.Key), e.Wire))
+			}
+		}
+	}
+	if p.BoardHead > 0 {
+		gb := s.board(p.Key)
+		gb.mu.Lock()
+		gb.board.SkipTo(p.BoardHead)
+		gb.mu.Unlock()
+	}
+	s.walPackage(p)
+}
+
+// installed counts an install step that failed: a duplicate is the
+// idempotent re-install of state already live, anything else is state
+// the package carried that did not land
+// (dmps_errors_total{site="state_install"}).
+func (s *Server) installed(err error) {
+	if err != nil && !errors.Is(err, group.ErrDuplicate) {
+		s.installErrs.Add(1)
+	}
+}
+
+// persist records a partition key's directory part after it changed —
+// a group's membership, a member's admission or adoption: journalled,
+// and shipped to the replica peers as one state forward, read and given
+// its forward ID under stateMu so that a higher ID always carries newer
+// state.
+func (s *Server) persist(key string) {
+	if s.cluster == nil {
+		if s.wal != nil {
+			s.walPackage(s.directory(key))
+		}
+		return
+	}
+	s.cluster.stateMu.Lock()
+	defer s.cluster.stateMu.Unlock()
+	p := s.directory(key)
+	s.walPackage(p)
+	if s.servesKey(key) {
+		s.replicateTracked(protocol.ForwardBody{Kind: protocol.ForwardState, Takeover: &p})
+	}
+}
+
+// bumpNextID advances the member-ID counter past the numeric suffix of
+// an installed member ID ("alice#7" → at least 7), so adoption, WAL
+// replay and migration can never lead to re-minting an ID clients
+// already hold.
+func (s *Server) bumpNextID(memberID string) {
+	i := strings.LastIndexByte(memberID, '#')
+	if i < 0 {
+		return
+	}
+	if n, err := strconv.ParseInt(memberID[i+1:], 10, 64); err == nil {
+		s.raiseNextID(n)
+	}
+}
+
+// raiseNextID raises the member-ID counter to at least n.
+func (s *Server) raiseNextID(n int64) {
+	for {
+		cur := s.nextID.Load()
+		if cur >= n || s.nextID.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
+// memberFromInfo converts a replicated directory row back to a Member.
+func memberFromInfo(m protocol.NodeMemberInfo) group.Member {
+	role := group.Participant
+	if strings.EqualFold(m.Role, "chair") {
+		role = group.Chair
+	}
+	return group.Member{ID: group.MemberID(m.ID), Name: m.Name, Role: role, Priority: m.Priority}
+}
+
+// memberInfo converts a directory row to its replication form.
+func memberInfo(m group.Member) protocol.NodeMemberInfo {
+	return protocol.NodeMemberInfo{ID: string(m.ID), Name: m.Name, Role: m.Role.String(), Priority: m.Priority}
+}

@@ -1,0 +1,188 @@
+package server
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"dmps/internal/client"
+	"dmps/internal/clock"
+	"dmps/internal/cluster"
+	"dmps/internal/floor"
+	"dmps/internal/group"
+	"dmps/internal/grouplog"
+	"dmps/internal/netsim"
+	"dmps/internal/protocol"
+	"dmps/internal/resource"
+)
+
+// TestPartitionPackageRoundTrip carries a group key and a member key
+// through every path a partition package takes — a migration's takeover
+// over the wire, a replica store's standby copy adopted on failover, an
+// install journalled and replayed, a checkpoint replayed — and requires
+// the package dumped at the far end to equal the one dumped at the
+// source (the migration's epoch aside). The group holds a roster and
+// chair; a floor with a holder, a two-deep queue, a suspended member and
+// a pin; a coalesced board burst; floor, suspend and board events. The
+// member key holds a row, a resume token and an invitation. Every node
+// is a one-node ring on netsim under a simulated clock, so every key is
+// native and nothing runs on a timer.
+func TestPartitionPackageRoundTrip(t *testing.T) {
+	n := netsim.New(21)
+	sim := clock.NewSim(time.Unix(3000, 0))
+	node := func(addr, walDir string) *Server {
+		t.Helper()
+		srv, err := New(Config{
+			Network: n, Addr: addr, Clock: sim, ProbeInterval: time.Hour,
+			CoalesceInterval: 200 * time.Millisecond, WALDir: walDir,
+			Cluster: &ClusterConfig{Nodes: []string{addr}, Self: 0},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start()
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	srcDir := t.TempDir()
+	src := node("src:1", srcDir)
+
+	members := map[string]*client.Client{}
+	for _, who := range []string{"alice", "bob", "carol", "dave"} {
+		role := "participant"
+		if who == "alice" {
+			role = "chair"
+		}
+		c, err := client.Dial(client.Config{
+			Network: n.From(who + "host"), Addr: "src:1", Name: who,
+			Role: role, Priority: 2, Timeout: 2 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("dial %s: %v", who, err)
+		}
+		t.Cleanup(c.Close)
+		if err := c.Join("hall"); err != nil {
+			t.Fatal(err)
+		}
+		members[who] = c
+	}
+	alice, dave := members["alice"], group.MemberID(members["dave"].MemberID())
+	for i, who := range []string{"alice", "bob", "carol"} {
+		dec, err := members[who].RequestFloor("hall", floor.EqualControl, "")
+		if err != nil || dec.Granted != (i == 0) || dec.QueuePosition != i {
+			t.Fatalf("%s floor request: %+v %v", who, dec, err)
+		}
+	}
+	mode, holder, queue, _, _ := src.floorCtl.StateSnapshot("hall")
+	src.floorCtl.Restore("hall", mode, holder, queue, []group.MemberID{dave}, true)
+	src.logSuspend("hall", protocol.TSuspend, string(dave), resource.Degraded, traceCtx{})
+	// A leading-edge line, then two inside its pacing slot: one batch,
+	// logged as one event carrying the third op in More.
+	for i, line := range []string{"one", "two", "three"} {
+		if i == 1 {
+			sim.Advance(time.Millisecond)
+		}
+		if err := alice.Chat("hall", line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if src.FlushBoardBatches() != 1 {
+		t.Fatal("the held lines did not flush as one batch")
+	}
+	if err := alice.Join("side"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Invite("side", string(dave)); err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{grouplog.MemberKey(string(dave)), "hall"}
+	// A request is acked before its event is appended: wait for all of
+	// them — three floor events, the suspension, two board events, the
+	// invitation — so that nothing lands after the source is dumped.
+	waitFor(t, "every event to be logged", func() bool {
+		return src.logs.Get(keys[0]).Head() == 1 && src.logs.Get("hall").Head() == 6
+	})
+
+	want := map[string]protocol.TakeoverBody{}
+	for _, key := range keys {
+		want[key] = src.dump(key)
+	}
+	hall := want["hall"]
+	if hall.Chair != alice.MemberID() || len(hall.Members) != 4 || hall.BoardHead != 3 ||
+		hall.Floor == nil || hall.Floor.Holder != alice.MemberID() || len(hall.Floor.Queue) != 2 ||
+		len(hall.Floor.Suspended) != 1 || !hall.Floor.Pinned {
+		t.Fatalf("source group package is missing state: %+v floor %+v", hall, hall.Floor)
+	}
+	if home := want[keys[0]]; home.Member == nil || home.Token == "" || len(home.Events) != 1 {
+		t.Fatalf("source member package is missing state: %+v", home)
+	}
+
+	bursts := 0
+	for _, e := range hall.Events {
+		var body protocol.SequencedBody
+		if msg, err := protocol.DecodeBinary(e.Wire); err == nil && e.Class == protocol.ClassBoard && msg.Into(&body) == nil && len(body.More) == 1 {
+			bursts++
+		}
+	}
+	if bursts != 1 {
+		t.Fatalf("the group's log holds %d coalesced bursts, want 1", bursts)
+	}
+	paths := []struct {
+		name string
+		// land carries the source's packages to a node and returns the
+		// node to dump them from.
+		land func(addr string) *Server
+	}{
+		{"migration takeover", func(addr string) *Server {
+			dst := node(addr, "")
+			for _, key := range keys {
+				p := want[key]
+				p.Epoch = 7
+				msg, err := protocol.DecodeAny(cluster.WrapForward(protocol.ForwardBody{Kind: protocol.ForwardTakeover, Takeover: &p}))
+				var fwd protocol.ForwardBody
+				if err != nil || msg.Into(&fwd) != nil || fwd.Takeover == nil {
+					t.Fatalf("takeover forward: %v", err)
+				}
+				dst.installTakeover(*fwd.Takeover)
+			}
+			return dst
+		}},
+		{"failover adoption from the replica store", func(addr string) *Server {
+			dst := node(addr, "")
+			for _, key := range keys {
+				dst.cluster.store.Apply(want[key], "", 0)
+				dst.cluster.mu.Lock()
+				dst.adoptLocked(key)
+				dst.cluster.mu.Unlock()
+			}
+			return dst
+		}},
+		{"install journalled and replayed", func(addr string) *Server {
+			dir := t.TempDir()
+			first := node(addr+"-first", dir)
+			for _, key := range keys {
+				first.install(want[key])
+			}
+			first.Close()
+			return node(addr, dir)
+		}},
+		{"checkpoint replayed", func(addr string) *Server {
+			if err := src.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			src.Close()
+			return node(addr, srcDir)
+		}},
+	}
+	for i, path := range paths {
+		dst := path.land("dst" + string(rune('a'+i)) + ":1")
+		for _, key := range keys {
+			if got := dst.dump(key); !reflect.DeepEqual(got, want[key]) {
+				t.Errorf("%s: %s arrived as\n %+v\nwant\n %+v", path.name, key, got, want[key])
+			}
+		}
+		if errs := dst.installErrs.Load(); errs != 0 {
+			t.Errorf("%s: %d install steps failed", path.name, errs)
+		}
+	}
+}

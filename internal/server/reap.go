@@ -37,10 +37,7 @@ func (s *Server) Reap(now time.Time) []string {
 		}
 		victims = append(victims, sess)
 		delete(s.sessions, id)
-		if tok, ok := s.tokenOf[id]; ok {
-			delete(s.tokens, tok)
-			delete(s.tokenOf, id)
-		}
+		s.revokeTokenLocked(id)
 	}
 	s.mu.Unlock()
 

@@ -231,10 +231,12 @@ type Server struct {
 	boardFlushes [numFlushCauses]atomic.Int64
 	boardHold    *metrics.Histogram
 	// logAppendErrs counts events the publish pipeline's log append
-	// refused and walAppendErrs records the journal failed to write
-	// (dmps_errors_total{site="log_append"|"wal_append"}).
+	// refused, walAppendErrs records the journal failed to write, and
+	// installErrs package steps install could not apply
+	// (dmps_errors_total{site="log_append"|"wal_append"|"state_install"}).
 	logAppendErrs atomic.Int64
 	walAppendErrs atomic.Int64
+	installErrs   atomic.Int64
 
 	// Wire-path telemetry: payload bytes read off client connections
 	// (wireIn) and handed to writers (wireOut), writer flushes and the
@@ -960,8 +962,7 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 			// A fresh admission mints this node's claim on the member:
 			// journal the home (directory row + token) and replicate it to
 			// the ring successors, so the resume outlives this process.
-			s.walMemberHome(member, token)
-			s.replicateMemberHome(member, token)
+			s.persist(grouplog.MemberKey(string(member.ID)))
 		}
 	}
 
@@ -1000,10 +1001,7 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 		// race must not masquerade as a network failure to the client,
 		// which is why the re-check runs before the welcome is written.
 		if id, ok := s.tokens[hello.Token]; !ok || id != member.ID {
-			if tok, ok := s.tokenOf[member.ID]; ok {
-				delete(s.tokens, tok)
-				delete(s.tokenOf, member.ID)
-			}
+			s.revokeTokenLocked(member.ID)
 			s.mu.Unlock()
 			rejectExpired(conn, msg.Seq)
 			_ = conn.Close()
@@ -1060,6 +1058,16 @@ func (s *Server) issueToken(id group.MemberID) string {
 	s.tokens[tok] = id
 	s.tokenOf[id] = tok
 	return tok
+}
+
+// revokeTokenLocked stops a member's resume token resolving — the one
+// revocation, shared by the reaper, a replayed member drop and a resume
+// backed out because a reap raced it. Requires s.mu.
+func (s *Server) revokeTokenLocked(id group.MemberID) {
+	if tok, ok := s.tokenOf[id]; ok {
+		delete(s.tokens, tok)
+		delete(s.tokenOf, id)
+	}
 }
 
 // disconnect marks the session dead (light turns red; membership and

@@ -8,10 +8,12 @@ package server
 // before listening, so a restarted node resumes with the exact
 // GSeq/CSeq cursors its clients hold: a pre-crash client Reconnects
 // with its token and converges through ordinary backfill, no snapshot
-// needed. Periodic checkpoints restate the full state into a fresh
-// segment and truncate the old ones, bounding both replay time and
-// disk. All hooks are no-ops when the WAL is off (s.wal == nil), so
-// the standalone in-memory server pays nothing.
+// needed. Non-log state is journaled as partition packages (walPackage)
+// and replayed through the one install, a record at a time. Periodic
+// checkpoints restate every key's package into a fresh segment and
+// truncate the old ones, bounding both replay time and disk. All hooks
+// are no-ops when the WAL is off (s.wal == nil), so the standalone
+// in-memory server pays nothing.
 
 import (
 	"encoding/json"
@@ -102,13 +104,8 @@ func (fs floorState) blob() *protocol.FloorReplicaBody {
 	return blob
 }
 
-// floorBlob snapshots a group's floor state in its replication form.
-func (s *Server) floorBlob(groupID string) *protocol.FloorReplicaBody {
-	return s.floorState(groupID).blob()
-}
-
 // restoreFloor installs a replicated or journaled floor blob as the
-// group's floor state — floorBlob's inverse.
+// group's floor state — blob's inverse.
 func (s *Server) restoreFloor(groupID string, blob *protocol.FloorReplicaBody) {
 	mode, ok := floor.ParseMode(blob.Mode)
 	if !ok {
@@ -125,47 +122,87 @@ func (s *Server) restoreFloor(groupID string, blob *protocol.FloorReplicaBody) {
 	s.floorCtl.Restore(groupID, mode, group.MemberID(blob.Holder), queue, suspended, blob.Pinned)
 }
 
-// groupData snapshots a group's roster and chair in their WAL form.
-func (s *Server) groupData(groupID string) walGroupData {
-	data := walGroupData{}
-	if members, err := s.registry.GroupMembers(groupID); err == nil {
-		for _, m := range members {
-			data.Members = append(data.Members, memberInfo(m))
+// walPackage journals a partition package, so a restart of this process
+// installs it again.
+func (s *Server) walPackage(p protocol.TakeoverBody) {
+	if s.wal == nil {
+		return
+	}
+	for _, rec := range walRecords(p) {
+		s.walAppend(rec)
+	}
+}
+
+// walRecords is a package in journal form: a WALMember for a member row
+// and token; a WALGroup, a WALFloor and a WALBoardHead for a group's
+// roster, floor blob and board head; a WALEvent per retained event. A
+// part the package does not carry has no record.
+func walRecords(p protocol.TakeoverBody) []grouplog.WALRecord {
+	var recs []grouplog.WALRecord
+	if id, member := strings.CutPrefix(p.Key, "~"); member {
+		if p.Member != nil {
+			recs = append(recs, grouplog.WALRecord{
+				Kind: grouplog.WALMember, Key: id, Data: mustJSON(walMemberData{Info: *p.Member, Token: p.Token}),
+			})
+		}
+	} else {
+		recs = append(recs, grouplog.WALRecord{
+			Kind: grouplog.WALGroup, Key: p.Key, Data: mustJSON(walGroupData{Chair: p.Chair, Members: p.Members}),
+		})
+		if p.Floor != nil {
+			recs = append(recs, grouplog.WALRecord{Kind: grouplog.WALFloor, Key: p.Key, Data: mustJSON(p.Floor)})
 		}
 	}
-	if chair, err := s.registry.Chair(groupID); err == nil {
-		data.Chair = string(chair)
+	for _, e := range p.Events {
+		rec := grouplog.WALRecord{
+			Kind: grouplog.WALEvent, Key: p.Key,
+			GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State,
+		}
+		rec.SetWire(e.Wire)
+		recs = append(recs, rec)
 	}
-	return data
+	if p.BoardHead > 0 {
+		recs = append(recs, grouplog.WALRecord{Kind: grouplog.WALBoardHead, Key: p.Key, GSeq: p.BoardHead})
+	}
+	return recs
 }
 
-// walGroupState journals a group's full non-log serving state: roster
-// and chair, the floor blob, and the board head (so a restarted board
-// never re-mints sequence numbers clients already applied).
-func (s *Server) walGroupState(groupID string) {
-	if s.wal == nil {
-		return
+// packageOf reads one journal record back as the partial package it
+// restates — walRecords' inverse. ok is false for a record restating no
+// package (or one too damaged to).
+func packageOf(rec grouplog.WALRecord) (p protocol.TakeoverBody, ok bool) {
+	p.Key = rec.Key
+	switch rec.Kind {
+	case grouplog.WALEvent:
+		if rec.GSeq <= 0 {
+			return p, false
+		}
+		p.Events = []protocol.ReplicaEventBody{{
+			GSeq: rec.GSeq, CSeq: rec.CSeq, Class: rec.Class, State: rec.State, Wire: rec.WireBytes(),
+		}}
+	case grouplog.WALGroup:
+		var data walGroupData
+		if json.Unmarshal(rec.Data, &data) != nil {
+			return p, false
+		}
+		p.Chair, p.Members = data.Chair, data.Members
+	case grouplog.WALFloor:
+		p.Floor = &protocol.FloorReplicaBody{}
+		if json.Unmarshal(rec.Data, p.Floor) != nil {
+			return p, false
+		}
+	case grouplog.WALBoardHead:
+		p.BoardHead = rec.GSeq
+	case grouplog.WALMember:
+		var data walMemberData
+		if json.Unmarshal(rec.Data, &data) != nil || data.Info.ID == "" {
+			return p, false
+		}
+		p.Key, p.Member, p.Token = grouplog.MemberKey(data.Info.ID), &data.Info, data.Token
+	default:
+		return p, false
 	}
-	s.walAppend(grouplog.WALRecord{Kind: grouplog.WALGroup, Key: groupID, Data: mustJSON(s.groupData(groupID))})
-	s.walFloor(groupID, s.floorBlob(groupID))
-	gb := s.board(groupID)
-	gb.mu.Lock()
-	head := gb.board.Seq()
-	gb.mu.Unlock()
-	s.walAppend(grouplog.WALRecord{Kind: grouplog.WALBoardHead, Key: groupID, GSeq: head})
-}
-
-// walMemberHome journals a homed member's directory row and resume
-// token — what lets the token resolve again after a restart.
-func (s *Server) walMemberHome(m group.Member, token string) {
-	if s.wal == nil {
-		return
-	}
-	s.walAppend(grouplog.WALRecord{
-		Kind: grouplog.WALMember, Key: string(m.ID),
-		Data: mustJSON(walMemberData{Info: memberInfo(m), Token: token}),
-	})
-	s.walAppend(grouplog.WALRecord{Kind: grouplog.WALNextID, GSeq: s.nextID.Load()})
+	return p, p.Key != ""
 }
 
 // walMemberDrop journals a member's expiry, so a replayed journal does
@@ -191,23 +228,25 @@ func mustJSON(v any) json.RawMessage {
 // op plus the rest in More). Converge, not Apply: the source is
 // authoritative — this node's own journal or a replicated suffix — so
 // a leading hole is history the retention window dropped, not loss.
-func applyBoardWire(gb *groupBoard, wire []byte) {
+func applyBoardWire(gb *groupBoard, wire []byte) error {
 	msg, err := protocol.DecodeBinary(wire)
 	if err != nil {
-		return
+		return err
 	}
 	var body protocol.SequencedBody
-	if msg.Into(&body) != nil || body.Seq == 0 {
-		return
+	if err := msg.Into(&body); err != nil || body.Seq == 0 {
+		return err
 	}
-	ops := append([]protocol.SequencedBody{body}, body.More...)
 	gb.mu.Lock()
-	for _, op := range ops {
+	defer gb.mu.Unlock()
+	for _, op := range append([]protocol.SequencedBody{body}, body.More...) {
 		if kind, ok := whiteboard.ParseOpKind(op.Kind); ok {
-			_ = gb.board.Converge(whiteboard.Op{Seq: op.Seq, Author: op.Author, Kind: kind, Data: op.Data})
+			if err := gb.board.Converge(whiteboard.Op{Seq: op.Seq, Author: op.Author, Kind: kind, Data: op.Data}); err != nil {
+				return err
+			}
 		}
 	}
-	gb.mu.Unlock()
+	return nil
 }
 
 // replayWAL installs every journaled record into the live planes, in
@@ -217,77 +256,21 @@ func applyBoardWire(gb *groupBoard, wire []byte) {
 func (s *Server) replayWAL(w *grouplog.WAL) error {
 	return w.Replay(func(rec grouplog.WALRecord) error {
 		switch rec.Kind {
-		case grouplog.WALEvent:
-			if rec.Key == "" || rec.GSeq <= 0 {
-				return nil
-			}
-			s.logs.Get(rec.Key).AppendRaw(rec.GSeq, rec.CSeq, rec.Class, rec.State, rec.WireBytes())
-			if rec.Class == protocol.ClassBoard && !strings.HasPrefix(rec.Key, "~") {
-				applyBoardWire(s.board(rec.Key), rec.WireBytes())
-			}
-		case grouplog.WALGroup:
-			var data walGroupData
-			if rec.Key == "" || json.Unmarshal(rec.Data, &data) != nil {
-				return nil
-			}
-			for _, m := range data.Members {
-				_ = s.registry.EnsureMember(memberFromInfo(m))
-				s.bumpNextID(m.ID)
-			}
-			if data.Chair != "" {
-				if err := s.registry.CreateGroup(rec.Key, group.MemberID(data.Chair)); err != nil {
-					_ = err // duplicate create on a later restatement
-				}
-				for _, m := range data.Members {
-					_ = s.registry.Join(rec.Key, group.MemberID(m.ID))
-				}
-			}
-		case grouplog.WALFloor:
-			var blob protocol.FloorReplicaBody
-			if rec.Key == "" || json.Unmarshal(rec.Data, &blob) != nil {
-				return nil
-			}
-			s.restoreFloor(rec.Key, &blob)
-		case grouplog.WALMember:
-			var data walMemberData
-			if json.Unmarshal(rec.Data, &data) != nil || data.Info.ID == "" {
-				return nil
-			}
-			_ = s.registry.EnsureMember(memberFromInfo(data.Info))
-			s.bumpNextID(data.Info.ID)
-			if data.Token != "" {
-				s.mu.Lock()
-				s.tokens[data.Token] = group.MemberID(data.Info.ID)
-				s.tokenOf[group.MemberID(data.Info.ID)] = data.Token
-				s.mu.Unlock()
-			}
+		case grouplog.WALNextID:
+			s.raiseNextID(rec.GSeq)
 		case grouplog.WALMemberDrop:
 			if rec.Key == "" {
 				return nil
 			}
 			id := group.MemberID(rec.Key)
 			s.mu.Lock()
-			if tok, ok := s.tokenOf[id]; ok {
-				delete(s.tokens, tok)
-				delete(s.tokenOf, id)
-			}
+			s.revokeTokenLocked(id)
 			s.mu.Unlock()
 			s.registry.Unregister(id)
 			s.logs.Drop(grouplog.MemberKey(rec.Key))
-		case grouplog.WALBoardHead:
-			if rec.Key == "" {
-				return nil
-			}
-			gb := s.board(rec.Key)
-			gb.mu.Lock()
-			gb.board.SkipTo(rec.GSeq)
-			gb.mu.Unlock()
-		case grouplog.WALNextID:
-			for {
-				cur := s.nextID.Load()
-				if cur >= rec.GSeq || s.nextID.CompareAndSwap(cur, rec.GSeq) {
-					break
-				}
+		default:
+			if p, ok := packageOf(rec); ok {
+				s.install(p)
 			}
 		}
 		return nil
@@ -295,52 +278,27 @@ func (s *Server) replayWAL(w *grouplog.WAL) error {
 }
 
 // Checkpoint restates the node's full serving state — the ID counter,
-// every member home and token, every group's roster/floor/board head,
-// and every log's retained window — into a fresh WAL segment, then
-// truncates the older segments. The probe loop runs it on the
-// WALCheckpointInterval cadence; tests call it directly. No-op (nil)
-// when the WAL is off.
+// then every partition key's package: member homes and tokens first (a
+// group's chair must be registered before the group is), then every
+// group's roster, floor and board head, each with its log's retained
+// window — into a fresh WAL segment, then truncates the older segments.
+// The probe loop runs it on the WALCheckpointInterval cadence; tests
+// call it directly. No-op (nil) when the WAL is off.
 func (s *Server) Checkpoint() error {
 	if s.wal == nil {
 		return nil
 	}
-	var recs []grouplog.WALRecord
-	recs = append(recs, grouplog.WALRecord{Kind: grouplog.WALNextID, GSeq: s.nextID.Load()})
-	s.mu.Lock()
-	tokens := make(map[group.MemberID]string, len(s.tokenOf))
-	for id, tok := range s.tokenOf {
-		tokens[id] = tok
-	}
-	s.mu.Unlock()
+	var keys []string
 	for _, m := range s.registry.Members() {
-		recs = append(recs, grouplog.WALRecord{
-			Kind: grouplog.WALMember, Key: string(m.ID),
-			Data: mustJSON(walMemberData{Info: memberInfo(m), Token: tokens[m.ID]}),
-		})
+		keys = append(keys, grouplog.MemberKey(string(m.ID)))
 	}
-	for _, gid := range s.registry.Groups() {
-		recs = append(recs,
-			grouplog.WALRecord{Kind: grouplog.WALGroup, Key: gid, Data: mustJSON(s.groupData(gid))},
-			grouplog.WALRecord{Kind: grouplog.WALFloor, Key: gid, Data: mustJSON(s.floorBlob(gid))},
-		)
-		gb := s.board(gid)
-		gb.mu.Lock()
-		head := gb.board.Seq()
-		gb.mu.Unlock()
-		recs = append(recs, grouplog.WALRecord{Kind: grouplog.WALBoardHead, Key: gid, GSeq: head})
-	}
-	for _, key := range s.logs.Keys() {
-		lg, ok := s.logs.Peek(key)
-		if !ok {
-			continue
-		}
-		for _, e := range lg.Dump() {
-			rec := grouplog.WALRecord{
-				Kind: grouplog.WALEvent, Key: key,
-				GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State,
-			}
-			rec.SetWire(e.Wire)
-			recs = append(recs, rec)
+	keys = append(append(keys, s.registry.Groups()...), s.logs.Keys()...)
+	recs := []grouplog.WALRecord{{Kind: grouplog.WALNextID, GSeq: s.nextID.Load()}}
+	seen := make(map[string]bool, len(keys))
+	for _, key := range keys {
+		if !seen[key] {
+			seen[key] = true
+			recs = append(recs, walRecords(s.dump(key))...)
 		}
 	}
 	return s.wal.Checkpoint(recs)

@@ -1,9 +1,8 @@
-// Runtime tracing plane. The rest of this package is the experiment
-// recorder the offline harness uses; this file is the production side:
-// every process (router, cluster node) owns one Plane into which its
-// hops record named spans for sampled operations — router "relay",
-// server "dispatch"/"arbitrate"/"log_append"/"repl_ack"/"queue_wait"/
-// "encode"/"flush" — keyed by the wire-propagated trace ID
+// Package trace is the runtime tracing plane: every process (router,
+// cluster node) owns one Plane into which its hops record named spans
+// for sampled operations — router "relay", server "dispatch"/
+// "arbitrate"/"log_append"/"repl_ack"/"queue_wait"/"encode"/"flush" —
+// keyed by the wire-propagated trace ID
 // (protocol.Message.TraceID). A background sweeper assembles each
 // trace's spans into a completed op trace and retains it in two
 // bounded flight-recorder rings: a recent ring, and a slow ring whose
