@@ -1,11 +1,8 @@
 // Command dmps-benchjson converts `go test -bench` output into the
 // repository's BENCH_*.json format and gates the log plane's headline
 // invariants: with the event-log append on the broadcast hot path,
-// encodes/op must stay at exactly one Encode per broadcast, and with
-// restatement coalescing on, queue churn must log at most one "queue"
-// restatement per queue-shifting transition
-// (logged_queue_events/transition from BenchmarkQueueChurn), and an
-// annotation storm must coalesce board ops into per-tick batches
+// encodes/op must stay at exactly one Encode per broadcast, and an
+// annotation storm must coalesce board ops into paced batches
 // (logged_board_events/op from BenchmarkBoardStorm). CI pipes the
 // bench output through it and fails the step on a regression.
 //
@@ -27,8 +24,8 @@
 // Usage:
 //
 //	go test -run='^$' -bench='BenchmarkBroadcast|BenchmarkQueueChurn|BenchmarkBoardStorm|BenchmarkClusterBroadcast' -benchmem . \
-//	  | go run ./cmd/dmps-benchjson -out BENCH_pr6.json -max-encodes 1.0 -max-queue-churn 1.0 -max-board-storm 0.5 \
-//	      -baseline BENCH_pr5.json -max-growth 1.30 -note "..."
+//	  | go run ./cmd/dmps-benchjson -out BENCH_ci.json -max-encodes 1.0 -max-board-storm 0.5 \
+//	      -baseline BENCH_pr10.json -max-growth 1.30 -note "..."
 package main
 
 import (
@@ -84,7 +81,6 @@ func main() {
 	in := flag.String("in", "", "bench output file (default stdin)")
 	out := flag.String("out", "", "JSON file to write (default stdout)")
 	maxEncodes := flag.Float64("max-encodes", 0, "fail if any encodes/op metric exceeds this (0 disables the gate)")
-	maxQueueChurn := flag.Float64("max-queue-churn", 0, "fail if any logged_queue_events/transition metric exceeds this (0 disables the gate)")
 	maxBoardStorm := flag.Float64("max-board-storm", 0, "fail if any logged_board_events/op metric exceeds this (0 disables the gate)")
 	baseline := flag.String("baseline", "", "prior BENCH_*.json to gate B/op and allocs/op growth against")
 	maxGrowth := flag.Float64("max-growth", 1.30, "fail if B/op or allocs/op grows past baseline×this ratio (with -baseline)")
@@ -134,11 +130,10 @@ func main() {
 	}
 
 	// The gates: encodes/op proves the encode-once invariant held with
-	// the log append on the hot path; logged_queue_events/transition
-	// proves queue churn still coalesces into per-tick restatements.
-	// Requiring at least one matching metric keeps each enabled gate
-	// from passing vacuously when the bench selection or output format
-	// drifts.
+	// the log append on the hot path; logged_board_events/op proves an
+	// annotation storm still batches. Requiring at least one matching
+	// metric keeps each enabled gate from passing vacuously when the
+	// bench selection or output format drifts.
 	gate := func(unit string, max float64, what string) {
 		gated := 0
 		for name, row := range rows {
@@ -157,9 +152,6 @@ func main() {
 	}
 	if *maxEncodes > 0 {
 		gate("encodes_op", *maxEncodes, "the encode-once invariant")
-	}
-	if *maxQueueChurn > 0 {
-		gate("logged_queue_events_transition", *maxQueueChurn, "queue-restatement coalescing")
 	}
 	if *maxBoardStorm > 0 {
 		gate("logged_board_events_op", *maxBoardStorm, "board-op storm coalescing")

@@ -7,7 +7,7 @@
 //
 //	dmps-swarm -addr 127.0.0.1:4320 [-nodes host1:4321,host2:4321] \
 //	    [-mix lecture,reconnect-storm] [-members 16] [-ops 200] \
-//	    [-mean 5ms] [-seed 1] [-out BENCH_pr7.json] [-note "..."] \
+//	    [-mean 5ms] [-seed 1] [-out report.json] [-note "..."] \
 //	    [-chaos-kill 'kill $(cat node$DMPS_CHAOS_NODE.pid)'] \
 //	    [-chaos-restart '...']
 //
@@ -48,16 +48,11 @@
 // Check mode validates a previously written report instead of running
 // load — the CI gate after the swarm smoke:
 //
-//	dmps-swarm -check BENCH_pr7.json [-baseline BENCH_pr6.json -max-growth 4.0] \
-//	    [-require-scrapes 2]
+//	dmps-swarm -check report.json [-require-scrapes 2] [-require-stages 5]
 //
 // It exits non-zero unless every Swarm/<mix> entry present has a
 // finite, non-zero p99 grant latency, zero errors, and zero
-// floor-exclusivity violations. With -baseline it additionally gates
-// the latency trend: every mix present in BOTH documents must not have
-// grown its p99 grant latency past -max-growth times the baseline's (a
-// ratio; latency on shared runners is noisy, so pick a tolerant one).
-// Mixes new in this run pass freely. With -require-scrapes N the
+// floor-exclusivity violations. With -require-scrapes N the
 // report must carry at least one Scrape/ entry and every one must hold
 // ≥ N samples of at least one dmps_ series — the soak-mode gate. With
 // -require-stages N the report must carry ≥ N Stage/ entries with
@@ -100,8 +95,6 @@ func run() int {
 	check := flag.String("check", "", "validate an existing report file instead of running load")
 	chaosKill := flag.String("chaos-kill", "", "shell command felling the chaos group's owner node ($DMPS_CHAOS_NODE = owner index; needs -nodes)")
 	chaosRestart := flag.String("chaos-restart", "", "shell command restarting the felled node later in the chaos mix")
-	baseline := flag.String("baseline", "", "with -check, gate p99 grant latencies against this prior report")
-	maxGrowth := flag.Float64("max-growth", 0, "with -baseline, fail if a mix's grant_p99_ms exceeds baseline × this ratio")
 	requireScrapes := flag.Int("require-scrapes", 0, "with -check, require ≥ this many /metrics samples per scraped endpoint")
 	shards := flag.Int("shards", 1, "generator process count the global schedule splits across")
 	shard := flag.Int("shard", 0, "this process's shard index in [0, shards)")
@@ -120,7 +113,7 @@ func run() int {
 	}
 
 	if *check != "" {
-		return checkReport(*check, *baseline, *maxGrowth, *requireScrapes, *requireStages, fail)
+		return checkReport(*check, *requireScrapes, *requireStages, fail)
 	}
 	if *merge {
 		return mergeReports(flag.Args(), *out, fail)
@@ -359,10 +352,8 @@ func loadReport(path string) (map[string]map[string]float64, map[string]map[stri
 // one Swarm/<mix> entry, and every entry must show zero errors, zero
 // floor-exclusivity violations, and a finite, non-zero p99 grant
 // latency — the smoke-level SLO that load actually flowed, grants
-// actually resolved, and the floor stayed exclusive. With a baseline,
-// each mix present in both reports must also hold its p99 grant
-// latency within growth × the baseline's — the latency trend gate.
-// With requireScrapes > 0, the report must carry Scrape/ entries, each
+// actually resolved, and the floor stayed exclusive. With
+// requireScrapes > 0, the report must carry Scrape/ entries, each
 // holding at least that many samples of at least one dmps_ series.
 // With requireStages > 0, the report must carry at least that many
 // Stage/ entries with spans, and their p50 sum must be non-zero yet no
@@ -370,19 +361,10 @@ func loadReport(path string) (map[string]map[string]float64, map[string]map[stri
 // must both exist and actually account for the latency it claims to
 // explain (stage time not covered by a grant, like fan-out flushes,
 // keeps the sum from being an equality; 1.5× bounds the slack).
-func checkReport(path, baseline string, growth float64, requireScrapes, requireStages int, fail func(string, ...any) int) int {
+func checkReport(path string, requireScrapes, requireStages int, fail func(string, ...any) int) int {
 	doc, loose, err := loadReport(path)
 	if err != nil {
 		return fail("check: %v", err)
-	}
-	var base map[string]map[string]float64
-	if baseline != "" {
-		if base, _, err = loadReport(baseline); err != nil {
-			return fail("check: baseline: %v", err)
-		}
-		if !(growth > 0) {
-			return fail("check: -baseline needs -max-growth > 0")
-		}
 	}
 	checked, scraped, staged := 0, 0, 0
 	stageSum, maxGrantP50 := 0.0, 0.0
@@ -432,12 +414,6 @@ func checkReport(path, baseline string, growth float64, requireScrapes, requireS
 		if entry["invariant_violations"] > 0 {
 			return fail("check: %s: %v floor-exclusivity violations: %v",
 				name, entry["invariant_violations"], loose[name]["violations"])
-		}
-		if prior, ok := base[name]; ok && prior["grant_p99_ms"] > 0 {
-			if p99 > prior["grant_p99_ms"]*growth {
-				return fail("check: %s: grant_p99_ms %.3f > %.2f× baseline %.3f",
-					name, p99, growth, prior["grant_p99_ms"])
-			}
 		}
 	}
 	if checked == 0 {

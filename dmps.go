@@ -44,10 +44,10 @@
 // classes are filtered before they touch the session's queue, so an
 // uninterested member costs zero bytes under churn. Queue slots are
 // private — every member sees only the queue length and their own
-// position, live, in backfills and in snapshots. Queue restatements
-// coalesce (ServerConfig.CoalesceInterval, default one probe tick): N
-// transitions per tick cost one logged restatement. Board operations
-// are paced instead of ticked: one slot is CoalesceInterval/64, a line
+// position, live, in backfills and in snapshots; a queued member's copy
+// of each floor event carries its slot, so the release or pass that
+// moved the queue is also what tells everyone behind it. Board
+// operations are paced instead of ticked: one slot is 3.125 ms, a line
 // arriving a slot or more after its group's last one is broadcast
 // inline, and only lines inside a slot — a storm — batch. And members gone
 // longer than ServerConfig.SessionTTL (default one hour) are reaped —
@@ -238,8 +238,8 @@ var ErrSessionExpired = client.ErrSessionExpired
 // server, before the session's delivery queue — an unsubscribed class
 // costs the client zero bytes, even under churn.
 const (
-	// ClassFloor: floor events (grants, queueing, releases, restatements,
-	// mode switches).
+	// ClassFloor: floor events (grants, queueing, releases, queue
+	// changes, mode switches).
 	ClassFloor = protocol.ClassFloor
 	// ClassSuspend: Media-Suspend / resume notices.
 	ClassSuspend = protocol.ClassSuspend

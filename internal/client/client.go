@@ -639,56 +639,36 @@ func (c *Client) apply(msg protocol.Message) {
 					c.holders[msg.Group] = body.Holder
 				}
 			}
-			// Track this member's own queue movement. Becoming holder —
-			// whether granted directly or promoted on a release/pass —
-			// always clears the slot, a mode switch resets the whole
-			// floor (queue included), and a "queue" restatement is
-			// authoritative either way: queue slots are private, so the
-			// server personalizes the copy a queued member receives
-			// (QueuePosition > 0) while everyone else's copy carries 0 —
-			// meaning "you are not queued", never "here is the queue".
-			selfPos := -1 // ≥ 0: this member's slot changed (0 = dequeued)
-			switch {
-			case body.Event == "mode_switch":
-				delete(c.queuePos, msg.Group)
-			case body.Event == "queue":
+			// Track this member's own queue slot. Queue slots are private:
+			// every state-bearing floor event carries the recipient's own
+			// slot, 0 meaning "you are not queued", and so does the
+			// unlogged queue_position nudge that follows a backfill.
+			me := c.memberID
+			moved := false // another member's event moved this member's slot
+			if msg.State || (body.Event == "queue_position" && body.Member == me) {
 				pos := body.QueuePosition
-				if pos != c.queuePos[msg.Group] {
-					selfPos = pos
-				}
+				moved = pos > 0 && pos != c.queuePos[msg.Group] && body.Member != me
 				if pos > 0 {
 					c.queuePos[msg.Group] = pos
 				} else {
 					delete(c.queuePos, msg.Group)
 				}
-			case body.Member == c.memberID:
-				switch body.Event {
-				case "queued", "queue_position", "approved":
-					c.queuePos[msg.Group] = body.QueuePosition
-				case "granted":
-					delete(c.queuePos, msg.Group)
-				}
 			}
-			if body.Holder == c.memberID {
-				delete(c.queuePos, msg.Group)
-			}
-			me := c.memberID
 			c.mu.Unlock()
-			if body.Event == "queue" {
-				// The raw restatement is a transport detail; subscribers
-				// get the member-facing rendering — their own movement —
-				// exactly as a directed push would have delivered it.
-				if selfPos > 0 {
-					c.publish(Event{Kind: FloorEvents, Type: msg.Type, Group: msg.Group, Floor: protocol.FloorEventBody{
-						Mode:          body.Mode,
-						Holder:        body.Holder,
-						Member:        me,
-						Event:         "queue_position",
-						QueuePosition: selfPos,
-					}})
-				}
-			} else {
+			// A "queue" event is a transport detail; subscribers get the
+			// member-facing rendering — their own movement — exactly as a
+			// directed push would have delivered it.
+			if body.Event != "queue" {
 				c.publish(Event{Kind: FloorEvents, Type: msg.Type, Group: msg.Group, Floor: body})
+			}
+			if moved {
+				c.publish(Event{Kind: FloorEvents, Type: msg.Type, Group: msg.Group, Floor: protocol.FloorEventBody{
+					Mode:          body.Mode,
+					Holder:        body.Holder,
+					Member:        me,
+					Event:         "queue_position",
+					QueuePosition: body.QueuePosition,
+				}})
 			}
 		}
 	case protocol.TInviteEvent:

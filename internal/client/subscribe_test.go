@@ -19,12 +19,10 @@ import (
 func subscribeHarness(t *testing.T, seed int64, n int) []*client.Client {
 	t.Helper()
 	net := netsim.New(seed)
-	// Probes parked out of the way; queue restatements still coalesce on
-	// a fast tick of their own so position pushes stay testable.
+	// Probes parked out of the way.
 	srv, err := server.New(server.Config{
 		Network: net, Addr: "srv:1",
-		ProbeInterval:    time.Hour,
-		CoalesceInterval: 5 * time.Millisecond,
+		ProbeInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

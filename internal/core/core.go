@@ -47,9 +47,6 @@ type Options struct {
 	// compacts class-wise, and clients the retained suffix cannot
 	// connect converge through a snapshot instead of a replay.
 	LogCap int
-	// CoalesceInterval is the server's queue-restatement tick (default:
-	// one probe tick); a sixty-fourth of it is the board pacing slot.
-	CoalesceInterval time.Duration
 	// SessionTTL bounds how long a disconnected member's session token
 	// and directory entry outlive their last connection before the
 	// server reaps them (default: the server's own default, one hour).
@@ -91,16 +88,15 @@ func NewLab(opts Options) (*Lab, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	srv, err := server.New(server.Config{
-		Network:          net,
-		Addr:             ServerAddr,
-		Monitor:          mon,
-		ProbeInterval:    opts.ProbeInterval,
-		ProbeTimeout:     opts.ProbeTimeout,
-		SendQueueCap:     opts.SendQueueCap,
-		SlowPolicy:       opts.SlowPolicy,
-		LogCap:           opts.LogCap,
-		CoalesceInterval: opts.CoalesceInterval,
-		SessionTTL:       opts.SessionTTL,
+		Network:       net,
+		Addr:          ServerAddr,
+		Monitor:       mon,
+		ProbeInterval: opts.ProbeInterval,
+		ProbeTimeout:  opts.ProbeTimeout,
+		SendQueueCap:  opts.SendQueueCap,
+		SlowPolicy:    opts.SlowPolicy,
+		LogCap:        opts.LogCap,
+		SessionTTL:    opts.SessionTTL,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -265,17 +261,16 @@ func (c *Cluster) startNode(i int) (*server.Server, *resource.Monitor, error) {
 		walDir = filepath.Join(c.opts.WALDir, fmt.Sprintf("node%d", i))
 	}
 	srv, err := server.New(server.Config{
-		Network:          c.Net,
-		Addr:             c.addrs[i],
-		Monitor:          mon,
-		ProbeInterval:    c.opts.ProbeInterval,
-		ProbeTimeout:     c.opts.ProbeTimeout,
-		SendQueueCap:     c.opts.SendQueueCap,
-		SlowPolicy:       c.opts.SlowPolicy,
-		LogCap:           c.opts.LogCap,
-		CoalesceInterval: c.opts.CoalesceInterval,
-		SessionTTL:       c.opts.SessionTTL,
-		WALDir:           walDir,
+		Network:       c.Net,
+		Addr:          c.addrs[i],
+		Monitor:       mon,
+		ProbeInterval: c.opts.ProbeInterval,
+		ProbeTimeout:  c.opts.ProbeTimeout,
+		SendQueueCap:  c.opts.SendQueueCap,
+		SlowPolicy:    c.opts.SlowPolicy,
+		LogCap:        c.opts.LogCap,
+		SessionTTL:    c.opts.SessionTTL,
+		WALDir:        walDir,
 		Cluster: &server.ClusterConfig{
 			Nodes:             c.addrs,
 			Self:              i,

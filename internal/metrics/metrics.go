@@ -2,14 +2,13 @@
 // registry: a small, dependency-free set of counters, gauges and
 // fixed-bucket histograms exposed in the Prometheus text exposition
 // format. The server and the router register their existing counters
-// behind scrape-time collectors — SessionStats, CoalesceStats,
-// BoardStormStats, the grouplog occupancy/compaction counters, the
-// cluster pool's per-peer forward counters, the partition map's
-// down-set — so a scrape reads the numbers the system already computes
-// and nothing is sampled twice. The swarm harness (internal/swarm)
-// records its floor-grant and event-propagation latencies into the same
-// Histogram type, so swarm runs and production operators read one
-// gauge vocabulary.
+// behind scrape-time collectors — SessionStats, BoardStormStats, the
+// grouplog occupancy/compaction counters, the cluster pool's per-peer
+// forward counters, the partition map's down-set — so a scrape reads
+// the numbers the system already computes and nothing is sampled twice.
+// The swarm harness (internal/swarm) records its floor-grant and
+// event-propagation latencies into the same Histogram type, so swarm
+// runs and production operators read one gauge vocabulary.
 //
 // Instruments are safe for concurrent use: counters and gauges are
 // atomics, histograms use per-bucket atomic counters, and a scrape
@@ -407,7 +406,7 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 // every scrape and returns the samples to export (one bare sample, or
 // several distinguished by a label pair). This is how the server and
 // router export the counters they already keep — SessionStats,
-// CoalesceStats, pool and partition state — without double bookkeeping.
+// BoardStormStats, pool and partition state — without double bookkeeping.
 func (r *Registry) GaugeFunc(name, help string, collect func() []Sample) {
 	r.register(&metric{name: name, help: help, kind: kindGauge, collect: collect})
 }

@@ -152,7 +152,7 @@ var AllTypes = []Type{
 // never punches holes in the sequence a client admits against.
 const (
 	// ClassFloor: floor events — grants, releases, passes, queueing,
-	// approvals, queue restatements, mode switches (TFloorEvent).
+	// approvals, queue changes, mode switches (TFloorEvent).
 	ClassFloor = "floor"
 	// ClassSuspend: Media-Suspend and resume notices (TSuspend/TResume).
 	ClassSuspend = "suspend"
@@ -378,14 +378,15 @@ type FloorEventBody struct {
 	// Event is the transition kind: "granted", "denied", "released",
 	// "passed", "queued", "approved", "queue_position", "mode_switch"
 	// (the group's floor mode changed; Mode is the new mode), or "queue"
-	// (a coalesced restatement of the pending queue after transitions
-	// shifted it).
+	// (the pending queue changed with no other transition — a queued
+	// member was reaped; Member names them).
 	Event string `json:"event"`
-	// QueuePosition is the recipient's own 1-based queue slot. Queue
-	// slots are private: the logged (and backfilled) form of every floor
-	// event carries 0, and the server personalizes the copy delivered to
-	// a queued member — nobody learns another member's position, only
-	// the public queue length.
+	// QueuePosition is the recipient's own 1-based queue slot; 0 means
+	// not queued. Queue slots are private: the logged (and backfilled)
+	// form of every floor event carries 0, and the server personalizes
+	// each queued member's copy of every state-bearing floor event —
+	// nobody learns another member's position, only the public queue
+	// length.
 	QueuePosition int `json:"queue_position,omitempty"`
 	// QueueLen is the pending queue's length — the only queue shape
 	// everyone sees.

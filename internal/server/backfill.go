@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
@@ -60,7 +61,7 @@ func (s *Server) backfillGroupLog(sess *session, groupID string, afters map[stri
 	}
 	// Queue slots are redacted from the retained (canonical) event
 	// bytes, so a replayed suffix can tell the requester the queue moved
-	// but not where they now stand — worse, a replayed restatement
+	// but not where they now stand — worse, every replayed floor event
 	// carries position 0 and would convince a still-queued requester it
 	// left the queue; restate their own slot directly when they hold
 	// one. The nudge is unlogged (CSeq 0) and personalized — the same
@@ -78,13 +79,7 @@ func (s *Server) nudgeQueueSlot(sess *session, groupID string) {
 		return
 	}
 	mode, holder, queue, _, _ := s.floorCtl.StateSnapshot(groupID)
-	pos := 0
-	for i, m := range queue {
-		if m == sess.member.ID {
-			pos = i + 1
-			break
-		}
-	}
+	pos := slices.Index(queue, sess.member.ID) + 1
 	if pos == 0 {
 		return
 	}
@@ -149,15 +144,10 @@ func (s *Server) sendSnapshot(sess *session, groupID string, boardSeq int64) {
 		ClassSeqs: classSeqs,
 		Mode:      mode.String(),
 		Holder:    string(holder),
+		QueuePos:  slices.Index(queue, sess.member.ID) + 1,
 		QueueLen:  len(queue),
 		Level:     level.String(),
 		Pinned:    pinned,
-	}
-	for i, m := range queue {
-		if m == sess.member.ID {
-			body.QueuePos = i + 1
-			break
-		}
 	}
 	for _, m := range suspended {
 		body.Suspended = append(body.Suspended, string(m))

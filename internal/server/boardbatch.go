@@ -9,11 +9,14 @@ import (
 
 // boardBatchMax bounds a coalesced board event: a storm longer than
 // this flushes mid-slot, keeping any single logged message (and the
-// burst a catching-up client applies at once) small. It also derives
-// the pacing slot: CoalesceInterval / boardBatchMax, so a saturated
-// single-author storm costs the same ≥ boardBatchMax ops per event
-// whichever edge closes its batches.
+// burst a catching-up client applies at once) small.
 const boardBatchMax = 64
+
+// boardSlot is the pacing slot: each group logs at most one held board
+// event per slot. 3.125 ms is a 200 ms tick split boardBatchMax ways, so
+// a saturated single-author storm costs the same ≥ boardBatchMax ops per
+// event whichever edge closes its batches.
+const boardSlot = 200 * time.Millisecond / boardBatchMax
 
 // flushCause says why a board event was logged; the per-cause counters
 // are exported as dmps_board_flush_total{cause}.
@@ -32,11 +35,11 @@ var flushCauseNames = [numFlushCauses]string{"inline", "deadline", "author", "fu
 
 // enqueueBoardOp routes one authoritative board operation into the
 // coalescing plane, which paces each group to one timer-driven event
-// per slot (s.boardSlot). Leading edge: when no batch is open and the
+// per boardSlot. Leading edge: when no batch is open and the
 // group's last logged board event is at least a slot old, the
 // operation logs inline — a single author slower than one line per
 // slot is never held. Trailing edge: an operation inside the slot
-// opens (or joins) the group's batch, which the coalesce loop flushes
+// opens (or joins) the group's batch, which the board loop flushes
 // when the slot ends, at lastLog + slot; an operation that finds the
 // batch already past that deadline (the loop is late) flushes it first
 // and is judged on its own, so a stale batch never captures later
@@ -53,7 +56,7 @@ func (s *Server) enqueueBoardOp(groupID string, gb *groupBoard, op whiteboard.Op
 	now := s.cfg.Clock.Now()
 	if len(gb.pend) > 0 {
 		switch {
-		case !now.Before(gb.lastLog.Add(s.boardSlot)):
+		case !now.Before(gb.lastLog.Add(boardSlot)):
 			s.flushBoardLocked(groupID, gb, flushDeadline, now)
 		case gb.pend[0].Author != op.Author || gb.pendType != typ:
 			s.flushBoardLocked(groupID, gb, flushAuthor, now)
@@ -61,7 +64,7 @@ func (s *Server) enqueueBoardOp(groupID string, gb *groupBoard, op whiteboard.Op
 	}
 	body := protocol.SequencedBody{Seq: op.Seq, Author: op.Author, Kind: kind, Data: op.Data}
 	if len(gb.pend) == 0 {
-		if now.Sub(gb.lastLog) >= s.boardSlot {
+		if now.Sub(gb.lastLog) >= boardSlot {
 			gb.lastLog = now
 			s.logBoardEvent(groupID, typ, body, flushInline)
 			return
@@ -91,7 +94,7 @@ func (s *Server) flushBoardLocked(groupID string, gb *groupBoard, cause flushCau
 	}
 	gb.pend = gb.pend[:0]
 	if cause == flushDeadline {
-		gb.lastLog = gb.lastLog.Add(s.boardSlot)
+		gb.lastLog = gb.lastLog.Add(boardSlot)
 	} else {
 		gb.lastLog = now
 	}
@@ -109,8 +112,8 @@ func (s *Server) logBoardEvent(groupID string, typ protocol.Type, body protocol.
 }
 
 // trackOpenBoard puts a group whose batch just opened into the
-// open-batch set and, if it was not there already, wakes the coalesce
-// loop to arm its deadline. A group still in the set needs no wake:
+// open-batch set and, if it was not there already, wakes the board loop
+// to arm its deadline. A group still in the set needs no wake:
 // deadlines only move later, so the loop is armed at or before this
 // batch's. Requires gb.mu.
 func (s *Server) trackOpenBoard(groupID string, gb *groupBoard) {
@@ -142,7 +145,7 @@ func (s *Server) flushOpenBoards(cause flushCause) (flushed int, next time.Time)
 	for gid, gb := range open {
 		gb.mu.Lock()
 		if len(gb.pend) > 0 {
-			now, due := s.cfg.Clock.Now(), gb.lastLog.Add(s.boardSlot)
+			now, due := s.cfg.Clock.Now(), gb.lastLog.Add(boardSlot)
 			switch {
 			case cause == flushExplicit || !now.Before(due):
 				s.flushBoardLocked(gid, gb, cause, now)
@@ -163,12 +166,38 @@ func (s *Server) flushOpenBoards(cause flushCause) (flushed int, next time.Time)
 
 // FlushBoardBatches logs every group's pending board batch now,
 // whatever its deadline, and reports how many events went out. Tests
-// and benchmarks call it for deterministic timing; the coalesce loop
+// and benchmarks call it for deterministic timing; the board loop
 // flushes only the batches that are due.
 func (s *Server) FlushBoardBatches() int {
 	flushed, _ := s.flushOpenBoards(flushExplicit)
 	return flushed
 }
+
+// boardLoop flushes board batches as their pacing deadlines come due. It
+// sleeps to the earliest open batch's deadline and holds no timer at all
+// while none is open — a batch opening in a group not yet tracked wakes
+// it through boWake.
+func (s *Server) boardLoop() {
+	defer s.wg.Done()
+	var deadline <-chan time.Time // nil while no batch is open
+	for {
+		select {
+		case <-s.closed:
+			return
+		case <-s.boWake:
+		case <-deadline:
+		}
+		deadline = nil
+		if _, next := s.flushOpenBoards(flushDeadline); !next.IsZero() {
+			deadline = s.cfg.Clock.After(next.Sub(s.cfg.Clock.Now()))
+		}
+	}
+}
+
+// CoalesceStats is kept for the benchmark module, which still reads it:
+// it always reports (0, 0). Queue slots now ride each transition's own
+// floor event, so there is no queue restatement left to count.
+func (s *Server) CoalesceStats() (marked, logged int64) { return 0, 0 }
 
 // BoardStormStats reports the board-op coalescing ratio: ops counts
 // operations appended to boards, logged counts the events actually

@@ -20,35 +20,28 @@ import (
 // is judged in simulated time only, so every assertion below is exact.
 // The probe loop is parked (ProbeInterval: an hour of simulated time).
 type paceLab struct {
-	t    *testing.T
-	net  *netsim.Net
-	srv  *Server
-	sim  *clock.Sim
-	slot time.Duration
+	t   *testing.T
+	net *netsim.Net
+	srv *Server
+	sim *clock.Sim
 }
 
 // paceParked is how many timers sit on the simulated clock while no
-// board batch is open: the probe tick and the restatement tick.
-const paceParked = 2
+// board batch is open: the probe tick alone.
+const paceParked = 1
 
 func newPaceLab(t *testing.T) *paceLab {
 	t.Helper()
 	n := netsim.New(12)
 	sim := clock.NewSim(time.Unix(1000, 0))
-	srv, err := New(Config{
-		Network:          n,
-		Addr:             "server:1",
-		Clock:            sim,
-		ProbeInterval:    time.Hour,
-		CoalesceInterval: 200 * time.Millisecond,
-	})
+	srv, err := New(Config{Network: n, Addr: "server:1", Clock: sim, ProbeInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Start()
 	t.Cleanup(srv.Close)
-	waitFor(t, "the probe and coalesce loops to park on the clock", func() bool { return sim.Waiters() == paceParked })
-	return &paceLab{t: t, net: n, srv: srv, sim: sim, slot: 200 * time.Millisecond / boardBatchMax}
+	waitFor(t, "the probe loop to park on the clock", func() bool { return sim.Waiters() == paceParked })
+	return &paceLab{t: t, net: n, srv: srv, sim: sim}
 }
 
 // boardTap records, in arrival order, the board sequence numbers a
@@ -111,12 +104,12 @@ func (l *paceLab) flushes() (by [numFlushCauses]int64, total int64) {
 	return by, total
 }
 
-// awaitArmed waits until the coalesce loop holds a board deadline timer
+// awaitArmed waits until the board loop holds a board deadline timer
 // on the simulated clock, so the next Advance cannot slip in between
 // the loop reading the time and arming the timer.
 func (l *paceLab) awaitArmed() {
 	l.t.Helper()
-	waitFor(l.t, "the coalesce loop to arm a board deadline", func() bool { return l.sim.Waiters() > paceParked })
+	waitFor(l.t, "the board loop to arm a board deadline", func() bool { return l.sim.Waiters() > paceParked })
 }
 
 // awaitBoard waits for every tap to have been sent n board operations
@@ -168,7 +161,7 @@ func TestBoardPaceLectureNeverHeld(t *testing.T) {
 }
 
 // TestBoardPaceTrailingEdge: a line inside the slot of the one before
-// is held to the end of that slot — not to the restatement tick — and a
+// is held to the end of that slot — not to any fixed tick — and a
 // batch past its deadline never captures a later line, whether the loop
 // or the later line gets to it first.
 func TestBoardPaceTrailingEdge(t *testing.T) {
@@ -191,7 +184,7 @@ func TestBoardPaceTrailingEdge(t *testing.T) {
 	l.awaitArmed()
 
 	// Up to the last instant of the slot nothing moves...
-	l.sim.Advance(l.slot - time.Millisecond - time.Microsecond)
+	l.sim.Advance(boardSlot - time.Millisecond - time.Microsecond)
 	if _, total := l.flushes(); total != 1 {
 		t.Fatalf("the held line was logged %v before its deadline", time.Microsecond)
 	}
@@ -202,20 +195,20 @@ func TestBoardPaceTrailingEdge(t *testing.T) {
 	if by, _ := l.flushes(); by[flushDeadline] != 1 {
 		t.Errorf("flushes %v, want the held line flushed by its deadline", by)
 	}
-	if n, held := l.srv.boardHold.Count(), l.srv.boardHold.Sum(); n != 1 || time.Duration(held*float64(time.Second)).Round(time.Microsecond) != l.slot-time.Millisecond {
-		t.Errorf("hold histogram: %d batches, %.6fs; want one batch held %v", n, held, l.slot-time.Millisecond)
+	if n, held := l.srv.boardHold.Count(), l.srv.boardHold.Sum(); n != 1 || time.Duration(held*float64(time.Second)).Round(time.Microsecond) != boardSlot-time.Millisecond {
+		t.Errorf("hold histogram: %d batches, %.6fs; want one batch held %v", n, held, boardSlot-time.Millisecond)
 	}
 
 	// A fourth line collides with the third, and this time the loop is
 	// kept from the open-batch set, so the batch goes stale: the fifth
 	// line, two slots on, must flush it and still log inline itself.
-	l.sim.Advance(l.slot)
+	l.sim.Advance(boardSlot)
 	chat("three")
 	l.sim.Advance(time.Millisecond)
 	chat("four")
 	l.awaitArmed()
 	l.srv.boMu.Lock()
-	l.sim.Advance(2 * l.slot)
+	l.sim.Advance(2 * boardSlot)
 	chat("five")
 	by, total := l.flushes()
 	l.srv.boMu.Unlock()
@@ -247,11 +240,11 @@ func TestBoardPaceStormBound(t *testing.T) {
 			}
 		}
 	}
-	l.sim.Advance(l.slot) // past the last batch's deadline
+	l.sim.Advance(boardSlot) // past the last batch's deadline
 	l.srv.FlushBoardBatches()
 	awaitBoard(t, 2*perPhase, artistTap, viewerTap)
 
-	slots := int64(l.sim.Now().Sub(start)/l.slot) + 1
+	slots := int64(l.sim.Now().Sub(start)/boardSlot) + 1
 	capped := int64((2*perPhase + boardBatchMax - 1) / boardBatchMax)
 	by, total := l.flushes()
 	if paced := by[flushInline] + by[flushDeadline] + by[flushExplicit]; paced > slots {
@@ -281,8 +274,8 @@ func TestBoardPaceAlternationKeepsOrder(t *testing.T) {
 		then  time.Duration // simulated time after the burst
 	}
 	script := []step{
-		{ann, false, 5, 0}, {bob, false, 3, 0}, {ann, true, 2, 0}, {ann, false, 2, l.slot},
-		{bob, true, 1, 0}, {bob, true, 4, 100 * time.Microsecond}, {ann, false, 70, 0}, {bob, false, 1, 3 * l.slot},
+		{ann, false, 5, 0}, {bob, false, 3, 0}, {ann, true, 2, 0}, {ann, false, 2, boardSlot},
+		{bob, true, 1, 0}, {bob, true, 4, 100 * time.Microsecond}, {ann, false, 70, 0}, {bob, false, 1, 3 * boardSlot},
 		{ann, true, 1, 0}, {ann, false, 1, 0}, {ann, true, 1, 0},
 	}
 	want := 0
@@ -338,7 +331,7 @@ func TestBoardPaceCloseWithArmedDeadline(t *testing.T) {
 		t.Fatalf("%d events logged, want the second line still held", total)
 	}
 	chair.Close()
-	l.srv.Close() // waits for the coalesce loop, armed or not
+	l.srv.Close() // waits for the board loop, armed or not
 	waitFor(t, "goroutines to drain", func() bool { return runtime.NumGoroutine() <= before })
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dmps/internal/client"
+	"dmps/internal/clock"
 	"dmps/internal/netsim"
 )
 
@@ -16,12 +17,10 @@ import (
 // to the full board.
 func TestBoardStormCoalesces(t *testing.T) {
 	n := netsim.New(9)
+	// Simulated time never advances: every stroke lands inside the first
+	// one's pacing slot, and the test flushes deterministically.
 	srv, err := New(Config{
-		Network:       n,
-		Addr:          "server:1",
-		ProbeInterval: 20 * time.Millisecond,
-		// A long coalesce interval: the test flushes deterministically.
-		CoalesceInterval: time.Hour,
+		Network: n, Addr: "server:1", Clock: clock.NewSim(time.Unix(1000, 0)), ProbeInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

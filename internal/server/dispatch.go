@@ -203,9 +203,6 @@ func (s *Server) onFloorRequest(sess *session, msg protocol.Message) {
 		Member: string(sess.member.ID),
 		Event:  "granted",
 	}, tc)
-	// A grant can dequeue the requester (e.g. an approved member
-	// re-requesting a moderated floor), shifting everyone behind them.
-	s.markQueueRestate(msg.Group, mode)
 }
 
 // onSubscribe replaces the session's event-class mask: logged events of
@@ -293,7 +290,6 @@ func (s *Server) onFloorApprove(sess *session, msg protocol.Message) {
 		Member: string(member),
 		Event:  event,
 	}, traceOf(msg))
-	s.markQueueRestate(msg.Group, dec.Mode)
 }
 
 // notifySuspensions tells each Media-Suspend victim and the group. The
@@ -313,14 +309,11 @@ func (s *Server) onFloorRelease(sess *session, msg protocol.Message) {
 		return
 	}
 	s.replyAck(sess, msg.Seq, protocol.FloorEventBody{Holder: string(next), Event: "released"})
-	mode := s.floorCtl.ModeOf(msg.Group)
 	s.logFloorEvent(msg.Group, protocol.FloorEventBody{
-		Mode:   mode.String(),
 		Holder: string(next),
 		Member: string(sess.member.ID),
 		Event:  "released",
 	}, traceOf(msg))
-	s.markQueueRestate(msg.Group, mode)
 }
 
 func (s *Server) onTokenPass(sess *session, msg protocol.Message) {
@@ -334,14 +327,11 @@ func (s *Server) onTokenPass(sess *session, msg protocol.Message) {
 		return
 	}
 	s.replyAck(sess, msg.Seq, protocol.FloorEventBody{Holder: body.To, Event: "passed"})
-	mode := s.floorCtl.ModeOf(msg.Group)
 	s.logFloorEvent(msg.Group, protocol.FloorEventBody{
-		Mode:   mode.String(),
 		Holder: body.To,
 		Member: string(sess.member.ID),
 		Event:  "passed",
 	}, traceOf(msg))
-	s.markQueueRestate(msg.Group, mode)
 }
 
 func (s *Server) onInvite(sess *session, msg protocol.Message) {

@@ -86,9 +86,9 @@ func TestClassMaskFiltersServerSide(t *testing.T) {
 	})
 }
 
-// TestQueueSlotsArePrivate: queue positions are per-recipient. The
-// subject of a queueing (and each queued member on a restatement) gets
-// their own slot; everyone else's copy carries only the queue length.
+// TestQueueSlotsArePrivate: queue positions are per-recipient. Each
+// queued member's copy of a floor event carries their own slot;
+// everyone else's copy carries only the queue length.
 func TestQueueSlotsArePrivate(t *testing.T) {
 	l := newLab(t)
 	holder := l.dial("holder", "participant", 2)
@@ -105,8 +105,6 @@ func TestQueueSlotsArePrivate(t *testing.T) {
 	if dec, err := queued.RequestFloor("class", floor.EqualControl, ""); err != nil || dec.QueuePosition != 1 {
 		t.Fatalf("queue: %+v %v", dec, err)
 	}
-	// Force a restatement through the coalescer as well.
-	l.srv.FlushQueueRestatements()
 
 	// The queued member learns its own slot from the personalized push.
 	waitFor(t, "queued member's own slot", func() bool {

@@ -26,8 +26,6 @@ import (
 //	dmps_session_queue_cap               queue capacity across sessions
 //	dmps_session_drops_total             slow-consumer drops
 //	dmps_session_filtered_total          events skipped by class filters
-//	dmps_coalesce_marked_total           queue restatements marked dirty
-//	dmps_coalesce_logged_total           coalesced restatements logged
 //	dmps_board_ops_total                 board ops accepted into batches
 //	dmps_board_events_total              board batch events logged
 //	dmps_board_flush_total{cause}        logged board events by cause
@@ -103,14 +101,6 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("dmps_session_filtered_total", "Events skipped by per-session class filters.", func() []metrics.Sample {
 		return one(totals().filtered)
 	})
-	reg.CounterFunc("dmps_coalesce_marked_total", "Queue restatements marked dirty for coalescing.", func() []metrics.Sample {
-		marked, _ := s.CoalesceStats()
-		return one(float64(marked))
-	})
-	reg.CounterFunc("dmps_coalesce_logged_total", "Coalesced queue restatements actually logged.", func() []metrics.Sample {
-		_, logged := s.CoalesceStats()
-		return one(float64(logged))
-	})
 	reg.CounterFunc("dmps_board_ops_total", "Board operations accepted into batches.", func() []metrics.Sample {
 		ops, _ := s.BoardStormStats()
 		return one(float64(ops))
@@ -133,6 +123,7 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 			{LabelKey: "site", LabelValue: "log_append", Value: float64(s.logAppendErrs.Load())},
 			{LabelKey: "site", LabelValue: "wal_append", Value: float64(s.walAppendErrs.Load())},
 			{LabelKey: "site", LabelValue: "state_install", Value: float64(s.installErrs.Load())},
+			{LabelKey: "site", LabelValue: "wal_checkpoint", Value: float64(s.ckptErrs.Load())},
 		}
 	})
 	reg.GaugeFunc("dmps_grouplog_logs", "Live per-key event logs.", func() []metrics.Sample {

@@ -33,8 +33,7 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 	node := func(addr, walDir string) *Server {
 		t.Helper()
 		srv, err := New(Config{
-			Network: n, Addr: addr, Clock: sim, ProbeInterval: time.Hour,
-			CoalesceInterval: 200 * time.Millisecond, WALDir: walDir,
+			Network: n, Addr: addr, Clock: sim, ProbeInterval: time.Hour, WALDir: walDir,
 			Cluster: &ClusterConfig{Nodes: []string{addr}, Self: 0},
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"time"
 
 	"dmps/internal/floor"
@@ -160,8 +161,10 @@ func (s *Server) logBroadcast(groupID string, msg protocol.Message) {
 // also what lets these events be marked state-bearing: compaction keeps
 // only the latest one, and clients may jump a hole onto it). Second,
 // queue slots stay private: the canonical logged bytes carry only the
-// queue length, and a member who owns a slot gets a personal copy — same
-// sequence numbers, plus their own QueuePosition. Nobody ever receives
+// queue length, and every queued member gets a personal copy — same
+// sequence numbers, plus their own QueuePosition — of every refreshed
+// event, so a transition that moves the queue tells each member behind
+// it their new slot in the transition itself. Nobody ever receives
 // another member's position, live or via backfill. Direct Contact grants
 // are exempt from the refresh: they run concurrently with the prevailing
 // mode, name their own Mode, and deliberately carry no group-floor claim.
@@ -174,12 +177,12 @@ func (s *Server) logFloorEvent(groupID string, body protocol.FloorEventBody, tc 
 	}, func(fs floorState) protocol.Message {
 		if refresh {
 			body.Mode, body.Holder, body.QueueLen = fs.mode.String(), string(fs.holder), len(fs.queue)
+			queue = fs.queue
 		}
-		queue = fs.queue
 		body.QueuePosition = 0 // canonical form: slots are per-recipient
 		return protocol.MustNew(protocol.TFloorEvent, body)
 	}, func(sess *session) (any, bool) {
-		pos := queueSlotFor(body, queue, string(sess.member.ID))
+		pos := slices.Index(queue, sess.member.ID) + 1
 		if pos == 0 {
 			return nil, false
 		}
@@ -187,28 +190,6 @@ func (s *Server) logFloorEvent(groupID string, body protocol.FloorEventBody, tc 
 		personal.QueuePosition = pos
 		return personal, true
 	})
-}
-
-// queueSlotFor returns the recipient's own 1-based slot when this floor
-// event should carry it: queue restatements tell every queued member
-// their slot, and queued/approved/queue_position events tell their
-// subject. Everyone else gets 0 — the redacted canonical form.
-func queueSlotFor(body protocol.FloorEventBody, queue []group.MemberID, recipient string) int {
-	switch body.Event {
-	case "queue":
-	case "queued", "approved", "queue_position":
-		if body.Member != recipient {
-			return 0
-		}
-	default:
-		return 0
-	}
-	for i, m := range queue {
-		if string(m) == recipient {
-			return i + 1
-		}
-	}
-	return 0
 }
 
 // logSuspend publishes a Media-Suspend/Resume transition as a

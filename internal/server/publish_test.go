@@ -56,8 +56,8 @@ func (tap *loggedTap) seen(key string) []int64 {
 // publishes are exactly the ones it names). For every step: the log
 // head advances by the publishes named, and the owner ships exactly one
 // forward per publish. At the end: every tap received each class's
-// CSeqs dense and in order, a queue slot reached only its owner and the
-// retained bytes carry none, the replica holds every event, and the
+// CSeqs dense and in order, each queued member saw its own slot on
+// every floor event and nobody else's, the retained bytes carry none, the replica holds every event, and the
 // journal holds one event record per publish.
 func TestPublishPipelineTable(t *testing.T) {
 	n := netsim.New(20)
@@ -143,7 +143,7 @@ func TestPublishPipelineTable(t *testing.T) {
 		{"logFloorEvent: a grant", g, 1, request("alice", true, 0)},
 		{"logFloorEvent: queued, slot 1", g, 1, request("bob", false, 1)},
 		{"logFloorEvent: queued, slot 2", g, 1, request("carol", false, 2)},
-		{"logFloorEvent: queue restatement", g, 1, func() {
+		{"logFloorEvent: a queue event", g, 1, func() {
 			owner.logFloorEvent(g, protocol.FloorEventBody{Event: "queue"}, traceCtx{})
 		}},
 		{"logSuspend: suspend and resume", g, 2, func() {
@@ -209,10 +209,12 @@ func TestPublishPipelineTable(t *testing.T) {
 		}
 	}
 
-	// A queue slot reaches only the member who owns it.
+	// Each queued recipient sees its own slot on every state-bearing
+	// floor event — bob is told his slot again when carol queues behind
+	// him — and a slot reaches only the member who owns it.
 	wantSlots := map[string]map[string]int{
 		"alice": {"queued/" + id("bob"): 0, "queued/" + id("carol"): 0, "queue/": 0},
-		"bob":   {"queued/" + id("bob"): 1, "queued/" + id("carol"): 0, "queue/": 1},
+		"bob":   {"queued/" + id("bob"): 1, "queued/" + id("carol"): 1, "queue/": 1},
 		"carol": {"queued/" + id("bob"): 0, "queued/" + id("carol"): 2, "queue/": 2},
 		"dave":  {"queued/" + id("bob"): 0, "queued/" + id("carol"): 0, "queue/": 0},
 	}
@@ -269,4 +271,118 @@ func TestPublishPipelineTable(t *testing.T) {
 	if events != total || blobs != 6 {
 		t.Errorf("journal holds %d event records and %d floor blobs beside events, want %d and 6", events, blobs, total)
 	}
+}
+
+// TestQueueSlotsRideTheTransition: a holder and three queued members on
+// netsim under a simulated clock. The release that promotes the queue's
+// front is itself what tells each member still queued their new slot —
+// their copy of the "released" event carries it, everyone else's and
+// the retained bytes carry 0, and no "queue" event follows. Reaping a
+// queued-only member then logs exactly one "queue" event, inline, that
+// tells the member behind it its new slot.
+func TestQueueSlotsRideTheTransition(t *testing.T) {
+	n := netsim.New(22)
+	sim := clock.NewSim(time.Unix(4000, 0))
+	srv, err := New(Config{Network: n, Addr: "srv:1", Clock: sim, ProbeInterval: time.Hour, SessionTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+
+	const g = "hall"
+	who := []string{"holder", "q1", "q2", "q3", "bystander"}
+	taps := map[string]*loggedTap{}
+	members := map[string]*client.Client{}
+	for _, name := range who {
+		tap := &loggedTap{cseqs: map[string][]int64{}, slots: map[string]int{}}
+		c, err := client.Dial(client.Config{
+			Network: n.From(name + "host"), Addr: "srv:1", Name: name,
+			Role: "participant", Priority: 2, Timeout: 2 * time.Second, OnEvent: tap.observe,
+		})
+		if err != nil {
+			t.Fatalf("dial %s: %v", name, err)
+		}
+		t.Cleanup(c.Close)
+		if err := c.Join(g); err != nil {
+			t.Fatal(err)
+		}
+		taps[name], members[name] = tap, c
+	}
+	id := func(name string) string { return members[name].MemberID() }
+	for slot, name := range who[:4] {
+		dec, err := members[name].RequestFloor(g, floor.EqualControl, "")
+		if err != nil || dec.Granted != (slot == 0) || dec.QueuePosition != slot {
+			t.Fatalf("%s floor request: %+v %v, want slot %d", name, dec, err, slot)
+		}
+	}
+	floorEvents := func() (events []protocol.FloorEventBody) {
+		for _, e := range srv.logs.Get(g).Dump() {
+			var body protocol.FloorEventBody
+			msg, err := protocol.DecodeBinary(e.Wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg.Type != protocol.TFloorEvent {
+				continue
+			}
+			if err := msg.Into(&body); err != nil {
+				t.Fatal(err)
+			}
+			if body.QueuePosition != 0 {
+				t.Errorf("retained %s event carries queue slot %d", body.Event, body.QueuePosition)
+			}
+			events = append(events, body)
+		}
+		return events
+	}
+	// The grant and three queueings are logged before the release.
+	waitFor(t, "the set-up floor events to be logged", func() bool { return len(floorEvents()) == 4 })
+	slotsSeen := func(event string, want map[string]int) {
+		t.Helper()
+		for name, slot := range want {
+			tap := taps[name]
+			waitFor(t, name+" to receive "+event, func() bool {
+				tap.mu.Lock()
+				defer tap.mu.Unlock()
+				_, ok := tap.slots[event]
+				return ok
+			})
+			tap.mu.Lock()
+			got := tap.slots[event]
+			tap.mu.Unlock()
+			if got != slot {
+				t.Errorf("%s's copy of %q carries slot %d, want %d", name, event, got, slot)
+			}
+		}
+	}
+
+	if err := members["holder"].ReleaseFloor(g); err != nil {
+		t.Fatal(err)
+	}
+	slotsSeen("released/"+id("holder"), map[string]int{"holder": 0, "q1": 0, "q2": 1, "q3": 2, "bystander": 0})
+	waitFor(t, "q3 to learn slot 2", func() bool { return members["q3"].QueuePosition(g) == 2 })
+	if got := floorEvents(); len(got) != 5 || got[4].Event != "released" {
+		t.Fatalf("log holds floor events %+v after the release, want the release last and no \"queue\" event", got)
+	}
+
+	// Everyone but q2 speaks a minute later; q2 is past the TTL.
+	sim.Advance(time.Minute)
+	for _, name := range []string{"holder", "q1", "q3", "bystander"} {
+		if _, err := members[name].SyncClock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head := srv.logs.Get(g).Head()
+	if reaped := srv.Reap(sim.Now()); len(reaped) != 1 || reaped[0] != id("q2") {
+		t.Fatalf("reaped %v, want only q2", reaped)
+	}
+	if got := srv.logs.Get(g).Head() - head; got != 1 {
+		t.Fatalf("the reap logged %d events, want one", got)
+	}
+	if got := floorEvents(); got[len(got)-1].Event != "queue" || got[len(got)-1].Member != id("q2") || got[len(got)-1].QueueLen != 1 {
+		t.Fatalf("the reap logged %+v, want a \"queue\" event naming q2 with one member left queued", got[len(got)-1])
+	}
+	slotsSeen("queue/"+id("q2"), map[string]int{"holder": 0, "q1": 0, "q3": 1, "bystander": 0})
+	waitFor(t, "q3 to learn slot 1", func() bool { return members["q3"].QueuePosition(g) == 1 })
 }

@@ -52,19 +52,23 @@ func (s *Server) Reap(now time.Time) []string {
 		// groups, not just currently-joined ones: a queue slot (or even
 		// the floor) deliberately survives a Leave, and a reaped ghost
 		// left in a queue would be promoted to a floor nobody can ever
-		// release.
+		// release. A vacated slot moves everyone behind it: the release,
+		// or a "queue" event for a queued-only member, tells each of them
+		// their new slot.
 		for _, gid := range s.registry.Groups() {
 			holder, wasHolder, wasQueued := s.floorCtl.Evict(gid, id)
+			if !wasHolder && !wasQueued {
+				continue
+			}
+			event := "queue"
 			if wasHolder {
-				s.logFloorEvent(gid, protocol.FloorEventBody{
-					Holder: string(holder),
-					Member: string(id),
-					Event:  "released",
-				}, traceCtx{})
+				event = "released"
 			}
-			if wasHolder || wasQueued {
-				s.markQueueRestate(gid, s.floorCtl.ModeOf(gid))
-			}
+			s.logFloorEvent(gid, protocol.FloorEventBody{
+				Holder: string(holder),
+				Member: string(id),
+				Event:  event,
+			}, traceCtx{})
 		}
 		s.registry.Unregister(id)
 		s.logs.Drop(grouplog.MemberKey(string(id)))

@@ -2,10 +2,13 @@ package server
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"dmps/internal/client"
+	"dmps/internal/clock"
+	"dmps/internal/metrics"
 	"dmps/internal/netsim"
 	"dmps/internal/protocol"
 	"dmps/internal/transport"
@@ -222,5 +225,37 @@ func TestReplayRequiresMembership(t *testing.T) {
 	// A member replays fine.
 	if err := alice.Replay("secret", 0); err != nil {
 		t.Errorf("member replay: %v", err)
+	}
+}
+
+// TestCheckpointFailureCounted: a periodic checkpoint the journal
+// refuses — here, because the WAL underneath was closed — is counted
+// under dmps_errors_total{site="wal_checkpoint"} rather than discarded.
+func TestCheckpointFailureCounted(t *testing.T) {
+	sim := clock.NewSim(time.Unix(5000, 0))
+	srv, err := New(Config{
+		Network: netsim.New(23), Addr: "srv:1", Clock: sim, WALDir: t.TempDir(),
+		ProbeInterval: time.Second, WALCheckpointInterval: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	waitFor(t, "the probe loop to park on the clock", func() bool { return sim.Waiters() == 1 })
+	if err := srv.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sim.Advance(time.Second)
+	waitFor(t, "the failed checkpoint to be counted", func() bool { return srv.ckptErrs.Load() == 1 })
+
+	reg := metrics.NewRegistry()
+	srv.RegisterMetrics(reg)
+	var page strings.Builder
+	if err := reg.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	if want := `dmps_errors_total{site="wal_checkpoint"} 1`; !strings.Contains(page.String(), want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 }

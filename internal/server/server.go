@@ -30,11 +30,11 @@
 // on each class's latest state-bearing restatement, with one compact
 // TSnapshot only when a needed class no longer connects. The same
 // path serves late joiners, explicit replays and token-based session
-// reconnects. Queue restatements coalesce per CoalesceInterval tick,
-// board operations are paced to one held event per CoalesceInterval/64
-// slot per group (a line outside a storm is never held at all), and
-// members silent past SessionTTL are reaped — tokens, directory
-// entries and member logs track the live population.
+// reconnects. Each queued member learns its slot from the personal copy
+// of every floor event it is sent, board operations are paced to one
+// held event per 3.125 ms slot per group (a line outside a storm is
+// never held at all), and members silent past SessionTTL are reaped —
+// tokens, directory entries and member logs track the live population.
 package server
 
 import (
@@ -127,16 +127,6 @@ type Config struct {
 	// TSnapshot. The capacity trades backfill reach against retained
 	// memory per group — never correctness.
 	LogCap int
-	// CoalesceInterval is the queue-restatement tick: floor transitions
-	// that shift the pending queue mark their group dirty, and one
-	// logged "queue" restatement per dirty group goes out per interval
-	// — N transitions in a tick cost one ring slot and one fan-out, not
-	// N. It also derives the board plane's pacing slot, CoalesceInterval
-	// / 64 (the batch bound; 3.125 ms at the default): a board line logs
-	// inline unless its group logged another inside the last slot, and a
-	// held line goes out when that slot ends — never at the restatement
-	// tick. Defaults to one probe tick (ProbeInterval).
-	CoalesceInterval time.Duration
 	// SessionTTL bounds how long a disconnected member's session token,
 	// directory entry and private event log outlive their last
 	// connection. Members gone longer are reaped: their token stops
@@ -206,23 +196,13 @@ type Server struct {
 	tokens  map[string]group.MemberID
 	tokenOf map[group.MemberID]string
 
-	// coalesce state: groups whose pending floor queue shifted since the
-	// last flush, restated once per CoalesceInterval tick.
-	coMu    sync.Mutex
-	coDirty map[string]floor.Mode
-	// restateMarked counts transitions that requested a queue
-	// restatement; restateLogged counts restatements actually logged —
-	// the coalescing ratio the queue-churn benchmark gates on.
-	restateMarked atomic.Int64
-	restateLogged atomic.Int64
-	// Board pacing state. boardSlot is the pacing slot, CoalesceInterval
-	// / boardBatchMax. boOpen is the set of groups with an open batch —
-	// what a flush visits instead of every board — and boWake tells the
-	// coalesce loop that a group joined it. Lock order: gb.mu, then boMu.
-	boardSlot time.Duration
-	boMu      sync.Mutex
-	boOpen    map[string]*groupBoard
-	boWake    chan struct{}
+	// Board pacing state. boOpen is the set of groups with an open batch
+	// — what a flush visits instead of every board — and boWake tells
+	// the board loop that a group joined it. Lock order: gb.mu, then
+	// boMu.
+	boMu   sync.Mutex
+	boOpen map[string]*groupBoard
+	boWake chan struct{}
 	// boardOps counts board operations appended; boardFlushes the logged
 	// events they produced, by cause — their sum over boardOps is the
 	// annotation-storm ratio BenchmarkBoardStorm gates on. boardHold is
@@ -231,12 +211,14 @@ type Server struct {
 	boardFlushes [numFlushCauses]atomic.Int64
 	boardHold    *metrics.Histogram
 	// logAppendErrs counts events the publish pipeline's log append
-	// refused, walAppendErrs records the journal failed to write, and
-	// installErrs package steps install could not apply
-	// (dmps_errors_total{site="log_append"|"wal_append"|"state_install"}).
+	// refused, walAppendErrs records the journal failed to write,
+	// installErrs package steps install could not apply, and ckptErrs
+	// periodic checkpoints that failed (dmps_errors_total{site=
+	// "log_append"|"wal_append"|"state_install"|"wal_checkpoint"}).
 	logAppendErrs atomic.Int64
 	walAppendErrs atomic.Int64
 	installErrs   atomic.Int64
+	ckptErrs      atomic.Int64
 
 	// Wire-path telemetry: payload bytes read off client connections
 	// (wireIn) and handed to writers (wireOut), writer flushes and the
@@ -572,9 +554,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SendQueueCap <= 0 {
 		cfg.SendQueueCap = 256
 	}
-	if cfg.CoalesceInterval <= 0 {
-		cfg.CoalesceInterval = cfg.ProbeInterval
-	}
 	if cfg.SessionTTL <= 0 {
 		cfg.SessionTTL = time.Hour
 	}
@@ -610,7 +589,6 @@ func New(cfg Config) (*Server, error) {
 		plane:    trace.NewPlane(l.Addr(), trace.ServerStages, 0),
 		closed:   make(chan struct{}),
 
-		boardSlot: cfg.CoalesceInterval / boardBatchMax,
 		boWake:    make(chan struct{}, 1),
 		boardHold: metrics.NewHistogram(nil),
 	}
@@ -638,7 +616,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.wg.Add(2)
 	go s.probeLoop()
-	go s.coalesceLoop()
+	go s.boardLoop()
 	return s, nil
 }
 

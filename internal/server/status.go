@@ -56,7 +56,11 @@ func (s *Server) probeLoop() {
 		s.resendOverdue(now)
 		if s.wal != nil && now.Sub(lastCkpt) >= s.cfg.WALCheckpointInterval {
 			lastCkpt = now
-			_ = s.Checkpoint()
+			// A failed checkpoint deletes no older segment, so replay just
+			// has more to read; the failure is counted.
+			if err := s.Checkpoint(); err != nil {
+				s.ckptErrs.Add(1)
+			}
 		}
 	}
 }

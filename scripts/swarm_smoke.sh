@@ -3,8 +3,7 @@
 # REAL processes over localhost TCP, run a short open-loop swarm, and
 # gate the resulting SLO report with dmps-swarm -check: it must parse,
 # every mix must show zero errors, zero floor-exclusivity violations,
-# and a finite, non-zero p99 grant latency, and mixes shared with the
-# checked-in baseline must hold their p99 within the growth ratio.
+# and a finite, non-zero p99 grant latency.
 #
 # The lecture mix runs MULTI-PROCESS: two dmps-swarm shards split one
 # seeded schedule (-shards 2 -shard i), synchronize t0 through the
@@ -23,7 +22,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_swarm_smoke.json}"
-BASELINE="BENCH_pr7.json"
 
 NODE0=127.0.0.1:7241
 NODE1=127.0.0.1:7242
@@ -120,15 +118,10 @@ done
 # One merged document: the sharded lecture plus the drill mixes.
 "$BIN/dmps-swarm" -merge -out "$OUT" \
     "$RUN/lecture_shard0.json" "$RUN/lecture_shard1.json" "$RUN/drills.json"
-# The latency-trend ratio is deliberately loose: p99s on shared CI
-# runners are noisy, and the errors=0 + zero-violations gates are the
-# correctness signal. The chaos mix in particular is bimodal — its p99
-# sample is the kill-to-recovery re-grant, milliseconds when the floor
-# rides the surviving link and ~100ms+ when recovery waits out a retry
-# cycle — so the ratio must span both modes against a baseline that
-# captured the lucky one; 20× still fails a failover that degrades to
-# hundreds of milliseconds. -require-stages gates the tracing plane:
+# The errors=0 + zero-violations gates are the correctness signal; no
+# latency trend is judged here (p99s from a few hundred ops on a shared
+# runner cannot resolve one). -require-stages gates the tracing plane:
 # the merged report must decompose the grant SLO into ≥ 5 stages with
 # spans, whose p50 sum stays within 1.5× the measured grant p50.
-"$BIN/dmps-swarm" -check "$OUT" -baseline "$BASELINE" -max-growth 20.0 -require-stages 5
+"$BIN/dmps-swarm" -check "$OUT" -require-stages 5
 echo "swarm_smoke: OK ($OUT)"
