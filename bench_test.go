@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,6 +25,8 @@ import (
 	"dmps/internal/experiments"
 	"dmps/internal/floor"
 	"dmps/internal/group"
+	"dmps/internal/metrics"
+	"dmps/internal/netsim"
 	"dmps/internal/ocpn"
 	"dmps/internal/petri"
 	"dmps/internal/protocol"
@@ -663,6 +667,78 @@ func BenchmarkRouterFanout(b *testing.B) {
 		}
 		converged(int64(b.N))
 	})
+}
+
+// BenchmarkJoinStorm measures a class assembling: N members dial a fresh
+// standalone server on netsim (default probe interval) and join one
+// group, one after another. lights_pushes/join counts the connection-
+// lights pushes queued while the storm ran, per join. The probe tick is
+// their only trigger, so a storm shorter than a tick causes none; a push
+// to every member on each join would make it (N+1)/2.
+func BenchmarkJoinStorm(b *testing.B) {
+	for _, n := range []int{16, 64} {
+		b.Run(fmt.Sprintf("members-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var pushes float64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				network := netsim.New(int64(i))
+				srv, err := server.New(server.Config{Network: network, Addr: "storm:1"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				srv.Start()
+				reg := metrics.NewRegistry()
+				srv.RegisterMetrics(reg)
+				before := seriesValue(b, reg, "dmps_lights_pushes_total")
+				clients := make([]*client.Client, 0, n)
+				b.StartTimer()
+				for j := 0; j < n; j++ {
+					c, err := client.Dial(client.Config{
+						Network: network, Addr: "storm:1",
+						Name: fmt.Sprintf("m%d", j), Role: "participant", Priority: 2,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					clients = append(clients, c)
+					if err := c.Join("class"); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				pushes += seriesValue(b, reg, "dmps_lights_pushes_total") - before
+				for _, c := range clients {
+					c.Close()
+				}
+				srv.Close()
+				b.StartTimer()
+			}
+			joins := float64(b.N * n)
+			b.ReportMetric(pushes/joins, "lights_pushes/join")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/joins, "ns/join")
+		})
+	}
+}
+
+// seriesValue reads an unlabelled series off a registry's exposition.
+func seriesValue(b *testing.B, reg *metrics.Registry, name string) float64 {
+	b.Helper()
+	var page strings.Builder
+	if err := reg.WritePrometheus(&page); err != nil {
+		b.Fatal(err)
+	}
+	for _, line := range strings.Split(page.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return f
+		}
+	}
+	b.Fatalf("no series %s", name)
+	return 0
 }
 
 func BenchmarkPetriFireChain(b *testing.B) {

@@ -206,12 +206,8 @@ func (w *WAL) Append(rec WALRecord) error {
 // rotateLocked syncs and closes the current segment and opens the next.
 // Requires w.mu.
 func (w *WAL) rotateLocked() error {
-	if w.file != nil {
-		w.w.Flush()
-		w.file.Sync()
-		w.file.Close()
-		w.oldBytes += w.curBytes
-		w.curBytes = 0
+	if err := w.retireLocked("rotate"); err != nil {
+		return err
 	}
 	w.segIdx++
 	f, err := os.OpenFile(filepath.Join(w.dir, segName(w.segIdx)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -286,10 +282,28 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	if w.file != nil {
-		w.w.Flush()
-		w.file.Sync()
-		return w.file.Close()
+	return w.retireLocked("close")
+}
+
+// retireLocked flushes, fsyncs and closes the current segment, if any,
+// and lets go of it whatever happened — the next rotation opens a fresh
+// one — returning the first error. Requires w.mu.
+func (w *WAL) retireLocked(op string) error {
+	if w.file == nil {
+		return nil
+	}
+	w.oldBytes += w.curBytes
+	w.curBytes = 0
+	err := w.w.Flush()
+	if serr := w.file.Sync(); err == nil {
+		err = serr
+	}
+	if cerr := w.file.Close(); err == nil {
+		err = cerr
+	}
+	w.file = nil
+	if err != nil {
+		return fmt.Errorf("grouplog: wal %s: %w", op, err)
 	}
 	return nil
 }

@@ -137,6 +137,32 @@ func TestWALRotatesAtSegmentBytes(t *testing.T) {
 	}
 }
 
+// TestWALSegmentErrorsSurface: a segment that cannot be synced or
+// closed fails the call that retires it — the Append whose rotation
+// tripped over it, and Close — instead of being dropped. The WAL gives a
+// failed segment up and the next Append starts a fresh one.
+func TestWALSegmentErrorsSurface(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), 1) // every Append past the first rotates
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := WALRecord{Kind: WALBoardHead, Key: "g", GSeq: 1}
+	if err := w.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	w.file.Close() // the segment dies under the WAL
+	if err := w.Append(rec); err == nil {
+		t.Fatal("an Append whose rotation could not sync or close the segment succeeded")
+	}
+	if err := w.Append(rec); err != nil {
+		t.Fatalf("the Append after a failed rotation: %v", err)
+	}
+	w.file.Close()
+	if err := w.Close(); err == nil {
+		t.Fatal("Close of a segment that could not be synced or closed succeeded")
+	}
+}
+
 // TestWALCheckpointTruncates: a checkpoint leaves exactly one segment
 // holding the restated records, older segments are deleted, and appends
 // after it land behind the snapshot.

@@ -97,8 +97,8 @@ func (s *Server) onJoin(sess *session, msg protocol.Message) {
 	s.persist(body.Group)
 	// One snapshot converges the late joiner: board history, floor
 	// state, suspensions, and the log position live events continue from.
+	// Everyone else sees the join in the next probe tick's lights push.
 	s.sendSnapshot(sess, body.Group, 0)
-	s.broadcastLights()
 }
 
 func (s *Server) onCreateGroup(sess *session, msg protocol.Message) {

@@ -31,6 +31,7 @@ import (
 //	dmps_board_flush_total{cause}        logged board events by cause
 //	dmps_board_hold_seconds              oldest-op age of flushed batches
 //	dmps_errors_total{site}              errors counted instead of dropped
+//	dmps_lights_pushes_total             lights pushes queued by the probe tick
 //	dmps_grouplog_logs                   live event logs
 //	dmps_grouplog_entries                retained entries across logs
 //	dmps_grouplog_compactions_total      compaction runs
@@ -124,7 +125,11 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 			{LabelKey: "site", LabelValue: "wal_append", Value: float64(s.walAppendErrs.Load())},
 			{LabelKey: "site", LabelValue: "state_install", Value: float64(s.installErrs.Load())},
 			{LabelKey: "site", LabelValue: "wal_checkpoint", Value: float64(s.ckptErrs.Load())},
+			{LabelKey: "site", LabelValue: "wal_close", Value: float64(s.walCloseErrs.Load())},
 		}
+	})
+	reg.CounterFunc("dmps_lights_pushes_total", "Connection-lights pushes queued by the probe tick.", func() []metrics.Sample {
+		return one(float64(s.lightsPushes.Load()))
 	})
 	reg.GaugeFunc("dmps_grouplog_logs", "Live per-key event logs.", func() []metrics.Sample {
 		return one(float64(s.logs.Stats().Logs))

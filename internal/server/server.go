@@ -212,13 +212,16 @@ type Server struct {
 	boardHold    *metrics.Histogram
 	// logAppendErrs counts events the publish pipeline's log append
 	// refused, walAppendErrs records the journal failed to write,
-	// installErrs package steps install could not apply, and ckptErrs
-	// periodic checkpoints that failed (dmps_errors_total{site=
-	// "log_append"|"wal_append"|"state_install"|"wal_checkpoint"}).
+	// installErrs package steps install could not apply, ckptErrs and
+	// walCloseErrs periodic checkpoints and the final journal close that
+	// failed (dmps_errors_total{site="log_append"|"wal_append"|
+	// "state_install"|"wal_checkpoint"|"wal_close"}).
 	logAppendErrs atomic.Int64
 	walAppendErrs atomic.Int64
 	installErrs   atomic.Int64
 	ckptErrs      atomic.Int64
+	walCloseErrs  atomic.Int64
+	lightsPushes  atomic.Int64 // dmps_lights_pushes_total
 
 	// Wire-path telemetry: payload bytes read off client connections
 	// (wireIn) and handed to writers (wireOut), writer flushes and the
@@ -253,7 +256,8 @@ type session struct {
 
 	// queue carries encoded wire messages to the writer goroutine.
 	queue chan queued
-	// down signals the writer to exit; closed exactly once via downOnce.
+	// down marks the session dead (see up) and tells the writer to exit;
+	// closed exactly once, by disconnect via downOnce.
 	down     chan struct{}
 	downOnce sync.Once
 	// drops counts messages dropped on queue overflow (backpressure).
@@ -268,7 +272,6 @@ type session struct {
 
 	mu       sync.Mutex
 	lastSeen time.Time
-	alive    bool
 	// Lights-push dedup: the digest, light table and drop counters of
 	// the last lights message this session accepted. While none of them
 	// change, the probe tick skips the session entirely — no re-encode,
@@ -364,10 +367,21 @@ func (s *session) touch(now time.Time) {
 func (s *session) light(now time.Time, timeout time.Duration) Light {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.alive || now.Sub(s.lastSeen) > timeout {
+	if !s.up() || now.Sub(s.lastSeen) > timeout {
 		return Red
 	}
 	return Green
+}
+
+// up reports whether the session is still connected: disconnect has not
+// closed its down channel.
+func (s *session) up() bool {
+	select {
+	case <-s.down:
+		return false
+	default:
+		return true
+	}
 }
 
 // sendMsg encodes a message and queues it for this session alone,
@@ -408,10 +422,8 @@ func (s *Server) sendReliable(sess *session, msg protocol.Message) {
 // overflow drop; a session that is already down returns true, since
 // there is nothing left to deliver to.
 func (s *Server) sendWire(sess *session, wire []byte) bool {
-	select {
-	case <-sess.down:
+	if !sess.up() {
 		return true
-	default:
 	}
 	select {
 	case sess.queue <- enqueued(wire):
@@ -432,12 +444,11 @@ func (s *Server) sendWire(sess *session, wire []byte) bool {
 // out — a dead session's queue must stay empty or its buffers would be
 // pinned for the server's lifetime.
 func (s *Server) unpinIfDown(sess *session) {
+	if sess.up() {
+		return
+	}
 	select {
-	case <-sess.down:
-		select {
-		case <-sess.queue:
-		default:
-		}
+	case <-sess.queue:
 	default:
 	}
 }
@@ -715,7 +726,9 @@ func (s *Server) Close() {
 	if s.wal != nil {
 		// After the goroutines drain: nothing appends anymore, so the
 		// final flush+fsync captures everything (Close is idempotent).
-		_ = s.wal.Close()
+		if err := s.wal.Close(); err != nil {
+			s.walCloseErrs.Add(1)
+		}
 	}
 }
 
@@ -951,7 +964,6 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 		queue:    make(chan queued, s.cfg.SendQueueCap),
 		down:     make(chan struct{}),
 		lastSeen: s.cfg.Clock.Now(),
-		alive:    true,
 	}
 	sess.classes.Store(classSet(hello.Classes))
 	// The welcome must be the first message the client sees, so send it
@@ -1048,15 +1060,13 @@ func (s *Server) revokeTokenLocked(id group.MemberID) {
 	}
 }
 
-// disconnect marks the session dead (light turns red; membership and
-// floor state persist so the teacher can inspect the red light, as in
-// Figure 3(c)). The writer goroutine is told to exit and the connection
-// closed, which also unblocks a writer stalled mid-Send.
+// disconnect marks the session dead and tears its transport down: the
+// writer goroutine is told to exit and the connection closed, which also
+// unblocks a writer stalled mid-Send. Membership and floor state persist
+// so the teacher can inspect the red light, as in Figure 3(c); others see
+// it in the next probe tick's lights push. disconnect pushes nothing, so
+// sendWire may call it and a burst of disconnects costs no pushes.
 func (s *Server) disconnect(sess *session) {
-	sess.mu.Lock()
-	wasAlive := sess.alive
-	sess.alive = false
-	sess.mu.Unlock()
 	sess.downOnce.Do(func() { close(sess.down) })
 	_ = sess.conn.Close()
 	// Drop the abandoned backlog so a dead session pins no buffers: the
@@ -1070,25 +1080,6 @@ func (s *Server) disconnect(sess *session) {
 		default:
 		}
 		break
-	}
-	select {
-	case <-s.closed:
-		// No lights rebroadcast during server shutdown.
-		return
-	default:
-	}
-	if wasAlive {
-		// Rebroadcast the lights off this call stack: disconnect can be
-		// reached from inside sendWire (Disconnect policy), and a
-		// synchronous broadcast there would recurse once per
-		// simultaneously-overflowing session — an O(sessions²) send
-		// storm. One goroutine per transition is bounded by the wasAlive
-		// guard and joins the server's WaitGroup so Close waits for it.
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.broadcastLights()
-		}()
 	}
 }
 

@@ -21,9 +21,9 @@ func (s *Server) snapshotSessions() []*session {
 }
 
 // probeLoop periodically probes every session, recomputes the connection
-// lights (Figure 3) and broadcasts them, lifts Media-Suspend once the
-// resource level returns to Normal, and reaps members gone longer than
-// the session TTL.
+// lights (Figure 3) and pushes them — it is the only lights trigger —
+// lifts Media-Suspend once the resource level returns to Normal, and
+// reaps members gone longer than the session TTL.
 func (s *Server) probeLoop() {
 	defer s.wg.Done()
 	lastCkpt := s.cfg.Clock.Now()
@@ -39,12 +39,7 @@ func (s *Server) probeLoop() {
 			continue
 		}
 		for _, sess := range s.snapshotSessions() {
-			sess.mu.Lock()
-			alive := sess.alive
-			sess.mu.Unlock()
-			if alive {
-				s.sendWire(sess, wire)
-			}
+			s.sendWire(sess, wire)
 		}
 		s.broadcastLights()
 		s.maybeReinstate()
@@ -98,7 +93,9 @@ func (s *Server) Lights() map[string]Light {
 // skipped outright — on a quiet server the probe tick re-encodes and
 // re-sends nothing. Queue depth is deliberately not part of the
 // comparison (it flutters with the probes themselves); it rides along
-// whenever something meaningful changed.
+// whenever something meaningful changed. The probe tick is the one
+// caller: a join, leave or disconnect pushes nothing itself, so a tick
+// costs O(stale sessions) pushes and membership churn costs none.
 func (s *Server) broadcastLights() {
 	now := s.cfg.Clock.Now()
 	sessions := s.snapshotSessions()
@@ -123,10 +120,7 @@ func (s *Server) broadcastLights() {
 	// quiet tick allocates nothing beyond the comparison inputs.
 	var backpress map[string]protocol.BackpressureBody
 	for _, sess := range sessions {
-		sess.mu.Lock()
-		alive := sess.alive
-		sess.mu.Unlock()
-		if !alive {
+		if !sess.up() {
 			continue
 		}
 		myHeads := s.headsFor(sess, heads)
@@ -134,7 +128,7 @@ func (s *Server) broadcastLights() {
 		fresh := sess.lightsSent &&
 			maps.Equal(sess.sentLights, lights) &&
 			maps.Equal(sess.sentDrops, drops) &&
-			headsEqual(sess.sentHeads, myHeads)
+			maps.EqualFunc(sess.sentHeads, myHeads, maps.Equal[map[string]int64, map[string]int64])
 		sess.mu.Unlock()
 		if fresh {
 			continue
@@ -164,6 +158,7 @@ func (s *Server) broadcastLights() {
 			body.Origin = fmt.Sprintf("n%d", s.cluster.cfg.Self)
 		}
 		if s.sendMsg(sess, protocol.MustNew(protocol.TLights, body)) {
+			s.lightsPushes.Add(1)
 			sess.mu.Lock()
 			sess.lightsSent = true
 			sess.sentLights = lights
@@ -172,19 +167,6 @@ func (s *Server) broadcastLights() {
 			sess.mu.Unlock()
 		}
 	}
-}
-
-// headsEqual compares two per-log, per-class head digests.
-func headsEqual(a, b map[string]map[string]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		if !maps.Equal(av, b[k]) {
-			return false
-		}
-	}
-	return true
 }
 
 // headsFor filters the heads digest to what one recipient may see: the
