@@ -721,6 +721,61 @@ func BenchmarkJoinStorm(b *testing.B) {
 	}
 }
 
+// BenchmarkWALAppend prices journaling a floor event: one member of a
+// standalone server on netsim alternately takes and releases an Equal
+// Control floor, so every op publishes one floor event — logged, with
+// its floor blob — through the server's journal hook. wal-on journals
+// to a temporary directory, wal-off runs the same ops with no journal;
+// the difference is the journal's cost per event. journal_B/event is
+// the segment bytes written per event.
+func BenchmarkWALAppend(b *testing.B) {
+	for _, journal := range []bool{false, true} {
+		name := "wal-off"
+		if journal {
+			name = "wal-on"
+		}
+		b.Run(name, func(b *testing.B) {
+			network := netsim.New(9)
+			cfg := server.Config{Network: network, Addr: "wal:1", ProbeInterval: time.Hour}
+			if journal {
+				cfg.WALDir = b.TempDir()
+			}
+			srv, err := server.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv.Start()
+			defer srv.Close()
+			c, err := client.Dial(client.Config{Network: network, Addr: "wal:1", Name: "speaker", Role: "participant", Priority: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Join("class"); err != nil {
+				b.Fatal(err)
+			}
+			bytes0 := srv.WALStats().Bytes
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%2 == 0 {
+					_, err = c.RequestFloor("class", floor.EqualControl, "")
+				} else {
+					err = c.ReleaseFloor("class")
+				}
+				if err != nil {
+					b.Fatalf("op %d: %v", i, err)
+				}
+			}
+			b.StopTimer()
+			if journal {
+				srv.Close() // the last event is appended after its ack
+				b.ReportMetric(float64(srv.WALStats().Bytes-bytes0)/float64(b.N), "journal_B/event")
+			}
+		})
+	}
+}
+
 // seriesValue reads an unlabelled series off a registry's exposition.
 func seriesValue(b *testing.B, reg *metrics.Registry, name string) float64 {
 	b.Helper()

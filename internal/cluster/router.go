@@ -98,6 +98,12 @@ type Router struct {
 	// counters, exported by RegisterMetrics.
 	routed  atomic.Int64
 	relayed atomic.Int64
+	// recoverErrs, serveErrs and upstreamSendErrs count failed Recover
+	// passes of the prober, an accept loop that died and client messages
+	// an upstream refused (dmps_router_errors_total{site}).
+	recoverErrs      atomic.Int64
+	serveErrs        atomic.Int64
+	upstreamSendErrs atomic.Int64
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
@@ -161,8 +167,8 @@ func (r *Router) recoverLoop(interval time.Duration) {
 			return
 		case <-t.C:
 			for i := 0; i < r.pmap.Len(); i++ {
-				if r.pmap.Down(i) {
-					_ = r.Recover(i)
+				if r.pmap.Down(i) && r.Recover(i) != nil {
+					r.recoverErrs.Add(1)
 				}
 			}
 		}
@@ -176,7 +182,8 @@ func (r *Router) Addr() string { return r.listener.Addr() }
 // through it; the router updates it when it detects failures).
 func (r *Router) Map() *Map { return r.pmap }
 
-// Serve accepts clients until Close. It returns nil after a clean Close.
+// Serve accepts clients until Close. It returns nil after a clean Close;
+// any other end is counted (dmps_router_errors_total{site="serve"}).
 func (r *Router) Serve() error {
 	for {
 		conn, err := r.listener.Accept()
@@ -184,6 +191,7 @@ func (r *Router) Serve() error {
 			if r.isClosed() {
 				return nil
 			}
+			r.serveErrs.Add(1)
 			return fmt.Errorf("cluster: router accept: %w", err)
 		}
 		rs := &routerSession{r: r, client: conn, ups: make(map[int]*upstream)}
@@ -195,8 +203,8 @@ func (r *Router) Serve() error {
 	}
 }
 
-// Start runs Serve on a goroutine.
-func (r *Router) Start() { go func() { _ = r.Serve() }() }
+// Start runs Serve on a goroutine; Serve counts its own failure.
+func (r *Router) Start() { go r.Serve() }
 
 // Close shuts the router down: the listener stops, every client and
 // upstream connection closes, and the goroutines are waited for.
@@ -463,7 +471,7 @@ func (rs *routerSession) route(msg protocol.Message, wire []byte) {
 	rs.r.routed.Add(1)
 	switch msg.Type {
 	case protocol.TStatusReport, protocol.TBye:
-		rs.eachUpstream(func(up *upstream) { _ = up.conn.Send(wire) })
+		rs.sendUpAll(wire)
 		return
 	case protocol.TSubscribe:
 		var body protocol.SubscribeBody
@@ -472,7 +480,7 @@ func (rs *routerSession) route(msg protocol.Message, wire []byte) {
 			rs.identity.Classes = body.Classes
 			rs.mu.Unlock()
 		}
-		rs.eachUpstream(func(up *upstream) { _ = up.conn.Send(wire) })
+		rs.sendUpAll(wire)
 		return
 	}
 	gid := protocol.RequestGroup(msg)
@@ -516,8 +524,9 @@ func (rs *routerSession) closing() bool {
 	return rs.done || rs.r.isClosed()
 }
 
-// eachUpstream runs fn over a snapshot of the session's live upstreams.
-func (rs *routerSession) eachUpstream(fn func(*upstream)) {
+// sendUpAll sends a client message up every live upstream, counting
+// each refusal (dmps_router_errors_total{site="upstream_send"}).
+func (rs *routerSession) sendUpAll(wire []byte) {
 	rs.mu.Lock()
 	ups := make([]*upstream, 0, len(rs.ups))
 	for _, up := range rs.ups {
@@ -525,7 +534,9 @@ func (rs *routerSession) eachUpstream(fn func(*upstream)) {
 	}
 	rs.mu.Unlock()
 	for _, up := range ups {
-		fn(up)
+		if up.conn.Send(wire) != nil {
+			rs.r.upstreamSendErrs.Add(1)
+		}
 	}
 }
 

@@ -11,13 +11,14 @@ import (
 // Everything is read at scrape time from state the router already
 // maintains — the session table, the routed/relayed counters, the
 // shared partition map — so the routing hot path carries no extra
-// bookkeeping beyond its two throughput atomics.
+// bookkeeping beyond its throughput and error atomics.
 //
 // Exported series:
 //
 //	dmps_router_sessions            live proxied client sessions
 //	dmps_router_routed_total        client messages forwarded to nodes
 //	dmps_router_relayed_total       node messages relayed to clients
+//	dmps_router_errors_total{site}  errors at recover, serve, upstream_send
 //	dmps_cluster_map_version        partition map change counter
 //	dmps_cluster_node_down{node}    1 when the node is in the down-set
 //
@@ -36,6 +37,14 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 	})
 	reg.CounterFunc("dmps_router_relayed_total", "Node messages relayed back down to clients.", func() []metrics.Sample {
 		return []metrics.Sample{{Value: float64(r.relayed.Load())}}
+	})
+	reg.CounterFunc("dmps_router_errors_total", "Router errors by site: recover (a prober pass that did not bring a down node back), serve (the accept loop died), upstream_send (a client message an upstream refused).", func() []metrics.Sample {
+		site := func(name string, v int64) metrics.Sample {
+			return metrics.Sample{LabelKey: "site", LabelValue: name, Value: float64(v)}
+		}
+		return []metrics.Sample{
+			site("recover", r.recoverErrs.Load()), site("serve", r.serveErrs.Load()), site("upstream_send", r.upstreamSendErrs.Load()),
+		}
 	})
 	RegisterMapMetrics(reg, r.pmap)
 	RegisterTrunkMetrics(reg, "router", &r.trunkStats)

@@ -249,8 +249,9 @@ func appendSuspend(b []byte, v SuspendBody) []byte {
 //	-- fwdReplica only --
 //	lp      Group
 //	byte    1 when a floor blob follows, else 0
-//	blob    lp Mode, lp Holder, byte Pinned, counted Queue, counted
-//	        Suspended (uvarint count, then that many lp-strings)
+//	blob    the floor blob (AppendFloorBlob): lp Mode, lp Holder, byte
+//	        Pinned, counted Queue, counted Suspended (uvarint count,
+//	        then that many lp-strings)
 //	rest    the inner frame, never empty
 const (
 	fwdReplica = 1
@@ -278,21 +279,39 @@ func appendForward(b []byte, v *ForwardBody) ([]byte, error) {
 		return b, nil
 	}
 	b = appendLPString(b, v.Group)
-	if f := v.Floor; f == nil {
+	if v.Floor == nil {
 		b = append(b, 0)
 	} else {
-		b = append(b, 1)
-		b = appendLPString(b, f.Mode)
-		b = appendLPString(b, f.Holder)
-		if f.Pinned {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendStrings(b, f.Queue)
-		b = appendStrings(b, f.Suspended)
+		b = AppendFloorBlob(append(b, 1), v.Floor)
 	}
 	return append(b, v.Msg...), nil
+}
+
+// AppendFloorBlob appends a floor blob in its native form — how a
+// replica forward carries it, and the journal beside a floor or suspend
+// event: lp Mode, lp Holder, byte Pinned, counted Queue, counted
+// Suspended.
+func AppendFloorBlob(b []byte, f *FloorReplicaBody) []byte {
+	b = appendLPString(b, f.Mode)
+	b = appendLPString(b, f.Holder)
+	if f.Pinned {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = appendStrings(b, f.Queue)
+	return appendStrings(b, f.Suspended)
+}
+
+// DecodeFloorBlob reads a native floor blob that fills data exactly.
+// Its strings alias data.
+func DecodeFloorBlob(data []byte) (*FloorReplicaBody, error) {
+	r := &frameReader{data: data}
+	f, err := readFloorBlob(r)
+	if err == nil && r.off != len(data) {
+		err = fmt.Errorf("%w: %d bytes after a floor blob", ErrDecode, len(data)-r.off)
+	}
+	return f, err
 }
 
 // appendStrings appends a counted run of lp-strings.
@@ -826,28 +845,36 @@ func readForward(body []byte, v *ForwardBody) error {
 		return err
 	}
 	if hasFloor == 1 {
-		f := &FloorReplicaBody{}
-		if f.Mode, err = r.lpString(); err != nil {
+		if v.Floor, err = readFloorBlob(r); err != nil {
 			return err
 		}
-		if f.Holder, err = r.lpString(); err != nil {
-			return err
-		}
-		pinned, err := r.byteAt()
-		if err != nil {
-			return err
-		}
-		f.Pinned = pinned != 0
-		if f.Queue, err = readStrings(r); err != nil {
-			return err
-		}
-		if f.Suspended, err = readStrings(r); err != nil {
-			return err
-		}
-		v.Floor = f
 	}
 	v.Msg = body[r.off:]
 	return nil
+}
+
+// readFloorBlob reads a floor blob (see AppendFloorBlob).
+func readFloorBlob(r *frameReader) (*FloorReplicaBody, error) {
+	f := &FloorReplicaBody{}
+	var err error
+	if f.Mode, err = r.lpString(); err != nil {
+		return nil, err
+	}
+	if f.Holder, err = r.lpString(); err != nil {
+		return nil, err
+	}
+	pinned, err := r.byteAt()
+	if err != nil {
+		return nil, err
+	}
+	f.Pinned = pinned != 0
+	if f.Queue, err = readStrings(r); err != nil {
+		return nil, err
+	}
+	if f.Suspended, err = readStrings(r); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // jsonBody materializes the JSON form of a natively-decoded body, for

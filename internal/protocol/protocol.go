@@ -688,9 +688,9 @@ type ReplicaEventBody struct {
 // retained log suffix; a "~member" key carries the member's row, their
 // resume token and their member log's events. A package may be partial:
 // a state forward carries only the directory part (chair and roster, or
-// member row and token), a journal record one field. Epoch stamps a
-// migration's package; a receiver discards packages older than the
-// newest epoch it has installed for the key.
+// member row and token), a replayed journal event one event and its
+// floor blob. Epoch stamps a migration's package; a receiver discards
+// packages older than the newest epoch it has installed for the key.
 type TakeoverBody struct {
 	Key       string             `json:"key"`
 	Epoch     int64              `json:"epoch"`

@@ -12,8 +12,10 @@ import (
 	"strconv"
 	"strings"
 
+	"dmps/internal/floor"
 	"dmps/internal/group"
 	"dmps/internal/protocol"
+	"dmps/internal/whiteboard"
 )
 
 // directory is a partition key's directory part: a group's chair and
@@ -115,6 +117,75 @@ func (s *Server) install(p protocol.TakeoverBody) {
 		gb.mu.Unlock()
 	}
 	s.walPackage(p)
+}
+
+// floorState is a group's floor state as the controller reports it.
+type floorState struct {
+	mode             floor.Mode
+	holder           group.MemberID
+	queue, suspended []group.MemberID
+	pinned           bool
+}
+
+func (s *Server) floorState(groupID string) (fs floorState) {
+	fs.mode, fs.holder, fs.queue, fs.suspended, fs.pinned = s.floorCtl.StateSnapshot(groupID)
+	return fs
+}
+
+// blob is the state in its replication and journal form.
+func (fs floorState) blob() *protocol.FloorReplicaBody {
+	blob := &protocol.FloorReplicaBody{Mode: fs.mode.String(), Holder: string(fs.holder), Pinned: fs.pinned}
+	for _, m := range fs.queue {
+		blob.Queue = append(blob.Queue, string(m))
+	}
+	for _, m := range fs.suspended {
+		blob.Suspended = append(blob.Suspended, string(m))
+	}
+	return blob
+}
+
+// restoreFloor installs a replicated or journaled floor blob as the
+// group's floor state — blob's inverse.
+func (s *Server) restoreFloor(groupID string, blob *protocol.FloorReplicaBody) {
+	mode, ok := floor.ParseMode(blob.Mode)
+	if !ok {
+		mode = floor.FreeAccess
+	}
+	queue := make([]group.MemberID, 0, len(blob.Queue))
+	for _, m := range blob.Queue {
+		queue = append(queue, group.MemberID(m))
+	}
+	suspended := make([]group.MemberID, 0, len(blob.Suspended))
+	for _, m := range blob.Suspended {
+		suspended = append(suspended, group.MemberID(m))
+	}
+	s.floorCtl.Restore(groupID, mode, group.MemberID(blob.Holder), queue, suspended, blob.Pinned)
+}
+
+// applyBoardWire converges the board operations carried by one logged
+// board-class event (a coalesced event carries a burst: the top-level
+// op plus the rest in More). Converge, not Apply: the source is
+// authoritative — this node's own journal or a replicated suffix — so
+// a leading hole is history the retention window dropped, not loss.
+func applyBoardWire(gb *groupBoard, wire []byte) error {
+	msg, err := protocol.DecodeBinary(wire)
+	if err != nil {
+		return err
+	}
+	var body protocol.SequencedBody
+	if err := msg.Into(&body); err != nil || body.Seq == 0 {
+		return err
+	}
+	gb.mu.Lock()
+	defer gb.mu.Unlock()
+	for _, op := range append([]protocol.SequencedBody{body}, body.More...) {
+		if kind, ok := whiteboard.ParseOpKind(op.Kind); ok {
+			if err := gb.board.Converge(whiteboard.Op{Seq: op.Seq, Author: op.Author, Kind: kind, Data: op.Data}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // installed counts an install step that failed: a duplicate is the

@@ -117,10 +117,7 @@ func (s *Server) publish(p publication, build func(fs floorState) protocol.Messa
 			}
 			s.sendWire(sess, w)
 		}
-		s.walEvent(p.key, gseq, cseq, p.class, p.state, wire)
-		if blob != nil {
-			s.walFloor(p.key, blob)
-		}
+		s.walEvent(p.key, gseq, cseq, p.class, p.state, wire, blob)
 		s.replicateLogged(p.key, wire, blob)
 	})
 	if err != nil {

@@ -246,8 +246,8 @@ func TestPublishPipelineTable(t *testing.T) {
 	if got := replica.ReplicaHead(daveLog); got != 2 {
 		t.Errorf("replica holds member-log events up to %d, want 2", got)
 	}
-	// …and in the journal, one event record each, with the floor blob
-	// beside every floor- and suspend-class event.
+	// …and in the journal, one event record each, every floor- and
+	// suspend-class one carrying the floor blob in the same record.
 	owner.Close()
 	w, err := grouplog.OpenWAL(walDir, 0)
 	if err != nil {
@@ -255,21 +255,23 @@ func TestPublishPipelineTable(t *testing.T) {
 	}
 	defer w.Close()
 	var events, blobs int64
-	var prev grouplog.WALRecord
 	if err := w.Replay(func(rec grouplog.WALRecord) error {
-		if rec.Kind == grouplog.WALEvent {
-			events++
+		if rec.Kind != grouplog.WALEvent {
+			return nil
 		}
-		if rec.Kind == grouplog.WALFloor && prev.Kind == grouplog.WALEvent {
+		events++
+		if len(rec.Data) > 0 {
+			if _, err := protocol.DecodeFloorBlob(rec.Data); err != nil {
+				t.Errorf("event %d carries an unreadable floor blob: %v", rec.GSeq, err)
+			}
 			blobs++
 		}
-		prev = rec
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if events != total || blobs != 6 {
-		t.Errorf("journal holds %d event records and %d floor blobs beside events, want %d and 6", events, blobs, total)
+		t.Errorf("journal holds %d event records, %d of them with a floor blob, want %d and 6", events, blobs, total)
 	}
 }
 

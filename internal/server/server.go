@@ -612,16 +612,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.WALDir != "" {
 		w, err := grouplog.OpenWAL(cfg.WALDir, cfg.WALSegmentBytes)
-		if err != nil {
-			_ = l.Close()
-			return nil, fmt.Errorf("server: %w", err)
+		if err == nil {
+			// Replay before the WAL hooks arm (s.wal is still nil), so the
+			// installs do not re-journal what the journal just said.
+			if err = s.replayWAL(w); err != nil {
+				err = errors.Join(err, w.Close())
+			}
 		}
-		// Replay before the WAL hooks arm (s.wal is still nil), so the
-		// installs do not re-journal what the journal just said.
-		if err := s.replayWAL(w); err != nil {
-			_ = l.Close()
-			_ = w.Close()
-			return nil, fmt.Errorf("server: %w", err)
+		if err != nil {
+			// Only the listener and the trace plane run yet: a node that
+			// cannot replay its journal leaves nothing behind.
+			s.plane.Close()
+			return nil, errors.Join(fmt.Errorf("server: %w", err), l.Close())
 		}
 		s.wal = w
 	}
@@ -725,7 +727,7 @@ func (s *Server) Close() {
 	s.plane.Close()
 	if s.wal != nil {
 		// After the goroutines drain: nothing appends anymore, so the
-		// final flush+fsync captures everything (Close is idempotent).
+		// final fsync captures everything (Close is idempotent).
 		if err := s.wal.Close(); err != nil {
 			s.walCloseErrs.Add(1)
 		}
