@@ -183,11 +183,9 @@ func TestRF3SurvivesDoubleFailure(t *testing.T) {
 	})
 	// Let every append reach its full replica set before the kills. The
 	// survivor must hold all three logged events — the grant, bob's
-	// queueing and the chat: a request is acknowledged before its event
-	// is appended, so bob's ack alone does not mean "queued" is in the
-	// log yet, and an ack table that drained before the append would say
-	// nothing about it. With the head there, a drained ack table on each
-	// node means the RF acks landed.
+	// queueing and the chat. Replicas ack in the background, so an ack
+	// alone says nothing about the replica set; with the head there, a
+	// drained ack table on each node means the RF acks landed.
 	waitFor(t, "replication drained at RF=3", func() bool {
 		for _, n := range cl.Nodes {
 			if n.ReplicationPending() != 0 {
@@ -358,9 +356,10 @@ func TestRecoveredNodeMigratesPartitionsHomeUnderNewEpoch(t *testing.T) {
 	if err := alice.Chat(g, "born on the owner"); err != nil {
 		t.Fatal(err)
 	}
-	// Both logged events, the grant and the chat: a request is acked
-	// before its event is appended and replication is asynchronous, so
-	// the chat's ack does not put it on the successor yet.
+	// Both logged events, the grant and the chat: a chat line is acked
+	// before its paced batch is appended and replication is
+	// asynchronous, so the chat's ack does not put it on the successor
+	// yet.
 	waitFor(t, "replica at the successor", func() bool {
 		return cl.Nodes[0].ReplicaHead(g) >= 2
 	})

@@ -88,6 +88,12 @@ func TestPartitionHandoffMidFloorHold(t *testing.T) {
 		return bob.Holder(g) == alice.MemberID() && alice.Holder(g) == alice.MemberID()
 	})
 
+	// The restored holder asking again is a repeat request: acked as
+	// granted, logged as nothing — bob sees no second grant for her.
+	if dec, err := alice.RequestFloor(g, floor.EqualControl, ""); err != nil || !dec.Granted || dec.Holder != alice.MemberID() {
+		t.Fatalf("alice's re-request after handoff: dec=%+v err=%v, want granted", dec, err)
+	}
+
 	// The queue survived the handoff: a release on the new owner
 	// promotes bob, proving queue state (which the wire events redact)
 	// crossed through the floor blob.

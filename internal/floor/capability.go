@@ -23,8 +23,8 @@ type Capability struct {
 //
 //   - Free Access: everyone sends to the message window and whiteboard
 //     ("like general discussion with no privacy and priority").
-//   - Equal Control: only the token holder delivers; the holder may pass
-//     the token.
+//   - Equal Control (and Round Robin, its rotating form): only the
+//     token holder delivers; the holder may pass the token.
 //   - Group Discussion: every sub-group member sends; the sub-group chair
 //     (its creator) may invite more members. "All participants in the
 //     same group can send message together."
@@ -46,7 +46,7 @@ func (c *Controller) CapabilityFor(groupID string, member group.MemberID) Capabi
 
 	var cap Capability
 	switch mode {
-	case EqualControl:
+	case EqualControl, RoundRobin:
 		isHolder := holder == member
 		cap.MessageWindow = isHolder
 		cap.Whiteboard = isHolder

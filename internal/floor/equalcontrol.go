@@ -16,7 +16,9 @@ func (equalControlPolicy) Decide(_ Roster, st *State, req Request) (Decision, er
 	st.Mode = EqualControl
 	member := req.Requester.ID
 	if st.Holder == "" || st.Holder == member {
+		// A request left queued from an earlier mode is served here.
 		st.Holder = member
+		st.dequeue(member)
 		return Decision{Granted: true, Holder: member}, nil
 	}
 	pos := st.enqueue(member)

@@ -14,6 +14,11 @@
 // mean serialized, though: controller state is sharded per group (each
 // group's floorState carries its own lock behind a lock-striped map), so
 // arbitration in one group never waits on arbitration in another.
+//
+// Lock order: the server runs every floor transition inside its group
+// log's append, and a controller method takes the registry's locks
+// under the group's floor lock, so the locks nest group log → floor
+// state → registry and never the other way round.
 package floor
 
 import (
@@ -165,6 +170,14 @@ type Decision struct {
 	Level resource.Level
 	// Target echoes the Direct Contact peer.
 	Target group.MemberID
+	// Unchanged reports a repeat request that moved nothing: the holder
+	// asked again, a queued member asked again in the same mode, or the
+	// chair re-approved an approved member. The floor — mode, holder,
+	// queue and approvals — is exactly as it was, so there is no
+	// transition to announce. (A grant in a mode where everyone sends is
+	// the member's own grant, never a repeat; a Media-Suspend the
+	// request caused is reported in Suspended, not here.)
+	Unchanged bool
 }
 
 // Controller is the centralized floor control state for all groups. It
@@ -301,11 +314,18 @@ func (c *Controller) Arbitrate(groupID string, member group.MemberID, mode Mode,
 			dec.Suspended = append(dec.Suspended, victim)
 		}
 	}
-	// Step 4: mode rules, delegated to the policy.
+	// Step 4: mode rules, delegated to the policy. A policy only ever
+	// enqueues or dequeues the requester, so mode, holder, queue length
+	// and the requester's slot tell whether it moved anything. A Direct
+	// Contact grant is never a repeat: it (re)opens a private window.
+	wasMode, wasHolder, wasLen, wasPos := fs.st.Mode, fs.st.Holder, len(fs.st.Queue), fs.st.queuePosition(member)
 	pdec, err := pol.Decide(c.registry, &fs.st, req)
 	pdec.Mode = mode
 	pdec.Level = lvl
 	pdec.Suspended = dec.Suspended
+	pdec.Unchanged = (wasHolder == member || wasPos > 0) && mode != DirectContact &&
+		fs.st.Mode == wasMode && fs.st.Holder == wasHolder &&
+		len(fs.st.Queue) == wasLen && fs.st.queuePosition(member) == wasPos
 	return pdec, err
 }
 
@@ -378,9 +398,11 @@ func (c *Controller) Approve(groupID string, approver, member group.MemberID) (D
 	if !ok {
 		return Decision{}, fmt.Errorf("%w: %v", ErrNoApproval, fs.st.Mode)
 	}
+	wasApproved := fs.st.Approved[member]
 	dec, err := appr.Approve(c.registry, &fs.st, groupID, approver, member)
 	dec.Mode = fs.st.Mode
 	dec.Level = c.level()
+	dec.Unchanged = wasApproved && !dec.Granted
 	return dec, err
 }
 
@@ -445,9 +467,9 @@ func (c *Controller) SwitchMode(groupID string, member group.MemberID, mode Mode
 // the next eligible queued member in the token modes). The server calls
 // it when a member is reaped from the directory; a regular leave keeps
 // floor state, matching the paper's persistent red-light semantics. It
-// reports the holder after eviction and whether the member held the
-// floor or occupied a queue slot (the cases that shift other members).
-func (c *Controller) Evict(groupID string, member group.MemberID) (holder group.MemberID, wasHolder, wasQueued bool) {
+// reports whether the member held the floor or occupied a queue slot
+// (the cases that shift other members).
+func (c *Controller) Evict(groupID string, member group.MemberID) (wasHolder, wasQueued bool) {
 	fs := c.state(groupID)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -481,7 +503,7 @@ func (c *Controller) Evict(groupID string, member group.MemberID) (holder group.
 			st.Holder = ""
 		}
 	}
-	return st.Holder, wasHolder, wasQueued
+	return wasHolder, wasQueued
 }
 
 // Restore installs a group's floor state wholesale — the cluster
@@ -577,21 +599,6 @@ func (c *Controller) Queue(groupID string) []group.MemberID {
 		return nil
 	}
 	return pol.QueueSnapshot(&fs.st)
-}
-
-// HolderAndQueue returns the holder and the pending queue from one lock
-// acquisition, so callers pairing the two (e.g. queue-position pushes)
-// cannot observe a holder from before a concurrent arbitration and a
-// queue from after it.
-func (c *Controller) HolderAndQueue(groupID string) (group.MemberID, []group.MemberID) {
-	fs := c.state(groupID)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	pol, err := c.policyOf(fs)
-	if err != nil {
-		return fs.st.Holder, nil
-	}
-	return fs.st.Holder, pol.QueueSnapshot(&fs.st)
 }
 
 // ModeOf returns the group's current floor mode (FreeAccess by default).

@@ -413,9 +413,7 @@ func TestParseModeAliases(t *testing.T) {
 	}
 	// A single-word custom mode has no alias; in particular the empty
 	// string must never resolve to it.
-	if err := RegisterPolicy("lecture", fakeMode202{}); err != nil {
-		t.Fatal(err)
-	}
+	registerForTest(t, "lecture", fakeMode202{})
 	if got, ok := ParseMode("lecture"); !ok || got != Mode(202) {
 		t.Errorf("ParseMode(lecture) = %v, %v", got, ok)
 	}
@@ -442,6 +440,23 @@ func TestRegisterPolicyRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// registerForTest registers a custom policy for the length of one
+// test, so that a repeated run (-count) can register it again and no
+// later test — the exhaustive exploration walks every registered
+// policy — meets it.
+func registerForTest(t *testing.T, name string, p Policy) {
+	t.Helper()
+	if err := RegisterPolicy(name, p); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		policyMu.Lock()
+		defer policyMu.Unlock()
+		delete(policies, p.Mode())
+		delete(modeNames, p.Mode())
+	})
+}
+
 // fakeMode200 is a minimal custom policy used to exercise registration.
 type fakeMode200 struct{ tokenSemantics }
 
@@ -452,9 +467,7 @@ func (fakeMode200) Decide(_ Roster, st *State, req Request) (Decision, error) {
 }
 
 func TestRegisterCustomPolicy(t *testing.T) {
-	if err := RegisterPolicy("always-yes", fakeMode200{}); err != nil {
-		t.Fatal(err)
-	}
+	registerForTest(t, "always-yes", fakeMode200{})
 	if got, ok := ParseMode("always-yes"); !ok || got != Mode(200) {
 		t.Fatalf("ParseMode = %v, %v", got, ok)
 	}

@@ -60,8 +60,8 @@ func TestRoundRobinEvictLeavesRotation(t *testing.T) {
 	if _, err := c.Arbitrate("class", "bob", RoundRobin, ""); !errors.Is(err, ErrBusy) {
 		t.Fatalf("bob: %v, want queued", err)
 	}
-	holder, wasHolder, _ := c.Evict("class", "alice")
-	if !wasHolder || holder != "bob" {
+	wasHolder, _ := c.Evict("class", "alice")
+	if holder := c.Holder("class"); !wasHolder || holder != "bob" {
 		t.Fatalf("evict: holder = %q (wasHolder=%v), want bob", holder, wasHolder)
 	}
 	if q := c.Queue("class"); len(q) != 0 {

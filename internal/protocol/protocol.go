@@ -252,8 +252,9 @@ type Message struct {
 	Class string `json:"class,omitempty"`
 	CSeq  int64  `json:"cseq,omitempty"`
 	// State marks a state-bearing event: one that fully restates its
-	// class's group state (floor events re-read mode/holder/queue at
-	// append; suspend notices carry the whole suspended set). A client
+	// class's group state (a floor event carries the mode/holder/queue
+	// its transition left, read inside the same append; suspend notices
+	// carry the whole suspended set). A client
 	// may admit a state-bearing event ACROSS a hole — jumping its class
 	// cursor forward — because everything the missed events did to that
 	// class's state is restated here. Log compaction relies on the same

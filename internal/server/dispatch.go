@@ -93,8 +93,8 @@ func (s *Server) onJoin(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "join", err)
 		return
 	}
-	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
 	s.persist(body.Group)
+	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
 	// One snapshot converges the late joiner: board history, floor
 	// state, suspensions, and the log position live events continue from.
 	// Everyone else sees the join in the next probe tick's lights push.
@@ -115,8 +115,8 @@ func (s *Server) onCreateGroup(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "create_group", err)
 		return
 	}
-	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
 	s.persist(body.Group)
+	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
 }
 
 func (s *Server) onLeave(sess *session, msg protocol.Message) {
@@ -129,12 +129,13 @@ func (s *Server) onLeave(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "leave", err)
 		return
 	}
-	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
 	s.persist(body.Group)
+	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
 }
 
-// onFloorRequest runs FCM-Arbitrate and reports the decision. Every
-// request is centralized here, per the paper.
+// onFloorRequest runs FCM-Arbitrate inside the group log's append and
+// reports the decision once its event is out. Every request is
+// centralized here, per the paper.
 func (s *Server) onFloorRequest(sess *session, msg protocol.Message) {
 	var body protocol.FloorRequestBody
 	if err := msg.Into(&body); err != nil {
@@ -147,37 +148,39 @@ func (s *Server) onFloorRequest(sess *session, msg protocol.Message) {
 		return
 	}
 	tc := traceOf(msg)
-	var t0 time.Time
-	if tc.sampled() {
-		t0 = time.Now()
-	}
-	dec, err := s.floorCtl.Arbitrate(msg.Group, sess.member.ID, mode, group.MemberID(body.Target))
-	if tc.sampled() {
-		s.plane.Span(tc.id, msg.TraceParent, trace.StageArbitrate, t0)
-	}
-	decision := decisionBody(dec)
-	if err != nil {
-		decision.Reason = err.Error()
-		// A queued request is not a failure: ack with the queue position
-		// and log the queueing — the queue is group state, so the event
-		// broadcasts (and is backfillable) like any other transition.
-		if errors.Is(err, floor.ErrBusy) {
-			s.replyAck(sess, msg.Seq, decision)
-			s.notifySuspensions(msg.Group, dec, tc)
-			// The broadcast form is redacted (queue length only); the
-			// requester's copy is personalized with their slot.
-			s.logFloorEvent(msg.Group, protocol.FloorEventBody{
-				Mode:   mode.String(),
-				Holder: string(dec.Holder),
-				Member: string(sess.member.ID),
-				Event:  "queued",
-			}, tc)
-			return
+	var dec floor.Decision
+	var err error
+	s.logFloorEvent(msg.Group, mode != floor.DirectContact, tc, func() (protocol.FloorEventBody, bool) {
+		var t0 time.Time
+		if tc.sampled() {
+			t0 = time.Now()
 		}
-		s.replyErr(sess, msg.Seq, "floor_denied", err)
-		// A denied request can still have Media-Suspended someone in the
-		// degraded regime — the victim must hear about it here too.
-		s.notifySuspensions(msg.Group, dec, tc)
+		dec, err = s.floorCtl.Arbitrate(msg.Group, sess.member.ID, mode, group.MemberID(body.Target))
+		if tc.sampled() {
+			s.plane.Span(tc.id, msg.TraceParent, trace.StageArbitrate, t0)
+		}
+		// A queued request is not a failure: the queue is group state, so
+		// the queueing logs (and is backfillable) like any other
+		// transition. The broadcast form is redacted (queue length only);
+		// the requester's copy is personalized with their slot.
+		event := "granted"
+		if errors.Is(err, floor.ErrBusy) {
+			event = "queued"
+		}
+		return protocol.FloorEventBody{
+			Mode:   mode.String(),
+			Holder: string(dec.Holder),
+			Member: string(sess.member.ID),
+			Event:  event,
+		}, (err == nil || event == "queued") && !dec.Unchanged
+	})
+	// A request can have Media-Suspended someone in the degraded regime,
+	// a denied one included — the victim must hear about it either way.
+	s.notifySuspensions(msg.Group, dec, tc)
+	decision := decisionBody(dec)
+	if errors.Is(err, floor.ErrBusy) {
+		decision.Reason = err.Error()
+	} else if err != nil {
 		// Push the denial to the requester's event stream too, so
 		// Subscribe sees every outcome, not just grants and queueing. A
 		// denial changes no group state, so it stays requester-directed
@@ -193,16 +196,12 @@ func (s *Server) onFloorRequest(sess *session, msg protocol.Message) {
 		})
 		denied.Group = msg.Group
 		s.sendReliable(sess, denied)
+		s.replyErr(sess, msg.Seq, "floor_denied", err)
 		return
 	}
+	// A repeat request logs nothing and is acked with the decision as it
+	// stands.
 	s.replyAck(sess, msg.Seq, decision)
-	s.notifySuspensions(msg.Group, dec, tc)
-	s.logFloorEvent(msg.Group, protocol.FloorEventBody{
-		Mode:   mode.String(),
-		Holder: string(dec.Holder),
-		Member: string(sess.member.ID),
-		Event:  "granted",
-	}, tc)
 }
 
 // onSubscribe replaces the session's event-class mask: logged events of
@@ -245,23 +244,25 @@ func (s *Server) onModeSwitch(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "bad_mode", fmt.Errorf("server: unknown mode %q", body.Mode))
 		return
 	}
-	newMode, changed, err := s.floorCtl.SwitchMode(msg.Group, sess.member.ID, mode, body.Pin)
+	var newMode floor.Mode
+	var err error
+	s.logFloorEvent(msg.Group, true, traceOf(msg), func() (protocol.FloorEventBody, bool) {
+		var changed bool
+		newMode, changed, err = s.floorCtl.SwitchMode(msg.Group, sess.member.ID, mode, body.Pin)
+		// A same-mode call only updates the pin: nothing about the floor
+		// changed, so logging it would make every client wrongly clear
+		// its cached holder and queue position.
+		return protocol.FloorEventBody{Member: string(sess.member.ID), Event: "mode_switch"}, err == nil && changed
+	})
 	if err != nil {
 		s.replyErr(sess, msg.Seq, "mode_switch", err)
 		return
 	}
-	note := protocol.FloorEventBody{
+	s.replyAck(sess, msg.Seq, protocol.FloorEventBody{
 		Mode:   newMode.String(),
 		Member: string(sess.member.ID),
 		Event:  "mode_switch",
-	}
-	s.replyAck(sess, msg.Seq, note)
-	// A same-mode call only updates the pin: nothing about the floor
-	// changed, so broadcasting would make every client wrongly clear its
-	// cached holder and queue position.
-	if changed {
-		s.logFloorEvent(msg.Group, note, traceOf(msg))
-	}
+	})
 }
 
 // onFloorApprove clears a queued request in a moderated mode: the chair
@@ -274,22 +275,21 @@ func (s *Server) onFloorApprove(sess *session, msg protocol.Message) {
 		return
 	}
 	member := group.MemberID(body.Member)
-	dec, err := s.floorCtl.Approve(msg.Group, sess.member.ID, member)
+	var dec floor.Decision
+	var err error
+	s.logFloorEvent(msg.Group, true, traceOf(msg), func() (protocol.FloorEventBody, bool) {
+		dec, err = s.floorCtl.Approve(msg.Group, sess.member.ID, member)
+		event := "approved"
+		if dec.Granted {
+			event = "granted"
+		}
+		return protocol.FloorEventBody{Member: string(member), Event: event}, err == nil && !dec.Unchanged
+	})
 	if err != nil {
 		s.replyErr(sess, msg.Seq, "approve", err)
 		return
 	}
 	s.replyAck(sess, msg.Seq, decisionBody(dec))
-	event := "approved"
-	if dec.Granted {
-		event = "granted"
-	}
-	s.logFloorEvent(msg.Group, protocol.FloorEventBody{
-		Mode:   dec.Mode.String(),
-		Holder: string(dec.Holder),
-		Member: string(member),
-		Event:  event,
-	}, traceOf(msg))
 }
 
 // notifySuspensions tells each Media-Suspend victim and the group. The
@@ -303,17 +303,17 @@ func (s *Server) notifySuspensions(groupID string, dec floor.Decision, tc traceC
 }
 
 func (s *Server) onFloorRelease(sess *session, msg protocol.Message) {
-	next, err := s.floorCtl.Release(msg.Group, sess.member.ID)
+	var next group.MemberID
+	var err error
+	s.logFloorEvent(msg.Group, true, traceOf(msg), func() (protocol.FloorEventBody, bool) {
+		next, err = s.floorCtl.Release(msg.Group, sess.member.ID)
+		return protocol.FloorEventBody{Member: string(sess.member.ID), Event: "released"}, err == nil
+	})
 	if err != nil {
 		s.replyErr(sess, msg.Seq, "release", err)
 		return
 	}
 	s.replyAck(sess, msg.Seq, protocol.FloorEventBody{Holder: string(next), Event: "released"})
-	s.logFloorEvent(msg.Group, protocol.FloorEventBody{
-		Holder: string(next),
-		Member: string(sess.member.ID),
-		Event:  "released",
-	}, traceOf(msg))
 }
 
 func (s *Server) onTokenPass(sess *session, msg protocol.Message) {
@@ -322,16 +322,16 @@ func (s *Server) onTokenPass(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "bad_body", err)
 		return
 	}
-	if err := s.floorCtl.Pass(msg.Group, sess.member.ID, group.MemberID(body.To)); err != nil {
+	var err error
+	s.logFloorEvent(msg.Group, true, traceOf(msg), func() (protocol.FloorEventBody, bool) {
+		err = s.floorCtl.Pass(msg.Group, sess.member.ID, group.MemberID(body.To))
+		return protocol.FloorEventBody{Member: string(sess.member.ID), Event: "passed"}, err == nil
+	})
+	if err != nil {
 		s.replyErr(sess, msg.Seq, "pass", err)
 		return
 	}
 	s.replyAck(sess, msg.Seq, protocol.FloorEventBody{Holder: body.To, Event: "passed"})
-	s.logFloorEvent(msg.Group, protocol.FloorEventBody{
-		Holder: body.To,
-		Member: string(sess.member.ID),
-		Event:  "passed",
-	}, traceOf(msg))
 }
 
 func (s *Server) onInvite(sess *session, msg protocol.Message) {
@@ -378,12 +378,15 @@ func (s *Server) onInviteReply(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "invite_reply", err)
 		return
 	}
+	accepted := inv.Status == group.Accepted
+	if accepted {
+		s.persist(inv.Group)
+	}
 	s.replyAck(sess, msg.Seq, protocol.InviteEventBody{InviteID: inv.ID, Group: inv.Group, From: string(inv.From)})
 	// Tell the inviter the outcome.
 	outcome := "declined"
-	if inv.Status == group.Accepted {
+	if accepted {
 		outcome = "accepted"
-		s.persist(inv.Group)
 		// One snapshot converges the new member on the sub-group.
 		s.sendSnapshot(sess, inv.Group, 0)
 	}

@@ -177,8 +177,8 @@ func TestJournalCrashInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A request is acked before its event is appended: wait for the
-	// three grants-or-queueings, two releases and three lines.
+	// A chat line is acked before its paced batch is appended: wait for
+	// the three grants-or-queueings, two releases and three lines.
 	waitFor(t, "every event to be logged", func() bool { return srv.logs.Get(g).Head() == 8 })
 	sim.Advance(time.Minute)
 	for _, who := range []string{"alice", "bob", "carol"} {

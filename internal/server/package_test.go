@@ -95,9 +95,10 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := []string{grouplog.MemberKey(string(dave)), "hall"}
-	// A request is acked before its event is appended: wait for all of
-	// them — three floor events, the suspension, two board events, the
-	// invitation — so that nothing lands after the source is dumped.
+	// Board lines and invitations are acked before their events are
+	// appended: wait for all of them — three floor events, the
+	// suspension, two board events, the invitation — so that nothing
+	// lands after the source is dumped.
 	waitFor(t, "every event to be logged", func() bool {
 		return src.logs.Get(keys[0]).Head() == 1 && src.logs.Get("hall").Head() == 6
 	})

@@ -1,10 +1,10 @@
 package server
 
 import (
+	"errors"
 	"slices"
 	"time"
 
-	"dmps/internal/floor"
 	"dmps/internal/group"
 	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
@@ -40,31 +40,40 @@ type publication struct {
 	// tc is the sampled trace of the request that caused the event.
 	tc      traceCtx
 	targets []*session
-	// floor asks for the group's floor state to be read under the log
-	// lock: build receives it, and where there is a journal or a replica
+	// floor marks an event that changes floor state: build returns the
+	// state the change left, and where there is a journal or a replica
 	// it goes to them beside the event (the queue's member identities,
 	// which the event's own bytes redact).
 	floor bool
 }
 
+// errUnlogged is what a floor transition's build returns when it left
+// nothing to log: the transition was refused (denied, not the holder,
+// not a member) or repeated a request that changes nothing. The log
+// stays untouched and nothing counts as a failed append.
+var errUnlogged = errors.New("server: transition changed no logged state")
+
 // publish is the one path of a logged state event, in stages: stamp
-// (sequence numbers assigned by the log, floor state re-read), encode
+// (sequence numbers assigned by the log, the transition run), encode
 // (once, whatever the group size), append (retained for backfill),
 // fan-out, journal, replicate. Everything from stamp to replicate runs
-// under the log's lock, so every consumer — sessions, WAL, replicas —
-// sees the log's order; fan-out comes first because recipients are who
-// is waiting. A recipient whose queue drops the event needs no
-// server-side bookkeeping: the hole in its per-class CSeq stream — or
-// the heads digest riding the lights broadcast, for drops with no later
-// event behind them — makes the client ask TBackfill.
+// under the log's lock, so the log's order is the order of the
+// transitions themselves and every consumer — sessions, WAL, replicas —
+// sees it; fan-out comes first because recipients are who is waiting.
+// A recipient whose queue drops the event needs no server-side
+// bookkeeping: the hole in its per-class CSeq stream — or the heads
+// digest riding the lights broadcast, for drops with no later event
+// behind them — makes the client ask TBackfill.
 //
-// build returns the event in its canonical form — what the log retains
-// and everyone without a personal copy receives; fs is the zero state
-// unless p.floor is set. personal, when not nil, may replace the body for one
+// build runs the event's transition, if it has one, and returns the
+// event in its canonical form — what the log retains and everyone
+// without a personal copy receives — with, for a floor publication, the
+// floor state the transition left. An error from build leaves the log
+// untouched. personal, when not nil, may replace the body for one
 // recipient; the copy carries the canonical event's sequence numbers.
 // (Both are parameters rather than fields of p so that the callers'
 // closures, and what they capture, stay on the stack.)
-func (s *Server) publish(p publication, build func(fs floorState) protocol.Message, personal func(sess *session) (body any, ok bool)) {
+func (s *Server) publish(p publication, build func() (protocol.Message, floorState, error), personal func(sess *session) (body any, ok bool)) {
 	sampled := p.tc.sampled()
 	var a0 time.Time
 	if sampled {
@@ -80,13 +89,13 @@ func (s *Server) publish(p publication, build func(fs floorState) protocol.Messa
 	_, err := s.logs.Get(p.key).Append(p.class, p.state, func(g, c int64) ([]byte, error) {
 		gseq, cseq = g, c
 		var fs floorState
-		if p.floor {
-			fs = s.floorState(p.key)
-			if s.wal != nil || s.cluster != nil {
-				blob = fs.blob()
-			}
+		var err error
+		if msg, fs, err = build(); err != nil {
+			return nil, err
 		}
-		msg = build(fs)
+		if p.floor && (s.wal != nil || s.cluster != nil) {
+			blob = fs.blob()
+		}
 		stamp(&msg)
 		var e0 time.Time
 		if sampled {
@@ -120,7 +129,7 @@ func (s *Server) publish(p publication, build func(fs floorState) protocol.Messa
 		s.walEvent(p.key, gseq, cseq, p.class, p.state, wire, blob)
 		s.replicateLogged(p.key, wire, blob)
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, errUnlogged) {
 		// The event could not be encoded and the log is untouched: no
 		// recipient sees it live, and nobody can repair what was never
 		// sequenced, so the loss is at least counted.
@@ -143,41 +152,51 @@ func (s *Server) logBroadcast(groupID string, msg protocol.Message) {
 	}
 	s.publish(publication{
 		key: groupID, group: groupID, class: class, tc: traceOf(msg), targets: s.groupTargets(groupID),
-	}, func(floorState) protocol.Message { return msg }, nil)
+	}, func() (protocol.Message, floorState, error) { return msg, floorState{}, nil }, nil)
 }
 
-// logFloorEvent publishes a floor event, with two extra guarantees.
-// First, Mode, Holder and the queue shape are re-read from the
-// authoritative floor state inside the log lock, not taken from the
-// state the caller computed earlier: handlers run concurrently, so two
-// transitions can append in the opposite order of their state mutations
-// — a "released" computed before a concurrent grant could otherwise
-// become the log's last word and clobber every client's caches with
-// values the server has already moved past. Re-reading at append time
-// makes whichever entry lands last carry the current state (which is
-// also what lets these events be marked state-bearing: compaction keeps
-// only the latest one, and clients may jump a hole onto it). Second,
-// queue slots stay private: the canonical logged bytes carry only the
-// queue length, and every queued member gets a personal copy — same
-// sequence numbers, plus their own QueuePosition — of every refreshed
-// event, so a transition that moves the queue tells each member behind
-// it their new slot in the transition itself. Nobody ever receives
-// another member's position, live or via backfill. Direct Contact grants
-// are exempt from the refresh: they run concurrently with the prevailing
-// mode, name their own Mode, and deliberately carry no group-floor claim.
-func (s *Server) logFloorEvent(groupID string, body protocol.FloorEventBody, tc traceCtx) {
-	refresh := !(body.Event == "granted" && body.Mode == floor.DirectContact.String())
+// logFloorEvent runs one floor transition inside the group log's append
+// and publishes the event it made. The transition and its log entry are
+// one step, so the log's order is the floor's order; a handler replies
+// only once this returns, so every member — the actor included — has
+// the event queued ahead of the actor's ack. transition returns the
+// event body and whether to log it: false for a refused transition and
+// for a repeat request that changed nothing, which leave the log
+// untouched. It runs under the log lock and takes the floor and
+// registry locks beneath it; that is the lock order, group log → floor
+// state → registry. state is false only for a Direct Contact request,
+// whose grant runs beside the group floor, names its own Mode and
+// carries no claim on the group floor.
+//
+// A state-bearing event's Mode, Holder and queue length — and the floor
+// blob the journal and replicas get — are the state read right after
+// the transition, in the same append, so each entry states exactly what
+// its own transition left. That is what lets these events be marked
+// state-bearing: compaction keeps only the latest one, and clients may
+// jump a hole onto it. Queue slots stay private: the canonical logged
+// bytes carry only the queue length, and every queued member gets a
+// personal copy — same sequence numbers, plus their own QueuePosition —
+// so a transition that moves the queue tells each member behind it
+// their new slot in the transition itself. Nobody ever receives another
+// member's position, live or via backfill.
+func (s *Server) logFloorEvent(groupID string, state bool, tc traceCtx, transition func() (body protocol.FloorEventBody, logged bool)) {
+	var body protocol.FloorEventBody
 	var queue []group.MemberID
 	s.publish(publication{
-		key: groupID, group: groupID, class: protocol.ClassFloor, state: refresh, tc: tc,
+		key: groupID, group: groupID, class: protocol.ClassFloor, state: state, tc: tc,
 		targets: s.groupTargets(groupID), floor: true,
-	}, func(fs floorState) protocol.Message {
-		if refresh {
+	}, func() (protocol.Message, floorState, error) {
+		var logged bool
+		if body, logged = transition(); !logged {
+			return protocol.Message{}, floorState{}, errUnlogged
+		}
+		fs := s.floorState(groupID)
+		if state {
 			body.Mode, body.Holder, body.QueueLen = fs.mode.String(), string(fs.holder), len(fs.queue)
 			queue = fs.queue
 		}
 		body.QueuePosition = 0 // canonical form: slots are per-recipient
-		return protocol.MustNew(protocol.TFloorEvent, body)
+		return protocol.MustNew(protocol.TFloorEvent, body), fs, nil
 	}, func(sess *session) (any, bool) {
 		pos := slices.Index(queue, sess.member.ID) + 1
 		if pos == 0 {
@@ -190,7 +209,7 @@ func (s *Server) logFloorEvent(groupID string, body protocol.FloorEventBody, tc 
 }
 
 // logSuspend publishes a Media-Suspend/Resume transition as a
-// state-bearing suspend-class event: the whole suspended set is re-read
+// state-bearing suspend-class event: the whole suspended set is read
 // inside the log lock and rides the notice, so any single suspend event
 // fully restates the group's suspension state — a recipient that missed
 // earlier transitions reconciles from whichever notice it sees next, and
@@ -199,12 +218,13 @@ func (s *Server) logSuspend(groupID string, typ protocol.Type, member string, le
 	s.publish(publication{
 		key: groupID, group: groupID, class: protocol.ClassSuspend, state: true, tc: tc,
 		targets: s.groupTargets(groupID), floor: true,
-	}, func(fs floorState) protocol.Message {
+	}, func() (protocol.Message, floorState, error) {
+		fs := s.floorState(groupID)
 		body := protocol.SuspendBody{Member: member, Level: level.String()}
 		for _, m := range fs.suspended {
 			body.Suspended = append(body.Suspended, string(m))
 		}
-		return protocol.MustNew(typ, body)
+		return protocol.MustNew(typ, body), fs, nil
 	}, nil)
 }
 
@@ -224,7 +244,7 @@ func (s *Server) logSendTo(id group.MemberID, msg protocol.Message) {
 	}
 	s.publish(publication{
 		key: grouplog.MemberKey(string(id)), class: class, tc: traceOf(msg), targets: targets,
-	}, func(floorState) protocol.Message { return msg }, nil)
+	}, func() (protocol.Message, floorState, error) { return msg, floorState{}, nil }, nil)
 }
 
 // Broadcast delivers a server-originated message to every connected

@@ -111,8 +111,8 @@ func TestPublishPipelineTable(t *testing.T) {
 	}
 	id := func(who string) string { return members[who].MemberID() }
 	daveLog := grouplog.MemberKey(id("dave"))
-	// A join is acked before its roster is forwarded, so wait the set-up's
-	// forwards out by count — a member home per hello, a roster per join —
+	// The replica acks the set-up's forwards — a member home per hello, a
+	// roster per join — in the background, so wait them out by count
 	// before counting the publishes' own.
 	waitFor(t, "set-up replication to drain", func() bool {
 		sent, _ := owner.cluster.pool.Stats()
@@ -144,7 +144,9 @@ func TestPublishPipelineTable(t *testing.T) {
 		{"logFloorEvent: queued, slot 1", g, 1, request("bob", false, 1)},
 		{"logFloorEvent: queued, slot 2", g, 1, request("carol", false, 2)},
 		{"logFloorEvent: a queue event", g, 1, func() {
-			owner.logFloorEvent(g, protocol.FloorEventBody{Event: "queue"}, traceCtx{})
+			owner.logFloorEvent(g, true, traceCtx{}, func() (protocol.FloorEventBody, bool) {
+				return protocol.FloorEventBody{Event: "queue"}, true
+			})
 		}},
 		{"logSuspend: suspend and resume", g, 2, func() {
 			owner.logSuspend(g, protocol.TSuspend, id("bob"), resource.Degraded, traceCtx{})

@@ -56,19 +56,14 @@ func (s *Server) Reap(now time.Time) []string {
 		// or a "queue" event for a queued-only member, tells each of them
 		// their new slot.
 		for _, gid := range s.registry.Groups() {
-			holder, wasHolder, wasQueued := s.floorCtl.Evict(gid, id)
-			if !wasHolder && !wasQueued {
-				continue
-			}
-			event := "queue"
-			if wasHolder {
-				event = "released"
-			}
-			s.logFloorEvent(gid, protocol.FloorEventBody{
-				Holder: string(holder),
-				Member: string(id),
-				Event:  event,
-			}, traceCtx{})
+			s.logFloorEvent(gid, true, traceCtx{}, func() (protocol.FloorEventBody, bool) {
+				wasHolder, wasQueued := s.floorCtl.Evict(gid, id)
+				event := "queue"
+				if wasHolder {
+					event = "released"
+				}
+				return protocol.FloorEventBody{Member: string(id), Event: event}, wasHolder || wasQueued
+			})
 		}
 		s.registry.Unregister(id)
 		s.logs.Drop(grouplog.MemberKey(string(id)))

@@ -49,15 +49,7 @@ func (r *floorRecorder) tap(msg protocol.Message) {
 	if msg.Into(&body) != nil {
 		return
 	}
-	ev := FloorEvent{
-		Group:  msg.Group,
-		CSeq:   msg.CSeq,
-		GSeq:   msg.GSeq,
-		Event:  body.Event,
-		Mode:   body.Mode,
-		Holder: body.Holder,
-		Member: body.Member,
-	}
+	ev := FloorEvent{Group: msg.Group, CSeq: msg.CSeq, GSeq: msg.GSeq, Event: body.Event, Mode: body.Mode, Holder: body.Holder, Member: body.Member}
 	key := fmt.Sprintf("%s\x00%d", ev.Group, ev.CSeq)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -67,12 +59,14 @@ func (r *floorRecorder) tap(msg protocol.Message) {
 		return
 	}
 	if prev != ev {
-		r.conflicts = append(r.conflicts, fmt.Sprintf(
-			"conflict: group %s cseq %d observed as %s member=%s holder=%s gseq=%d and as %s member=%s holder=%s gseq=%d",
-			ev.Group, ev.CSeq,
-			prev.Event, prev.Member, prev.Holder, prev.GSeq,
-			ev.Event, ev.Member, ev.Holder, ev.GSeq))
+		r.conflicts = append(r.conflicts, disagreement("conflict", prev, ev))
 	}
+}
+
+// disagreement describes two records of one log position that differ.
+func disagreement(kind string, a, b FloorEvent) string {
+	return fmt.Sprintf("%s: group %s cseq %d recorded as %s member=%s holder=%s gseq=%d and as %s member=%s holder=%s gseq=%d",
+		kind, a.Group, a.CSeq, a.Event, a.Member, a.Holder, a.GSeq, b.Event, b.Member, b.Holder, b.GSeq)
 }
 
 // drain returns the recorded transitions sorted by (group, cseq) plus
@@ -99,174 +93,87 @@ type FloorCheck struct {
 	// Groups is how many groups the events span.
 	Groups int
 	// Gaps counts breaks in per-group CSeq density — positions the
-	// recorders never saw (compaction, late joins). Accounting stops at
+	// recorders never saw (compaction, late joins). The replay stops at
 	// the first gap rather than guessing across it, so gaps bound the
 	// checker's reach; they are not violations.
 	Gaps int
 	// Violations are the exclusivity breaches, deduplicated.
 	Violations []string
-	// Excused counts surplus same-member grants written off against
-	// the caller's crash budget instead of flagged.
-	Excused int
 }
 
-// CheckFloor runs the floor-exclusivity invariant over recorded
-// transitions: at most one holder per group at any instant, and no
-// duplicate grants. conflicts (a recorder's or a prior shard report's
-// findings) are carried into the verdict verbatim.
+// CheckFloor replays each group's recorded floor events in log order
+// against the floor-exclusivity invariant. conflicts (a recorder's or a
+// prior shard report's findings) are carried into the verdict verbatim.
 //
-// The server logs every floor event with Mode/Holder re-read from the
-// authoritative floor state inside the log append, but acks the caller
-// BEFORE the append — so adjacent event kinds can legitimately appear
-// reordered within a one-round-trip race window, and a release's
-// re-read Holder can already name the NEXT grantee (whose own granted
-// event follows). The checker therefore never judges adjacent ordering
-// and never lets a Holder field prove an acquisition; it runs
-// order-insensitive per-member accounting over each group's dense CSeq
-// prefix:
-//
-//	grants(X) = granted(Member=X) + approved(Member=X, Holder=X:
-//	            approval of a free floor grants at once)
-//	promos(X) = released(Holder=X≠Member) + passed(Holder=X) —
-//	            a promotion hands X the floor with no granted event,
-//	            but the mark is racy, so it only EXCUSES releases
-//	rels(X)   = released(Member=X) + passed(Member=X)
-//
-// grants(X) − rels(X) above 1 proves a grant was issued while X
-// already held with no release in between — a duplicate grant (grants
-// and releases are counted from event kinds alone, which the reorder
-// race never changes). rels(X) above grants(X) + promos(X) proves a
-// release the log never granted. More than one member with
-// grants − rels positive proves two holders at once. Direct Contact
-// grants are exempt (they run beside the group floor and carry no
-// claim on it), and a mode_switch resets the books (switching resets
-// the whole floor). Accounting only runs on the CSeq window anchored
-// at 1 and stops at the first gap: a partial view cannot know who held
-// before it started watching.
-//
-// crashes is the mix's injected-crash budget: each crash the generator
-// itself inflicted (the chaos mix's kill legs) can leave exactly one
-// surplus same-member grant in the log — the recovered floor is
-// restored still-held, so the recovery re-request logs a second
-// granted event with no release in between. The checker writes off up
-// to crashes such surpluses (counted in Excused) and flags everything
-// beyond the budget; a crash excuses only the same-member double
-// grant, never a second holder or a stray release.
-func CheckFloor(events []FloorEvent, conflicts []string, crashes int) FloorCheck {
+// The server runs every floor transition inside its own log append, so
+// CSeq order is the order of the transitions themselves, and a
+// state-bearing event's Holder is the holder its own transition left.
+// The replay keeps one holder per group, free at CSeq 1, and flags a
+// grant while someone else holds, a repeat grant to the holder (a
+// repeat request logs nothing), a release or pass by a non-holder, and
+// any event whose Holder disagrees with the replay. A grant naming no
+// holder (a mode where everyone sends) and a mode_switch free the
+// floor; a release or pass hands it to the Holder it names. Direct
+// Contact grants are skipped: they run beside the group floor and
+// carry no claim on it. Only the dense CSeq prefix from 1 is replayed:
+// a view that missed the group's genesis, or a position, cannot know
+// who held across the hole.
+func CheckFloor(events []FloorEvent, conflicts []string) FloorCheck {
 	check := FloorCheck{}
 	violations := append([]string{}, conflicts...)
-
-	byKey := make(map[string]FloorEvent, len(events))
-	groups := map[string][]FloorEvent{}
-	for _, ev := range events {
-		key := fmt.Sprintf("%s\x00%d", ev.Group, ev.CSeq)
-		prev, ok := byKey[key]
-		if !ok {
-			byKey[key] = ev
-			groups[ev.Group] = append(groups[ev.Group], ev)
+	evs := append([]FloorEvent(nil), events...)
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].Group != evs[j].Group {
+			return evs[i].Group < evs[j].Group
+		}
+		return evs[i].CSeq < evs[j].CSeq
+	})
+	directContact := floor.DirectContact.String()
+	var first FloorEvent // the first record of the current log position
+	holder, dense := "", false
+	for i, ev := range evs {
+		switch {
+		case i > 0 && ev.Group == first.Group && ev.CSeq == first.CSeq:
+			if ev != first {
+				violations = append(violations, disagreement("split-brain", first, ev))
+			}
+			continue
+		case i == 0 || ev.Group != first.Group:
+			check.Groups++
+			holder, dense = "", ev.CSeq == 1
+		case ev.CSeq != first.CSeq+1:
+			check.Gaps++
+			dense = false
+		}
+		if first = ev; !dense {
 			continue
 		}
-		if prev != ev {
-			violations = append(violations, fmt.Sprintf(
-				"split-brain: group %s cseq %d recorded as %s member=%s holder=%s gseq=%d and as %s member=%s holder=%s gseq=%d",
-				ev.Group, ev.CSeq,
-				prev.Event, prev.Member, prev.Holder, prev.GSeq,
-				ev.Event, ev.Member, ev.Holder, ev.GSeq))
+		flag := func(format string, args ...any) {
+			violations = append(violations, fmt.Sprintf("group %s cseq %d: ", ev.Group, ev.CSeq)+fmt.Sprintf(format, args...))
 		}
-	}
-	check.Groups = len(groups)
-
-	names := make([]string, 0, len(groups))
-	for g := range groups {
-		names = append(names, g)
-	}
-	sort.Strings(names)
-	directContact := floor.DirectContact.String()
-	for _, g := range names {
-		evs := groups[g]
-		sort.Slice(evs, func(i, j int) bool { return evs[i].CSeq < evs[j].CSeq })
-		dense := len(evs)
-		for i := 1; i < len(evs); i++ {
-			if evs[i].CSeq != evs[i-1].CSeq+1 {
-				check.Gaps++
-				if i < dense {
-					dense = i
-				}
+		switch {
+		case ev.Event == "granted" && ev.Mode == directContact:
+			continue // a private window, not the group floor
+		case ev.Event == "granted" && ev.Holder == "":
+			holder = ""
+		case ev.Event == "granted":
+			if holder == ev.Member {
+				flag("repeat grant to holder %s", ev.Member)
+			} else if holder != "" {
+				flag("grant to %s while %s holds", ev.Member, holder)
 			}
+			holder = ev.Member
+		case ev.Event == "released" || ev.Event == "passed":
+			if ev.Member != holder {
+				flag("%s by non-holder %s (holder %q)", ev.Event, ev.Member, holder)
+			}
+			holder = ev.Holder
+		case ev.Event == "mode_switch":
+			holder = ""
 		}
-		if len(evs) == 0 || evs[0].CSeq != 1 {
-			continue // never saw the group's genesis: no holder baseline
+		if ev.Holder != holder {
+			flag("%s event names holder %q, replay has %q", ev.Event, ev.Holder, holder)
 		}
-		grants, promos, rels := map[string]int{}, map[string]int{}, map[string]int{}
-		flush := func() {
-			seen := map[string]bool{}
-			members := []string{}
-			for _, counts := range []map[string]int{grants, promos, rels} {
-				for m := range counts {
-					if !seen[m] {
-						seen[m] = true
-						members = append(members, m)
-					}
-				}
-			}
-			sort.Strings(members)
-			holders := []string{}
-			for _, m := range members {
-				if surplus := grants[m] - rels[m] - 1; surplus > 0 {
-					if excuse := min(surplus, crashes); excuse > 0 {
-						crashes -= excuse
-						check.Excused += excuse
-						surplus -= excuse
-					}
-					if surplus > 0 {
-						violations = append(violations, fmt.Sprintf(
-							"duplicate grant: group %s member %s granted %d, released %d",
-							g, m, grants[m], rels[m]))
-					}
-				}
-				if rels[m] > grants[m]+promos[m] {
-					violations = append(violations, fmt.Sprintf(
-						"release without grant: group %s member %s granted %d, promoted %d, released %d",
-						g, m, grants[m], promos[m], rels[m]))
-				}
-				if grants[m]-rels[m] > 0 {
-					holders = append(holders, m)
-				}
-			}
-			if len(holders) > 1 {
-				violations = append(violations, fmt.Sprintf(
-					"multiple holders: group %s held by %v at once", g, holders))
-			}
-			grants, promos, rels = map[string]int{}, map[string]int{}, map[string]int{}
-		}
-		for _, ev := range evs[:dense] {
-			if ev.Event == "mode_switch" {
-				flush() // switching modes resets the whole floor
-				continue
-			}
-			if ev.Event == "granted" && ev.Mode == directContact {
-				continue // a private window, not the group floor
-			}
-			switch ev.Event {
-			case "granted":
-				grants[ev.Member]++
-			case "passed":
-				rels[ev.Member]++
-				if ev.Holder != "" {
-					promos[ev.Holder]++
-				}
-			case "released":
-				rels[ev.Member]++
-				if ev.Holder != "" && ev.Holder != ev.Member {
-					promos[ev.Holder]++ // a release promotes the next in queue
-				}
-			case "approved":
-				if ev.Holder != "" && ev.Holder == ev.Member {
-					grants[ev.Member]++ // approval of a free floor grants at once
-				}
-			}
-		}
-		flush()
 	}
 
 	seen := map[string]bool{}

@@ -149,7 +149,6 @@ func mergeStageEntry(stages map[string]*StageSample, key string, entry map[strin
 func mergeMixEntry(seen map[string]bool, res *MixResult, hists *[2]*metrics.Histogram, entry map[string]any) error {
 	res.Ops += int(asFloat(entry["ops"]))
 	res.Errors += int(asFloat(entry["errors"]))
-	res.Crashes += int(asFloat(entry["crashes"]))
 	if wall := time.Duration(asFloat(entry["wall_ms"]) * float64(time.Millisecond)); wall > res.Wall {
 		res.Wall = wall
 	}

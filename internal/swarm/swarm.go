@@ -199,13 +199,6 @@ type MixResult struct {
 	Prop           *metrics.Histogram
 	Floor          []FloorEvent
 	FloorConflicts []string
-	// Crashes counts the crash recoveries the mix itself injected (the
-	// chaos mix's kill legs). The felled node's successor restores the
-	// floor still-held, so the holder's recovery re-request logs a
-	// second granted event with no release in between — a surplus
-	// same-member grant per crash, which CheckFloor excuses exactly
-	// that many of, and no more.
-	Crashes int
 }
 
 // chairMix reports whether a mix runs a single chair, and therefore
@@ -984,10 +977,6 @@ func runChaos(opts Options, seed int64, res *MixResult) error {
 				dec, err := chair.RequestFloor(res.Group, floor.EqualControl, "")
 				if err == nil && dec.Granted {
 					res.Grant.Observe(time.Since(killed).Seconds())
-					// The floor was restored still-held, so this
-					// re-request logged a surplus grant the invariant
-					// checker must excuse — exactly one.
-					res.Crashes++
 					break
 				}
 				if !time.Now().Before(deadline) {
@@ -1172,15 +1161,13 @@ func Report(results []MixResult, scrapes []ScrapeSeries, opts Options, note, goo
 // per-mix schema shared by shard reports, single-process reports and
 // MergeReports' output.
 func mixEntry(r MixResult) map[string]any {
-	check := CheckFloor(r.Floor, r.FloorConflicts, r.Crashes)
+	check := CheckFloor(r.Floor, r.FloorConflicts)
 	if check.Violations == nil {
 		check.Violations = []string{}
 	}
 	entry := map[string]any{
 		"ops":                  r.Ops,
 		"errors":               r.Errors,
-		"crashes":              r.Crashes,
-		"crash_excused":        check.Excused,
 		"wall_ms":              round3(r.Wall.Seconds() * 1e3),
 		"grant_samples":        r.Grant.Count(),
 		"prop_samples":         r.Prop.Count(),
