@@ -721,6 +721,113 @@ func BenchmarkJoinStorm(b *testing.B) {
 	}
 }
 
+// BenchmarkResume prices one session resume through the routing tier:
+// a router and two nodes on netsim, the member homed on node 0 and its
+// group owned by node 1, so the resume re-opens an upstream to each.
+// While the member is away a poster writes one board line; the op is
+// Drop → Reconnect → the member's board holds that line again.
+// trunk_writes/resume is the router↔node trunk writes the op cost, the
+// router's and both nodes' dmps_trunk_flushes_total deltas summed.
+func BenchmarkResume(b *testing.B) {
+	network := netsim.New(29)
+	addrs := []string{"resume-n0:1", "resume-n1:1"}
+	regs := make([]*metrics.Registry, 0, len(addrs)+1)
+	for i := range addrs {
+		srv, err := server.New(server.Config{
+			Network: network, Addr: addrs[i], ProbeInterval: time.Hour,
+			Cluster: &server.ClusterConfig{Nodes: addrs, Self: i, ReplicationFactor: 1},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv.Start()
+		defer srv.Close()
+		reg := metrics.NewRegistry()
+		srv.RegisterMetrics(reg)
+		regs = append(regs, reg)
+	}
+	router, err := cluster.NewRouter(cluster.RouterConfig{Network: network, Addr: "resume-router:1", Nodes: addrs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	router.Start()
+	defer router.Close()
+	reg := metrics.NewRegistry()
+	router.RegisterMetrics(reg)
+	regs = append(regs, reg)
+	pmap := cluster.NewMap(addrs)
+	pick := func(prefix string, owner int) string {
+		for i := 0; ; i++ {
+			if key := fmt.Sprintf("%s%d", prefix, i); pmap.Primary(key) == owner {
+				return key
+			}
+		}
+	}
+	gid := pick("resume-class", 1)
+	dial := func(name string, onEvent func(protocol.Message)) *client.Client {
+		c, err := client.Dial(client.Config{
+			Network: network, Addr: router.Addr(),
+			Name: name, Role: "participant", Priority: 2, OnEvent: onEvent,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Join(gid); err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
+	wake := make(chan struct{}, 1)
+	member := dial(pick("resumer", 0), func(protocol.Message) {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	})
+	defer member.Close()
+	poster := dial("poster", nil)
+	defer poster.Close()
+	settle := func(c *client.Client, seq int64) {
+		deadline := time.After(10 * time.Second)
+		for c.Board(gid).Seq() < seq {
+			select {
+			case <-wake:
+			case <-time.After(time.Millisecond):
+			case <-deadline:
+				b.Fatalf("board stalled at %d, want %d", c.Board(gid).Seq(), seq)
+			}
+		}
+	}
+	flushes := func() float64 {
+		var sum float64
+		for _, reg := range regs {
+			sum += seriesValue(b, reg, "dmps_trunk_flushes_total")
+		}
+		return sum
+	}
+	var writes float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		member.Drop()
+		if err := poster.Chat(gid, "while you were away"); err != nil {
+			b.Fatal(err)
+		}
+		settle(poster, int64(i+1))
+		before := flushes()
+		b.StartTimer()
+		if err := member.Reconnect(); err != nil {
+			b.Fatal(err)
+		}
+		settle(member, int64(i+1))
+		b.StopTimer()
+		writes += flushes() - before
+		b.StartTimer()
+	}
+	b.ReportMetric(writes/float64(b.N), "trunk_writes/resume")
+}
+
 // BenchmarkWALAppend prices journaling a floor event: one member of a
 // standalone server on netsim alternately takes and releases an Equal
 // Control floor, so every op publishes one floor event — logged, with

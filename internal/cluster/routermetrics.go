@@ -18,7 +18,8 @@ import (
 //	dmps_router_sessions            live proxied client sessions
 //	dmps_router_routed_total        client messages forwarded to nodes
 //	dmps_router_relayed_total       node messages relayed to clients
-//	dmps_router_errors_total{site}  errors at recover, serve, upstream_send
+//	dmps_router_errors_total{site}  errors at recover, serve, upstream_send,
+//	                                client_send, node_hello
 //	dmps_cluster_map_version        partition map change counter
 //	dmps_cluster_node_down{node}    1 when the node is in the down-set
 //
@@ -38,12 +39,13 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("dmps_router_relayed_total", "Node messages relayed back down to clients.", func() []metrics.Sample {
 		return []metrics.Sample{{Value: float64(r.relayed.Load())}}
 	})
-	reg.CounterFunc("dmps_router_errors_total", "Router errors by site: recover (a prober pass that did not bring a down node back), serve (the accept loop died), upstream_send (a client message an upstream refused).", func() []metrics.Sample {
+	reg.CounterFunc("dmps_router_errors_total", "Router errors by site: recover (a prober pass that did not bring a down node back), serve (the accept loop died), upstream_send (a client message an upstream refused), client_send (a refusal or node_moved of the router's own that the client connection refused), node_hello (an owner answered a session's node hello with anything but a welcome).", func() []metrics.Sample {
 		site := func(name string, v int64) metrics.Sample {
 			return metrics.Sample{LabelKey: "site", LabelValue: name, Value: float64(v)}
 		}
 		return []metrics.Sample{
 			site("recover", r.recoverErrs.Load()), site("serve", r.serveErrs.Load()), site("upstream_send", r.upstreamSendErrs.Load()),
+			site("client_send", r.clientSendErrs.Load()), site("node_hello", r.nodeHelloErrs.Load()),
 		}
 	})
 	RegisterMapMetrics(reg, r.pmap)

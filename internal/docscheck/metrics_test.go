@@ -49,11 +49,13 @@ func TestMetricSeriesCatalogued(t *testing.T) {
 		}
 		seen := 0
 		for _, line := range strings.Split(page.String(), "\n") {
-			// Every site of the error counter is its own thing to look up.
-			if rest, ok := strings.CutPrefix(line, `dmps_errors_total{site="`); ok {
-				site, _, _ := strings.Cut(rest, `"`)
-				if !strings.Contains(catalogue, "`"+site+"`") {
-					t.Errorf("%s error site %s is not catalogued in docs/OPERATIONS.md", who, site)
+			// Every site of an error counter is its own thing to look up.
+			for _, counter := range []string{"dmps_errors_total", "dmps_router_errors_total"} {
+				if rest, ok := strings.CutPrefix(line, counter+`{site="`); ok {
+					site, _, _ := strings.Cut(rest, `"`)
+					if !strings.Contains(catalogue, "`"+site+"`") {
+						t.Errorf("%s error site %s is not catalogued in docs/OPERATIONS.md", who, site)
+					}
 				}
 			}
 			name, ok := strings.CutPrefix(line, "# TYPE ")
