@@ -831,7 +831,7 @@ func BenchmarkResume(b *testing.B) {
 // BenchmarkWALAppend prices journaling a floor event: one member of a
 // standalone server on netsim alternately takes and releases an Equal
 // Control floor, so every op publishes one floor event — logged, with
-// its floor blob — through the server's journal hook. wal-on journals
+// its floor snapshot — through the server's journal hook. wal-on journals
 // to a temporary directory, wal-off runs the same ops with no journal;
 // the difference is the journal's cost per event. journal_B/event is
 // the segment bytes written per event.

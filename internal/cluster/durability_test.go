@@ -106,9 +106,8 @@ func TestDoubleFailureRF2FailsLoudly(t *testing.T) {
 
 	// The surviving node answered node_moved throughout: no adopted
 	// holder, no adopted queue, no invented log.
-	_, holder, queue, _, _ := cl.Nodes[0].FloorController().StateSnapshot(g)
-	if string(holder) != "" || len(queue) != 0 {
-		t.Errorf("node 0 fabricated floor state for a partition it never replicated: holder=%q queue=%v", holder, queue)
+	if fs := cl.Nodes[0].FloorController().Snapshot(g); fs.Holder != "" || len(fs.Queue) != 0 {
+		t.Errorf("node 0 fabricated floor state for a partition it never replicated: holder=%q queue=%v", fs.Holder, fs.Queue)
 	}
 	if head := cl.Nodes[0].ReplicaHead(g); head != 0 {
 		t.Errorf("node 0 fabricated log state: replica head %d", head)
@@ -204,9 +203,9 @@ func TestRF3SurvivesDoubleFailure(t *testing.T) {
 	reconnect(t, bob)
 
 	waitFor(t, "survivor restores holder and queue", func() bool {
-		_, holder, queue, _, _ := cl.Nodes[0].FloorController().StateSnapshot(g)
-		return string(holder) == alice.MemberID() &&
-			len(queue) == 1 && queue[0] == group.MemberID(bob.MemberID())
+		fs := cl.Nodes[0].FloorController().Snapshot(g)
+		return string(fs.Holder) == alice.MemberID() &&
+			len(fs.Queue) == 1 && fs.Queue[0] == group.MemberID(bob.MemberID())
 	})
 	waitFor(t, "clients converge on the survivor", func() bool {
 		return alice.Holder(g) == alice.MemberID() && bob.Holder(g) == alice.MemberID()
@@ -367,8 +366,7 @@ func TestRecoveredNodeMigratesPartitionsHomeUnderNewEpoch(t *testing.T) {
 
 	cl.KillNode(1)
 	waitFor(t, "successor adopts under load", func() bool {
-		_, holder, _, _, _ := cl.Nodes[0].FloorController().StateSnapshot(g)
-		return string(holder) == alice.MemberID()
+		return string(cl.Nodes[0].FloorController().Holder(g)) == alice.MemberID()
 	})
 	waitFor(t, "client converges on the adopter", func() bool {
 		return alice.Holder(g) == alice.MemberID()
@@ -388,8 +386,7 @@ func TestRecoveredNodeMigratesPartitionsHomeUnderNewEpoch(t *testing.T) {
 		t.Errorf("recovery left the map epoch at %d (was %d); migration must version the new assignment", epoch, epoch0)
 	}
 	waitFor(t, "partition served home with its state", func() bool {
-		_, holder, _, _, _ := cl.Nodes[1].FloorController().StateSnapshot(g)
-		return string(holder) == alice.MemberID()
+		return string(cl.Nodes[1].FloorController().Holder(g)) == alice.MemberID()
 	})
 
 	// The homebound partition keeps serving: one more append continues

@@ -15,7 +15,7 @@ import (
 // the floor of one of its groups, with another member queued behind.
 // The ring successor must restore holder AND queue from the replicated
 // state — the canonical wire events redact queue membership, so this
-// exercises the floor blob — and both clients must converge through the
+// exercises the floor snapshot — and both clients must converge through the
 // router's node_moved push with zero duplicate grants.
 func TestPartitionHandoffMidFloorHold(t *testing.T) {
 	cl, err := core.StartCluster(core.ClusterOptions{Options: core.Options{Seed: 11}, Nodes: 2})
@@ -80,9 +80,9 @@ func TestPartitionHandoffMidFloorHold(t *testing.T) {
 	// The router notices, pushes node_moved, the clients backfill, the
 	// successor adopts: holder and queue must be restored — not re-run.
 	waitFor(t, "successor restores holder and queue", func() bool {
-		_, holder, queue, _, _ := cl.Nodes[0].FloorController().StateSnapshot(g)
-		return string(holder) == alice.MemberID() &&
-			len(queue) == 1 && queue[0] == group.MemberID(bob.MemberID())
+		fs := cl.Nodes[0].FloorController().Snapshot(g)
+		return string(fs.Holder) == alice.MemberID() &&
+			len(fs.Queue) == 1 && fs.Queue[0] == group.MemberID(bob.MemberID())
 	})
 	waitFor(t, "clients converge on the surviving node", func() bool {
 		return bob.Holder(g) == alice.MemberID() && alice.Holder(g) == alice.MemberID()
@@ -96,7 +96,7 @@ func TestPartitionHandoffMidFloorHold(t *testing.T) {
 
 	// The queue survived the handoff: a release on the new owner
 	// promotes bob, proving queue state (which the wire events redact)
-	// crossed through the floor blob.
+	// crossed through the floor snapshot.
 	if err := alice.ReleaseFloor(g); err != nil {
 		t.Fatalf("release after handoff: %v", err)
 	}
@@ -126,4 +126,59 @@ func TestPartitionHandoffMidFloorHold(t *testing.T) {
 	if got := bobGrants.Load(); got != 0 {
 		t.Errorf("bob observed %d spurious grants for himself across the handoff", got)
 	}
+}
+
+// TestModeratedApprovalSurvivesHandoff kills the owner of a moderated
+// group after the chair's approval of a queued member was acked. The
+// approval is floor state like the holder and the queue: the ring
+// successor must restore it, and the chair's next release must grant
+// the approved member rather than free the floor.
+func TestModeratedApprovalSurvivesHandoff(t *testing.T) {
+	cl, err := core.StartCluster(core.ClusterOptions{Options: core.Options{Seed: 12}, Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	alice, err := cl.NewClientOn("hostA", pickKey(t, 2, "chair", 0), "chair", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err := cl.NewClientOn("hostB", pickKey(t, 2, "approved", 0), "participant", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := pickKey(t, 2, "seminar", 1)
+	for _, c := range []*client.Client{alice, bob} {
+		if err := c.Join(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dec, err := alice.RequestFloor(g, floor.ModeratedQueue, ""); err != nil || !dec.Granted {
+		t.Fatalf("chair grant: dec=%+v err=%v", dec, err)
+	}
+	if dec, err := bob.RequestFloor(g, floor.ModeratedQueue, ""); err != nil || dec.Granted || dec.QueuePosition != 1 {
+		t.Fatalf("bob queue: dec=%+v err=%v", dec, err)
+	}
+	if dec, err := alice.ApproveFloor(g, bob.MemberID()); err != nil || dec.Granted {
+		t.Fatalf("approval: dec=%+v err=%v", dec, err)
+	}
+	// The grant, the queued request and the approval.
+	waitFor(t, "replication at successor", func() bool {
+		return cl.Nodes[0].ReplicaHead(g) >= 3
+	})
+
+	cl.KillNode(1)
+
+	waitFor(t, "successor restores the approval", func() bool {
+		fs := cl.Nodes[0].FloorController().Snapshot(g)
+		return string(fs.Holder) == alice.MemberID() &&
+			len(fs.Approved) == 1 && fs.Approved[0] == group.MemberID(bob.MemberID())
+	})
+	if err := alice.ReleaseFloor(g); err != nil {
+		t.Fatalf("release after handoff: %v", err)
+	}
+	waitFor(t, "the approved member granted by the release", func() bool {
+		return bob.Holder(g) == bob.MemberID()
+	})
 }

@@ -45,9 +45,10 @@ func NewReplicaStore(cap int) *ReplicaStore {
 // ApplyEvent records one replicated logged event for a key. The wire
 // bytes are the owner's stamped fan-out bytes; their envelope is parsed
 // here (off the owner's hot path) to recover the sequence fields. An
-// optional floor blob replaces the package's floor state. A dropped
-// member's log takes no late events: the drop's tombstone refuses them.
-func (s *ReplicaStore) ApplyEvent(key string, wire []byte, floor *protocol.FloorReplicaBody) {
+// optional floor snapshot replaces the package's floor state, stored as
+// it came. A dropped member's log takes no late events: the drop's
+// tombstone refuses them.
+func (s *ReplicaStore) ApplyEvent(key string, wire, floor []byte) {
 	env, err := protocol.DecodeAny(wire)
 	if err != nil || env.GSeq == 0 {
 		return

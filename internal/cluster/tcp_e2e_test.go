@@ -134,8 +134,7 @@ func TestClusterTCPE2E(t *testing.T) {
 	bob.Drop()
 	nodes[1].Close()
 	waitFor(t, "successor restores the held floor", func() bool {
-		_, holder, _, _, _ := nodes[0].FloorController().StateSnapshot(g1)
-		return string(holder) == alice.MemberID()
+		return string(nodes[0].FloorController().Holder(g1)) == alice.MemberID()
 	})
 	if err := bob.Reconnect(); err != nil {
 		t.Fatalf("reconnect after handoff: %v", err)

@@ -141,7 +141,7 @@ func RunE5() (*Table, error) {
 			}
 		}
 		level := mon.Level()
-		t.AddRow(fmt.Sprintf("%.2f", avail), level, len(fcm.Suspended("class")), activeF, len(members), aborted)
+		t.AddRow(fmt.Sprintf("%.2f", avail), level, len(fcm.Snapshot("class").Suspended), activeF, len(members), aborted)
 		if level == resource.Normal {
 			fcm.Reinstate("class") // recovery between normal steps
 		}

@@ -199,24 +199,28 @@ func exploreOps() []exploreOp {
 			}, "%s approves %s", m, to)
 		}
 	}
-	// Failover: the state leaves as StateSnapshot and comes back
-	// through Restore.
+	// Failover: the state leaves and comes back the way every transfer
+	// carries it, which must change nothing.
 	add("", func(c *Controller) bool {
-		mode, holder, queue, suspended, pinned := c.StateSnapshot(exploreGroup)
-		c.Restore(exploreGroup, mode, holder, queue, suspended, pinned)
-		return false
+		return transfer(c, c) == nil
 	}, "snapshot and restore")
 	return ops
 }
 
-// TestExploreController walks every state the three-member room can
-// reach from a fresh group, under every registered policy and every
-// operation, and checks in each: at most one member holds the token;
-// the holder is never queued; no member is queued twice; a reported
-// no-op left the floor as it was; a snapshot restores to the state it
-// was taken from; and every queued member can still come to deliver
-// without acting again itself, so no request is ever lost.
-func TestExploreController(t *testing.T) {
+// transfer carries the explored group's floor from one controller to
+// another as every transfer does: Snapshot, AppendBinary, DecodeSnapshot,
+// Restore.
+func transfer(from, to *Controller) error {
+	snap, err := DecodeSnapshot(from.Snapshot(exploreGroup).AppendBinary(nil))
+	if err == nil {
+		to.Restore(exploreGroup, snap)
+	}
+	return err
+}
+
+// exploreRoom registers the explored room: the chair and two
+// participants, all with token priority.
+func exploreRoom(tb testing.TB) *group.Registry {
 	reg := group.NewRegistry()
 	for i, id := range explorers {
 		role := group.Participant
@@ -224,17 +228,31 @@ func TestExploreController(t *testing.T) {
 			role = group.Chair
 		}
 		if err := reg.Register(group.Member{ID: id, Role: role, Priority: 5 - i}); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := reg.CreateGroup(exploreGroup, explorers[0]); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, id := range explorers[1:] {
 		if err := reg.Join(exploreGroup, id); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return reg
+}
+
+// TestExploreController walks every state the three-member room can
+// reach from a fresh group, under every registered policy and every
+// operation, and checks in each: at most one member holds the token;
+// the holder is never queued; no member is queued twice; a reported
+// no-op left the floor as it was; the state's snapshot, encoded and
+// decoded, restores to the state it was taken from, and the restored
+// controller answers every operation as the original does (one-step
+// bisimulation); and every queued member can still come to deliver
+// without acting again itself, so no request is ever lost.
+func TestExploreController(t *testing.T) {
+	reg := exploreRoom(t)
 	c, restored := NewController(reg, nil), NewController(reg, nil)
 	ops := exploreOps()
 
@@ -270,7 +288,8 @@ func TestExploreController(t *testing.T) {
 	visit(start, -1, "")
 	for i := 0; i < len(worlds); i++ {
 		w := worlds[i]
-		if err := checkWorld(c, restored, w); err != nil {
+		snap, err := checkWorld(c, restored, w)
+		if err != nil {
 			t.Fatalf("%v: %v; reached by: %s", w, err, path(i))
 		}
 		for _, op := range ops {
@@ -279,6 +298,11 @@ func TestExploreController(t *testing.T) {
 			next, err := read(c)
 			if err != nil {
 				t.Fatalf("%s from %v: %v; reached by: %s", op.name, w, err, path(i))
+			}
+			restored.Restore(exploreGroup, snap)
+			op.run(restored)
+			if twin, err := read(restored); err != nil || twin != next {
+				t.Fatalf("%s from %v: the restored floor reaches %v (%v), the original %v; reached by: %s", op.name, w, twin, err, next, path(i))
 			}
 			if floor := func(w world) world { w.pinned = false; return w }; noop && floor(next) != floor(w) {
 				t.Fatalf("%s from %v reported a no-op but left %v; reached by: %s", op.name, w, next, path(i))
@@ -326,9 +350,10 @@ func TestExploreController(t *testing.T) {
 }
 
 // checkWorld asserts what read cannot: that at most one member holds
-// the token, that a held floor lets nobody else deliver (but the chair
-// who moderates it), and that the state's snapshot restores to itself.
-func checkWorld(c, restored *Controller, w world) error {
+// the token, and that a held floor lets nobody else deliver (but the
+// chair who moderates it). It then carries the state to restored, which
+// must read back as w, and returns the decoded snapshot it restored.
+func checkWorld(c, restored *Controller, w world) (Snapshot, error) {
 	load(c, w)
 	holders := 0
 	for i, m := range explorers {
@@ -337,18 +362,45 @@ func checkWorld(c, restored *Controller, w world) error {
 			holders++
 		}
 		if w.holder >= 0 && int8(i) != w.holder && cap.MessageWindow && !(w.mode == ModeratedQueue && i == 0) {
-			return fmt.Errorf("%s may deliver while %s holds the floor", m, who(w.holder))
+			return Snapshot{}, fmt.Errorf("%s may deliver while %s holds the floor", m, who(w.holder))
 		}
 	}
 	if holders > 1 {
-		return fmt.Errorf("%d members hold the token", holders)
+		return Snapshot{}, fmt.Errorf("%d members hold the token", holders)
 	}
-	mode, holder, queue, suspended, pinned := c.StateSnapshot(exploreGroup)
-	restored.Restore(exploreGroup, mode, holder, queue, suspended, pinned)
-	mode2, holder2, queue2, suspended2, pinned2 := restored.StateSnapshot(exploreGroup)
-	if mode2 != mode || holder2 != holder || !reflect.DeepEqual(queue2, queue) ||
-		!reflect.DeepEqual(suspended2, suspended) || pinned2 != pinned {
-		return fmt.Errorf("restoring its snapshot reads back %v %q %v %v %v", mode2, holder2, queue2, suspended2, pinned2)
+	snap, err := DecodeSnapshot(c.Snapshot(exploreGroup).AppendBinary(nil))
+	if err != nil {
+		return snap, fmt.Errorf("its snapshot does not decode: %v", err)
 	}
-	return nil
+	restored.Restore(exploreGroup, snap)
+	if got, err := read(restored); err != nil || got != w {
+		return snap, fmt.Errorf("its snapshot restores as %v (%v)", got, err)
+	}
+	return snap, nil
+}
+
+// FuzzDecodeSnapshot feeds DecodeSnapshot hostile bytes, seeded with the
+// encodings of states the explorer's operations reach. A decode must
+// fail or succeed without panicking; a success holds no more items than
+// the bytes it came from, and encodes back to bytes that decode to the
+// same snapshot.
+func FuzzDecodeSnapshot(f *testing.F) {
+	c := NewController(exploreRoom(f), nil)
+	for _, op := range exploreOps() {
+		op.run(c)
+		f.Add(c.Snapshot(exploreGroup).AppendBinary(nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		if n := len(s.Queue) + len(s.Suspended) + len(s.Approved) + len(s.Contacts); n > len(data) {
+			t.Fatalf("%d bytes decoded as %d items", len(data), n)
+		}
+		again, err := DecodeSnapshot(s.AppendBinary(nil))
+		if err != nil || !reflect.DeepEqual(again, s) {
+			t.Fatalf("%+v re-encodes as %+v (%v)", s, again, err)
+		}
+	})
 }

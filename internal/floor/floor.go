@@ -24,7 +24,6 @@ package floor
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -506,41 +505,6 @@ func (c *Controller) Evict(groupID string, member group.MemberID) (wasHolder, wa
 	return wasHolder, wasQueued
 }
 
-// Restore installs a group's floor state wholesale — the cluster
-// takeover path: when a partition fails over, the adopting node's
-// controller receives the mode, holder, pending queue, suspended set
-// and pin flag the failed owner last replicated, so arbitration resumes
-// mid-hold with zero duplicate grants (the holder keeps the floor; the
-// queue keeps its order). Chair approvals are deliberately not carried:
-// an approval that was pending at the moment of failover degrades to
-// re-queueing, never to an unapproved grant.
-func (c *Controller) Restore(groupID string, mode Mode, holder group.MemberID, queue, suspended []group.MemberID, pinned bool) {
-	if !mode.Valid() {
-		mode = FreeAccess
-	}
-	fs := c.state(groupID)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.st.Mode = mode
-	fs.st.Holder = holder
-	fs.st.Queue = append([]group.MemberID(nil), queue...)
-	fs.st.Approved = make(map[group.MemberID]bool)
-	fs.st.Contacts = make(map[group.MemberID]group.MemberID)
-	fs.suspended = make(map[group.MemberID]bool, len(suspended))
-	for _, m := range suspended {
-		fs.suspended[m] = true
-	}
-	fs.pinned = pinned
-}
-
-// Pinned reports whether the group's floor policy is chair-pinned.
-func (c *Controller) Pinned(groupID string) bool {
-	fs := c.state(groupID)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.pinned
-}
-
 // pinEnforcedLocked reports whether the group's pin blocks a mode
 // change by member. The pin binds only while its chair is still in the
 // group: a chair who leaves would otherwise lock the group into its
@@ -558,28 +522,6 @@ func (c *Controller) pinEnforcedLocked(groupID string, fs *floorState, member gr
 	return c.registry.IsMember(groupID, chair)
 }
 
-// StateSnapshot returns the group's mode, holder, queue, suspended set
-// (sorted) and pin flag from one lock acquisition — the floor half of
-// the catch-up snapshot a behind client converges from, so it can never
-// pair a holder from before a concurrent arbitration with a queue from
-// after it.
-func (c *Controller) StateSnapshot(groupID string) (mode Mode, holder group.MemberID, queue []group.MemberID, suspended []group.MemberID, pinned bool) {
-	fs := c.state(groupID)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	mode, holder, pinned = fs.st.Mode, fs.st.Holder, fs.pinned
-	if pol, err := c.policyOf(fs); err == nil {
-		queue = pol.QueueSnapshot(&fs.st)
-	}
-	for id, on := range fs.suspended {
-		if on {
-			suspended = append(suspended, id)
-		}
-	}
-	sort.Slice(suspended, func(i, j int) bool { return suspended[i] < suspended[j] })
-	return mode, holder, queue, suspended, pinned
-}
-
 // Holder returns the current token holder ("" when free).
 func (c *Controller) Holder(groupID string) group.MemberID {
 	fs := c.state(groupID)
@@ -588,17 +530,12 @@ func (c *Controller) Holder(groupID string) group.MemberID {
 	return fs.st.Holder
 }
 
-// Queue returns the pending floor requests in order, via the group
-// policy's QueueSnapshot.
+// Queue returns a copy of the pending floor requests, in order.
 func (c *Controller) Queue(groupID string) []group.MemberID {
 	fs := c.state(groupID)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	pol, err := c.policyOf(fs)
-	if err != nil {
-		return nil
-	}
-	return pol.QueueSnapshot(&fs.st)
+	return append([]group.MemberID(nil), fs.st.Queue...)
 }
 
 // ModeOf returns the group's current floor mode (FreeAccess by default).
@@ -640,21 +577,6 @@ func (c *Controller) MediaAvailable(groupID string, member group.MemberID) bool 
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return !fs.suspended[member]
-}
-
-// Suspended lists the group's suspended members, sorted.
-func (c *Controller) Suspended(groupID string) []group.MemberID {
-	fs := c.state(groupID)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make([]group.MemberID, 0, len(fs.suspended))
-	for id, on := range fs.suspended {
-		if on {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Reinstate lifts all suspensions in a group — the server calls it when

@@ -299,7 +299,7 @@ func TestMediaSuspendInDegradedRegime(t *testing.T) {
 	if len(dec2.Suspended) != 1 || dec2.Suspended[0] == "carol" {
 		t.Errorf("second suspension = %v", dec2.Suspended)
 	}
-	if got := c.Suspended("class"); len(got) != 2 {
+	if got := c.Snapshot("class").Suspended; len(got) != 2 {
 		t.Errorf("Suspended = %v", got)
 	}
 	// Recovery lifts suspensions.

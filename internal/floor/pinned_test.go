@@ -41,7 +41,7 @@ func TestSwitchModeSameModeIsNoOpOnState(t *testing.T) {
 	if h := c.Holder("class"); h != "alice" {
 		t.Errorf("same-mode switch cleared the holder: %q", h)
 	}
-	if !c.Pinned("class") {
+	if !c.Snapshot("class").Pinned {
 		t.Error("pin not recorded")
 	}
 }
@@ -51,7 +51,7 @@ func TestPinnedGroupGatesModeEntryBehindChair(t *testing.T) {
 	if _, _, err := c.SwitchMode("class", "teacher", ModeratedQueue, true); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Pinned("class") {
+	if !c.Snapshot("class").Pinned {
 		t.Fatal("pin not set")
 	}
 	// A participant can neither switch explicitly…
@@ -77,7 +77,7 @@ func TestPinnedGroupGatesModeEntryBehindChair(t *testing.T) {
 	if mode, _, err := c.SwitchMode("class", "teacher", FreeAccess, false); err != nil || mode != FreeAccess {
 		t.Fatalf("chair switch: (%v, %v)", mode, err)
 	}
-	if c.Pinned("class") {
+	if c.Snapshot("class").Pinned {
 		t.Error("chair switch without pin should unpin")
 	}
 	// Unpinned again: participants may move the group as before.
@@ -116,15 +116,15 @@ func TestStateSnapshotIsAtomicView(t *testing.T) {
 	if _, err := c.Arbitrate("class", "bob", EqualControl, ""); !errors.Is(err, ErrBusy) {
 		t.Fatal("bob should queue")
 	}
-	mode, holder, queue, suspended, pinned := c.StateSnapshot("class")
-	if mode != EqualControl || holder != "alice" || pinned {
-		t.Errorf("snapshot = %v %q pinned=%v", mode, holder, pinned)
+	snap := c.Snapshot("class")
+	if snap.Mode != EqualControl || snap.Holder != "alice" || snap.Pinned {
+		t.Errorf("snapshot = %+v", snap)
 	}
-	if len(queue) != 1 || queue[0] != group.MemberID("bob") {
-		t.Errorf("queue = %v", queue)
+	if len(snap.Queue) != 1 || snap.Queue[0] != group.MemberID("bob") {
+		t.Errorf("queue = %v", snap.Queue)
 	}
-	if len(suspended) != 0 {
-		t.Errorf("suspended = %v", suspended)
+	if len(snap.Suspended) != 0 {
+		t.Errorf("suspended = %v", snap.Suspended)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestOrphanedPinLapsesWhenChairLeaves(t *testing.T) {
 	if mode, changed, err := c.SwitchMode("class", "alice", EqualControl, false); err != nil || mode != EqualControl || !changed {
 		t.Fatalf("orphaned pin still binds: (%v, %v, %v)", mode, changed, err)
 	}
-	if !c.Pinned("class") {
+	if !c.Snapshot("class").Pinned {
 		t.Fatal("pin flag itself should persist (it resumes if the chair rejoins)")
 	}
 	// The chair rejoining restores enforcement.

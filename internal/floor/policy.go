@@ -103,8 +103,6 @@ type Policy interface {
 	Release(r Roster, st *State, member group.MemberID) (group.MemberID, error)
 	// Pass hands the floor from its holder directly to another member.
 	Pass(r Roster, st *State, from, to group.MemberID) error
-	// QueueSnapshot returns the pending requests in order.
-	QueueSnapshot(st *State) []group.MemberID
 }
 
 // ModeGate is implemented by policies that restrict switching the group

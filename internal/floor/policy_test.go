@@ -143,10 +143,12 @@ func TestPolicyConformance(t *testing.T) {
 				if len(q) == 0 || q[len(q)-1] != "bob" {
 					t.Fatalf("queue = %v, want bob last", q)
 				}
-				// The snapshot is a copy: mutating it must not leak in.
+				// Queue and Snapshot copy: mutating them must not leak in.
 				q[len(q)-1] = "mallory"
+				snap := c.Snapshot("class")
+				snap.Queue[len(snap.Queue)-1] = "mallory"
 				if got := c.Queue("class"); got[len(got)-1] != "bob" {
-					t.Error("QueueSnapshot aliases internal state")
+					t.Error("Queue or Snapshot aliases internal state")
 				}
 			})
 		})
@@ -322,7 +324,7 @@ func TestModeGateDeniedRequestDoesNotSuspend(t *testing.T) {
 	if len(dec.Suspended) != 0 {
 		t.Errorf("decision suspended %v, want none for a gate-denied request", dec.Suspended)
 	}
-	if got := c.Suspended("class"); len(got) != 0 {
+	if got := c.Snapshot("class").Suspended; len(got) != 0 {
 		t.Errorf("suspended = %v, want none", got)
 	}
 }

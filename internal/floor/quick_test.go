@@ -109,7 +109,7 @@ func TestQuickSuspensionsMonotoneUnderDegradation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d: %v", iter, err)
 			}
-			count := len(ctl.Suspended("g"))
+			count := len(ctl.Snapshot("g").Suspended)
 			if count < lastCount {
 				t.Fatalf("iter %d: suspensions shrank %d → %d", iter, lastCount, count)
 			}
@@ -126,7 +126,7 @@ func TestQuickSuspensionsMonotoneUnderDegradation(t *testing.T) {
 						continue
 					}
 					suspendedBefore := false
-					for _, s := range ctl.Suspended("g") {
+					for _, s := range ctl.Snapshot("g").Suspended {
 						if s == id && s != victim {
 							suspendedBefore = true
 						}

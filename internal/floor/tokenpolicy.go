@@ -6,7 +6,7 @@ import (
 	"dmps/internal/group"
 )
 
-// tokenSemantics is the shared release/pass/queue behavior of the
+// tokenSemantics is the shared release/pass behavior of the
 // builtin policies: release promotes the FIFO queue head; pass hands the
 // token directly to an eligible member ("until the floor control token
 // passed by the holder"), removing them from the queue if queued.
@@ -36,12 +36,6 @@ func (tokenSemantics) Pass(r Roster, st *State, from, to group.MemberID) error {
 	st.Holder = to
 	st.dequeue(to)
 	return nil
-}
-
-func (tokenSemantics) QueueSnapshot(st *State) []group.MemberID {
-	out := make([]group.MemberID, len(st.Queue))
-	copy(out, st.Queue)
-	return out
 }
 
 // checkRecipient validates a pass recipient: a group member with token

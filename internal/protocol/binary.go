@@ -248,10 +248,7 @@ func appendSuspend(b []byte, v SuspendBody) []byte {
 //	lp      From
 //	-- fwdReplica only --
 //	lp      Group
-//	byte    1 when a floor blob follows, else 0
-//	blob    the floor blob (AppendFloorBlob): lp Mode, lp Holder, byte
-//	        Pinned, counted Queue, counted Suspended (uvarint count,
-//	        then that many lp-strings)
+//	lp      Floor: a floor snapshot, opaque here; empty when none
 //	rest    the inner frame, never empty
 const (
 	fwdReplica = 1
@@ -279,39 +276,8 @@ func appendForward(b []byte, v *ForwardBody) ([]byte, error) {
 		return b, nil
 	}
 	b = appendLPString(b, v.Group)
-	if v.Floor == nil {
-		b = append(b, 0)
-	} else {
-		b = AppendFloorBlob(append(b, 1), v.Floor)
-	}
+	b = append(binary.AppendUvarint(b, uint64(len(v.Floor))), v.Floor...)
 	return append(b, v.Msg...), nil
-}
-
-// AppendFloorBlob appends a floor blob in its native form — how a
-// replica forward carries it, and the journal beside a floor or suspend
-// event: lp Mode, lp Holder, byte Pinned, counted Queue, counted
-// Suspended.
-func AppendFloorBlob(b []byte, f *FloorReplicaBody) []byte {
-	b = appendLPString(b, f.Mode)
-	b = appendLPString(b, f.Holder)
-	if f.Pinned {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendStrings(b, f.Queue)
-	return appendStrings(b, f.Suspended)
-}
-
-// DecodeFloorBlob reads a native floor blob that fills data exactly.
-// Its strings alias data.
-func DecodeFloorBlob(data []byte) (*FloorReplicaBody, error) {
-	r := &frameReader{data: data}
-	f, err := readFloorBlob(r)
-	if err == nil && r.off != len(data) {
-		err = fmt.Errorf("%w: %d bytes after a floor blob", ErrDecode, len(data)-r.off)
-	}
-	return f, err
 }
 
 // appendStrings appends a counted run of lp-strings.
@@ -614,28 +580,8 @@ func skipForward(r *frameReader) error {
 	if form == fwdAck {
 		return skipStrings(r, 1) // From
 	}
-	if err := skipStrings(r, 2); err != nil { // From, Group
+	if err := skipStrings(r, 3); err != nil { // From, Group, Floor
 		return err
-	}
-	hasFloor, err := r.byteAt()
-	if err != nil {
-		return err
-	}
-	if hasFloor > 1 {
-		return fmt.Errorf("bad floor marker %d", hasFloor)
-	}
-	if hasFloor == 1 {
-		if err := skipStrings(r, 2); err != nil { // Mode, Holder
-			return err
-		}
-		if _, err := r.byteAt(); err != nil { // Pinned
-			return err
-		}
-		for i := 0; i < 2; i++ { // Queue, Suspended
-			if err := skipCounted(r); err != nil {
-				return err
-			}
-		}
 	}
 	if r.off == len(r.data) {
 		return fmt.Errorf("replica forward without an inner frame")
@@ -840,41 +786,14 @@ func readForward(body []byte, v *ForwardBody) error {
 	if v.Group, err = r.lpString(); err != nil {
 		return err
 	}
-	hasFloor, err := r.byteAt()
-	if err != nil {
+	if v.Floor, err = r.lpBytes(); err != nil {
 		return err
 	}
-	if hasFloor == 1 {
-		if v.Floor, err = readFloorBlob(r); err != nil {
-			return err
-		}
+	if len(v.Floor) == 0 {
+		v.Floor = nil
 	}
 	v.Msg = body[r.off:]
 	return nil
-}
-
-// readFloorBlob reads a floor blob (see AppendFloorBlob).
-func readFloorBlob(r *frameReader) (*FloorReplicaBody, error) {
-	f := &FloorReplicaBody{}
-	var err error
-	if f.Mode, err = r.lpString(); err != nil {
-		return nil, err
-	}
-	if f.Holder, err = r.lpString(); err != nil {
-		return nil, err
-	}
-	pinned, err := r.byteAt()
-	if err != nil {
-		return nil, err
-	}
-	f.Pinned = pinned != 0
-	if f.Queue, err = readStrings(r); err != nil {
-		return nil, err
-	}
-	if f.Suspended, err = readStrings(r); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // jsonBody materializes the JSON form of a natively-decoded body, for

@@ -27,7 +27,7 @@ func loggedFrame(traced bool) []byte {
 // kind.
 func sampleForwards() map[string]ForwardBody {
 	inner := loggedFrame(false)
-	floor := &FloorReplicaBody{Mode: "equal_control", Holder: "m1#1", Queue: []string{"m2#2", "m3#3"}, Suspended: []string{"m4#4"}, Pinned: true}
+	floor := []byte("a floor snapshot, opaque to the peer link")
 	info := NodeMemberInfo{ID: "m1#1", Name: "m1", Role: "chair", Priority: 5}
 	return map[string]ForwardBody{
 		"replica":            {Kind: ForwardReplica, Group: "g", Msg: inner, ID: 5, From: "n0:1"},
@@ -118,7 +118,7 @@ func TestReplicaForwardAllocs(t *testing.T) {
 }
 
 // hostileForwards are forward frames a peer must refuse: each is a
-// valid envelope around a native body that is cut short, names a count
+// valid envelope around a native body that is cut short, names a length
 // it cannot back, or carries no inner frame.
 func hostileForwards() map[string][]byte {
 	env := []byte{binMagic, flagNativeBody, typeCodes[TForward], 0, 0, 0, 0, 0, 0, 0}
@@ -126,20 +126,20 @@ func hostileForwards() map[string][]byte {
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
 	whole, _ := EncodeForward(sampleForwards()["replica with floor"])
 	return map[string][]byte{
-		"truncated forward":       whole[:len(whole)-len(sampleForwards()["replica"].Msg)-3],
-		"unknown form":            frame(9, 1, 0),
-		"ack cut in its id":       frame(fwdAck, 0x80),
-		"hostile queue count":     append(frame(fwdReplica, 1, 0, 1, 'g', 1, 0, 0, 0), huge...),
-		"hostile suspended count": append(frame(fwdReplica, 1, 0, 1, 'g', 1, 0, 0, 0, 0), huge...),
-		"bad floor marker":        frame(fwdReplica, 1, 0, 1, 'g', 7, binMagic),
-		"zero-length inner frame": frame(fwdReplica, 1, 0, 1, 'g', 0),
-		"json body cut short":     frame('{', '"', 'k'),
+		"truncated forward":        whole[:len(whole)-len(sampleForwards()["replica"].Msg)-3],
+		"unknown form":             frame(9, 1, 0),
+		"ack cut in its id":        frame(fwdAck, 0x80),
+		"hostile floor length":     append(frame(fwdReplica, 1, 0, 1, 'g'), huge...),
+		"floor past the frame":     frame(fwdReplica, 1, 0, 1, 'g', 7, binMagic),
+		"zero-length inner frame":  frame(fwdReplica, 1, 0, 1, 'g', 0),
+		"floor but no inner frame": frame(fwdReplica, 1, 0, 1, 'g', 2, 'f', 'l'),
+		"json body cut short":      frame('{', '"', 'k'),
 	}
 }
 
 // TestForwardMalformed: hostile forward bytes error at the decode
-// boundary. The hostile counts name 2³² entries — sizing anything from
-// one would not return.
+// boundary. The hostile length names 2³² bytes — sizing anything from
+// it would not return.
 func TestForwardMalformed(t *testing.T) {
 	for name, frame := range hostileForwards() {
 		if msg, err := DecodeBinary(frame); !errors.Is(err, ErrDecode) {

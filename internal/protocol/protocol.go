@@ -612,20 +612,6 @@ type NodeMemberInfo struct {
 	Priority int    `json:"priority"`
 }
 
-// FloorReplicaBody is the floor-state blob replicated alongside logged
-// floor/suspend events: everything the partition's successor needs to
-// restore the group's arbitration state on takeover. Queue carries the
-// member IDs in order — the canonical logged bytes redact them (queue
-// slots are private), so takeover cannot be rebuilt from the wire
-// events alone.
-type FloorReplicaBody struct {
-	Mode      string   `json:"mode"`
-	Holder    string   `json:"holder,omitempty"`
-	Queue     []string `json:"queue,omitempty"`
-	Suspended []string `json:"suspended,omitempty"`
-	Pinned    bool     `json:"pinned,omitempty"`
-}
-
 // Forward kinds: the typed node-to-node messages of the cluster plane.
 const (
 	// ForwardInvite delivers a member-directed state event (an
@@ -633,7 +619,7 @@ const (
 	// private event log and pushes it to their session.
 	ForwardInvite = "invite"
 	// ForwardReplica replicates one logged group event (the stamped wire
-	// bytes, plus the floor blob for floor/suspend classes) to the
+	// bytes, plus the floor snapshot for floor/suspend classes) to the
 	// partition's successor node for takeover.
 	ForwardReplica = "replica"
 	// ForwardState replicates the directory part of a partition package
@@ -662,7 +648,7 @@ const (
 	// log keys (group IDs and "~member" keys) that were shipped back.
 	ForwardMigrated = "migrated"
 	// ForwardTakeover installs a complete partition package — roster,
-	// floor blob, retained log events, board head — on the receiving
+	// floor snapshot, retained log events, board head — on the receiving
 	// node, stamped with the epoch of the migration that shipped it. The
 	// receiver installs it into live state when it owns the key natively,
 	// and into its replica store otherwise; packages from a stale epoch
@@ -685,19 +671,21 @@ type ReplicaEventBody struct {
 // TakeoverBody is the partition package: the one form a partition key's
 // state takes wherever it moves — WAL checkpoint and replay, a replica
 // store's standby copy, failover adoption, epoch migration. A group key
-// carries its roster and chair, the floor blob, the board head and the
-// retained log suffix; a "~member" key carries the member's row, their
-// resume token and their member log's events. A package may be partial:
-// a state forward carries only the directory part (chair and roster, or
-// member row and token), a replayed journal event one event and its
-// floor blob. Epoch stamps a migration's package; a receiver discards
-// packages older than the newest epoch it has installed for the key.
+// carries its roster and chair, the floor snapshot, the board head and
+// the retained log suffix; a "~member" key carries the member's row,
+// their resume token and their member log's events. A package may be
+// partial: a state forward carries only the directory part (chair and
+// roster, or member row and token), a replayed journal event one event
+// and its floor snapshot. Epoch stamps a migration's package; a
+// receiver discards packages older than the newest epoch it has
+// installed for the key. Floor is a floor.Snapshot's encoding, opaque
+// here (base64 inside the package's JSON).
 type TakeoverBody struct {
 	Key       string             `json:"key"`
 	Epoch     int64              `json:"epoch"`
 	Chair     string             `json:"chair,omitempty"`
 	Members   []NodeMemberInfo   `json:"members,omitempty"`
-	Floor     *FloorReplicaBody  `json:"floor,omitempty"`
+	Floor     []byte             `json:"floor,omitempty"`
 	Events    []ReplicaEventBody `json:"events,omitempty"`
 	BoardHead int64              `json:"board_head,omitempty"`
 	Member    *NodeMemberInfo    `json:"member,omitempty"`
@@ -707,7 +695,8 @@ type TakeoverBody struct {
 // ForwardBody is a typed node-to-node forward. Kind selects the shape:
 // ForwardInvite carries To (the member) and Msg (the inner event);
 // ForwardReplica carries Group, Msg (the logged wire bytes, sequence
-// numbers already stamped) and optionally Floor; ForwardState and
+// numbers already stamped) and optionally Floor (a floor.Snapshot's
+// encoding, opaque here); ForwardState and
 // ForwardTakeover carry Takeover; ForwardAck carries ID and From;
 // ForwardMemberDrop carries To; ForwardMigrate carries Node and Addr;
 // ForwardMigrated carries Groups. Replicated kinds (replica, state,
@@ -716,10 +705,10 @@ type TakeoverBody struct {
 // and ack kinds have a native body (binary.go), the rest ride as this
 // struct's JSON inside the frame.
 type ForwardBody struct {
-	Kind  string            `json:"kind"`
-	Group string            `json:"group,omitempty"`
-	To    string            `json:"to,omitempty"`
-	Floor *FloorReplicaBody `json:"floor,omitempty"`
+	Kind  string `json:"kind"`
+	Group string `json:"group,omitempty"`
+	To    string `json:"to,omitempty"`
+	Floor []byte `json:"floor,omitempty"`
 	// Msg is the inner binary frame: verbatim in a replica forward's
 	// native body, base64 where the body rides as JSON (invite).
 	Msg []byte `json:"msg,omitempty"`

@@ -78,18 +78,18 @@ func (s *Server) nudgeQueueSlot(sess *session, groupID string) {
 	if !sess.wantsClass(protocol.ClassFloor) {
 		return
 	}
-	mode, holder, queue, _, _ := s.floorCtl.StateSnapshot(groupID)
-	pos := slices.Index(queue, sess.member.ID) + 1
+	fs := s.floorCtl.Snapshot(groupID)
+	pos := slices.Index(fs.Queue, sess.member.ID) + 1
 	if pos == 0 {
 		return
 	}
 	note := protocol.MustNew(protocol.TFloorEvent, protocol.FloorEventBody{
-		Mode:          mode.String(),
-		Holder:        string(holder),
+		Mode:          fs.Mode.String(),
+		Holder:        string(fs.Holder),
 		Member:        string(sess.member.ID),
 		Event:         "queue_position",
 		QueuePosition: pos,
-		QueueLen:      len(queue),
+		QueueLen:      len(fs.Queue),
 	})
 	note.Group = groupID
 	s.sendReliable(sess, note)
@@ -134,7 +134,7 @@ func (s *Server) sendSnapshot(sess *session, groupID string, boardSeq int64) {
 	lg := s.logs.Get(groupID)
 	head := lg.Head()
 	classSeqs := lg.ClassHeads()
-	mode, holder, queue, suspended, pinned := s.floorCtl.StateSnapshot(groupID)
+	fs := s.floorCtl.Snapshot(groupID)
 	level := resource.Normal
 	if s.cfg.Monitor != nil {
 		level = s.cfg.Monitor.Level()
@@ -142,14 +142,14 @@ func (s *Server) sendSnapshot(sess *session, groupID string, boardSeq int64) {
 	body := protocol.SnapshotBody{
 		Seq:       head,
 		ClassSeqs: classSeqs,
-		Mode:      mode.String(),
-		Holder:    string(holder),
-		QueuePos:  slices.Index(queue, sess.member.ID) + 1,
-		QueueLen:  len(queue),
+		Mode:      fs.Mode.String(),
+		Holder:    string(fs.Holder),
+		QueuePos:  slices.Index(fs.Queue, sess.member.ID) + 1,
+		QueueLen:  len(fs.Queue),
 		Level:     level.String(),
-		Pinned:    pinned,
+		Pinned:    fs.Pinned,
 	}
-	for _, m := range suspended {
+	for _, m := range fs.Suspended {
 		body.Suspended = append(body.Suspended, string(m))
 	}
 	gb := s.board(groupID)

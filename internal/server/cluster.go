@@ -227,7 +227,7 @@ func (s *Server) adoptLocked(key string) {
 		return
 	}
 	s.cluster.adopted[key] = true
-	s.install(p)
+	_ = s.install(p) // an undecodable floor is counted (state_install)
 	s.cluster.served.Store(key, true)
 }
 
@@ -300,7 +300,7 @@ func (s *Server) resendOverdue(now time.Time) {
 }
 
 // replicateLogged ships one logged append (the stamped fan-out bytes,
-// verbatim) to the R-1 replica peers, with the floor-state blob
+// verbatim) to the R-1 replica peers, with the encoded floor snapshot
 // attached for the classes whose takeover state the redacted wire bytes
 // cannot carry (queue membership is private on the wire). The key is a
 // group ID or a "~member" log key — member logs replicate exactly like
@@ -308,11 +308,11 @@ func (s *Server) resendOverdue(now time.Time) {
 // runs inside the log append's deliver callback — the pool enqueue
 // never blocks — so the replica stream observes exactly the log's
 // order.
-func (s *Server) replicateLogged(key string, wire []byte, blob *protocol.FloorReplicaBody) {
+func (s *Server) replicateLogged(key string, wire, snap []byte) {
 	if s.cluster == nil || !s.servesKey(key) {
 		return
 	}
-	s.replicateTracked(protocol.ForwardBody{Kind: protocol.ForwardReplica, Group: key, Msg: wire, Floor: blob})
+	s.replicateTracked(protocol.ForwardBody{Kind: protocol.ForwardReplica, Group: key, Msg: wire, Floor: snap})
 }
 
 // replicateMemberDrop retracts a member's replicated package after the
@@ -428,10 +428,10 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 		// The shipping side's barrier: every ForwardTakeover on this
 		// connection precedes it (in-order transport), so acking here
 		// certifies the packages are installed.
-		if body.ID != 0 {
-			_ = conn.Send(cluster.WrapForward(protocol.ForwardBody{
-				Kind: protocol.ForwardAck, ID: body.ID, From: s.cluster.selfAddr(),
-			}))
+		if body.ID != 0 && conn.Send(cluster.WrapForward(protocol.ForwardBody{
+			Kind: protocol.ForwardAck, ID: body.ID, From: s.cluster.selfAddr(),
+		})) != nil {
+			s.migrateSendErrs.Add(1)
 		}
 	case protocol.ForwardMigrate:
 		s.runMigration(conn, body)

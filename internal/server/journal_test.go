@@ -103,7 +103,7 @@ func journalState(s *Server) string {
 		gb.mu.Lock()
 		head := gb.board.Seq()
 		gb.mu.Unlock()
-		rows = append(rows, fmt.Sprintf("group %s chair=%s roster=%v floor=%+v board=%d", g, chair, roster, s.floorState(g), head))
+		rows = append(rows, fmt.Sprintf("group %s chair=%s roster=%v floor=%+v board=%d", g, chair, roster, s.floorCtl.Snapshot(g), head))
 	}
 	for _, key := range s.logs.Keys() {
 		lg := s.logs.Get(key)
@@ -230,7 +230,7 @@ func TestJournalCrashInjection(t *testing.T) {
 		want[k] = journalState(s)
 		s.Close()
 	}
-	if full := want[len(ends)]; !strings.Contains(full, "holder:"+members["carol"].MemberID()) || strings.Contains(full, members["dave"].MemberID()) {
+	if full := want[len(ends)]; !strings.Contains(full, "Holder:"+members["carol"].MemberID()) || strings.Contains(full, members["dave"].MemberID()) {
 		t.Fatalf("the whole journal replays as\n%s\nwant carol holding the floor and no trace of the reaped dave", full)
 	}
 	// recordAt is how many records end at or before byte off of segment
@@ -409,5 +409,55 @@ func TestCheckpointIsOnePackagePerKey(t *testing.T) {
 	}
 	if len(kinds) != len(want)+1 || kinds[0] != grouplog.WALNextID || !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpoint wrote kinds %v for keys %v, want next_id then one package for each of %v", kinds, got, want)
+	}
+}
+
+// TestReplayRefusesAnUndecodableFloor: a journal record whose checksum
+// holds but whose floor snapshot does not decode — in an event record
+// or in a package — fails the replay, and with it New. A floor the
+// journal cannot state is never installed as some default floor. The
+// same records around a snapshot that decodes replay.
+func TestReplayRefusesAnUndecodableFloor(t *testing.T) {
+	event := protocol.MustNew(protocol.TFloorEvent, protocol.FloorEventBody{Mode: floor.EqualControl.String(), Event: "granted"})
+	event.Group, event.GSeq, event.Class, event.CSeq, event.State = "hall", 1, protocol.ClassFloor, 1, true
+	wire, err := protocol.EncodeBinary(event)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := floor.Snapshot{Mode: floor.EqualControl}.AppendBinary(nil)
+	snaps := map[string][]byte{
+		"decodes":        good,
+		"unknown mode":   floor.Snapshot{Mode: floor.Mode(99)}.AppendBinary(nil),
+		"cut short":      good[:len(good)-1],
+		"trailing bytes": append(good[:len(good):len(good)], 0),
+	}
+	for name, snap := range snaps {
+		pkg, err := walRecord(protocol.TakeoverBody{Key: "hall", Floor: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range []grouplog.WALRecord{
+			{Kind: grouplog.WALEvent, Key: "hall", GSeq: 1, CSeq: 1, Class: protocol.ClassFloor, State: true, Wire: wire, Data: snap},
+			pkg,
+		} {
+			dir := t.TempDir()
+			w, err := grouplog.OpenWAL(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(Config{Network: netsim.New(25), Addr: "replay:1", WALDir: dir})
+			if err == nil {
+				srv.Close()
+			}
+			if (err == nil) != (name == "decodes") {
+				t.Errorf("%s: replaying a %v record: %v", name, rec.Kind, err)
+			}
+		}
 	}
 }

@@ -234,7 +234,7 @@ func TestModeSwitchPinOverWire(t *testing.T) {
 	if err := teacher.SwitchMode("class", floor.ModeratedQueue, true); err != nil {
 		t.Fatalf("chair pin: %v", err)
 	}
-	if !l.srv.FloorController().Pinned("class") {
+	if !l.srv.FloorController().Snapshot("class").Pinned {
 		t.Fatal("pin not recorded")
 	}
 	// The switch is a logged broadcast.

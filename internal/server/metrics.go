@@ -126,6 +126,7 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 			{LabelKey: "site", LabelValue: "state_install", Value: float64(s.installErrs.Load())},
 			{LabelKey: "site", LabelValue: "wal_checkpoint", Value: float64(s.ckptErrs.Load())},
 			{LabelKey: "site", LabelValue: "wal_close", Value: float64(s.walCloseErrs.Load())},
+			{LabelKey: "site", LabelValue: "migrate_send", Value: float64(s.migrateSendErrs.Load())},
 		}
 	})
 	reg.CounterFunc("dmps_lights_pushes_total", "Connection-lights pushes queued by the probe tick.", func() []metrics.Sample {

@@ -30,9 +30,11 @@ import (
 // the inbound connection.
 func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	reply := func(groups []string) {
-		_ = conn.Send(cluster.WrapForward(protocol.ForwardBody{
+		if conn.Send(cluster.WrapForward(protocol.ForwardBody{
 			Kind: protocol.ForwardMigrated, Groups: groups, Epoch: body.Epoch,
-		}))
+		})) != nil {
+			s.migrateSendErrs.Add(1)
+		}
 	}
 	if body.Addr == "" {
 		reply(nil)
@@ -154,7 +156,7 @@ func (s *Server) installTakeover(p protocol.TakeoverBody) {
 	}
 	s.cluster.topo.AdvanceEpoch(p.Epoch)
 	if s.cluster.partitionOwner(p.Key) == s.cluster.cfg.Self {
-		s.install(p)
+		_ = s.install(p) // an undecodable floor is counted (state_install)
 		return
 	}
 	s.cluster.store.Apply(p, "", 0)

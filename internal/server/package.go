@@ -44,12 +44,12 @@ func (s *Server) directory(key string) protocol.TakeoverBody {
 }
 
 // dump exports a partition key's live state as a package: the directory
-// part, a group's floor blob and board head, and the log's retained
-// window.
+// part, a group's encoded floor snapshot and board head, and the log's
+// retained window.
 func (s *Server) dump(key string) protocol.TakeoverBody {
 	p := s.directory(key)
 	if !strings.HasPrefix(key, "~") {
-		p.Floor = s.floorState(key).blob()
+		p.Floor = s.floorCtl.Snapshot(key).AppendBinary(nil)
 		gb := s.board(key)
 		gb.mu.Lock()
 		p.BoardHead = gb.board.Seq()
@@ -66,15 +66,17 @@ func (s *Server) dump(key string) protocol.TakeoverBody {
 // install puts a package — whole or partial — into the live planes:
 // member rows into the registry (and the ID counter past them), a
 // member's resume token into the token map, a group's roster and chair,
-// its floor state (mode, holder, queue, suspensions, pin) into the
-// controller, the events into the log plane with their original
-// sequence numbers and the board ops among them into the authoritative
-// board, which never re-mints below the package's board head. Every
-// step is idempotent — a duplicate is state already live — so replaying
-// a journal that restates a key, or adopting on top of a migration's
-// residue, converges. The package is then journalled, so a restart of
-// this process installs it again.
-func (s *Server) install(p protocol.TakeoverBody) {
+// its floor snapshot into the controller, the events into the log plane
+// with their original sequence numbers and the board ops among them
+// into the authoritative board, which never re-mints below the
+// package's board head. Every step is idempotent — a duplicate is state
+// already live — so replaying a journal that restates a key, or
+// adopting on top of a migration's residue, converges. The package is
+// then journalled, so a restart of this process installs it again. A
+// floor snapshot that does not decode is counted and returned: the
+// group keeps the floor it had, the other steps still land, and WAL
+// replay fails on it.
+func (s *Server) install(p protocol.TakeoverBody) (err error) {
 	if id, member := strings.CutPrefix(p.Key, "~"); member {
 		if p.Member != nil {
 			s.installed(s.registry.EnsureMember(memberFromInfo(*p.Member)))
@@ -98,8 +100,14 @@ func (s *Server) install(p protocol.TakeoverBody) {
 			s.installed(s.registry.Join(p.Key, group.MemberID(m.ID)))
 		}
 	}
-	if p.Floor != nil {
-		s.restoreFloor(p.Key, p.Floor)
+	if len(p.Floor) > 0 {
+		var snap floor.Snapshot
+		if snap, err = floor.DecodeSnapshot(p.Floor); err == nil {
+			s.floorCtl.Restore(p.Key, snap)
+		} else {
+			p.Floor = nil // journal only what landed
+		}
+		s.installed(err)
 	}
 	if len(p.Events) > 0 {
 		lg := s.logs.Get(p.Key)
@@ -117,49 +125,7 @@ func (s *Server) install(p protocol.TakeoverBody) {
 		gb.mu.Unlock()
 	}
 	s.walPackage(p)
-}
-
-// floorState is a group's floor state as the controller reports it.
-type floorState struct {
-	mode             floor.Mode
-	holder           group.MemberID
-	queue, suspended []group.MemberID
-	pinned           bool
-}
-
-func (s *Server) floorState(groupID string) (fs floorState) {
-	fs.mode, fs.holder, fs.queue, fs.suspended, fs.pinned = s.floorCtl.StateSnapshot(groupID)
-	return fs
-}
-
-// blob is the state in its replication and journal form.
-func (fs floorState) blob() *protocol.FloorReplicaBody {
-	blob := &protocol.FloorReplicaBody{Mode: fs.mode.String(), Holder: string(fs.holder), Pinned: fs.pinned}
-	for _, m := range fs.queue {
-		blob.Queue = append(blob.Queue, string(m))
-	}
-	for _, m := range fs.suspended {
-		blob.Suspended = append(blob.Suspended, string(m))
-	}
-	return blob
-}
-
-// restoreFloor installs a replicated or journaled floor blob as the
-// group's floor state — blob's inverse.
-func (s *Server) restoreFloor(groupID string, blob *protocol.FloorReplicaBody) {
-	mode, ok := floor.ParseMode(blob.Mode)
-	if !ok {
-		mode = floor.FreeAccess
-	}
-	queue := make([]group.MemberID, 0, len(blob.Queue))
-	for _, m := range blob.Queue {
-		queue = append(queue, group.MemberID(m))
-	}
-	suspended := make([]group.MemberID, 0, len(blob.Suspended))
-	for _, m := range blob.Suspended {
-		suspended = append(suspended, group.MemberID(m))
-	}
-	s.floorCtl.Restore(groupID, mode, group.MemberID(blob.Holder), queue, suspended, blob.Pinned)
+	return err
 }
 
 // applyBoardWire converges the board operations carried by one logged
@@ -189,9 +155,9 @@ func applyBoardWire(gb *groupBoard, wire []byte) error {
 }
 
 // installed counts an install step that failed: a duplicate is the
-// idempotent re-install of state already live, anything else is state
-// the package carried that did not land
-// (dmps_errors_total{site="state_install"}).
+// idempotent re-install of state already live, anything else — a floor
+// snapshot that did not decode among them — is state the package
+// carried that did not land (dmps_errors_total{site="state_install"}).
 func (s *Server) installed(err error) {
 	if err != nil && !errors.Is(err, group.ErrDuplicate) {
 		s.installErrs.Add(1)

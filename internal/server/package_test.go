@@ -16,17 +16,20 @@ import (
 	"dmps/internal/resource"
 )
 
-// TestPartitionPackageRoundTrip carries a group key and a member key
+// TestPartitionPackageRoundTrip carries two group keys and a member key
 // through every path a partition package takes — a migration's takeover
 // over the wire, a replica store's standby copy adopted on failover, an
 // install journalled and replayed, a checkpoint replayed — and requires
 // the package dumped at the far end to equal the one dumped at the
-// source (the migration's epoch aside). The group holds a roster and
+// source (the migration's epoch aside). One group holds a roster and
 // chair; a floor with a holder, a two-deep queue, a suspended member and
 // a pin; a coalesced board burst; floor, suspend and board events. The
-// member key holds a row, a resume token and an invitation. Every node
-// is a one-node ring on netsim under a simulated clock, so every key is
-// native and nothing runs on a timer.
+// other is moderated: the chair holds the floor and has approved a
+// queued member, and a Direct Contact window is open; at the far end
+// the window is still open and the chair's release grants the approved
+// member. The member key holds a row, a resume token and an invitation.
+// Every node is a one-node ring on netsim under a simulated clock, so
+// every key is native and nothing runs on a timer.
 func TestPartitionPackageRoundTrip(t *testing.T) {
 	n := netsim.New(21)
 	sim := clock.NewSim(time.Unix(3000, 0))
@@ -72,8 +75,9 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 			t.Fatalf("%s floor request: %+v %v", who, dec, err)
 		}
 	}
-	mode, holder, queue, _, _ := src.floorCtl.StateSnapshot("hall")
-	src.floorCtl.Restore("hall", mode, holder, queue, []group.MemberID{dave}, true)
+	hallFloor := src.floorCtl.Snapshot("hall")
+	hallFloor.Suspended, hallFloor.Pinned = []group.MemberID{dave}, true
+	src.floorCtl.Restore("hall", hallFloor)
 	src.logSuspend("hall", protocol.TSuspend, string(dave), resource.Degraded, traceCtx{})
 	// A leading-edge line, then two inside its pacing slot: one batch,
 	// logged as one event carrying the third op in More.
@@ -94,7 +98,25 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 	if _, err := alice.Invite("side", string(dave)); err != nil {
 		t.Fatal(err)
 	}
-	keys := []string{grouplog.MemberKey(string(dave)), "hall"}
+	bob, carol := members["bob"].MemberID(), members["carol"].MemberID()
+	for _, who := range []string{"alice", "bob", "carol", "dave"} {
+		if err := members[who].Join("seminar"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, who := range []string{"alice", "bob", "carol"} {
+		dec, err := members[who].RequestFloor("seminar", floor.ModeratedQueue, "")
+		if err != nil || dec.Granted != (i == 0) || dec.QueuePosition != i {
+			t.Fatalf("%s moderated request: %+v %v", who, dec, err)
+		}
+	}
+	if dec, err := alice.ApproveFloor("seminar", bob); err != nil || dec.Granted {
+		t.Fatalf("approval: %+v %v", dec, err)
+	}
+	if dec, err := members["dave"].RequestFloor("seminar", floor.DirectContact, carol); err != nil || !dec.Granted {
+		t.Fatalf("direct contact: %+v %v", dec, err)
+	}
+	keys := []string{grouplog.MemberKey(string(dave)), "hall", "seminar"}
 	// Board lines and invitations are acked before their events are
 	// appended: wait for all of them — three floor events, the
 	// suspension, two board events, the invitation — so that nothing
@@ -108,13 +130,15 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 		want[key] = src.dump(key)
 	}
 	hall := want["hall"]
-	if hall.Chair != alice.MemberID() || len(hall.Members) != 4 || hall.BoardHead != 3 ||
-		hall.Floor == nil || hall.Floor.Holder != alice.MemberID() || len(hall.Floor.Queue) != 2 ||
-		len(hall.Floor.Suspended) != 1 || !hall.Floor.Pinned {
-		t.Fatalf("source group package is missing state: %+v floor %+v", hall, hall.Floor)
+	if fs, err := floor.DecodeSnapshot(hall.Floor); hall.Chair != alice.MemberID() || len(hall.Members) != 4 || hall.BoardHead != 3 ||
+		err != nil || string(fs.Holder) != alice.MemberID() || len(fs.Queue) != 2 || len(fs.Suspended) != 1 || !fs.Pinned {
+		t.Fatalf("source group package is missing state: %+v floor %+v %v", hall, fs, err)
 	}
 	if home := want[keys[0]]; home.Member == nil || home.Token == "" || len(home.Events) != 1 {
 		t.Fatalf("source member package is missing state: %+v", home)
+	}
+	if fs, err := floor.DecodeSnapshot(want["seminar"].Floor); err != nil || len(fs.Approved) != 1 || len(fs.Contacts) != 2 {
+		t.Fatalf("source moderated package is missing state: %+v %v", fs, err)
 	}
 
 	bursts := 0
@@ -183,6 +207,12 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 		}
 		if errs := dst.installErrs.Load(); errs != 0 {
 			t.Errorf("%s: %d install steps failed", path.name, errs)
+		}
+		if peer := dst.floorCtl.ContactPeer("seminar", dave); string(peer) != carol {
+			t.Errorf("%s: dave's Direct Contact peer is %q, want %s", path.name, peer, carol)
+		}
+		if next, err := dst.floorCtl.Release("seminar", group.MemberID(alice.MemberID())); err != nil || string(next) != bob {
+			t.Errorf("%s: the chair's release granted %q (%v), want the approved %s", path.name, next, err, bob)
 		}
 	}
 }

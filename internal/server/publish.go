@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"dmps/internal/floor"
 	"dmps/internal/group"
 	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
@@ -68,19 +69,19 @@ var errUnlogged = errors.New("server: transition changed no logged state")
 // build runs the event's transition, if it has one, and returns the
 // event in its canonical form — what the log retains and everyone
 // without a personal copy receives — with, for a floor publication, the
-// floor state the transition left. An error from build leaves the log
-// untouched. personal, when not nil, may replace the body for one
+// floor snapshot the transition left, encoded here once for the journal
+// and the replicas both. An error from build leaves the log untouched. personal, when not nil, may replace the body for one
 // recipient; the copy carries the canonical event's sequence numbers.
 // (Both are parameters rather than fields of p so that the callers'
 // closures, and what they capture, stay on the stack.)
-func (s *Server) publish(p publication, build func() (protocol.Message, floorState, error), personal func(sess *session) (body any, ok bool)) {
+func (s *Server) publish(p publication, build func() (protocol.Message, floor.Snapshot, error), personal func(sess *session) (body any, ok bool)) {
 	sampled := p.tc.sampled()
 	var a0 time.Time
 	if sampled {
 		a0 = time.Now()
 	}
 	var msg protocol.Message
-	var blob *protocol.FloorReplicaBody
+	var snap []byte
 	var gseq, cseq int64
 	stamp := func(m *protocol.Message) {
 		m.Group, m.GSeq, m.Class, m.CSeq, m.State = p.group, gseq, p.class, cseq, p.state
@@ -88,13 +89,13 @@ func (s *Server) publish(p publication, build func() (protocol.Message, floorSta
 	}
 	_, err := s.logs.Get(p.key).Append(p.class, p.state, func(g, c int64) ([]byte, error) {
 		gseq, cseq = g, c
-		var fs floorState
+		var fs floor.Snapshot
 		var err error
 		if msg, fs, err = build(); err != nil {
 			return nil, err
 		}
 		if p.floor && (s.wal != nil || s.cluster != nil) {
-			blob = fs.blob()
+			snap = fs.AppendBinary(nil)
 		}
 		stamp(&msg)
 		var e0 time.Time
@@ -126,8 +127,8 @@ func (s *Server) publish(p publication, build func() (protocol.Message, floorSta
 			}
 			s.sendWire(sess, w)
 		}
-		s.walEvent(p.key, gseq, cseq, p.class, p.state, wire, blob)
-		s.replicateLogged(p.key, wire, blob)
+		s.walEvent(p.key, gseq, cseq, p.class, p.state, wire, snap)
+		s.replicateLogged(p.key, wire, snap)
 	})
 	if err != nil && !errors.Is(err, errUnlogged) {
 		// The event could not be encoded and the log is untouched: no
@@ -152,7 +153,7 @@ func (s *Server) logBroadcast(groupID string, msg protocol.Message) {
 	}
 	s.publish(publication{
 		key: groupID, group: groupID, class: class, tc: traceOf(msg), targets: s.groupTargets(groupID),
-	}, func() (protocol.Message, floorState, error) { return msg, floorState{}, nil }, nil)
+	}, func() (protocol.Message, floor.Snapshot, error) { return msg, floor.Snapshot{}, nil }, nil)
 }
 
 // logFloorEvent runs one floor transition inside the group log's append
@@ -169,7 +170,7 @@ func (s *Server) logBroadcast(groupID string, msg protocol.Message) {
 // carries no claim on the group floor.
 //
 // A state-bearing event's Mode, Holder and queue length — and the floor
-// blob the journal and replicas get — are the state read right after
+// snapshot the journal and replicas get — are the state read right after
 // the transition, in the same append, so each entry states exactly what
 // its own transition left. That is what lets these events be marked
 // state-bearing: compaction keeps only the latest one, and clients may
@@ -185,15 +186,15 @@ func (s *Server) logFloorEvent(groupID string, state bool, tc traceCtx, transiti
 	s.publish(publication{
 		key: groupID, group: groupID, class: protocol.ClassFloor, state: state, tc: tc,
 		targets: s.groupTargets(groupID), floor: true,
-	}, func() (protocol.Message, floorState, error) {
+	}, func() (protocol.Message, floor.Snapshot, error) {
 		var logged bool
 		if body, logged = transition(); !logged {
-			return protocol.Message{}, floorState{}, errUnlogged
+			return protocol.Message{}, floor.Snapshot{}, errUnlogged
 		}
-		fs := s.floorState(groupID)
+		fs := s.floorCtl.Snapshot(groupID)
 		if state {
-			body.Mode, body.Holder, body.QueueLen = fs.mode.String(), string(fs.holder), len(fs.queue)
-			queue = fs.queue
+			body.Mode, body.Holder, body.QueueLen = fs.Mode.String(), string(fs.Holder), len(fs.Queue)
+			queue = fs.Queue
 		}
 		body.QueuePosition = 0 // canonical form: slots are per-recipient
 		return protocol.MustNew(protocol.TFloorEvent, body), fs, nil
@@ -218,10 +219,10 @@ func (s *Server) logSuspend(groupID string, typ protocol.Type, member string, le
 	s.publish(publication{
 		key: groupID, group: groupID, class: protocol.ClassSuspend, state: true, tc: tc,
 		targets: s.groupTargets(groupID), floor: true,
-	}, func() (protocol.Message, floorState, error) {
-		fs := s.floorState(groupID)
+	}, func() (protocol.Message, floor.Snapshot, error) {
+		fs := s.floorCtl.Snapshot(groupID)
 		body := protocol.SuspendBody{Member: member, Level: level.String()}
-		for _, m := range fs.suspended {
+		for _, m := range fs.Suspended {
 			body.Suspended = append(body.Suspended, string(m))
 		}
 		return protocol.MustNew(typ, body), fs, nil
@@ -244,7 +245,7 @@ func (s *Server) logSendTo(id group.MemberID, msg protocol.Message) {
 	}
 	s.publish(publication{
 		key: grouplog.MemberKey(string(id)), class: class, tc: traceOf(msg), targets: targets,
-	}, func() (protocol.Message, floorState, error) { return msg, floorState{}, nil }, nil)
+	}, func() (protocol.Message, floor.Snapshot, error) { return msg, floor.Snapshot{}, nil }, nil)
 }
 
 // Broadcast delivers a server-originated message to every connected

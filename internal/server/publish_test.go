@@ -249,31 +249,31 @@ func TestPublishPipelineTable(t *testing.T) {
 		t.Errorf("replica holds member-log events up to %d, want 2", got)
 	}
 	// …and in the journal, one event record each, every floor- and
-	// suspend-class one carrying the floor blob in the same record.
+	// suspend-class one carrying the floor snapshot in the same record.
 	owner.Close()
 	w, err := grouplog.OpenWAL(walDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	var events, blobs int64
+	var events, snaps int64
 	if err := w.Replay(func(rec grouplog.WALRecord) error {
 		if rec.Kind != grouplog.WALEvent {
 			return nil
 		}
 		events++
 		if len(rec.Data) > 0 {
-			if _, err := protocol.DecodeFloorBlob(rec.Data); err != nil {
-				t.Errorf("event %d carries an unreadable floor blob: %v", rec.GSeq, err)
+			if _, err := floor.DecodeSnapshot(rec.Data); err != nil {
+				t.Errorf("event %d carries an unreadable floor snapshot: %v", rec.GSeq, err)
 			}
-			blobs++
+			snaps++
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if events != total || blobs != 6 {
-		t.Errorf("journal holds %d event records, %d of them with a floor blob, want %d and 6", events, blobs, total)
+	if events != total || snaps != 6 {
+		t.Errorf("journal holds %d event records, %d of them with a floor snapshot, want %d and 6", events, snaps, total)
 	}
 }
 

@@ -214,14 +214,17 @@ type Server struct {
 	// refused, walAppendErrs records the journal failed to write,
 	// installErrs package steps install could not apply, ckptErrs and
 	// walCloseErrs periodic checkpoints and the final journal close that
-	// failed (dmps_errors_total{site="log_append"|"wal_append"|
-	// "state_install"|"wal_checkpoint"|"wal_close"}).
-	logAppendErrs atomic.Int64
-	walAppendErrs atomic.Int64
-	installErrs   atomic.Int64
-	ckptErrs      atomic.Int64
-	walCloseErrs  atomic.Int64
-	lightsPushes  atomic.Int64 // dmps_lights_pushes_total
+	// failed, migrateSendErrs a migration's barrier ack or reply that
+	// its connection refused (dmps_errors_total{site="log_append"|
+	// "wal_append"|"state_install"|"wal_checkpoint"|"wal_close"|
+	// "migrate_send"}).
+	logAppendErrs   atomic.Int64
+	walAppendErrs   atomic.Int64
+	installErrs     atomic.Int64
+	ckptErrs        atomic.Int64
+	walCloseErrs    atomic.Int64
+	migrateSendErrs atomic.Int64
+	lightsPushes    atomic.Int64 // dmps_lights_pushes_total
 
 	// Wire-path telemetry: payload bytes read off client connections
 	// (wireIn) and handed to writers (wireOut), writer flushes and the

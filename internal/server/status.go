@@ -214,7 +214,7 @@ func (s *Server) maybeReinstate() {
 		return
 	}
 	for _, gid := range s.registry.Groups() {
-		suspended := s.floorCtl.Suspended(gid)
+		suspended := s.floorCtl.Snapshot(gid).Suspended
 		if len(suspended) == 0 {
 			continue
 		}

@@ -3,8 +3,8 @@ package server
 // Write-ahead durability for a node's live planes. When Config.WALDir
 // is set, every change to the serving state is journaled as one record
 // in an append-only segment store (grouplog.WAL): a logged append as
-// its stamped frame, with the floor blob beside a floor or suspend
-// event; a change to a key's directory part — roster and chair, member
+// its stamped frame, with the encoded floor snapshot beside a floor or
+// suspend event; a change to a key's directory part — roster and chair, member
 // row and token — as the key's partition package; a member's expiry;
 // the ID counter. New replays the journal through the one install
 // before listening, so a restarted node resumes with the exact
@@ -41,22 +41,15 @@ func (s *Server) walAppend(rec grouplog.WALRecord) {
 // walEvent journals one logged append — the stamped canonical wire
 // bytes plus their sequence coordinates, replayed via AppendRaw so the
 // restarted log resumes at the same GSeq/CSeq — and, in the same
-// record, the floor blob of a floor or suspend event: the queue member
-// identities the redacted wire bytes deliberately do not carry. Called
-// inside the log append's deliver callback (the WAL takes only its own
-// lock).
-func (s *Server) walEvent(key string, gseq, cseq int64, class string, state bool, wire []byte, blob *protocol.FloorReplicaBody) {
-	if s.wal == nil {
-		return
-	}
-	rec := grouplog.WALRecord{
+// record, the encoded floor snapshot of a floor or suspend event: the
+// queue member identities the redacted wire bytes deliberately do not
+// carry. Called inside the log append's deliver callback (the WAL takes
+// only its own lock).
+func (s *Server) walEvent(key string, gseq, cseq int64, class string, state bool, wire, snap []byte) {
+	s.walAppend(grouplog.WALRecord{
 		Kind: grouplog.WALEvent, Key: key,
-		GSeq: gseq, CSeq: cseq, Class: class, State: state, Wire: wire,
-	}
-	if blob != nil {
-		rec.Data = protocol.AppendFloorBlob(nil, blob)
-	}
-	s.walAppend(rec)
+		GSeq: gseq, CSeq: cseq, Class: class, State: state, Wire: wire, Data: snap,
+	})
 }
 
 // walPackage journals a partition package as one record, so a restart
@@ -85,13 +78,10 @@ func walRecord(p protocol.TakeoverBody) (grouplog.WALRecord, error) {
 func packageOf(rec grouplog.WALRecord) (p protocol.TakeoverBody, err error) {
 	switch rec.Kind {
 	case grouplog.WALEvent:
-		p.Key = rec.Key
+		p.Key, p.Floor = rec.Key, rec.Data
 		p.Events = []protocol.ReplicaEventBody{{
 			GSeq: rec.GSeq, CSeq: rec.CSeq, Class: rec.Class, State: rec.State, Wire: rec.Wire,
 		}}
-		if len(rec.Data) > 0 {
-			p.Floor, err = protocol.DecodeFloorBlob(rec.Data)
-		}
 	case grouplog.WALPackage:
 		err = json.Unmarshal(rec.Data, &p)
 	default:
@@ -113,7 +103,8 @@ func (s *Server) walMemberDrop(id group.MemberID) {
 // write order — run by New before the listener accepts anyone, so the
 // first client of the restarted process already sees the pre-crash
 // GSeq/CSeq cursors, tokens and floor state. A record that does not
-// read back as what it says fails the replay, and with it New.
+// read back as what it says — a floor snapshot that does not decode
+// among them — fails the replay, and with it New.
 func (s *Server) replayWAL(w *grouplog.WAL) error {
 	return w.Replay(func(rec grouplog.WALRecord) error {
 		switch rec.Kind {
@@ -131,7 +122,7 @@ func (s *Server) replayWAL(w *grouplog.WAL) error {
 			if err != nil {
 				return err
 			}
-			s.install(p)
+			return s.install(p)
 		}
 		return nil
 	})
