@@ -426,11 +426,12 @@ type AnnotateBody struct {
 
 // SequencedBody wraps a broadcast board operation with its server
 // sequence number. Under annotation storms the server coalesces
-// contiguous same-author operations into one logged event: the first
+// operations into one logged event, whoever wrote them: the first
 // operation rides the top-level fields and the rest follow in More, in
-// board order — one ring slot, one class sequence number and one
-// fan-out for the whole burst. Recipients apply the top-level operation
-// and then each entry of More exactly as if they had arrived singly.
+// board order, each with its own Author — one ring slot, one class
+// sequence number and one fan-out for the whole burst. Recipients apply
+// the top-level operation and then each entry of More exactly as if
+// they had arrived singly.
 type SequencedBody struct {
 	Seq    int64  `json:"seq"`
 	Author string `json:"author"`

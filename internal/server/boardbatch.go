@@ -1,22 +1,34 @@
 package server
 
 import (
+	"encoding/binary"
+	"fmt"
 	"time"
 
 	"dmps/internal/protocol"
+	"dmps/internal/transport"
 	"dmps/internal/whiteboard"
 )
 
-// boardBatchMax bounds a coalesced board event: a storm longer than
-// this flushes mid-slot, keeping any single logged message (and the
-// burst a catching-up client applies at once) small.
-const boardBatchMax = 64
+// boardBatchMax bounds a coalesced board event by count: a storm longer
+// than this flushes mid-slot, keeping any single logged message (and the
+// burst a catching-up client applies at once) small. 16 is the knee
+// measured on a two-annotator storm: larger bounds raised the latency
+// per operation, smaller ones gave up throughput.
+const boardBatchMax = 16
+
+// boardBatchBytes bounds a coalesced board event by size: the encoded
+// operations of one event stay within the smallest limit any message to
+// a client meets, a trunk stream's, less room for the event's envelope
+// and for the replica forward that wraps it. An operation that would
+// push the open batch past it flushes the batch first, and one that
+// alone exceeds it is refused before it is appended.
+const boardBatchBytes = transport.MaxStreamMessage - 64<<10
 
 // boardSlot is the pacing slot: each group logs at most one held board
-// event per slot. 3.125 ms is a 200 ms tick split boardBatchMax ways, so
-// a saturated single-author storm costs the same ≥ boardBatchMax ops per
-// event whichever edge closes its batches.
-const boardSlot = 200 * time.Millisecond / boardBatchMax
+// event per slot, and it is the leading-edge threshold, so a stream
+// slower than one line per slot (~320 lines/s) is never held.
+const boardSlot = 3125 * time.Microsecond
 
 // flushCause says why a board event was logged; the per-cause counters
 // are exported as dmps_board_flush_total{cause}.
@@ -25,41 +37,61 @@ type flushCause int
 const (
 	flushInline   flushCause = iota // leading edge: logged on arrival, never held
 	flushDeadline                   // trailing edge: the batch's pacing slot came due
-	flushAuthor                     // a different author or wire type closed the batch
-	flushFull                       // the batch reached boardBatchMax
+	flushType                       // a chat line met an annotation batch, or the reverse
+	flushFull                       // the batch reached boardBatchMax or boardBatchBytes
 	flushExplicit                   // FlushBoardBatches
 	numFlushCauses
 )
 
-var flushCauseNames = [numFlushCauses]string{"inline", "deadline", "author", "full", "explicit"}
+var flushCauseNames = [numFlushCauses]string{"inline", "deadline", "type", "full", "explicit"}
+
+// boardOpBytes bounds what one operation adds to a board event's
+// encoded body: its author, kind and data, each behind a length prefix,
+// plus its sequence number and its burst count.
+func boardOpBytes(author, kind, data string) int {
+	return len(author) + len(kind) + len(data) + 5*binary.MaxVarintLen64
+}
+
+// checkBoardOp refuses, with a transport.ErrTooLarge cause, an
+// operation no board event could carry — before it is appended, so the
+// board never holds an operation no replica can be sent.
+func checkBoardOp(author, kind, data string) error {
+	if n := boardOpBytes(author, kind, data); n > boardBatchBytes {
+		return fmt.Errorf("server: board operation of %d bytes exceeds the %d-byte event budget: %w", n, boardBatchBytes, transport.ErrTooLarge)
+	}
+	return nil
+}
 
 // enqueueBoardOp routes one authoritative board operation into the
 // coalescing plane, which paces each group to one timer-driven event
 // per boardSlot. Leading edge: when no batch is open and the
 // group's last logged board event is at least a slot old, the
-// operation logs inline — a single author slower than one line per
-// slot is never held. Trailing edge: an operation inside the slot
-// opens (or joins) the group's batch, which the board loop flushes
-// when the slot ends, at lastLog + slot; an operation that finds the
-// batch already past that deadline (the loop is late) flushes it first
-// and is judged on its own, so a stale batch never captures later
-// lines. A different author or wire type (chat vs annotate) flushes the
-// open batch too, so attribution, typing and ordering survive verbatim,
-// and boardBatchMax bounds any single event — under a storm those two
-// close batches long before the timer does. The operation is already
-// appended to the board; only the logged broadcast defers, by at most
-// one slot. Requires gb.mu — the same lock that serialized
-// append+broadcast before batching, so log order still equals board
-// order.
+// operation logs inline — a stream slower than one line per slot is
+// never held. Trailing edge: an operation inside the slot opens (or
+// joins) the group's batch, which the board loop flushes when the slot
+// ends, at lastLog + slot; an operation that finds the batch already
+// past that deadline (the loop is late) flushes it first and is judged
+// on its own, so a stale batch never captures later lines. Any author
+// joins the open batch — every operation in it carries its own author —
+// but a different wire type (chat vs annotate) flushes it, since one
+// event has one type. boardBatchMax and boardBatchBytes bound any single
+// event; under a storm the count bound closes batches long before the
+// timer does. The operation is already appended to the board; only the
+// logged broadcast defers, by at most one slot. Requires gb.mu — the
+// same lock that serialized append+broadcast before batching, so log
+// order still equals board order.
 func (s *Server) enqueueBoardOp(groupID string, gb *groupBoard, op whiteboard.Op, kind string, typ protocol.Type) {
 	s.boardOps.Add(1)
 	now := s.cfg.Clock.Now()
+	size := boardOpBytes(op.Author, kind, op.Data)
 	if len(gb.pend) > 0 {
 		switch {
 		case !now.Before(gb.lastLog.Add(boardSlot)):
 			s.flushBoardLocked(groupID, gb, flushDeadline, now)
-		case gb.pend[0].Author != op.Author || gb.pendType != typ:
-			s.flushBoardLocked(groupID, gb, flushAuthor, now)
+		case gb.pendType != typ:
+			s.flushBoardLocked(groupID, gb, flushType, now)
+		case gb.pendBytes+size > boardBatchBytes:
+			s.flushBoardLocked(groupID, gb, flushFull, now)
 		}
 	}
 	body := protocol.SequencedBody{Seq: op.Seq, Author: op.Author, Kind: kind, Data: op.Data}
@@ -74,6 +106,7 @@ func (s *Server) enqueueBoardOp(groupID string, gb *groupBoard, op whiteboard.Op
 	}
 	gb.pendType = typ
 	gb.pend = append(gb.pend, body)
+	gb.pendBytes += size
 	if len(gb.pend) >= boardBatchMax {
 		s.flushBoardLocked(groupID, gb, flushFull, now)
 	}
@@ -93,6 +126,7 @@ func (s *Server) flushBoardLocked(groupID string, gb *groupBoard, cause flushCau
 		body.More = append([]protocol.SequencedBody(nil), gb.pend[1:]...)
 	}
 	gb.pend = gb.pend[:0]
+	gb.pendBytes = 0
 	if cause == flushDeadline {
 		gb.lastLog = gb.lastLog.Add(boardSlot)
 	} else {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 	"dmps/internal/metrics"
 	"dmps/internal/netsim"
 	"dmps/internal/protocol"
+	"dmps/internal/transport"
 )
 
 // paceLab is a server on netsim under a simulated clock: board pacing
@@ -46,11 +48,13 @@ func newPaceLab(t *testing.T) *paceLab {
 
 // boardTap records, in arrival order, the board sequence numbers a
 // client is sent — the top-level operation of each board event, then
-// its More — and how many events carried them.
+// its More — how many events carried them, and how many of those
+// events carried more than one author's operations.
 type boardTap struct {
 	mu     sync.Mutex
 	seqs   []int64
 	events int
+	mixed  int
 }
 
 func (tap *boardTap) observe(msg protocol.Message) {
@@ -65,8 +69,13 @@ func (tap *boardTap) observe(msg protocol.Message) {
 	defer tap.mu.Unlock()
 	tap.events++
 	tap.seqs = append(tap.seqs, body.Seq)
+	mixed := false
 	for _, more := range body.More {
 		tap.seqs = append(tap.seqs, more.Seq)
+		mixed = mixed || more.Author != body.Author
+	}
+	if mixed {
+		tap.mixed++
 	}
 }
 
@@ -74,6 +83,12 @@ func (tap *boardTap) snapshot() (seqs []int64, events int) {
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
 	return append([]int64(nil), tap.seqs...), tap.events
+}
+
+func (tap *boardTap) mixedEvents() int {
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	return tap.mixed
 }
 
 func (l *paceLab) dial(name string) (*client.Client, *boardTap) {
@@ -222,17 +237,18 @@ func TestBoardPaceTrailingEdge(t *testing.T) {
 }
 
 // TestBoardPaceStormBound: a sustained single-author storm is paced to
-// one timer-driven event per slot; only the 64-op cap adds to that.
+// one timer-driven event per slot; only the boardBatchMax cap adds to
+// that.
 func TestBoardPaceStormBound(t *testing.T) {
 	l := newPaceLab(t)
 	artist, artistTap := l.dial("artist")
 	_, viewerTap := l.dial("viewer")
 
-	// Phase 1, 31 ops per slot: the deadline closes every batch.
-	// Phase 2, 156 ops per slot: the cap closes most of them.
+	// Phase 1, boardBatchMax/2 ops per slot: the deadline closes every
+	// batch. Phase 2, 156 ops per slot: the cap closes most of them.
 	const perPhase = 640
 	start := l.sim.Now()
-	for _, gap := range []time.Duration{100 * time.Microsecond, 20 * time.Microsecond} {
+	for _, gap := range []time.Duration{2 * boardSlot / boardBatchMax, 20 * time.Microsecond} {
 		for i := 0; i < perPhase; i++ {
 			l.sim.Advance(gap)
 			if err := artist.Annotate("hall", "draw", "stroke"); err != nil {
@@ -258,14 +274,15 @@ func TestBoardPaceStormBound(t *testing.T) {
 	}
 }
 
-// TestBoardPaceAlternationKeepsOrder: author changes and chat/annotate
-// changes split batches without ever reordering them — every client is
-// sent the operations in board order, More bursts included.
+// TestBoardPaceAlternationKeepsOrder: alternating authors share
+// batches and chat/annotate changes split them, without ever reordering
+// them — every client is sent the operations in board order, More bursts
+// included, each still attributed to its own author.
 func TestBoardPaceAlternationKeepsOrder(t *testing.T) {
 	l := newPaceLab(t)
 	ann, annTap := l.dial("ann")
 	bob, bobTap := l.dial("bob")
-	_, viewerTap := l.dial("viewer")
+	viewer, viewerTap := l.dial("viewer")
 
 	type step struct {
 		who   *client.Client
@@ -302,10 +319,13 @@ func TestBoardPaceAlternationKeepsOrder(t *testing.T) {
 	if _, events := viewerTap.snapshot(); events >= want {
 		t.Errorf("viewer received %d events for %d ops; the bursts should have batched", events, want)
 	}
-	if by, _ := l.flushes(); by[flushAuthor] == 0 || by[flushFull] == 0 || by[flushDeadline] == 0 || by[flushInline] == 0 {
+	if viewerTap.mixedEvents() == 0 {
+		t.Errorf("no event carried two authors' operations; alternating annotators should share batches")
+	}
+	if by, _ := l.flushes(); by[flushType] == 0 || by[flushFull] == 0 || by[flushDeadline] == 0 || by[flushInline] == 0 {
 		t.Errorf("flushes %v: the script should close batches every way there is", by)
 	}
-	for _, c := range []*client.Client{ann, bob} {
+	for _, c := range []*client.Client{ann, bob, viewer} {
 		waitFor(t, "replica convergence", func() bool { return c.Board("hall").Seq() == int64(want) })
 		for i, op := range c.Board("hall").Since(0) {
 			if op.Author != authors[i] {
@@ -313,6 +333,45 @@ func TestBoardPaceAlternationKeepsOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBoardPaceByteBound: a batch is bounded by bytes as well as by
+// count. Two strokes that each fit an event but together exceed the
+// transport's message limit flush as two events, and the viewer gets
+// both; a line too large for any event is refused before it is
+// appended.
+func TestBoardPaceByteBound(t *testing.T) {
+	l := newPaceLab(t)
+	artist, _ := l.dial("artist")
+	viewer, viewerTap := l.dial("viewer")
+
+	if err := artist.Chat("hall", "one"); err != nil { // leading edge
+		t.Fatal(err)
+	}
+	stroke := strings.Repeat("x", transport.MaxMessageSize/2+1)
+	for i := 0; i < 2; i++ {
+		if err := artist.Annotate("hall", "draw", stroke); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.srv.FlushBoardBatches()
+	awaitBoard(t, 3, viewerTap)
+	if by, total := l.flushes(); total != 3 || by[flushFull] != 1 {
+		t.Errorf("flushes %v (total %d), want the second stroke's byte bound to close the first's batch", by, total)
+	}
+
+	err := artist.Chat("hall", strings.Repeat("x", boardBatchBytes))
+	if !errors.Is(err, client.ErrDenied) || !strings.Contains(err.Error(), "too_large") {
+		t.Fatalf("an oversized line: err = %v, want a too_large refusal", err)
+	}
+	if seq := l.srv.board("hall").board.Seq(); seq != 3 {
+		t.Errorf("board at seq %d after the refusal, want 3: a refused line must not be appended", seq)
+	}
+	if err := viewer.Chat("hall", "still here"); err != nil {
+		t.Fatalf("the viewer's session did not survive: %v", err)
+	}
+	l.srv.FlushBoardBatches()
+	awaitBoard(t, 4, viewerTap)
 }
 
 // TestBoardPaceCloseWithArmedDeadline: closing the server while a batch

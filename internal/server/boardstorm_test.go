@@ -8,13 +8,14 @@ import (
 	"dmps/internal/client"
 	"dmps/internal/clock"
 	"dmps/internal/netsim"
+	"dmps/internal/protocol"
 )
 
 // TestBoardStormCoalesces drives an annotation storm and asserts the
-// logged-event ratio: contiguous same-author operations batch into one
-// logged event per flush, an author change splits the batch (ordering
-// and attribution survive verbatim), and every replica still converges
-// to the full board.
+// logged-event ratio: operations batch into one logged event per
+// boardBatchMax, another author's operation joins the open batch
+// (ordering and attribution survive verbatim), and every replica still
+// converges to the full board.
 func TestBoardStormCoalesces(t *testing.T) {
 	n := netsim.New(9)
 	// Simulated time never advances: every stroke lands inside the first
@@ -28,11 +29,11 @@ func TestBoardStormCoalesces(t *testing.T) {
 	srv.Start()
 	t.Cleanup(srv.Close)
 
-	dial := func(name string) *client.Client {
+	dial := func(name string, onEvent func(protocol.Message)) *client.Client {
 		c, err := client.Dial(client.Config{
 			Network: n.From(name + "host"), Addr: "server:1",
 			Name: name, Role: "participant", Priority: 2,
-			Timeout: 2 * time.Second,
+			Timeout: 2 * time.Second, OnEvent: onEvent,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +44,8 @@ func TestBoardStormCoalesces(t *testing.T) {
 		}
 		return c
 	}
-	artist, viewer := dial("artist"), dial("viewer")
+	viewerTap := &boardTap{}
+	artist, viewer := dial("artist", nil), dial("viewer", viewerTap.observe)
 
 	const storm = 40
 	for i := 0; i < storm; i++ {
@@ -51,7 +53,7 @@ func TestBoardStormCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One stroke by the other author splits the run.
+	// One stroke by the other author joins the open batch.
 	if err := viewer.Annotate("studio", "draw", "interjection"); err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +64,11 @@ func TestBoardStormCoalesces(t *testing.T) {
 		t.Fatalf("ops = %d, want %d", ops, storm+1)
 	}
 	// The storm coalesces: the first stroke logs inline (leading edge —
-	// an idle board pays no batching latency), the remaining 39 ride one
-	// batched event flushed by the author change, and the interjection a
-	// third via the explicit flush. The ratio is the satellite's point.
-	if logged > 3 {
-		t.Errorf("logged %d board events for %d ops; the storm should coalesce into ≤ 3", logged, ops)
+	// an idle board pays no batching latency), and the remaining 39
+	// strokes and the interjection ride batched events of boardBatchMax,
+	// the last flushed explicitly.
+	if bound := 1 + (storm+boardBatchMax-1)/boardBatchMax; logged > int64(bound) {
+		t.Errorf("logged %d board events for %d ops; the storm should coalesce into ≤ %d", logged, ops, bound)
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -79,10 +81,20 @@ func TestBoardStormCoalesces(t *testing.T) {
 	if got := viewer.Board("studio").Seq(); got != int64(storm+1) {
 		t.Fatalf("viewer board at %d, want %d — coalesced events must apply like singles", got, storm+1)
 	}
-	// Order and attribution survive: the interjection is the last op.
+	// Order and attribution survive: the interjection is the last op,
+	// and it rode the same event as the artist's last strokes.
 	ops2 := viewer.Board("studio").Since(0)
 	last := ops2[len(ops2)-1]
 	if last.Author != viewer.MemberID() || last.Data != "interjection" {
 		t.Errorf("last op = %+v, want the viewer's interjection in order", last)
+	}
+	for i, op := range ops2[:storm] {
+		if op.Author != artist.MemberID() || op.Data != fmt.Sprintf("stroke %d", i) {
+			t.Fatalf("op %d = %+v, want the artist's stroke %d", i+1, op, i)
+		}
+	}
+	waitFor(t, "the viewer's tap to see the last batch", func() bool { seqs, _ := viewerTap.snapshot(); return len(seqs) == storm+1 })
+	if mixed := viewerTap.mixedEvents(); mixed != 1 {
+		t.Errorf("%d events carried both authors, want the interjection's batch", mixed)
 	}
 }

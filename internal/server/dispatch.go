@@ -94,11 +94,13 @@ func (s *Server) onJoin(sess *session, msg protocol.Message) {
 		return
 	}
 	s.persist(body.Group)
-	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
 	// One snapshot converges the late joiner: board history, floor
 	// state, suspensions, and the log position live events continue from.
-	// Everyone else sees the join in the next probe tick's lights push.
+	// It goes ahead of the ack, so a Join returns with the group's state
+	// already applied. Everyone else sees the join in the next probe
+	// tick's lights push.
 	s.sendSnapshot(sess, body.Group, 0)
+	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
 }
 
 func (s *Server) onCreateGroup(sess *session, msg protocol.Message) {
@@ -432,6 +434,10 @@ func (s *Server) onChat(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "no_floor", fmt.Errorf("server: %s may not send in %v mode", sess.member.ID, s.floorCtl.ModeOf(msg.Group)))
 		return
 	}
+	if err := checkBoardOp(string(sess.member.ID), "text", body.Text); err != nil {
+		s.replyErr(sess, msg.Seq, "too_large", err)
+		return
+	}
 	gb := s.board(msg.Group)
 	gb.mu.Lock()
 	op, err := gb.board.Append(string(sess.member.ID), whiteboard.Text, body.Text)
@@ -440,9 +446,9 @@ func (s *Server) onChat(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "board", err)
 		return
 	}
-	// The broadcast coalesces under storms: contiguous same-author lines
-	// within a tick ride a single logged event; an idle board logs
-	// inline (leading-edge flush).
+	// The broadcast is paced: a line inside the group's pacing slot
+	// joins the open batch, whoever wrote it; a slower stream logs
+	// inline (leading edge).
 	s.enqueueBoardOp(msg.Group, gb, op, "text", protocol.TChatEvent)
 	gb.mu.Unlock()
 	s.replyAck(sess, msg.Seq, protocol.SequencedBody{Seq: op.Seq, Author: op.Author, Kind: "text", Data: op.Data})
@@ -467,6 +473,10 @@ func (s *Server) onAnnotate(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "bad_kind", fmt.Errorf("server: unknown op kind %q", body.Kind))
 		return
 	}
+	if err := checkBoardOp(string(sess.member.ID), body.Kind, body.Data); err != nil {
+		s.replyErr(sess, msg.Seq, "too_large", err)
+		return
+	}
 	gb := s.board(msg.Group)
 	gb.mu.Lock()
 	op, err := gb.board.Append(string(sess.member.ID), kind, body.Data)
@@ -475,9 +485,10 @@ func (s *Server) onAnnotate(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "board", err)
 		return
 	}
-	// An annotation storm coalesces into per-tick batched events; the
-	// authoritative append above is immediate either way, and an idle
-	// board logs inline.
+	// An annotation storm coalesces into paced events of up to
+	// boardBatchMax operations, any authors' alike; the authoritative
+	// append above is immediate either way, and an idle board logs
+	// inline.
 	s.enqueueBoardOp(msg.Group, gb, op, body.Kind, protocol.TAnnotateEvent)
 	gb.mu.Unlock()
 	s.replyAck(sess, msg.Seq, protocol.SequencedBody{Seq: op.Seq, Author: op.Author, Kind: body.Kind, Data: op.Data})

@@ -110,7 +110,7 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 		_, logged := s.BoardStormStats()
 		return one(float64(logged))
 	})
-	reg.CounterFunc("dmps_board_flush_total", "Logged board events by cause: inline (never held), deadline (pacing slot ended), author, full, explicit.", func() []metrics.Sample {
+	reg.CounterFunc("dmps_board_flush_total", "Logged board events by cause: inline (never held), deadline (pacing slot ended), type (chat vs annotate), full (count or byte bound), explicit.", func() []metrics.Sample {
 		out := make([]metrics.Sample, numFlushCauses)
 		for c := range out {
 			out[c] = metrics.Sample{LabelKey: "cause", LabelValue: flushCauseNames[c], Value: float64(s.boardFlushes[c].Load())}

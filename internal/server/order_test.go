@@ -102,6 +102,9 @@ func TestFloorEventPrecedesAck(t *testing.T) {
 		if err := c.Join(g); err != nil {
 			t.Fatal(err)
 		}
+		// The tap sees a reply only after Join has returned on it, so
+		// wait for the join's reply, or it can land inside a step.
+		waitFor(t, who.name+"'s join reply to reach the tap", func() bool { return tap.len() == 1 })
 		taps[who.name], members[who.name] = tap, c
 	}
 	id := func(name string) string { return members[name].MemberID() }

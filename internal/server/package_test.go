@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -215,4 +216,85 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 			t.Errorf("%s: the chair's release granted %q (%v), want the approved %s", path.name, next, err, bob)
 		}
 	}
+}
+
+// TestMixedAuthorBurstSurvivesTransfer: a board event whose burst
+// carries two authors' operations lands op for op, each with its own
+// author, through WAL replay and through failover adoption from the
+// replica store, whose board head follows the whole burst.
+func TestMixedAuthorBurstSurvivesTransfer(t *testing.T) {
+	n := netsim.New(23)
+	sim := clock.NewSim(time.Unix(3000, 0))
+	node := func(addr, walDir string) *Server {
+		t.Helper()
+		srv, err := New(Config{
+			Network: n, Addr: addr, Clock: sim, ProbeInterval: time.Hour, WALDir: walDir,
+			Cluster: &ClusterConfig{Nodes: []string{addr}, Self: 0},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start()
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	dir := t.TempDir()
+	src := node("src:1", dir)
+	var authors []*client.Client
+	for _, who := range []string{"ann", "bob"} {
+		c, err := client.Dial(client.Config{
+			Network: n.From(who + "host"), Addr: "src:1", Name: who,
+			Role: "participant", Priority: 2, Timeout: 2 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("dial %s: %v", who, err)
+		}
+		t.Cleanup(c.Close)
+		if err := c.Join("hall"); err != nil {
+			t.Fatal(err)
+		}
+		authors = append(authors, c)
+	}
+	// A leading-edge stroke, then three alternating strokes inside its
+	// pacing slot: one batch, top-level op 2 with ops 3 and 4 in More.
+	for i := 0; i < 4; i++ {
+		if err := authors[i%2].Annotate("hall", "draw", fmt.Sprintf("stroke %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if src.FlushBoardBatches() != 1 {
+		t.Fatal("the held strokes did not flush as one batch")
+	}
+	waitFor(t, "both board events to be logged", func() bool { return src.logs.Get("hall").Head() == 2 })
+	want := src.board("hall").board.Since(0)
+	if len(want) != 4 || want[1].Author == want[2].Author {
+		t.Fatalf("source board %+v, want four strokes by alternating authors", want)
+	}
+	events := src.dump("hall").Events
+
+	same := func(path string, dst *Server) {
+		t.Helper()
+		if got := dst.board("hall").board.Since(0); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: board arrived as %+v, want %+v", path, got, want)
+		}
+		if errs := dst.installErrs.Load(); errs != 0 {
+			t.Errorf("%s: %d install steps failed", path, errs)
+		}
+	}
+
+	// Failover adoption: the replica store is fed the owner's forwards.
+	dst := node("dst:1", "")
+	for _, e := range events {
+		dst.cluster.store.ApplyEvent("hall", e.Wire, nil)
+	}
+	p, ok := dst.cluster.store.Take("hall")
+	if !ok || p.BoardHead != 4 {
+		t.Fatalf("replica package %+v (held %v), want board head 4 from the burst's More", p, ok)
+	}
+	dst.install(p) // what adoptLocked does with the package it takes
+	same("failover adoption", dst)
+
+	// WAL replay: the source's own journal, read by a fresh process.
+	src.Close()
+	same("WAL replay", node("replay:1", dir))
 }

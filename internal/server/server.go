@@ -1092,21 +1092,23 @@ func (s *Server) disconnect(sess *session) {
 // append+broadcast, so every connection observes operations in sequence
 // order (concurrent handler goroutines would otherwise interleave a later
 // sequence number ahead of an earlier one). pend is the group's pending
-// coalesced board batch: contiguous same-author operations arriving
-// inside one pacing slot accumulate here and go out as one logged event
-// when the slot ends.
+// coalesced board batch: operations of one wire type arriving inside
+// one pacing slot, whoever wrote them, accumulate here and go out as one
+// logged event when the slot ends or a bound is reached.
 type groupBoard struct {
 	mu    sync.Mutex
 	board *whiteboard.Board
-	// pend is the open coalesced batch (one author, one wire type),
-	// pendType its envelope type and pendAt when its first operation
-	// arrived. lastLog is when the group last logged a board event — the
-	// pacing clock: an operation a slot or more after it logs inline,
-	// and an open batch is due at lastLog + slot.
-	pend     []protocol.SequencedBody
-	pendType protocol.Type
-	pendAt   time.Time
-	lastLog  time.Time
+	// pend is the open coalesced batch (any authors, one wire type),
+	// pendType its envelope type, pendBytes its operations' encoded size
+	// (boardOpBytes) and pendAt when its first operation arrived. lastLog
+	// is when the group last logged a board event — the pacing clock: an
+	// operation a slot or more after it logs inline, and an open batch is
+	// due at lastLog + slot.
+	pend      []protocol.SequencedBody
+	pendType  protocol.Type
+	pendBytes int
+	pendAt    time.Time
+	lastLog   time.Time
 }
 
 // board returns (creating) the group's authoritative board.

@@ -57,12 +57,14 @@ const (
 	// buffer) instead of growing memory; a frame larger than the bound
 	// travels alone.
 	muxMaxPending = 256 << 10
-
-	// maxStreamMessage is the largest payload a stream carries: the
-	// transport's limit less the room its trunk message needs for the
-	// frame header and whatever control frames join it.
-	maxStreamMessage = MaxMessageSize - muxMaxPending
 )
+
+// MaxStreamMessage is the largest payload a stream carries: the
+// transport's limit less the room its trunk message needs for the frame
+// header and whatever control frames join it. It is the smallest limit
+// any message to a client meets, since a routed client's messages ride
+// a stream.
+const MaxStreamMessage = MaxMessageSize - muxMaxPending
 
 // MuxStats accumulates the counters of every trunk one owner (a router,
 // a node) runs; the owner exports them as the dmps_trunk_* series.
@@ -282,7 +284,7 @@ func (m *Mux) send(st *Stream, payloads [][]byte) error {
 func streamBytes(payloads [][]byte) (int, error) {
 	need := 0
 	for _, p := range payloads {
-		if len(p) > maxStreamMessage {
+		if len(p) > MaxStreamMessage {
 			return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(p))
 		}
 		need += muxHeaderLen + len(p)
