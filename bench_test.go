@@ -496,6 +496,75 @@ func benchmarkBoardStorm(b *testing.B, authors int) {
 	}
 }
 
+// BenchmarkBoardStormTCP is the storm on real sockets: a standalone
+// server on loopback TCP, two annotators taking turns (one blocking
+// Annotate each) and sixteen listeners following. inline_writes/delivery
+// is the share of the frames delivered to sessions that the sending
+// goroutine wrote straight to an idle socket (dmps_wire_inline_total
+// over the frames dmps_wire_flushes_total carried) — the rest waited
+// for a session's writer because the socket pushed back or a frame was
+// still queued ahead. Recorded, not gated.
+func BenchmarkBoardStormTCP(b *testing.B) {
+	const annotators, listeners = 2, 16
+	srv, err := server.New(server.Config{Network: transport.TCP{}, Addr: "127.0.0.1:0", ProbeInterval: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Start()
+	reg := metrics.NewRegistry()
+	srv.RegisterMetrics(reg)
+	dial := func(name string) *client.Client {
+		c, err := client.Dial(client.Config{Network: transport.TCP{}, Addr: srv.Addr(), Name: name, Role: "participant", Priority: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Join("studio"); err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
+	var artists, viewers []*client.Client
+	for i := 0; i < annotators; i++ {
+		artists = append(artists, dial(fmt.Sprintf("artist%d", i)))
+	}
+	for i := 0; i < listeners; i++ {
+		viewers = append(viewers, dial(fmt.Sprintf("viewer%d", i)))
+	}
+	defer func() {
+		for _, c := range append(artists, viewers...) {
+			c.Close()
+		}
+	}()
+	delivered := func() (inline, frames float64) {
+		flushes := seriesValue(b, reg, "dmps_wire_flushes_total")
+		return seriesValue(b, reg, "dmps_wire_inline_total"), flushes * seriesValue(b, reg, "dmps_wire_msgs_per_flush")
+	}
+	inline0, frames0 := delivered()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := artists[i%annotators].Annotate("studio", "draw", "stroke"); err != nil {
+			b.Fatalf("iter %d: %v", i, err)
+		}
+	}
+	srv.FlushBoardBatches()
+	deadline := time.Now().Add(30 * time.Second)
+	for _, v := range viewers {
+		for v.Board("studio").Seq() < int64(b.N) {
+			if time.Now().After(deadline) {
+				b.Fatalf("storm stalled at %d/%d", v.Board("studio").Seq(), b.N)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	b.StopTimer()
+	inline, frames := delivered()
+	if frames > frames0 {
+		b.ReportMetric((inline-inline0)/(frames-frames0), "inline_writes/delivery")
+	}
+}
+
 // BenchmarkClusterBroadcast measures the hot broadcast path of one
 // cluster node: a group owned by node 1 of a 1-router + 2-node netsim
 // cluster, every member connected through the router. The encodes/op

@@ -88,8 +88,12 @@ func TestDoubleFailureRF2FailsLoudly(t *testing.T) {
 		t.Fatalf("RF=2 replicated to node 0 (head %d); the drill needs it blind", head)
 	}
 
-	cl.KillNode(1)
+	// The successor dies first: killed after the owner, it could adopt
+	// g on the traffic the owner's death re-routes to it, and replicate
+	// that adoption to node 0 before it went — a partition that, rightly,
+	// survives.
 	cl.KillNode(2)
+	cl.KillNode(1)
 
 	// Both copies are gone: partition traffic must start failing loudly
 	// once the router notices, and must keep failing.

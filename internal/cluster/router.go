@@ -186,9 +186,12 @@ func (r *Router) Addr() string { return r.listener.Addr() }
 // through it; the router updates it when it detects failures).
 func (r *Router) Map() *Map { return r.pmap }
 
-// Serve accepts clients until Close. It returns nil after a clean Close;
-// any other end is counted (dmps_router_errors_total{site="serve"}).
+// Serve accepts clients until Close. It returns nil after a clean Close.
+// A transient Accept error (transport.ErrTransient) is retried after a
+// backoff; any other error ends Serve. Both are counted
+// (dmps_router_errors_total{site="serve"}).
 func (r *Router) Serve() error {
+	var delay time.Duration
 	for {
 		conn, err := r.listener.Accept()
 		if err != nil {
@@ -196,8 +199,18 @@ func (r *Router) Serve() error {
 				return nil
 			}
 			r.serveErrs.Add(1)
-			return fmt.Errorf("cluster: router accept: %w", err)
+			if !errors.Is(err, transport.ErrTransient) {
+				return fmt.Errorf("cluster: router accept: %w", err)
+			}
+			delay = transport.AcceptDelay(delay)
+			select {
+			case <-r.closed:
+				return nil
+			case <-time.After(delay):
+			}
+			continue
 		}
+		delay = 0
 		rs := &routerSession{r: r, client: conn, ups: make(map[int]*upstream)}
 		r.mu.Lock()
 		r.sessions[rs] = true

@@ -351,7 +351,10 @@ type conn struct {
 	dropped    bool
 }
 
-var _ transport.Conn = (*conn)(nil)
+var (
+	_ transport.Conn      = (*conn)(nil)
+	_ transport.TrySender = (*conn)(nil)
+)
 
 func newPair(n *Net, clientHost, serverAddr string) (clientEnd, serverEnd *conn) {
 	serverHost := Host(serverAddr)
@@ -388,24 +391,41 @@ func (c *conn) Send(payload []byte) error {
 			return transport.ErrClosed
 		}
 	}
+	c.deliver(payload)
+	return nil
+}
+
+// TrySend implements transport.TrySender: a stalled link takes nothing
+// (a full socket buffer's EAGAIN), any other link delivers as Send does.
+// The link model never half-takes a message, so tail is always false.
+func (c *conn) TrySend(payload []byte) (ok, tail bool) {
+	if len(payload) > transport.MaxMessageSize || c.net.stallGate(c.localHost, c.remoteHost) != nil {
+		return false, false
+	}
+	c.deliver(payload)
+	return true, false
+}
+
+// deliver puts one message on the link past the stall gate: dropped by
+// a crashed endpoint, a partition or loss, delayed otherwise.
+func (c *conn) deliver(payload []byte) {
 	c.dropMu.Lock()
 	dropped := c.dropped
 	c.dropMu.Unlock()
 	if dropped {
 		// A crashed host's packets go nowhere, but Send does not error:
 		// the application only notices via silence (heartbeat timeout).
-		return nil
+		return
 	}
 	if c.net.partitioned(c.localHost, c.remoteHost) {
-		return nil // silently dropped, like a partition
+		return // silently dropped, like a partition
 	}
 	cfg := c.net.linkFor(c.localHost, c.remoteHost)
 	delay, lost := c.net.sample(cfg)
 	if lost {
-		return nil
+		return
 	}
 	c.peer.inbox.push(payload, time.Now().Add(delay))
-	return nil
 }
 
 // Recv implements transport.Conn.

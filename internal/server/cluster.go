@@ -220,7 +220,12 @@ func (s *Server) servesKey(key string) bool {
 // planes, and clients converge through their ordinary backfill path —
 // the restored log replays with the same CSeqs their cursors expect, so
 // a handoff looks exactly like a reconnect, with zero duplicate grants
-// (the holder is restored, never re-granted). Requires s.cluster.mu.
+// (the holder is restored, never re-granted). install journals the
+// package; it is replicated whole to THIS node's successors too, so the
+// adoption itself is durable — roster, chair, floor and log survive the
+// adopter's own death. The replica forward leaves before the key counts
+// as served, so no event forward for it can overtake the package (the
+// pool's Send never blocks). Requires s.cluster.mu.
 func (s *Server) adoptLocked(key string) {
 	p, ok := s.cluster.store.Take(key)
 	if !ok {
@@ -228,6 +233,7 @@ func (s *Server) adoptLocked(key string) {
 	}
 	s.cluster.adopted[key] = true
 	_ = s.install(p) // an undecodable floor is counted (state_install)
+	s.replicateTracked(protocol.ForwardBody{Kind: protocol.ForwardState, Takeover: &p})
 	s.cluster.served.Store(key, true)
 }
 
@@ -254,9 +260,6 @@ func (s *Server) adoptResume(token string) (group.MemberID, string, bool) {
 	s.cluster.mu.Lock()
 	s.adoptLocked(key)
 	s.cluster.mu.Unlock()
-	// The member homes here now: replicate the claim to THIS node's
-	// successors, so the adoption itself is durable.
-	s.persist(key)
 	return group.MemberID(key[1:]), "", true
 }
 

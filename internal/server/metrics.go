@@ -39,6 +39,7 @@ import (
 //	dmps_groups                          groups in the registry
 //	dmps_wire_bytes_total{dir}           client wire payload bytes, in/out
 //	dmps_wire_flushes_total              session writer flushes
+//	dmps_wire_inline_total               frames written on the sender (write-through)
 //	dmps_wire_msgs_per_flush             mean messages per writer flush
 //	dmps_stage_seconds{stage}            per-stage latency of sampled ops
 //	dmps_trace_spans_total               spans recorded by the trace plane
@@ -127,6 +128,7 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 			{LabelKey: "site", LabelValue: "wal_checkpoint", Value: float64(s.ckptErrs.Load())},
 			{LabelKey: "site", LabelValue: "wal_close", Value: float64(s.walCloseErrs.Load())},
 			{LabelKey: "site", LabelValue: "migrate_send", Value: float64(s.migrateSendErrs.Load())},
+			{LabelKey: "site", LabelValue: "accept", Value: float64(s.acceptErrs.Load())},
 		}
 	})
 	reg.CounterFunc("dmps_lights_pushes_total", "Connection-lights pushes queued by the probe tick.", func() []metrics.Sample {
@@ -155,6 +157,9 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 	})
 	reg.CounterFunc("dmps_wire_flushes_total", "Session writer flushes (batched writes).", func() []metrics.Sample {
 		return one(float64(s.wireFlushes.Load()))
+	})
+	reg.CounterFunc("dmps_wire_inline_total", "Session frames written on the sending goroutine, each also a one-message flush.", func() []metrics.Sample {
+		return one(float64(s.wireInline.Load()))
 	})
 	reg.GaugeFunc("dmps_wire_msgs_per_flush", "Mean messages per session writer flush.", func() []metrics.Sample {
 		flushes := s.wireFlushes.Load()

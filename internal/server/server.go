@@ -215,10 +215,12 @@ type Server struct {
 	// installErrs package steps install could not apply, ckptErrs and
 	// walCloseErrs periodic checkpoints and the final journal close that
 	// failed, migrateSendErrs a migration's barrier ack or reply that
-	// its connection refused (dmps_errors_total{site="log_append"|
+	// its connection refused, acceptErrs the transient Accept errors Serve
+	// backed off and retried (dmps_errors_total{site="log_append"|
 	// "wal_append"|"state_install"|"wal_checkpoint"|"wal_close"|
-	// "migrate_send"}).
+	// "migrate_send"|"accept"}).
 	logAppendErrs   atomic.Int64
+	acceptErrs      atomic.Int64
 	walAppendErrs   atomic.Int64
 	installErrs     atomic.Int64
 	ckptErrs        atomic.Int64
@@ -227,13 +229,16 @@ type Server struct {
 	lightsPushes    atomic.Int64 // dmps_lights_pushes_total
 
 	// Wire-path telemetry: payload bytes read off client connections
-	// (wireIn) and handed to writers (wireOut), writer flushes and the
-	// messages they carried — msgs/flush is the batching efficiency the
-	// /metrics plane exports.
+	// (wireIn) and written to them (wireOut), socket writes (a writer's
+	// flush, or one inline frame) and the messages they carried —
+	// msgs/flush is the batching efficiency the /metrics plane exports.
 	wireIn      atomic.Int64
 	wireOut     atomic.Int64
 	wireFlushes atomic.Int64
 	wireMsgsOut atomic.Int64
+	// wireInline counts the frames written on the sending goroutine
+	// (writeInline), each also a one-message flush.
+	wireInline atomic.Int64
 	// trunks counts the work of the routing tier's trunk connections
 	// this node serves (the dmps_trunk_* series).
 	trunks transport.MuxStats
@@ -243,13 +248,30 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// session is one connected client. All outbound traffic goes through a
-// bounded queue drained by a dedicated writer goroutine, so a stalled
-// client socket backs up only its own queue — never the goroutine that
-// is fanning a broadcast out to the rest of the group.
+// session is one connected client. Outbound traffic goes straight to
+// the socket while it takes frames without blocking (transport.TrySender)
+// and nothing is waiting ahead of it; otherwise into a bounded queue
+// drained by a dedicated writer goroutine, so a stalled client socket
+// backs up only its own queue — never the goroutine that is fanning a
+// broadcast out to the rest of the group.
 type session struct {
 	member group.Member
 	conn   transport.Conn
+	// try is conn's non-blocking write, nil for a conn without one (a
+	// trunk stream: the mux's writer already merges a fan-out into one
+	// trunk write, so its sessions keep the queue and writer).
+	try transport.TrySender
+	// wmu serializes writes to conn: the writer holds it across each
+	// flush, an inline write across its TrySend. owed counts frames
+	// handed over but not yet written — queued, or taken off the queue
+	// by the writer and not yet flushed — and starts at one for the
+	// welcome, which the writer clears when it starts. A frame goes
+	// inline only when owed is zero under wmu, so per-session order is
+	// enqueue order. tail wakes the writer to finish a frame an inline
+	// write left half-written.
+	wmu  sync.Mutex
+	owed atomic.Int64
+	tail chan struct{}
 	// homed marks a session admitted by this node's own handshake (the
 	// member's home is here); node-scoped sessions opened by the routing
 	// tier for remote-homed members are not homed, and in cluster mode
@@ -412,6 +434,10 @@ func (s *Server) sendReliable(sess *session, msg protocol.Message) {
 	if err != nil {
 		return
 	}
+	if s.writeInline(sess, wire) {
+		return
+	}
+	sess.owed.Add(1)
 	select {
 	case sess.queue <- enqueued(wire):
 		s.unpinIfDown(sess)
@@ -419,26 +445,73 @@ func (s *Server) sendReliable(sess *session, msg protocol.Message) {
 	}
 }
 
-// sendWire hands pre-encoded wire bytes to the session's writer queue.
-// It never blocks: when the queue is full the slow-consumer policy
-// applies (count-and-drop, or disconnect). It reports false only for an
-// overflow drop; a session that is already down returns true, since
-// there is nothing left to deliver to.
+// sendWire writes pre-encoded wire bytes to the session's socket if it
+// takes them at once, and hands them to the session's writer queue
+// otherwise. It never blocks: when the queue is full the slow-consumer
+// policy applies (count-and-drop, or disconnect). It reports false only
+// for an overflow drop; a session that is already down returns true,
+// since there is nothing left to deliver to.
 func (s *Server) sendWire(sess *session, wire []byte) bool {
 	if !sess.up() {
 		return true
 	}
+	if s.writeInline(sess, wire) {
+		return true
+	}
+	sess.owed.Add(1)
 	select {
 	case sess.queue <- enqueued(wire):
 		s.unpinIfDown(sess)
 		return true
 	default:
+		sess.owed.Add(-1)
 		sess.drops.Add(1)
 		if s.cfg.SlowPolicy == Disconnect {
 			s.disconnect(sess)
 		}
 		return false
 	}
+}
+
+// writeInline writes one frame on the caller — the write-through path —
+// and reports whether it did. It never waits: not for wmu (the writer
+// holds it while it flushes, and then the frame must queue behind that
+// flush anyway), and not for the socket (TrySend takes the frame only
+// if the socket does). It writes only when nothing is owed, so no
+// queued frame is overtaken; a frame the socket half-takes is finished
+// by the writer, which tail wakes, and owes a frame until it is. An
+// inline write counts as a one-message flush, and a sampled one records
+// the flush stage and no queue_wait.
+func (s *Server) writeInline(sess *session, wire []byte) bool {
+	if sess.try == nil || !sess.wmu.TryLock() {
+		return false
+	}
+	defer sess.wmu.Unlock()
+	if sess.owed.Load() != 0 {
+		return false
+	}
+	var t0 time.Time
+	tid, _, fl := protocol.FrameTrace(wire)
+	sampled := tid != 0 && fl&protocol.TraceSampled != 0
+	if sampled {
+		t0 = time.Now()
+	}
+	ok, tail := sess.try.TrySend(wire)
+	if !ok {
+		return false
+	}
+	if tail {
+		sess.owed.Add(1)
+		sess.tail <- struct{}{} // never blocks: one tail at a time, cap 1
+	}
+	if sampled {
+		s.plane.Span(tid, tid, trace.StageFlush, t0)
+	}
+	s.wireOut.Add(int64(len(wire)))
+	s.wireFlushes.Add(1)
+	s.wireMsgsOut.Add(1)
+	s.wireInline.Add(1)
+	return true
 }
 
 // unpinIfDown covers the enqueue/disconnect race: if the session went
@@ -472,10 +545,23 @@ const flushBatchBytes = 256 << 10
 // unchanged.
 func (s *Server) writeLoop(sess *session) {
 	defer s.wg.Done()
+	sess.owed.Add(-1) // the welcome is written: inline writes may start
 	batch := make([][]byte, 0, 64)
 	var traced []queued // sampled entries of the current flush; stays nil on untraced sessions
 	for {
 		select {
+		case <-sess.tail:
+			// An inline write left a frame half-written: finish it (an
+			// empty SendAll writes just the rest), unless a flush in
+			// between already has.
+			sess.wmu.Lock()
+			err := transport.SendAll(sess.conn, nil)
+			sess.owed.Add(-1)
+			sess.wmu.Unlock()
+			if err != nil {
+				s.disconnect(sess)
+				return
+			}
 		case q := <-sess.queue:
 			batch = append(batch[:0], q.wire)
 			traced = traced[:0]
@@ -500,7 +586,11 @@ func (s *Server) writeLoop(sess *session) {
 			if len(traced) > 0 {
 				t0 = time.Now()
 			}
-			if err := transport.SendAll(sess.conn, batch); err != nil {
+			sess.wmu.Lock()
+			err := transport.SendAll(sess.conn, batch)
+			sess.owed.Add(-int64(len(batch)))
+			sess.wmu.Unlock()
+			if err != nil {
 				s.disconnect(sess)
 				return
 			}
@@ -653,7 +743,11 @@ func (s *Server) Master() *clock.Master { return s.master }
 func (s *Server) TracePlane() *trace.Plane { return s.plane }
 
 // Serve accepts clients until Close. It returns nil after a clean Close.
+// A transient Accept error (transport.ErrTransient: out of descriptors
+// under a reconnect storm, say) is counted (dmps_errors_total{site=
+// "accept"}) and retried after a backoff; any other error ends Serve.
 func (s *Server) Serve() error {
+	var delay time.Duration
 	for {
 		conn, err := s.listener.Accept()
 		if err != nil {
@@ -661,9 +755,20 @@ func (s *Server) Serve() error {
 			case <-s.closed:
 				return nil
 			default:
+			}
+			if !errors.Is(err, transport.ErrTransient) {
 				return fmt.Errorf("server: accept: %w", err)
 			}
+			s.acceptErrs.Add(1)
+			delay = transport.AcceptDelay(delay)
+			select {
+			case <-s.closed:
+				return nil
+			case <-time.After(delay):
+			}
+			continue
 		}
+		delay = 0
 		s.spawn(conn, true)
 	}
 }
@@ -966,10 +1071,13 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 		member:   member,
 		conn:     conn,
 		homed:    homed,
+		tail:     make(chan struct{}, 1),
 		queue:    make(chan queued, s.cfg.SendQueueCap),
 		down:     make(chan struct{}),
 		lastSeen: s.cfg.Clock.Now(),
 	}
+	sess.try, _ = conn.(transport.TrySender)
+	sess.owed.Store(1) // the welcome, until the writer starts
 	sess.classes.Store(classSet(hello.Classes))
 	// The welcome must be the first message the client sees, so send it
 	// synchronously before the session becomes visible to broadcasts and
@@ -1015,7 +1123,8 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 	}
 	// The session is in the table, but its writer has not started: the
 	// direct welcome send below is still the first message on the wire —
-	// broadcasts racing this window only queue.
+	// broadcasts racing this window only queue, since the welcome is owed
+	// until the writer starts.
 	if err := sendHandshake(conn, welcome); err != nil {
 		s.mu.Lock()
 		if s.sessions[member.ID] == sess {

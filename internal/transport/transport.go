@@ -5,7 +5,10 @@
 // delivery order are per-connection FIFO, like TCP.
 package transport
 
-import "errors"
+import (
+	"errors"
+	"time"
+)
 
 // Errors shared by all transport implementations.
 var (
@@ -16,6 +19,10 @@ var (
 	ErrTooLarge = errors.New("transport: message exceeds size limit")
 	// ErrUnknownAddress is returned by Dial for an unreachable address.
 	ErrUnknownAddress = errors.New("transport: unknown address")
+	// ErrTransient marks an Accept error the listener outlives (out of
+	// file descriptors for the moment, say): the caller backs off and
+	// accepts again instead of giving the listener up.
+	ErrTransient = errors.New("transport: transient")
 )
 
 // MaxMessageSize bounds a single framed message (16 MiB), protecting
@@ -51,6 +58,22 @@ type BatchSender interface {
 	SendBatch(payloads [][]byte) error
 }
 
+// TrySender is an optional Conn capability: write one message only if
+// the connection takes it without blocking, so a caller that must not
+// block (a fan-out under a lock) can skip the hand-off to a writer
+// goroutine while the peer keeps up. TrySend reports false when nothing
+// of the message was written — the peer pushes back, or another send is
+// under way — and the caller still owns it. true means the connection
+// took it. When a socket takes only part of a frame, tail is true as
+// well: the connection keeps the unwritten rest, refuses further
+// TrySends, and writes the rest ahead of the next Send or SendBatch; the
+// caller must see to it that one follows, from a goroutine that may
+// block (an empty SendAll writes just the rest). Like Send, the payload
+// must not be modified after the call.
+type TrySender interface {
+	TrySend(payload []byte) (ok, tail bool)
+}
+
 // SendAll transmits every payload over conn in order, as one batched
 // write when the connection supports it and one Send per message
 // otherwise. The first error aborts the rest.
@@ -74,6 +97,17 @@ type Listener interface {
 	Close() error
 	// Addr is the listen address.
 	Addr() string
+}
+
+// AcceptDelay is the wait before accepting again after a transient
+// Accept error, given the wait before it (zero after a success): 5 ms,
+// doubling up to 1 s, as net/http's Server backs off.
+func AcceptDelay(prev time.Duration) time.Duration {
+	const first, most = 5 * time.Millisecond, time.Second
+	if prev < first {
+		return first
+	}
+	return min(2*prev, most)
 }
 
 // Network creates listeners and outbound connections.
