@@ -572,7 +572,9 @@ func BenchmarkBoardStormTCP(b *testing.B) {
 // the node encodes each logged event exactly once for its whole
 // fan-out, and successor replication reuses those bytes verbatim (its
 // envelope wrap is plain marshalling of a per-append forward, not
-// per-recipient work).
+// per-recipient work). repl_bytes/op is what node 1 queued to its one
+// replica peer per event: the forward carrying the event's journal
+// record (dmps_cluster_forward_bytes_total).
 func BenchmarkClusterBroadcast(b *testing.B) {
 	for _, n := range []int{2, 8} {
 		b.Run(fmt.Sprintf("members-%d", n), func(b *testing.B) {
@@ -616,8 +618,11 @@ func BenchmarkClusterBroadcast(b *testing.B) {
 					}
 				}
 			}
+			reg := metrics.NewRegistry()
+			cl.Nodes[1].RegisterMetrics(reg)
+			replBytes := `dmps_cluster_forward_bytes_total{peer="` + core.NodeAddr(0) + `"}`
 			b.ReportAllocs()
-			encBefore := protocol.EncodeCount()
+			encBefore, bytesBefore := protocol.EncodeCount(), seriesValue(b, reg, replBytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev := protocol.MustNew(protocol.TChatEvent, protocol.SequencedBody{
@@ -633,6 +638,7 @@ func BenchmarkClusterBroadcast(b *testing.B) {
 			b.StopTimer()
 			encoded := protocol.EncodeCount() - encBefore
 			b.ReportMetric(float64(encoded)/float64(b.N), "encodes/op")
+			b.ReportMetric((seriesValue(b, reg, replBytes)-bytesBefore)/float64(b.N), "repl_bytes/op")
 		})
 	}
 }

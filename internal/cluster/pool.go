@@ -53,8 +53,9 @@ type Pool struct {
 
 // PeerStats is one peer's cumulative forward counters.
 type PeerStats struct {
-	// Sent counts forwards queued to this peer.
-	Sent int64
+	// Sent counts forwards queued to this peer, and Bytes their bytes.
+	Sent  int64
+	Bytes int64
 	// Drops counts forwards dropped for this peer (full queue, dead
 	// link backlog, dial failure, open circuit).
 	Drops int64
@@ -73,6 +74,7 @@ type PeerStats struct {
 // peerStat is the live, atomically updated form of PeerStats.
 type peerStat struct {
 	sent    atomic.Int64
+	bytes   atomic.Int64
 	drops   atomic.Int64
 	redials atomic.Int64
 	// circuitUntil is the unix-nano deadline of an open circuit (0 =
@@ -141,6 +143,7 @@ func (p *Pool) Send(addr string, wire []byte) bool {
 	case link.queue <- wire:
 		p.sent.Add(1)
 		link.stat.sent.Add(1)
+		link.stat.bytes.Add(int64(len(wire)))
 		return true
 	default:
 		p.drops.Add(1)
@@ -240,6 +243,7 @@ func (p *Pool) PeerStats() map[string]PeerStats {
 	for addr, st := range p.stats {
 		out[addr] = PeerStats{
 			Sent:        st.sent.Load(),
+			Bytes:       st.bytes.Load(),
 			Drops:       st.drops.Load(),
 			Redials:     st.redials.Load(),
 			CircuitOpen: st.circuitUntil.Load() > now,

@@ -1,27 +1,30 @@
 package cluster
 
 import (
+	"fmt"
 	"sync"
 
+	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
 )
 
 // ReplicaStore holds the partition packages a node keeps on behalf of
 // its ring predecessors, one per partition key (a group ID or a
-// "~member" key): replica forwards accumulate a package's log part,
-// state forwards replace its directory part, and a takeover drains one
-// package into the live planes. Retention is bounded per key (at least
-// cap events, trimmed amortized at 2×cap, FIFO) — a client older than
-// the retained suffix converges through the snapshot fallback, same as
-// with the in-process log ring. Safe for concurrent use.
+// "~member" key): replicated event records accumulate a package's log
+// part, package records replace its directory part, and a takeover
+// drains one package into the live planes. Retention is bounded per key
+// (at least cap events, trimmed amortized at 2×cap, FIFO) — a client
+// older than the retained suffix converges through the snapshot
+// fallback, same as with the in-process log ring. Safe for concurrent
+// use.
 type ReplicaStore struct {
 	mu   sync.Mutex
 	cap  int
 	pkgs map[string]*protocol.TakeoverBody
-	// versions records, per key, the sender and forward ID of the state
-	// forward or drop last applied: the same sender's older ones are
-	// stale. A drop keeps its entry as a tombstone, and tombs lists those
-	// in drop order so that only the newest maxTombstones are kept.
+	// versions records, per key, the sender and forward ID of the package
+	// or drop last applied: the same sender's older ones are stale. A
+	// drop keeps its entry as a tombstone, and tombs lists those in drop
+	// order so that only the newest maxTombstones are kept.
 	versions map[string]forwardVersion
 	tombs    []string
 	// epochs records, per key, the newest migration epoch whose takeover
@@ -40,6 +43,31 @@ func NewReplicaStore(cap int) *ReplicaStore {
 		cap: cap, pkgs: make(map[string]*protocol.TakeoverBody),
 		versions: make(map[string]forwardVersion), epochs: make(map[string]int64),
 	}
+}
+
+// ApplyRecord applies the journal record a replica forward carried,
+// sent by from as forward id, through ApplyEvent, Apply or Drop by its
+// kind. A record without a key or of another kind, or a package that
+// does not read back, is refused with an error and changes nothing.
+func (s *ReplicaStore) ApplyRecord(rec grouplog.WALRecord, from string, id int64) error {
+	if rec.Key == "" {
+		return fmt.Errorf("cluster: replica record of kind %d without a key", rec.Kind)
+	}
+	switch rec.Kind {
+	case grouplog.WALEvent:
+		s.ApplyEvent(rec.Key, rec.Wire, rec.Data)
+	case grouplog.WALPackage:
+		p, err := protocol.PackageOf(rec)
+		if err != nil {
+			return err
+		}
+		s.Apply(p, from, id)
+	case grouplog.WALMemberDrop:
+		s.Drop(grouplog.MemberKey(rec.Key), from, id)
+	default:
+		return fmt.Errorf("cluster: replica record of kind %d", rec.Kind)
+	}
+	return nil
 }
 
 // ApplyEvent records one replicated logged event for a key. The wire
@@ -121,17 +149,15 @@ func (last forwardVersion) stale(from string, id int64) bool {
 	return id != 0 && last.from == from && id <= last.id
 }
 
-// Apply records a package sent by from as forward id — a state forward's
-// partial package, or (from "", id 0) a migration's whole one. A stale
-// package is dropped: a late resend must neither take a member back out
-// of a group nor bring a dropped member back to life. The directory part
-// (chair and roster, or member row and token) replaces the stored one
-// whole; the log part, which ApplyEvent otherwise keeps, only where the
-// package carries it — a state forward carries none.
+// Apply records a package sent by from as forward id — a directory
+// change's partial package or an adoption's whole one, or (from "",
+// id 0) a migration's whole one. A stale package is dropped: a late
+// resend must neither take a member back out of a group nor bring a
+// dropped member back to life. The directory part (chair and roster, or
+// member row and token) replaces the stored one whole; the log part,
+// which ApplyEvent otherwise keeps, only where the package carries it —
+// a directory change carries none.
 func (s *ReplicaStore) Apply(p protocol.TakeoverBody, from string, id int64) {
-	if p.Key == "" {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.versions[p.Key].stale(from, id) {

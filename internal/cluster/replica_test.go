@@ -21,7 +21,7 @@ func memberEvent(t *testing.T, gseq int64) []byte {
 	return wire
 }
 
-// The version rule every replicated state forward obeys — roster,
+// The version rule every replicated package and drop obeys — roster,
 // member home, member drop alike: the ack table resends what was not
 // acknowledged in time, so a forward can arrive after one the same
 // sender made later, and the store must keep the newer state. Forwards

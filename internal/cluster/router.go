@@ -254,9 +254,9 @@ func (r *Router) openStream(idx int, first ...[]byte) (transport.Conn, error) {
 }
 
 // openUpstream opens a stream to node idx with the hello in its open's
-// write and waits for the reply, which comes back decoded and verbatim.
-// Admission needs the reply (the welcome names the member); so does an
-// owner's node hello, unless a backfill opens it (see ensureUpstream).
+// write and waits for the reply, which comes back decoded and verbatim:
+// admission at the home, which needs the reply (the welcome names the
+// member). An owner's node hello does not wait (see ensureUpstream).
 func (r *Router) openUpstream(idx int, hello protocol.Message) (transport.Conn, protocol.Message, []byte, error) {
 	wire, err := protocol.Encode(hello)
 	if err != nil {
@@ -330,10 +330,10 @@ type upstream struct {
 	idx    int
 	conn   transport.Conn
 	groups map[string]bool
-	// ready, for an upstream whose node hello nobody waited for, is
-	// closed once the relay has read the node's reply; welcomed (set
-	// before) tells whether it was a welcome. nil means the hello was
-	// already answered when the upstream was registered.
+	// ready, for an owner upstream, is closed once the relay has read
+	// the reply to its node hello; welcomed (set before) tells whether
+	// it was a welcome. nil for the home upstream, whose hello was
+	// answered before it was registered.
 	ready    chan struct{}
 	welcomed bool
 }
@@ -539,10 +539,11 @@ func (rs *routerSession) route(msg protocol.Message, wire []byte) {
 			return // the backfill left in the stream's opening write
 		}
 		if up.ready != nil && msg.Type != protocol.TBackfill {
-			// Only a backfill may be lost with a hello the node has not
-			// answered yet; anything else waits for the answer, and a
+			// Only a backfill may be lost with a node hello the node has
+			// not answered yet; anything else waits for the answer, and a
 			// refusal or a trunk death sends it on to wherever the map
-			// points next.
+			// points next. (The home upstream, opened by admission, has
+			// no ready: its welcome came before anything was routed.)
 			<-up.ready
 			if !up.welcomed {
 				continue
@@ -592,15 +593,15 @@ func (rs *routerSession) sendUpAll(wire []byte) {
 
 // ensureUpstream returns the session's upstream to node idx, opening it
 // on first use: a stream on the node's trunk whose opening write carries
-// a TNodeHello binding the member identity. When the message being
-// routed is a backfill, it leaves in that same write (opened reports
-// so) and nothing waits for the node's reply: the relay reads it first
-// and takes a refusal, or a trunk that dies before answering, as the
-// upstream's death, so the client hears node_moved for gid and simply
-// asks again. Any other message waits for the welcome — here, or in
-// route when a backfill opened the upstream — because it must not be
-// lost: a hello refused, or a trunk that dies under it, sends the
-// message on to wherever the map points next.
+// a TNodeHello binding the member identity, and nothing waits for the
+// node's reply here — the relay reads it first (ready closes once it
+// has). When the message being routed is a backfill, it leaves in that
+// same write (opened reports so): a refusal, or a trunk that dies
+// before answering, is the upstream's death, so the client hears
+// node_moved for gid and simply asks again. Any other message waits for
+// the welcome in route, because it must not be lost: a hello refused,
+// or a trunk that dies under it, sends the message on to wherever the
+// map points next.
 func (rs *routerSession) ensureUpstream(idx int, msg protocol.Message, gid string, wire []byte) (up *upstream, opened bool, err error) {
 	rs.mu.Lock()
 	if up, ok := rs.ups[idx]; ok {
@@ -616,36 +617,27 @@ func (rs *routerSession) ensureUpstream(idx int, msg protocol.Message, gid strin
 		rs.mu.Unlock()
 		return nil, false, transport.ErrClosed
 	}
-	hello := protocol.MustNew(protocol.TNodeHello, rs.identity)
+	hello, err := protocol.Encode(protocol.MustNew(protocol.TNodeHello, rs.identity))
 	rs.mu.Unlock()
-	var conn transport.Conn
-	if opened = msg.Type == protocol.TBackfill; opened {
-		var helloWire []byte
-		if helloWire, err = protocol.Encode(hello); err == nil {
-			conn, err = rs.r.openStream(idx, helloWire, wire)
-		}
-	} else {
-		var reply protocol.Message
-		if conn, reply, _, err = rs.r.openUpstream(idx, hello); err == nil && reply.Type != protocol.TWelcome {
-			rs.r.nodeHelloErrs.Add(1)
-			_ = conn.Close()
-			err = fmt.Errorf("cluster: node %d refused node hello (%v)", idx, reply.Type)
-		}
-	}
 	if err != nil {
 		return nil, false, err
 	}
-	up = &upstream{idx: idx, conn: conn, groups: make(map[string]bool)}
-	if gid != "" {
-		up.groups[gid] = true
+	first := [][]byte{hello}
+	if opened = msg.Type == protocol.TBackfill; opened {
+		first = append(first, wire)
 	}
-	if opened {
-		up.ready = make(chan struct{})
+	conn, err := rs.r.openStream(idx, first...)
+	if err != nil {
+		return nil, false, err
+	}
+	up = &upstream{idx: idx, conn: conn, groups: make(map[string]bool), ready: make(chan struct{})}
+	if opened && gid != "" {
+		up.groups[gid] = true
 	}
 	rs.mu.Lock()
 	if rs.done {
 		rs.mu.Unlock()
-		_ = conn.Close()
+		_ = conn.Close() // a trunk stream's Close cannot fail (Stream.Close)
 		return nil, false, transport.ErrClosed
 	}
 	// Only the session's own loop routes, so nobody opened one meanwhile.
@@ -657,9 +649,9 @@ func (rs *routerSession) ensureUpstream(idx int, msg protocol.Message, gid strin
 }
 
 // relay pumps one upstream's traffic back to the client verbatim. An
-// upstream whose node hello nobody waited for (ready) first reads the
-// node's reply: a welcome is discarded, anything else is a refusal —
-// counted (dmps_router_errors_total{site="node_hello"}) and, like the
+// owner upstream (ready) first reads the reply to its node hello: a
+// welcome is discarded, anything else is a refusal — counted
+// (dmps_router_errors_total{site="node_hello"}) and, like the
 // upstream's death, answered with node_moved; nothing behind it reaches
 // the client. When the upstream dies (and the session does not), the
 // node is marked down and the client is told which groups moved.

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // DefaultSegmentBytes is the WAL segment rotation threshold when the
@@ -35,7 +36,8 @@ const (
 	WALNextID
 )
 
-// WALRecord is one journal record. WALEvent uses every field (Data
+// WALRecord is one journal record, and what a replica or takeover
+// forward carries to a peer. WALEvent uses every field (Data
 // optional); WALPackage uses Key and Data; WALMemberDrop uses Key;
 // WALNextID uses GSeq as the value.
 type WALRecord struct {
@@ -149,8 +151,8 @@ func OpenWAL(dir string, segBytes int64) (*WAL, error) {
 // other bad record (a header failing its own checksum is one), a
 // segment without segMagic (one in an older format, say), or an error
 // from fn fails the replay with an error naming the segment file and
-// byte offset. Segments are read whole; each record's Wire and Data
-// share a buffer of that record's own, so what fn keeps pins no more.
+// byte offset. Segments are read whole; each record's fields share a
+// buffer of that record's own, so what fn keeps pins no more.
 func (w *WAL) Replay(fn func(WALRecord) error) error {
 	segs, err := listSegments(w.dir)
 	for i := 0; err == nil && i < len(segs); i++ {
@@ -208,7 +210,7 @@ func scanSegment(data []byte, fn func(WALRecord) error) (off int, torn bool, err
 		if crc32.Checksum(rest[recHeader:end], castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
 			return off, end == int64(len(rest)), errors.New("checksum mismatch")
 		}
-		rec, err := decodeRecord(bytes.Clone(rest[recHeader:end]))
+		rec, err := DecodeRecord(bytes.Clone(rest[recHeader:end]))
 		if err == nil {
 			err = fn(rec)
 		}
@@ -237,13 +239,15 @@ func cutTail(path string, off int) error {
 	return err
 }
 
-// errRecord is a payload that passed its checksum but does not decode.
-var errRecord = errors.New("undecodable record")
+// ErrRecord is a record payload that does not decode: cut short, a
+// length past the bytes left, or a kind the journal does not know.
+var ErrRecord = errors.New("grouplog: undecodable record")
 
-// appendRecord appends rec's payload: byte Kind, byte State (0 or 1),
+// AppendRecord appends rec's payload — its one encoding, in a segment
+// and in a replica or takeover forward: byte Kind, byte State (0 or 1),
 // uvarint GSeq and CSeq, then Key, Class and Wire each as a uvarint
 // length and the bytes, then Data to the end.
-func appendRecord(b []byte, rec WALRecord) []byte {
+func AppendRecord(b []byte, rec WALRecord) []byte {
 	b = append(b, byte(rec.Kind), 0)
 	if rec.State {
 		b[len(b)-1] = 1
@@ -257,12 +261,12 @@ func appendRecord(b []byte, rec WALRecord) []byte {
 	return append(b, rec.Data...)
 }
 
-// decodeRecord reads a payload appendRecord wrote; Wire and Data alias
-// p. Every length is checked against what is left of p before use. The
-// kind is the reader's to check: Append writes no other.
-func decodeRecord(p []byte) (rec WALRecord, err error) {
-	if len(p) < 2 {
-		return rec, errRecord
+// DecodeRecord reads a payload AppendRecord wrote; every field, Key and
+// Class too, aliases p. Each length is checked against what is left of
+// p before use, and a kind outside WALEvent..WALNextID is refused.
+func DecodeRecord(p []byte) (rec WALRecord, err error) {
+	if len(p) < 2 || p[0] < byte(WALEvent) || p[0] > byte(WALNextID) {
+		return rec, ErrRecord
 	}
 	rec.Kind, rec.State, p = WALKind(p[0]), p[1] == 1, p[2:]
 	var v [5]uint64 // GSeq, CSeq, then the lengths of Key, Class, Wire
@@ -270,7 +274,7 @@ func decodeRecord(p []byte) (rec WALRecord, err error) {
 	for i := range v {
 		u, n := binary.Uvarint(p)
 		if n <= 0 || (i >= 2 && u > uint64(len(p)-n)) {
-			return WALRecord{}, errRecord
+			return WALRecord{}, ErrRecord
 		}
 		v[i], p = u, p[n:]
 		if i >= 2 && u > 0 {
@@ -278,7 +282,10 @@ func decodeRecord(p []byte) (rec WALRecord, err error) {
 		}
 	}
 	rec.GSeq, rec.CSeq = int64(v[0]), int64(v[1])
-	rec.Key, rec.Class, rec.Wire = string(field[2]), string(field[3]), field[4]
+	// A field is nil or not empty, and unsafe.String(nil, 0) is "".
+	rec.Key = unsafe.String(unsafe.SliceData(field[2]), len(field[2]))
+	rec.Class = unsafe.String(unsafe.SliceData(field[3]), len(field[3]))
+	rec.Wire = field[4]
 	if len(p) > 0 {
 		rec.Data = p
 	}
@@ -294,7 +301,7 @@ func (w *WAL) appendLocked(rec WALRecord) error {
 	if rec.Kind < WALEvent || rec.Kind > WALNextID {
 		return fmt.Errorf("unknown record kind %d", rec.Kind)
 	}
-	b := appendRecord(append(w.buf[:0], make([]byte, recHeader)...), rec)
+	b := AppendRecord(append(w.buf[:0], make([]byte, recHeader)...), rec)
 	w.buf = b
 	if n := len(b) - recHeader; n > maxRecord {
 		return fmt.Errorf("record of %d bytes exceeds the %d-byte maximum", n, maxRecord)

@@ -51,7 +51,7 @@ func replayDir(dir string) ([]WALRecord, error) {
 
 // recordSize is the bytes rec takes in a segment, header included.
 func recordSize(rec WALRecord) int64 {
-	return int64(recHeader + len(appendRecord(nil, rec)))
+	return int64(recHeader + len(AppendRecord(nil, rec)))
 }
 
 // TestWALRoundTripEveryKind: every record kind survives Append → Close →

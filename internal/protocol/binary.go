@@ -24,20 +24,23 @@
 //	          the body's JSON otherwise; empty = no body
 //
 // Hot types (SequencedBody, FloorEventBody, SuspendBody, ChatBody,
-// AnnotateBody, and ForwardBody's replica and ack kinds) get native
-// body codecs; every other body rides as embedded JSON, which keeps the
-// codec small where it doesn't pay. Decoding is zero-copy: envelope and
-// native-body strings alias the frame buffer (via unsafe.String) and an
-// embedded JSON body or a forward's inner frame is a subslice — wire
-// bytes are immutable once handed to a decoder.
+// AnnotateBody, and ForwardBody's replica, takeover and ack kinds) get
+// native body codecs; every other body rides as embedded JSON, which
+// keeps the codec small where it doesn't pay. Decoding is zero-copy:
+// envelope and native-body strings alias the frame buffer (via
+// unsafe.String) and an embedded JSON body or a forward's record is a
+// subslice — wire bytes are immutable once handed to a decoder.
 package protocol
 
 import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"unsafe"
+
+	"dmps/internal/grouplog"
 )
 
 // binMagic is the first byte of every binary frame. JSON frames start
@@ -91,12 +94,17 @@ func EncodeBinary(m Message) ([]byte, error) {
 // EncodeForward frames a node-to-node forward as a TForward message. It
 // stays outside EncodeCount, which gates the per-recipient cost of a
 // broadcast: a forward is per append and carries the already-encoded
-// event bytes verbatim. When the inner frame belongs to a sampled trace
-// the forward's envelope carries the same context, so the receiving
-// peer records its span under the originating operation.
+// event bytes verbatim. When the inner frame — an event record's, or an
+// invite's — belongs to a sampled trace the forward's envelope carries
+// the same context, so the receiving peer records its span under the
+// originating operation.
 func EncodeForward(body ForwardBody) ([]byte, error) {
 	m := Message{Type: TForward}
-	if id, _, fl := FrameTrace(body.Msg); fl&TraceSampled != 0 {
+	inner := body.Msg
+	if body.Record.Wire != nil {
+		inner = body.Record.Wire
+	}
+	if id, _, fl := FrameTrace(inner); fl&TraceSampled != 0 {
 		m.TraceID, m.TraceParent, m.TraceFlags = id, id, fl
 	}
 	return encodeFrame(m, &body)
@@ -237,31 +245,34 @@ func appendSuspend(b []byte, v SuspendBody) []byte {
 }
 
 // Native forward body. Replication is the peer link's hot path — one
-// forward out and one ack back per logged append — so those two kinds
-// are encoded natively, and a replica carries the logged frame's bytes
-// verbatim. Only the fields those kinds use are carried. Every other
-// kind keeps ForwardBody's JSON, which opens with '{' where a native
-// body has its form byte:
+// forward out and one ack back per logged append — so those kinds, and
+// a migration's takeover beside them, are encoded natively: a replica
+// or takeover forward carries its journal record in the journal's own
+// encoding (grouplog.AppendRecord), appended straight into the frame, so
+// an event record's frame rides verbatim. Every other kind keeps
+// ForwardBody's JSON, which opens with '{' where a native body has its
+// form byte:
 //
-//	byte    form: fwdReplica or fwdAck
+//	byte    form: fwdReplica, fwdAck or fwdTakeover
 //	uvarint ID
 //	lp      From
-//	-- fwdReplica only --
-//	lp      Group
-//	lp      Floor: a floor snapshot, opaque here; empty when none
-//	rest    the inner frame, never empty
+//	rest    replica and takeover: the record, never empty; ack: nothing
+//
+// The frame checks only this shape; the record is read by Into, whose
+// error a bad record wraps (grouplog.ErrRecord), so that the receiver
+// can count it.
 const (
-	fwdReplica = 1
-	fwdAck     = 2
+	fwdReplica  = 1
+	fwdAck      = 2
+	fwdTakeover = 3
 )
 
+// forwardKinds names the kind of each native form.
+var forwardKinds = [...]string{fwdReplica: ForwardReplica, fwdAck: ForwardAck, fwdTakeover: ForwardTakeover}
+
 func appendForward(b []byte, v *ForwardBody) ([]byte, error) {
-	switch v.Kind {
-	case ForwardReplica:
-		b = append(b, fwdReplica)
-	case ForwardAck:
-		b = append(b, fwdAck)
-	default:
+	form := slices.Index(forwardKinds[:], v.Kind)
+	if form <= 0 {
 		// By value: a pointer handed to json.Marshal would move every
 		// forward to the heap, the native kinds included.
 		raw, err := json.Marshal(*v)
@@ -270,14 +281,17 @@ func appendForward(b []byte, v *ForwardBody) ([]byte, error) {
 		}
 		return append(b, raw...), nil
 	}
+	b = append(b, byte(form))
 	b = binary.AppendUvarint(b, uint64(v.ID))
 	b = appendLPString(b, v.From)
 	if v.Kind == ForwardAck {
 		return b, nil
 	}
-	b = appendLPString(b, v.Group)
-	b = append(binary.AppendUvarint(b, uint64(len(v.Floor))), v.Floor...)
-	return append(b, v.Msg...), nil
+	rec := v.Record
+	if rec.Kind == 0 && v.Kind == ForwardReplica {
+		rec = grouplog.WALRecord{Kind: grouplog.WALEvent, Key: v.Group, Wire: v.Msg}
+	}
+	return grouplog.AppendRecord(b, rec), nil
 }
 
 // appendStrings appends a counted run of lp-strings.
@@ -570,21 +584,18 @@ func skipForward(r *frameReader) error {
 		}
 		r.off = len(r.data)
 		return nil
-	case fwdReplica, fwdAck:
+	case fwdReplica, fwdAck, fwdTakeover:
 	default:
 		return fmt.Errorf("unknown forward form %d", form)
 	}
 	if _, err := r.uvarint(); err != nil { // ID
 		return err
 	}
-	if form == fwdAck {
-		return skipStrings(r, 1) // From
-	}
-	if err := skipStrings(r, 3); err != nil { // From, Group, Floor
+	if err := skipStrings(r, 1); err != nil || form == fwdAck { // From
 		return err
 	}
 	if r.off == len(r.data) {
-		return fmt.Errorf("replica forward without an inner frame")
+		return fmt.Errorf("forward without a record")
 	}
 	r.off = len(r.data)
 	return nil
@@ -661,7 +672,7 @@ func intoNative(t Type, body []byte, out any) error {
 		return fmt.Errorf("%w: %s has no native codec", ErrBodyMismatch, t)
 	}
 	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrBodyMismatch, t, err)
+		return fmt.Errorf("%w: %s: %w", ErrBodyMismatch, t, err)
 	}
 	return nil
 }
@@ -760,8 +771,8 @@ func readStrings(r *frameReader) ([]string, error) {
 	return out, nil
 }
 
-// readForward decodes a forward body skipForward has accepted. Msg
-// aliases the frame.
+// readForward decodes a forward body skipForward has accepted. The
+// record aliases the frame.
 func readForward(body []byte, v *ForwardBody) error {
 	if len(body) > 0 && body[0] == '{' {
 		return json.Unmarshal(body, v)
@@ -771,10 +782,7 @@ func readForward(body []byte, v *ForwardBody) error {
 	if err != nil {
 		return err
 	}
-	*v = ForwardBody{Kind: ForwardReplica}
-	if form == fwdAck {
-		v.Kind = ForwardAck
-	}
+	*v = ForwardBody{Kind: forwardKinds[form]} // a form skipForward accepted
 	id, err := r.uvarint()
 	if err != nil {
 		return err
@@ -783,17 +791,8 @@ func readForward(body []byte, v *ForwardBody) error {
 	if v.From, err = r.lpString(); err != nil || form == fwdAck {
 		return err
 	}
-	if v.Group, err = r.lpString(); err != nil {
-		return err
-	}
-	if v.Floor, err = r.lpBytes(); err != nil {
-		return err
-	}
-	if len(v.Floor) == 0 {
-		v.Floor = nil
-	}
-	v.Msg = body[r.off:]
-	return nil
+	v.Record, err = grouplog.DecodeRecord(body[r.off:])
+	return err
 }
 
 // jsonBody materializes the JSON form of a natively-decoded body, for

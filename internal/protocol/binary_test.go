@@ -311,6 +311,9 @@ func FuzzDecodeBinary(f *testing.F) {
 	for _, frame := range hostileForwards() {
 		f.Add(frame)
 	}
+	for _, frame := range hostileRecords() {
+		f.Add(frame)
+	}
 	f.Add([]byte{binMagic})
 	f.Add([]byte{binMagic, flagNativeBody | flagState, 14, 0x80, 0x01})
 	f.Add([]byte(`{"type":"chat","body":{"text":"hi"}}`))

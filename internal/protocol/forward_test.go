@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"dmps/internal/grouplog"
 )
 
 // loggedFrame is a stamped floor event as the owner fans it out, traced
@@ -23,35 +25,49 @@ func loggedFrame(traced bool) []byte {
 }
 
 // sampleForwards is one forward of every shape the peer link carries:
-// the two native kinds in each of their variants, and every JSON-bodied
-// kind.
+// a replica forward for each record kind it ships (an event with and
+// without its floor snapshot, traced or not, a package, a member drop),
+// a takeover, an ack, and every JSON-bodied kind.
 func sampleForwards() map[string]ForwardBody {
 	inner := loggedFrame(false)
 	floor := []byte("a floor snapshot, opaque to the peer link")
 	info := NodeMemberInfo{ID: "m1#1", Name: "m1", Role: "chair", Priority: 5}
+	event := func(key string, wire, snap []byte) grouplog.WALRecord {
+		return grouplog.WALRecord{Kind: grouplog.WALEvent, Key: key, GSeq: 7, CSeq: 3, Class: ClassFloor, State: true, Wire: wire, Data: snap}
+	}
+	pkg := func(p TakeoverBody) grouplog.WALRecord {
+		rec, err := PackageRecord(p)
+		if err != nil {
+			panic(err) // a fixed, valid package
+		}
+		return rec
+	}
 	return map[string]ForwardBody{
-		"replica":            {Kind: ForwardReplica, Group: "g", Msg: inner, ID: 5, From: "n0:1"},
-		"replica with floor": {Kind: ForwardReplica, Group: "g", Msg: inner, Floor: floor, ID: 6, From: "n0:1"},
-		"replica traced":     {Kind: ForwardReplica, Group: "~m1#1", Msg: loggedFrame(true), ID: 7, From: "n0:1"},
-		"ack":                {Kind: ForwardAck, ID: 5, From: "n1:1"},
-		"invite":             {Kind: ForwardInvite, To: "m1#1", Msg: inner},
-		"state roster":       {Kind: ForwardState, Takeover: &TakeoverBody{Key: "g", Chair: "m1#1", Members: []NodeMemberInfo{info}}, ID: 8, From: "n0:1"},
-		"state member":       {Kind: ForwardState, Takeover: &TakeoverBody{Key: "~m1#1", Member: &info, Token: "tok"}, ID: 9, From: "n0:1"},
-		"member_drop":        {Kind: ForwardMemberDrop, To: "m1#1", ID: 10, From: "n0:1"},
-		"migrate":            {Kind: ForwardMigrate, Node: 1, Addr: "n1:1", Epoch: 3},
-		"migrated":           {Kind: ForwardMigrated, Groups: []string{"g", "~m1#1"}, Epoch: 3, ID: 11, From: "n0:1"},
-		"takeover": {Kind: ForwardTakeover, Takeover: &TakeoverBody{
+		"replica event":            {Kind: ForwardReplica, Record: event("g", inner, nil), ID: 5, From: "n0:1"},
+		"replica event with floor": {Kind: ForwardReplica, Record: event("g", inner, floor), ID: 6, From: "n0:1"},
+		"replica event traced":     {Kind: ForwardReplica, Record: event("~m1#1", loggedFrame(true), nil), ID: 7, From: "n0:1"},
+		"replica package roster": {Kind: ForwardReplica, Record: pkg(TakeoverBody{
+			Key: "g", Chair: "m1#1", Members: []NodeMemberInfo{info},
+		}), ID: 8, From: "n0:1"},
+		"replica package member": {Kind: ForwardReplica, Record: pkg(TakeoverBody{Key: "~m1#1", Member: &info, Token: "tok"}), ID: 9, From: "n0:1"},
+		"replica member drop":    {Kind: ForwardReplica, Record: grouplog.WALRecord{Kind: grouplog.WALMemberDrop, Key: "m1#1"}, ID: 10, From: "n0:1"},
+		"ack":                    {Kind: ForwardAck, ID: 5, From: "n1:1"},
+		"invite":                 {Kind: ForwardInvite, To: "m1#1", Msg: inner},
+		"migrate":                {Kind: ForwardMigrate, Node: 1, Addr: "n1:1", Epoch: 3},
+		"migrated":               {Kind: ForwardMigrated, Groups: []string{"g", "~m1#1"}, Epoch: 3, ID: 11, From: "n0:1"},
+		"takeover": {Kind: ForwardTakeover, Record: pkg(TakeoverBody{
 			Key: "g", Epoch: 3, Chair: "m1#1", Members: []NodeMemberInfo{info}, Floor: floor, BoardHead: 4,
 			Events: []ReplicaEventBody{{GSeq: 7, CSeq: 3, Class: ClassFloor, State: true, Wire: inner}},
-		}},
+		})},
 	}
 }
 
 // TestForwardRoundTrip drives every forward kind through EncodeForward →
-// DecodeAny → Into: the body survives, a replica's inner frame rides
-// verbatim (no base64, aliasing the forward's own bytes), a traced
-// inner frame puts its context on the forward's envelope, and neither
-// native kind's bytes contain JSON.
+// DecodeAny → Into: the body survives, a replica's or takeover's record
+// rides in the journal's encoding (an event's frame verbatim, no
+// base64, aliasing the forward's own bytes), a traced inner frame puts
+// its context on the forward's envelope, and no native kind's bytes
+// contain JSON of their own.
 func TestForwardRoundTrip(t *testing.T) {
 	for name, want := range sampleForwards() {
 		wire, err := EncodeForward(want)
@@ -72,19 +88,23 @@ func TestForwardRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: body drift:\n got %+v\nwant %+v", name, got, want)
 		}
-		native := want.Kind == ForwardReplica || want.Kind == ForwardAck
+		native := want.Kind == ForwardReplica || want.Kind == ForwardAck || want.Kind == ForwardTakeover
 		if native == bytes.Contains(wire, []byte(`"kind"`)) {
 			t.Fatalf("%s: native=%v but frame is % x", name, native, wire)
 		}
-		if want.Kind == ForwardReplica && !bytes.HasSuffix(wire, want.Msg) {
-			t.Fatalf("%s: inner frame does not ride verbatim", name)
+		if native && want.Kind != ForwardAck && !bytes.HasSuffix(wire, grouplog.AppendRecord(nil, want.Record)) {
+			t.Fatalf("%s: the record does not ride in the journal's encoding", name)
 		}
-		id, _, flags := FrameTrace(want.Msg)
+		inner := want.Msg
+		if want.Record.Wire != nil {
+			inner = want.Record.Wire
+		}
+		id, _, flags := FrameTrace(inner)
 		if msg.TraceID != id || msg.Sampled() != (flags&TraceSampled != 0) {
 			t.Fatalf("%s: envelope trace %x sampled=%v, inner frame %x", name, msg.TraceID, msg.Sampled(), id)
 		}
 	}
-	fwd, before := sampleForwards()["replica"], EncodeCount()
+	fwd, before := sampleForwards()["replica event"], EncodeCount()
 	if _, err := EncodeForward(fwd); err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +113,30 @@ func TestForwardRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBareReplicaForwardIsAnEventRecord: a replica forward named only by
+// Group and Msg carries them as an event record's key and frame.
+func TestBareReplicaForwardIsAnEventRecord(t *testing.T) {
+	inner := loggedFrame(false)
+	wire, err := EncodeForward(ForwardBody{Kind: ForwardReplica, Group: "g", Msg: inner, ID: 4, From: "n0:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := DecodeBinary(wire)
+	var got ForwardBody
+	if err != nil || msg.Into(&got) != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	want := grouplog.WALRecord{Kind: grouplog.WALEvent, Key: "g", Wire: inner}
+	if got.Kind != ForwardReplica || got.ID != 4 || !reflect.DeepEqual(got.Record, want) {
+		t.Fatalf("bare replica forward arrived as %+v", got)
+	}
+}
+
 // TestReplicaForwardAllocs holds the replication hot path to one
 // allocation a side: the frame on the owner, the decoded body on the
 // replica. No JSON, no base64, no copy of the inner frame.
 func TestReplicaForwardAllocs(t *testing.T) {
-	fwd := sampleForwards()["replica"]
+	fwd := sampleForwards()["replica event with floor"]
 	allocs := testing.AllocsPerRun(200, func() {
 		wire, err := EncodeForward(fwd)
 		if err != nil {
@@ -119,31 +158,68 @@ func TestReplicaForwardAllocs(t *testing.T) {
 
 // hostileForwards are forward frames a peer must refuse: each is a
 // valid envelope around a native body that is cut short, names a length
-// it cannot back, or carries no inner frame.
+// it cannot back, or carries no record.
 func hostileForwards() map[string][]byte {
 	env := []byte{binMagic, flagNativeBody, typeCodes[TForward], 0, 0, 0, 0, 0, 0, 0}
 	frame := func(body ...byte) []byte { return append(append([]byte(nil), env...), body...) }
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	whole, _ := EncodeForward(sampleForwards()["replica with floor"])
 	return map[string][]byte{
-		"truncated forward":        whole[:len(whole)-len(sampleForwards()["replica"].Msg)-3],
-		"unknown form":             frame(9, 1, 0),
-		"ack cut in its id":        frame(fwdAck, 0x80),
-		"hostile floor length":     append(frame(fwdReplica, 1, 0, 1, 'g'), huge...),
-		"floor past the frame":     frame(fwdReplica, 1, 0, 1, 'g', 7, binMagic),
-		"zero-length inner frame":  frame(fwdReplica, 1, 0, 1, 'g', 0),
-		"floor but no inner frame": frame(fwdReplica, 1, 0, 1, 'g', 2, 'f', 'l'),
-		"json body cut short":      frame('{', '"', 'k'),
+		"unknown form":            frame(9, 1, 0),
+		"ack cut in its id":       frame(fwdAck, 0x80),
+		"hostile from length":     append(frame(fwdReplica, 1), huge...),
+		"from past the frame":     frame(fwdReplica, 1, 7, 'n'),
+		"replica without record":  frame(fwdReplica, 1, 0),
+		"takeover without record": frame(fwdTakeover, 0, 0),
+		"json body cut short":     frame('{', '"', 'k'),
+	}
+}
+
+// hostileRecords are forward frames whose shape is sound but whose
+// record is not: the frame decodes, and Into refuses the record with
+// grouplog.ErrRecord — which the receiving node counts.
+func hostileRecords() map[string][]byte {
+	good, err := EncodeForward(sampleForwards()["replica event with floor"])
+	if err != nil {
+		panic(err)
+	}
+	rec := grouplog.AppendRecord(nil, sampleForwards()["replica event with floor"].Record)
+	head := good[:len(good)-len(rec)]
+	with := func(record ...byte) []byte { return append(append([]byte(nil), head...), record...) }
+	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
+	takeover, err := EncodeForward(ForwardBody{Kind: ForwardTakeover, Record: grouplog.WALRecord{Kind: grouplog.WALPackage, Key: "g", Data: []byte("{}")}})
+	if err != nil {
+		panic(err)
+	}
+	return map[string][]byte{
+		"record cut to its kind":       with(rec[0]),
+		"record cut in its frame":      good[:len(good)-len(rec)/2],
+		"unknown record kind":          with(0x7F, 0, 0, 0, 0, 0, 0),
+		"record kind zero":             with(0, 0, 0, 0, 0, 0, 0),
+		"key length past the bytes":    with(byte(grouplog.WALEvent), 0, 1, 1, 9, 'g'),
+		"hostile wire length":          append(with(byte(grouplog.WALEvent), 0, 1, 1, 1, 'g', 0), huge...),
+		"takeover record cut in a key": takeover[:len(takeover)-4],
 	}
 }
 
 // TestForwardMalformed: hostile forward bytes error at the decode
-// boundary. The hostile length names 2³² bytes — sizing anything from
-// it would not return.
+// boundary, and a hostile record in a sound frame errors at Into with
+// grouplog.ErrRecord. The hostile lengths name 2³² bytes — sizing
+// anything from them would not return.
 func TestForwardMalformed(t *testing.T) {
 	for name, frame := range hostileForwards() {
 		if msg, err := DecodeBinary(frame); !errors.Is(err, ErrDecode) {
 			t.Errorf("%s: decoded %+v, err = %v, want ErrDecode", name, msg, err)
+		}
+	}
+	for name, frame := range hostileRecords() {
+		msg, err := DecodeBinary(frame)
+		if err != nil {
+			t.Errorf("%s: the frame itself was refused: %v", name, err)
+			continue
+		}
+		var body ForwardBody
+		if err := msg.Into(&body); !errors.Is(err, grouplog.ErrRecord) {
+			t.Errorf("%s: into %+v, err = %v, want grouplog.ErrRecord", name, body, err)
 		}
 	}
 }

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"dmps/internal/grouplog"
 )
 
 // Type names a message. String values keep captures human-readable.
@@ -619,26 +621,17 @@ const (
 	// invitation) to the member's home node, which appends it to their
 	// private event log and pushes it to their session.
 	ForwardInvite = "invite"
-	// ForwardReplica replicates one logged group event (the stamped wire
-	// bytes, plus the floor snapshot for floor/suspend classes) to the
-	// partition's successor node for takeover.
+	// ForwardReplica ships one change of a partition the sender serves
+	// to its replica peers for takeover, as the journal record it was
+	// journalled as: a logged event, a partition package, or a member's
+	// expiry.
 	ForwardReplica = "replica"
-	// ForwardState replicates the directory part of a partition package
-	// (Takeover): a group's roster and chair, so a takeover can restore
-	// who belongs where, or a member's row and session-resume token, so a
-	// resume (Client.Reconnect) survives home-node death — the successor
-	// adopts the member the way it adopts groups.
-	ForwardState = "state"
 	// ForwardAck acknowledges an identified replication forward: the
 	// receiver echoes ID back to From once the payload is durably applied
 	// to its replica store. The sender's in-flight table clears the entry
 	// (or resends it after a timeout) — replication factor R means a
 	// logged append is only lost if R nodes die before any ack lands.
 	ForwardAck = "ack"
-	// ForwardMemberDrop retracts a member's replicated package after the
-	// home node expires the session (reap), so a dead member cannot be
-	// adopted back to life from a stale replica.
-	ForwardMemberDrop = "member_drop"
 	// ForwardMigrate asks a node to ship every partition it adopted from
 	// the recovering node (Node/Addr) back to it — the coordinated
 	// live-migration step of an epoch bump. The node answers on the same
@@ -650,10 +643,10 @@ const (
 	ForwardMigrated = "migrated"
 	// ForwardTakeover installs a complete partition package — roster,
 	// floor snapshot, retained log events, board head — on the receiving
-	// node, stamped with the epoch of the migration that shipped it. The
-	// receiver installs it into live state when it owns the key natively,
-	// and into its replica store otherwise; packages from a stale epoch
-	// are discarded.
+	// node, as a package record whose package is stamped with the epoch
+	// of the migration that shipped it. The receiver installs it into
+	// live state when it owns the key natively, and into its replica
+	// store otherwise; packages from a stale epoch are discarded.
 	ForwardTakeover = "takeover"
 )
 
@@ -675,9 +668,9 @@ type ReplicaEventBody struct {
 // carries its roster and chair, the floor snapshot, the board head and
 // the retained log suffix; a "~member" key carries the member's row,
 // their resume token and their member log's events. A package may be
-// partial: a state forward carries only the directory part (chair and
-// roster, or member row and token), a replayed journal event one event
-// and its floor snapshot. Epoch stamps a migration's package; a
+// partial: a directory change carries only the directory part (chair
+// and roster, or member row and token), a replayed journal event one
+// event and its floor snapshot. Epoch stamps a migration's package; a
 // receiver discards packages older than the newest epoch it has
 // installed for the key. Floor is a floor.Snapshot's encoding, opaque
 // here (base64 inside the package's JSON).
@@ -693,25 +686,50 @@ type TakeoverBody struct {
 	Token     string             `json:"token,omitempty"`
 }
 
+// PackageRecord is a package as a journal record: its JSON, keyed by
+// the package's key.
+func PackageRecord(p TakeoverBody) (grouplog.WALRecord, error) {
+	data, err := json.Marshal(p)
+	return grouplog.WALRecord{Kind: grouplog.WALPackage, Key: p.Key, Data: data}, err
+}
+
+// PackageOf reads an event or package record back as the package it
+// restates (an event record as a one-event package): PackageRecord's
+// inverse, and the one reader of a package record — journal replay, a
+// replica store and a migration's takeover all read through it.
+func PackageOf(rec grouplog.WALRecord) (p TakeoverBody, err error) {
+	switch rec.Kind {
+	case grouplog.WALEvent:
+		p.Key, p.Floor = rec.Key, rec.Data
+		p.Events = []ReplicaEventBody{{GSeq: rec.GSeq, CSeq: rec.CSeq, Class: rec.Class, State: rec.State, Wire: rec.Wire}}
+	case grouplog.WALPackage:
+		err = json.Unmarshal(rec.Data, &p)
+	default:
+		return p, fmt.Errorf("protocol: record of kind %d is no package", rec.Kind)
+	}
+	if err == nil && p.Key == "" {
+		err = fmt.Errorf("protocol: kind %d record without a key", rec.Kind)
+	}
+	return p, err
+}
+
 // ForwardBody is a typed node-to-node forward. Kind selects the shape:
 // ForwardInvite carries To (the member) and Msg (the inner event);
-// ForwardReplica carries Group, Msg (the logged wire bytes, sequence
-// numbers already stamped) and optionally Floor (a floor.Snapshot's
-// encoding, opaque here); ForwardState and
-// ForwardTakeover carry Takeover; ForwardAck carries ID and From;
-// ForwardMemberDrop carries To; ForwardMigrate carries Node and Addr;
-// ForwardMigrated carries Groups. Replicated kinds (replica, state,
-// member_drop) additionally carry ID and From so the receiver can ack
-// them. On the wire a forward is an ordinary binary frame: the replica
-// and ack kinds have a native body (binary.go), the rest ride as this
-// struct's JSON inside the frame.
+// ForwardReplica carries Record, ID and From — the receiver acks by ID
+// to From; ForwardTakeover carries Record (a package record);
+// ForwardAck carries ID and From; ForwardMigrate carries Node, Addr and
+// Epoch; ForwardMigrated carries Groups. On the wire a forward is an
+// ordinary binary frame: the replica, takeover and ack kinds have a
+// native body (binary.go) in which the record rides in the journal's
+// own encoding, the rest ride as this struct's JSON inside the frame.
 type ForwardBody struct {
-	Kind  string `json:"kind"`
+	Kind string `json:"kind"`
+	// Group and Msg alone, with Record unset, make a replica forward of
+	// a bare event record (key and stamped frame).
 	Group string `json:"group,omitempty"`
 	To    string `json:"to,omitempty"`
-	Floor []byte `json:"floor,omitempty"`
-	// Msg is the inner binary frame: verbatim in a replica forward's
-	// native body, base64 where the body rides as JSON (invite).
+	// Msg is the inner binary frame (base64 where the body rides as
+	// JSON: invite).
 	Msg []byte `json:"msg,omitempty"`
 	// ID identifies an acked replication forward (per-sender monotonic,
 	// 0 = unacked fire-and-forget); From is the sender's peer address the
@@ -726,16 +744,13 @@ type ForwardBody struct {
 	Node   int      `json:"node,omitempty"`
 	Addr   string   `json:"addr,omitempty"`
 	Groups []string `json:"groups,omitempty"`
-	// Takeover is the partition package of a ForwardTakeover, or the
-	// partial one of a ForwardState.
-	Takeover *TakeoverBody `json:"takeover,omitempty"`
+	// Record is a replica or takeover forward's journal record, carried
+	// only in the native body (a decoded one aliases the frame).
+	Record grouplog.WALRecord `json:"-"`
 }
 
 // SetMsg stores the inner frame's wire bytes.
 func (b *ForwardBody) SetMsg(wire []byte) { b.Msg = wire }
-
-// WireMsg returns the inner frame's wire bytes.
-func (b *ForwardBody) WireMsg() []byte { return b.Msg }
 
 // NodeMovedBody names the groups whose partition moved to another node.
 // Addr is the new owner (informational — a routed client keeps talking

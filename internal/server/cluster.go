@@ -59,10 +59,10 @@ type clusterState struct {
 	acks       *cluster.AckTable
 	ackLatency *metrics.Histogram
 
-	// stateMu orders state forwards: a key's directory part is read and
-	// its forward given an ID under it, so a higher ID always carries
-	// newer state and replicas can refuse the older one however late it
-	// arrives.
+	// stateMu orders directory changes: a key's directory part is read
+	// and its package record's forward given an ID under it, so a higher
+	// ID always carries newer state and replicas can refuse the older
+	// one however late it arrives.
 	stateMu sync.Mutex
 
 	mu sync.Mutex
@@ -74,7 +74,7 @@ type clusterState struct {
 	// append can land between the takeover dump and the epoch bump.
 	migrating map[string]bool
 	// served mirrors adopted with lock-free reads for the append path:
-	// replicateLogged runs inside a log's lock, and taking mu there
+	// an event's record runs inside its log's lock, and taking mu there
 	// would invert against adoption (which holds mu while installing
 	// into log locks). Entries are stored only after a takeover's
 	// install completes.
@@ -196,12 +196,27 @@ func (s *Server) servesGroup(groupID string) bool {
 	// partition whose primary is alive. Probe with a fresh dial — on the
 	// failover path the primary is down and the dial fails fast; while
 	// it is up, the redirect below sends the caller where it belongs.
-	if probe, err := s.cluster.cfg.Network.Dial(s.ownerAddr(groupID)); err == nil {
-		_ = probe.Close()
+	if s.reachable(s.ownerAddr(groupID)) {
 		return false
 	}
 	s.adoptLocked(groupID)
 	return true
+}
+
+// reachable dials a peer once and hangs up: the liveness probe that
+// tells a failover (the peer is gone) from stray traffic.
+func (s *Server) reachable(addr string) bool {
+	probe, err := s.cluster.cfg.Network.Dial(addr)
+	if err != nil {
+		return false
+	}
+	_ = probe.Close() // the probe carried nothing, so its close has nothing to lose
+	return true
+}
+
+// replicates reports whether a change to a key goes to the replica peers.
+func (s *Server) replicates(key string) bool {
+	return s.cluster != nil && s.servesKey(key)
 }
 
 // servesKey is the append-path form of servesGroup, for any partition
@@ -220,20 +235,19 @@ func (s *Server) servesKey(key string) bool {
 // planes, and clients converge through their ordinary backfill path —
 // the restored log replays with the same CSeqs their cursors expect, so
 // a handoff looks exactly like a reconnect, with zero duplicate grants
-// (the holder is restored, never re-granted). install journals the
-// package; it is replicated whole to THIS node's successors too, so the
-// adoption itself is durable — roster, chair, floor and log survive the
-// adopter's own death. The replica forward leaves before the key counts
-// as served, so no event forward for it can overtake the package (the
-// pool's Send never blocks). Requires s.cluster.mu.
+// (the holder is restored, never re-granted). install records the
+// package whole — journalled, and replicated to THIS node's successors
+// too — so the adoption itself is durable: roster, chair, floor and log
+// survive the adopter's own death. The replica forward leaves before
+// the key counts as served, so no event forward for it can overtake the
+// package (the pool's Send never blocks). Requires s.cluster.mu.
 func (s *Server) adoptLocked(key string) {
 	p, ok := s.cluster.store.Take(key)
 	if !ok {
 		return
 	}
 	s.cluster.adopted[key] = true
-	_ = s.install(p) // an undecodable floor is counted (state_install)
-	s.replicateTracked(protocol.ForwardBody{Kind: protocol.ForwardState, Takeover: &p})
+	_ = s.install(p, true) // an undecodable floor is counted (state_install)
 	s.cluster.served.Store(key, true)
 }
 
@@ -251,11 +265,8 @@ func (s *Server) adoptResume(token string) (group.MemberID, string, bool) {
 	if !found {
 		return "", "", false
 	}
-	if home := s.cluster.partitionOwner(key); home != s.cluster.cfg.Self {
-		if probe, err := s.cluster.cfg.Network.Dial(s.cluster.cfg.Nodes[home]); err == nil {
-			_ = probe.Close()
-			return "", s.cluster.cfg.Nodes[home], false
-		}
+	if home := s.cluster.partitionOwner(key); home != s.cluster.cfg.Self && s.reachable(s.cluster.cfg.Nodes[home]) {
+		return "", s.cluster.cfg.Nodes[home], false
 	}
 	s.cluster.mu.Lock()
 	s.adoptLocked(key)
@@ -263,21 +274,32 @@ func (s *Server) adoptResume(token string) (group.MemberID, string, bool) {
 	return group.MemberID(key[1:]), "", true
 }
 
-// replicateTracked assigns the forward an ID, registers it in the
-// in-flight ack table against every replica peer, and ships it. The
-// receivers ack by ID; the probe loop resends overdue entries with
-// backoff. Only the ack table's own lock is taken, so this is safe
-// inside a log-append deliver callback. A forward whose inner frame
-// belongs to a sampled trace rides that trace (the replica records its
-// apply span under it), and the ack table learns the trace ID, so the
-// full-ack round trip becomes this node's repl_ack span.
-func (s *Server) replicateTracked(fwd protocol.ForwardBody) {
+// record is the one way a change leaves the live planes: rec goes to
+// the journal when it is on and, when replicate says this node serves
+// the change's key, to every replica peer in one forward carrying the
+// same record. The journal is best-effort (replication covers a full
+// disk), so a record it refused is counted
+// (dmps_errors_total{site="wal_append"}) and still shipped. The forward
+// gets an ID and waits in the in-flight ack table: the receivers ack by
+// ID, and the probe loop resends overdue entries with backoff. An
+// event's record runs inside its log append's deliver callback, which
+// is safe: the WAL and the ack table take only their own locks, and
+// the pool's Send never blocks. A forward whose event frame belongs to
+// a sampled trace rides that trace (the replica records its apply span
+// under it), and the ack table learns the trace ID, so the full-ack
+// round trip becomes this node's repl_ack span.
+func (s *Server) record(rec grouplog.WALRecord, replicate bool) {
+	if s.wal != nil && s.wal.Append(rec) != nil {
+		s.walAppendErrs.Add(1)
+	}
+	if !replicate || s.cluster == nil {
+		return
+	}
 	peers := s.cluster.replicaPeers()
 	if len(peers) == 0 {
 		return
 	}
-	fwd.ID = s.cluster.acks.NextID()
-	fwd.From = s.cluster.selfAddr()
+	fwd := protocol.ForwardBody{Kind: protocol.ForwardReplica, Record: rec, ID: s.cluster.acks.NextID(), From: s.cluster.selfAddr()}
 	wire := cluster.WrapForward(fwd)
 	if wire == nil {
 		return
@@ -300,32 +322,6 @@ func (s *Server) resendOverdue(now time.Time) {
 	for _, r := range s.cluster.acks.Due(now) {
 		s.cluster.pool.Send(r.Peer, r.Wire)
 	}
-}
-
-// replicateLogged ships one logged append (the stamped fan-out bytes,
-// verbatim) to the R-1 replica peers, with the encoded floor snapshot
-// attached for the classes whose takeover state the redacted wire bytes
-// cannot carry (queue membership is private on the wire). The key is a
-// group ID or a "~member" log key — member logs replicate exactly like
-// group logs, which is what lets a resume survive home-node death. It
-// runs inside the log append's deliver callback — the pool enqueue
-// never blocks — so the replica stream observes exactly the log's
-// order.
-func (s *Server) replicateLogged(key string, wire, snap []byte) {
-	if s.cluster == nil || !s.servesKey(key) {
-		return
-	}
-	s.replicateTracked(protocol.ForwardBody{Kind: protocol.ForwardReplica, Group: key, Msg: wire, Floor: snap})
-}
-
-// replicateMemberDrop retracts a member's replicated package after the
-// home node expires the session, so a dead member cannot be adopted
-// back to life from a stale replica. No-op outside cluster mode.
-func (s *Server) replicateMemberDrop(id group.MemberID) {
-	if s.cluster == nil {
-		return
-	}
-	s.replicateTracked(protocol.ForwardBody{Kind: protocol.ForwardMemberDrop, To: string(id)})
 }
 
 // deliverMemberEvent routes a member-directed state event (an
@@ -355,6 +351,8 @@ func (s *Server) deliverMemberEvent(id group.MemberID, msg protocol.Message) {
 // path already tracks the connection in the server's conn table, so
 // Close severs it (it is not in the session table).
 func (s *Server) peerLoop(conn transport.Conn, first protocol.Message) {
+	// The link is done with, whichever end hung up: its close has
+	// nothing left to lose.
 	defer func() { _ = conn.Close() }()
 	s.handleForward(conn, first)
 	for {
@@ -390,42 +388,36 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 		return
 	}
 	var body protocol.ForwardBody
-	if msg.Into(&body) != nil {
+	if err := msg.Into(&body); err != nil {
+		if errors.Is(err, grouplog.ErrRecord) {
+			s.replicaApplyErrs.Add(1) // a replica or takeover record cut short or of no known kind
+		}
 		return
 	}
 	switch body.Kind {
 	case protocol.ForwardReplica:
-		if body.Group != "" && len(body.WireMsg()) > 0 {
-			// A sampled replication forward records the replica's own
-			// apply+ack span — the third process of an owner-routed op.
-			var t0 time.Time
-			sampled := msg.Sampled()
-			if sampled {
-				t0 = time.Now()
-			}
-			s.cluster.store.ApplyEvent(body.Group, body.WireMsg(), body.Floor)
-			s.ackForward(body)
-			if sampled {
-				s.plane.Span(msg.TraceID, msg.TraceParent, trace.StageReplAck, t0)
-			}
+		// A sampled replication forward records the replica's own
+		// apply+ack span — the third process of an owner-routed op.
+		var t0 time.Time
+		sampled := msg.Sampled()
+		if sampled {
+			t0 = time.Now()
 		}
-	case protocol.ForwardState:
-		if body.Takeover != nil {
-			s.cluster.store.Apply(*body.Takeover, body.From, body.ID)
-			s.ackForward(body)
+		if s.cluster.store.ApplyRecord(body.Record, body.From, body.ID) != nil {
+			s.replicaApplyErrs.Add(1) // and no ack: the sender's resends give up in time
+			return
 		}
-	case protocol.ForwardMemberDrop:
-		if body.To != "" {
-			s.cluster.store.Drop(grouplog.MemberKey(body.To), body.From, body.ID)
-			s.ackForward(body)
+		s.ackForward(body)
+		if sampled {
+			s.plane.Span(msg.TraceID, msg.TraceParent, trace.StageReplAck, t0)
 		}
 	case protocol.ForwardAck:
 		if body.From != "" {
 			s.cluster.acks.Ack(body.From, body.ID)
 		}
 	case protocol.ForwardTakeover:
-		if body.Takeover != nil {
-			s.installTakeover(*body.Takeover)
+		if s.installTakeover(body.Record) != nil {
+			s.replicaApplyErrs.Add(1)
 		}
 	case protocol.ForwardMigrated:
 		// The shipping side's barrier: every ForwardTakeover on this
@@ -439,10 +431,10 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 	case protocol.ForwardMigrate:
 		s.runMigration(conn, body)
 	case protocol.ForwardInvite:
-		if body.To == "" || len(body.WireMsg()) == 0 {
+		if body.To == "" || len(body.Msg) == 0 {
 			return
 		}
-		inner, err := protocol.DecodeBinary(body.WireMsg())
+		inner, err := protocol.DecodeBinary(body.Msg)
 		if err != nil {
 			return
 		}

@@ -432,7 +432,7 @@ func TestReplayRefusesAnUndecodableFloor(t *testing.T) {
 		"trailing bytes": append(good[:len(good):len(good)], 0),
 	}
 	for name, snap := range snaps {
-		pkg, err := walRecord(protocol.TakeoverBody{Key: "hall", Floor: snap})
+		pkg, err := protocol.PackageRecord(protocol.TakeoverBody{Key: "hall", Floor: snap})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,6 +57,7 @@ import (
 //	dmps_wal_bytes                       bytes across live WAL segments
 //
 // and, in cluster mode, dmps_cluster_forwards_total{peer},
+// dmps_cluster_forward_bytes_total{peer},
 // dmps_cluster_forward_drops_total{peer}, dmps_cluster_redials_total{peer},
 // dmps_cluster_circuit_open{peer}, the replication-durability series
 //
@@ -128,6 +129,7 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 			{LabelKey: "site", LabelValue: "wal_checkpoint", Value: float64(s.ckptErrs.Load())},
 			{LabelKey: "site", LabelValue: "wal_close", Value: float64(s.walCloseErrs.Load())},
 			{LabelKey: "site", LabelValue: "migrate_send", Value: float64(s.migrateSendErrs.Load())},
+			{LabelKey: "site", LabelValue: "replica_apply", Value: float64(s.replicaApplyErrs.Load())},
 			{LabelKey: "site", LabelValue: "accept", Value: float64(s.acceptErrs.Load())},
 		}
 	})
@@ -200,6 +202,9 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 	}
 	reg.CounterFunc("dmps_cluster_forwards_total", "Replication forwards queued, by peer.", func() []metrics.Sample {
 		return peerSamples(func(st cluster.PeerStats) int64 { return st.Sent })
+	})
+	reg.CounterFunc("dmps_cluster_forward_bytes_total", "Bytes of the replication forwards queued, by peer.", func() []metrics.Sample {
+		return peerSamples(func(st cluster.PeerStats) int64 { return st.Bytes })
 	})
 	reg.CounterFunc("dmps_cluster_forward_drops_total", "Replication forwards dropped, by peer.", func() []metrics.Sample {
 		return peerSamples(func(st cluster.PeerStats) int64 { return st.Drops })

@@ -16,7 +16,10 @@ package server
 // state.
 
 import (
+	"fmt"
+
 	"dmps/internal/cluster"
+	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
 	"dmps/internal/transport"
 )
@@ -96,12 +99,13 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	}
 	defer ship.Close()
 	shipped := make([]string, 0, len(packages))
-	for i := range packages {
-		p := &packages[i]
+	for _, p := range packages {
 		p.Epoch = epoch
-		if err := ship.Send(cluster.WrapForward(protocol.ForwardBody{
-			Kind: protocol.ForwardTakeover, Takeover: p,
-		})); err != nil {
+		rec, err := protocol.PackageRecord(p)
+		if err == nil {
+			err = ship.Send(cluster.WrapForward(protocol.ForwardBody{Kind: protocol.ForwardTakeover, Record: rec}))
+		}
+		if err != nil {
 			abort()
 			return
 		}
@@ -146,18 +150,24 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	reply(shipped)
 }
 
-// installTakeover installs one migration package: into the live planes
-// when this node natively owns the key (the recovering primary), into
-// the replica store otherwise (a successor restocking its standby
-// copy). Stale epochs are discarded.
-func (s *Server) installTakeover(p protocol.TakeoverBody) {
-	if p.Key == "" || !s.cluster.store.AdmitEpoch(p.Key, p.Epoch) {
-		return
+// installTakeover installs one migration package, carried as a package
+// record: into the live planes when this node natively owns the key
+// (the recovering primary), into the replica store otherwise (a
+// successor restocking its standby copy). Stale epochs are discarded;
+// a record that is no package is refused with an error.
+func (s *Server) installTakeover(rec grouplog.WALRecord) error {
+	p, err := protocol.PackageOf(rec)
+	if err == nil && rec.Kind != grouplog.WALPackage {
+		err = fmt.Errorf("server: a takeover record of kind %d", rec.Kind)
+	}
+	if err != nil || !s.cluster.store.AdmitEpoch(p.Key, p.Epoch) {
+		return err
 	}
 	s.cluster.topo.AdvanceEpoch(p.Epoch)
 	if s.cluster.partitionOwner(p.Key) == s.cluster.cfg.Self {
-		_ = s.install(p) // an undecodable floor is counted (state_install)
-		return
+		_ = s.install(p, false) // an undecodable floor is counted (state_install)
+		return nil
 	}
 	s.cluster.store.Apply(p, "", 0)
+	return nil
 }

@@ -4,8 +4,8 @@ package server
 // partition key's state takes when it leaves or enters the live planes:
 // dump is the only producer (migration, checkpoint), install the only
 // consumer (WAL replay, failover adoption of a group or a member home,
-// a migration's takeover), and persist journals and replicates the
-// directory part whenever it changes.
+// a migration's takeover), and persist records the directory part
+// whenever it changes.
 
 import (
 	"errors"
@@ -71,12 +71,13 @@ func (s *Server) dump(key string) protocol.TakeoverBody {
 // into the authoritative board, which never re-mints below the
 // package's board head. Every step is idempotent — a duplicate is state
 // already live — so replaying a journal that restates a key, or
-// adopting on top of a migration's residue, converges. The package is
-// then journalled, so a restart of this process installs it again. A
-// floor snapshot that does not decode is counted and returned: the
-// group keeps the floor it had, the other steps still land, and WAL
-// replay fails on it.
-func (s *Server) install(p protocol.TakeoverBody) (err error) {
+// adopting on top of a migration's residue, converges. What landed is
+// then recorded: journalled, so a restart of this process installs it
+// again, and — when replicate says so, as for an adoption — shipped to
+// this node's replica peers. A floor snapshot that does not decode is
+// counted and returned: the group keeps the floor it had, the other
+// steps still land, and WAL replay fails on it.
+func (s *Server) install(p protocol.TakeoverBody, replicate bool) (err error) {
 	if id, member := strings.CutPrefix(p.Key, "~"); member {
 		if p.Member != nil {
 			s.installed(s.registry.EnsureMember(memberFromInfo(*p.Member)))
@@ -124,7 +125,7 @@ func (s *Server) install(p protocol.TakeoverBody) (err error) {
 		gb.board.SkipTo(p.BoardHead)
 		gb.mu.Unlock()
 	}
-	s.walPackage(p)
+	s.recordPackage(p, replicate)
 	return err
 }
 
@@ -166,23 +167,17 @@ func (s *Server) installed(err error) {
 
 // persist records a partition key's directory part after it changed —
 // a group's membership, a member's admission or adoption: journalled,
-// and shipped to the replica peers as one state forward, read and given
-// its forward ID under stateMu so that a higher ID always carries newer
-// state.
+// and shipped to the replica peers when this node serves the key, read
+// and given its forward ID under stateMu so that a higher ID always
+// carries newer state.
 func (s *Server) persist(key string) {
-	if s.cluster == nil {
-		if s.wal != nil {
-			s.walPackage(s.directory(key))
-		}
+	if s.cluster != nil {
+		s.cluster.stateMu.Lock()
+		defer s.cluster.stateMu.Unlock()
+	} else if s.wal == nil {
 		return
 	}
-	s.cluster.stateMu.Lock()
-	defer s.cluster.stateMu.Unlock()
-	p := s.directory(key)
-	s.walPackage(p)
-	if s.servesKey(key) {
-		s.replicateTracked(protocol.ForwardBody{Kind: protocol.ForwardState, Takeover: &p})
-	}
+	s.recordPackage(s.directory(key), s.replicates(key))
 }
 
 // bumpNextID advances the member-ID counter past the numeric suffix of

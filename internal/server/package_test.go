@@ -163,12 +163,18 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 			for _, key := range keys {
 				p := want[key]
 				p.Epoch = 7
-				msg, err := protocol.DecodeAny(cluster.WrapForward(protocol.ForwardBody{Kind: protocol.ForwardTakeover, Takeover: &p}))
+				rec, err := protocol.PackageRecord(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg, err := protocol.DecodeAny(cluster.WrapForward(protocol.ForwardBody{Kind: protocol.ForwardTakeover, Record: rec}))
 				var fwd protocol.ForwardBody
-				if err != nil || msg.Into(&fwd) != nil || fwd.Takeover == nil {
+				if err != nil || msg.Into(&fwd) != nil || fwd.Kind != protocol.ForwardTakeover {
 					t.Fatalf("takeover forward: %v", err)
 				}
-				dst.installTakeover(*fwd.Takeover)
+				if err := dst.installTakeover(fwd.Record); err != nil {
+					t.Fatalf("takeover install: %v", err)
+				}
 			}
 			return dst
 		}},
@@ -186,7 +192,7 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 			dir := t.TempDir()
 			first := node(addr+"-first", dir)
 			for _, key := range keys {
-				first.install(want[key])
+				first.install(want[key], false)
 			}
 			first.Close()
 			return node(addr, dir)
@@ -291,7 +297,7 @@ func TestMixedAuthorBurstSurvivesTransfer(t *testing.T) {
 	if !ok || p.BoardHead != 4 {
 		t.Fatalf("replica package %+v (held %v), want board head 4 from the burst's More", p, ok)
 	}
-	dst.install(p) // what adoptLocked does with the package it takes
+	dst.install(p, true) // what adoptLocked does with the package it takes
 	same("failover adoption", dst)
 
 	// WAL replay: the source's own journal, read by a fresh process.

@@ -127,8 +127,10 @@ func (s *Server) publish(p publication, build func() (protocol.Message, floor.Sn
 			}
 			s.sendWire(sess, w)
 		}
-		s.walEvent(p.key, gseq, cseq, p.class, p.state, wire, snap)
-		s.replicateLogged(p.key, wire, snap)
+		s.record(grouplog.WALRecord{
+			Kind: grouplog.WALEvent, Key: p.key,
+			GSeq: gseq, CSeq: cseq, Class: p.class, State: p.state, Wire: wire, Data: snap,
+		}, s.replicates(p.key))
 	})
 	if err != nil && !errors.Is(err, errUnlogged) {
 		// The event could not be encoded and the log is untouched: no

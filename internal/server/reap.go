@@ -71,8 +71,7 @@ func (s *Server) Reap(now time.Time) []string {
 			// Only the member's home retracts their replicated state: a
 			// node-scoped session expiring must not revoke the home's
 			// journal entry or the successors' standby copy.
-			s.walMemberDrop(id)
-			s.replicateMemberDrop(id)
+			s.record(grouplog.WALRecord{Kind: grouplog.WALMemberDrop, Key: string(id)}, true)
 		}
 		out = append(out, string(id))
 	}

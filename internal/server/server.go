@@ -215,18 +215,21 @@ type Server struct {
 	// installErrs package steps install could not apply, ckptErrs and
 	// walCloseErrs periodic checkpoints and the final journal close that
 	// failed, migrateSendErrs a migration's barrier ack or reply that
-	// its connection refused, acceptErrs the transient Accept errors Serve
-	// backed off and retried (dmps_errors_total{site="log_append"|
-	// "wal_append"|"state_install"|"wal_checkpoint"|"wal_close"|
-	// "migrate_send"|"accept"}).
-	logAppendErrs   atomic.Int64
-	acceptErrs      atomic.Int64
-	walAppendErrs   atomic.Int64
-	installErrs     atomic.Int64
-	ckptErrs        atomic.Int64
-	walCloseErrs    atomic.Int64
-	migrateSendErrs atomic.Int64
-	lightsPushes    atomic.Int64 // dmps_lights_pushes_total
+	// its connection refused, replicaApplyErrs replica and takeover
+	// forwards whose record did not decode or apply, acceptErrs the
+	// transient Accept errors Serve backed off and retried
+	// (dmps_errors_total{site="log_append"|"wal_append"|"state_install"|
+	// "wal_checkpoint"|"wal_close"|"migrate_send"|"replica_apply"|
+	// "accept"}).
+	logAppendErrs    atomic.Int64
+	acceptErrs       atomic.Int64
+	walAppendErrs    atomic.Int64
+	installErrs      atomic.Int64
+	ckptErrs         atomic.Int64
+	walCloseErrs     atomic.Int64
+	migrateSendErrs  atomic.Int64
+	replicaApplyErrs atomic.Int64
+	lightsPushes     atomic.Int64 // dmps_lights_pushes_total
 
 	// Wire-path telemetry: payload bytes read off client connections
 	// (wireIn) and written to them (wireOut), socket writes (a writer's

@@ -4,10 +4,11 @@ package server
 // is set, every change to the serving state is journaled as one record
 // in an append-only segment store (grouplog.WAL): a logged append as
 // its stamped frame, with the encoded floor snapshot beside a floor or
-// suspend event; a change to a key's directory part — roster and chair, member
-// row and token — as the key's partition package; a member's expiry;
-// the ID counter. New replays the journal through the one install
-// before listening, so a restarted node resumes with the exact
+// suspend event; a change to a key's directory part — roster and
+// chair, member row and token — as the key's partition package; a
+// member's expiry; the ID counter. A replica forward carries the same
+// record (record sends both). New replays the journal through the one
+// install before listening, so a restarted node resumes with the exact
 // GSeq/CSeq cursors its clients hold: a pre-crash client Reconnects
 // with its token and converges through ordinary backfill, no snapshot
 // needed. Periodic checkpoints restate the ID counter and every key's
@@ -16,87 +17,23 @@ package server
 // (s.wal == nil), so the standalone in-memory server pays nothing.
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"dmps/internal/group"
 	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
 )
 
-// walAppend journals one record, best-effort: a full disk must not
-// take the live service down with it — replication to the R-1 peers
-// still covers the state, which is the documented durability split. A
-// record the journal refused is counted
-// (dmps_errors_total{site="wal_append"}).
-func (s *Server) walAppend(rec grouplog.WALRecord) {
-	if s.wal == nil {
-		return
+// recordPackage records a partition package (record); one that does
+// not encode counts as a failed journal append.
+func (s *Server) recordPackage(p protocol.TakeoverBody, replicate bool) {
+	if s.wal == nil && !replicate {
+		return // nowhere to send it: skip the encoding
 	}
-	if err := s.wal.Append(rec); err != nil {
-		s.walAppendErrs.Add(1)
-	}
-}
-
-// walEvent journals one logged append — the stamped canonical wire
-// bytes plus their sequence coordinates, replayed via AppendRaw so the
-// restarted log resumes at the same GSeq/CSeq — and, in the same
-// record, the encoded floor snapshot of a floor or suspend event: the
-// queue member identities the redacted wire bytes deliberately do not
-// carry. Called inside the log append's deliver callback (the WAL takes
-// only its own lock).
-func (s *Server) walEvent(key string, gseq, cseq int64, class string, state bool, wire, snap []byte) {
-	s.walAppend(grouplog.WALRecord{
-		Kind: grouplog.WALEvent, Key: key,
-		GSeq: gseq, CSeq: cseq, Class: class, State: state, Wire: wire, Data: snap,
-	})
-}
-
-// walPackage journals a partition package as one record, so a restart
-// of this process installs it again.
-func (s *Server) walPackage(p protocol.TakeoverBody) {
-	if s.wal == nil {
-		return
-	}
-	rec, err := walRecord(p)
+	rec, err := protocol.PackageRecord(p)
 	if err != nil {
 		s.walAppendErrs.Add(1)
 		return
 	}
-	s.walAppend(rec)
-}
-
-// walRecord is a package in journal form: its JSON, the encoding the
-// state and takeover forwards carry it in.
-func walRecord(p protocol.TakeoverBody) (grouplog.WALRecord, error) {
-	data, err := json.Marshal(p)
-	return grouplog.WALRecord{Kind: grouplog.WALPackage, Key: p.Key, Data: data}, err
-}
-
-// packageOf reads an event or package record back as the package it
-// restates — walEvent's and walRecord's inverse.
-func packageOf(rec grouplog.WALRecord) (p protocol.TakeoverBody, err error) {
-	switch rec.Kind {
-	case grouplog.WALEvent:
-		p.Key, p.Floor = rec.Key, rec.Data
-		p.Events = []protocol.ReplicaEventBody{{
-			GSeq: rec.GSeq, CSeq: rec.CSeq, Class: rec.Class, State: rec.State, Wire: rec.Wire,
-		}}
-	case grouplog.WALPackage:
-		err = json.Unmarshal(rec.Data, &p)
-	default:
-		return p, fmt.Errorf("unknown record kind %d", rec.Kind)
-	}
-	if err == nil && p.Key == "" {
-		err = fmt.Errorf("kind %d record without a key", rec.Kind)
-	}
-	return p, err
-}
-
-// walMemberDrop journals a member's expiry, so a replayed journal does
-// not resurrect a session the reaper already revoked.
-func (s *Server) walMemberDrop(id group.MemberID) {
-	s.walAppend(grouplog.WALRecord{Kind: grouplog.WALMemberDrop, Key: string(id)})
+	s.record(rec, replicate)
 }
 
 // replayWAL installs every journaled record into the live planes, in
@@ -118,11 +55,11 @@ func (s *Server) replayWAL(w *grouplog.WAL) error {
 			s.registry.Unregister(id)
 			s.logs.Drop(grouplog.MemberKey(rec.Key))
 		default:
-			p, err := packageOf(rec)
+			p, err := protocol.PackageOf(rec)
 			if err != nil {
 				return err
 			}
-			return s.install(p)
+			return s.install(p, false)
 		}
 		return nil
 	})
@@ -151,7 +88,7 @@ func (s *Server) Checkpoint() error {
 			continue
 		}
 		seen[key] = true
-		rec, err := walRecord(s.dump(key))
+		rec, err := protocol.PackageRecord(s.dump(key))
 		if err != nil {
 			return err
 		}

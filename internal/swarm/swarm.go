@@ -661,9 +661,24 @@ func runFlashCrowd(opts Options, seed int64, res *MixResult) error {
 		return err
 	}
 	slots := opts.shardSlots(seed, opts.Ops)
+	// The schedule is open loop, so a re-request can come due before any
+	// member is admitted. It waits for the first admission; should every
+	// admission fail (each failure already counted), it has nobody to ask
+	// with and is not due at all.
+	admitted := make(chan struct{})
+	var admittedOnce sync.Once
+	markAdmitted := func() { admittedOnce.Do(func() { close(admitted) }) }
+	var admitting sync.WaitGroup
+	for _, s := range slots {
+		if s.Index < fleet {
+			admitting.Add(1)
+		}
+	}
+	go func() { admitting.Wait(); markAdmitted() }()
 	fireAt(time.Now(), slots, func(i int) {
 		var c *client.Client
 		if i < fleet {
+			defer admitting.Done()
 			// Op i admits global member i — owned by this shard, since
 			// both ops and members partition round-robin by the same
 			// modulus.
@@ -686,16 +701,17 @@ func runFlashCrowd(opts Options, seed int64, res *MixResult) error {
 			mu.Lock()
 			crowd = append(crowd, fresh)
 			mu.Unlock()
+			markAdmitted()
 			c = fresh
 		} else {
+			<-admitted
 			mu.Lock()
 			if len(crowd) > 0 {
 				c = crowd[i%len(crowd)]
 			}
 			mu.Unlock()
 			if c == nil {
-				errs.note(fmt.Errorf("no admitted members yet"))
-				return
+				return // every admission failed: nobody to ask again
 			}
 		}
 		contend(c, res.Group, floor.RoundRobin, g, res, &errs)
