@@ -114,14 +114,6 @@ func (m *Map) Primary(key string) int {
 	return int(fnv1a(key)) & 0x7fffffff % len(m.nodes)
 }
 
-// Successor returns the node after idx in ring order — the replication
-// target for partitions whose primary is idx.
-func (m *Map) Successor(idx int) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return (idx + 1) % len(m.nodes)
-}
-
 // Successors returns the r distinct nodes after idx in ring order — the
 // replication target list of a partition whose primary is idx under
 // replication factor r+1. With fewer than r other nodes it returns them

@@ -10,9 +10,11 @@ import (
 
 // ReplicaStore holds the partition packages a node keeps on behalf of
 // its ring predecessors, one per partition key (a group ID or a
-// "~member" key): replicated event records accumulate a package's log
-// part, package records replace its directory part, and a takeover
-// drains one package into the live planes. Retention is bounded per key
+// "~member" key): replicated event records extend a package's log part
+// one GSeq at a time, package records replace its directory part, and a
+// takeover drains one package into the live planes. A key's head is the
+// GSeq of the last event held, with nothing missing below it, so an ack
+// naming it means stored. Retention is bounded per key
 // (at least cap events, trimmed amortized at 2×cap, FIFO) — a client
 // older than the retained suffix converges through the snapshot
 // fallback, same as with the in-process log ring. Safe for concurrent
@@ -47,54 +49,54 @@ func NewReplicaStore(cap int) *ReplicaStore {
 
 // ApplyRecord applies the journal record a replica forward carried,
 // sent by from as forward id, through ApplyEvent, Apply or Drop by its
-// kind. A record without a key or of another kind, or a package that
-// does not read back, is refused with an error and changes nothing.
-func (s *ReplicaStore) ApplyRecord(rec grouplog.WALRecord, from string, id int64) error {
+// kind, and returns the head of the record's key after it — what the
+// ack names. A record without a key or of another kind, or a package
+// that does not read back, is refused with an error and changes nothing.
+func (s *ReplicaStore) ApplyRecord(rec grouplog.WALRecord, from string, id int64) (int64, error) {
 	if rec.Key == "" {
-		return fmt.Errorf("cluster: replica record of kind %d without a key", rec.Kind)
+		return 0, fmt.Errorf("cluster: replica record of kind %d without a key", rec.Kind)
 	}
 	switch rec.Kind {
 	case grouplog.WALEvent:
-		s.ApplyEvent(rec.Key, rec.Wire, rec.Data)
+		return s.ApplyEvent(rec.Key, rec.Wire, rec.Data), nil
 	case grouplog.WALPackage:
 		p, err := protocol.PackageOf(rec)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		s.Apply(p, from, id)
 	case grouplog.WALMemberDrop:
-		s.Drop(grouplog.MemberKey(rec.Key), from, id)
+		s.Drop(rec.PartitionKey(), from, id)
 	default:
-		return fmt.Errorf("cluster: replica record of kind %d", rec.Kind)
+		return 0, fmt.Errorf("cluster: replica record of kind %d", rec.Kind)
 	}
-	return nil
+	return s.Head(rec.PartitionKey()), nil
 }
 
-// ApplyEvent records one replicated logged event for a key. The wire
-// bytes are the owner's stamped fan-out bytes; their envelope is parsed
-// here (off the owner's hot path) to recover the sequence fields. An
-// optional floor snapshot replaces the package's floor state, stored as
-// it came. A dropped member's log takes no late events: the drop's
-// tombstone refuses them.
-func (s *ReplicaStore) ApplyEvent(key string, wire, floor []byte) {
+// ApplyEvent records one replicated logged event for a key and returns
+// the key's head after it. The wire bytes are the owner's stamped
+// fan-out bytes; their envelope is parsed here (off the owner's hot
+// path) to recover the sequence fields. Only the event at head+1 is
+// stored: a lower GSeq is a duplicate, and a higher one is refused —
+// the ack's head tells the owner where to repair from. An optional
+// floor snapshot replaces the package's floor state, stored as it came.
+// A dropped member's log takes no late events: the drop's tombstone
+// refuses them.
+func (s *ReplicaStore) ApplyEvent(key string, wire, floor []byte) int64 {
 	env, err := protocol.DecodeAny(wire)
-	if err != nil || env.GSeq == 0 {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p, ok := s.pkgs[key]
+	head := logHead(p)
+	if err != nil || env.GSeq != head+1 {
+		return head
+	}
 	if !ok {
 		if s.versions[key].dropped {
-			return
+			return 0
 		}
 		p = &protocol.TakeoverBody{Key: key}
 		s.pkgs[key] = p
-	}
-	// Forwards ride FIFO per-peer queues, so duplicates cannot happen but
-	// a re-dial after a pool hiccup can replay nothing; only advance.
-	if n := len(p.Events); n > 0 && env.GSeq <= p.Events[n-1].GSeq {
-		return
 	}
 	p.Events = append(p.Events, protocol.ReplicaEventBody{
 		GSeq: env.GSeq, CSeq: env.CSeq, Class: env.Class, State: env.State, Wire: wire,
@@ -128,6 +130,16 @@ func (s *ReplicaStore) ApplyEvent(key string, wire, floor []byte) {
 	if floor != nil {
 		p.Floor = floor
 	}
+	return env.GSeq
+}
+
+// logHead is the GSeq of the last event a package holds (0 for none,
+// or no package).
+func logHead(p *protocol.TakeoverBody) int64 {
+	if p == nil || len(p.Events) == 0 {
+		return 0
+	}
+	return p.Events[len(p.Events)-1].GSeq
 }
 
 // forwardVersion identifies a replication forward: who sent it and the
@@ -140,11 +152,12 @@ type forwardVersion struct {
 }
 
 // stale reports whether a forward is no newer than the last one applied
-// for the same key. The ack table resends what was not acknowledged in
-// time, so a forward can arrive after one the same sender made later.
-// Forwards of different senders are not ordered, and an unidentified
-// one (id 0: a migration's takeover package, ordered by epoch instead)
-// is never stale.
+// for the same key. A sender's peer link is FIFO, but a link that fails
+// is re-dialled while the old connection may still be read out, so a
+// forward can arrive after one the same sender made later. Forwards of
+// different senders are not ordered, and an unidentified one (id 0: a
+// migration's takeover package, ordered by epoch instead) is never
+// stale.
 func (last forwardVersion) stale(from string, id int64) bool {
 	return id != 0 && last.from == from && id <= last.id
 }
@@ -152,7 +165,7 @@ func (last forwardVersion) stale(from string, id int64) bool {
 // Apply records a package sent by from as forward id — a directory
 // change's partial package or an adoption's whole one, or (from "",
 // id 0) a migration's whole one. A stale package is dropped: a late
-// resend must neither take a member back out of a group nor bring a
+// forward must neither take a member back out of a group nor bring a
 // dropped member back to life. The directory part (chair and roster, or
 // member row and token) replaces the stored one whole; the log part,
 // which ApplyEvent otherwise keeps, only where the package carries it —
@@ -182,11 +195,12 @@ func (s *ReplicaStore) Apply(p protocol.TakeoverBody, from string, id int64) {
 }
 
 // maxTombstones bounds the dropped keys whose forward version is
-// remembered. A tombstone only has to outlive the resends of the state
-// sent before the drop, and the sender gives those up within seconds
-// (ackMaxAttempts); the ack table holds at most ackTableCap forwards at
-// once, so that many drops cannot all be newer than a live resend.
-const maxTombstones = ackTableCap
+// remembered. A tombstone only has to outlive the same sender's older
+// forwards still in flight: a repair re-sends a key's current state,
+// never an old copy, so those are the forwards of a retired connection
+// still being read out, at most one link queue (peerQueueCap) of them.
+// Four queues' worth of drops leaves room for several at once.
+const maxTombstones = 4 * peerQueueCap
 
 // Drop retracts a key's package, sent by from as forward id — a member's
 // home node expired the session, so the replica must not adopt any of
@@ -220,16 +234,12 @@ func (s *ReplicaStore) Has(key string) bool {
 	return ok
 }
 
-// Head returns the GSeq of the last replicated event for a key (0 when
-// none) — what tests wait on to know replication caught up before a
-// kill.
+// Head returns a key's head: the GSeq of the last replicated event
+// held, with none missing below it (0 when none).
 func (s *ReplicaStore) Head(key string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.pkgs[key]; ok && len(p.Events) > 0 {
-		return p.Events[len(p.Events)-1].GSeq
-	}
-	return 0
+	return logHead(s.pkgs[key])
 }
 
 // Take removes and returns a key's package for takeover. The removal is

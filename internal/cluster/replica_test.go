@@ -22,9 +22,10 @@ func memberEvent(t *testing.T, gseq int64) []byte {
 }
 
 // The version rule every replicated package and drop obeys — roster,
-// member home, member drop alike: the ack table resends what was not
-// acknowledged in time, so a forward can arrive after one the same
-// sender made later, and the store must keep the newer state. Forwards
+// member home, member drop alike: a peer link that fails is re-dialled
+// while its old connection may still be read out, so a forward can
+// arrive after one the same sender made later, and the store must keep
+// the newer state. Forwards
 // of different senders are not ordered (the partition changed owner),
 // an unidentified package (id 0: a migration's, ordered by epoch
 // instead) is never stale, and a drop leaves a tombstone that refuses
@@ -132,8 +133,8 @@ func TestApplyMembersDropsStaleRoster(t *testing.T) {
 	})
 }
 
-// TestMemberHomeForwardsDropStale replays what the ack table's resend
-// can do to member homes: a home, its drop, and then the home again.
+// TestMemberHomeForwardsDropStale replays what a late forward can do
+// to member homes: a home, its drop, and then the home again.
 // The member must stay dropped, or a reaped member's resume token comes
 // back to life on the successor. Likewise an older token must not land
 // over a newer one. Forwards of another sender, and a migration's
@@ -221,5 +222,36 @@ func TestTombstonesAreBounded(t *testing.T) {
 	}
 	if len(s.versions) != maxTombstones || len(s.tombs) != maxTombstones {
 		t.Fatalf("%d versions and %d tombstones kept, want %d", len(s.versions), len(s.tombs), maxTombstones)
+	}
+}
+
+// TestReplicaHoldsADenseLog: a store extends a key's log only at its
+// head+1. Fed GSeq 1–5, then 7, then 6, it refuses 7 — its answer names
+// head 5, so the owner repairs from 6 — and holds 1–6 with head 6. A
+// store that took 7 would ack a log with a hole that a takeover
+// installs.
+func TestReplicaHoldsADenseLog(t *testing.T) {
+	s := NewReplicaStore(0)
+	for g := int64(1); g <= 5; g++ {
+		if head := s.ApplyEvent(aliceHome, memberEvent(t, g), nil); head != g {
+			t.Fatalf("GSeq %d answered head %d", g, head)
+		}
+	}
+	if head := s.ApplyEvent(aliceHome, memberEvent(t, 7), nil); head != 5 || s.Head(aliceHome) != 5 {
+		t.Fatalf("GSeq 7 past head 5: answered head %d, store head %d, want 5 and 5", head, s.Head(aliceHome))
+	}
+	if head := s.ApplyEvent(aliceHome, memberEvent(t, 6), nil); head != 6 {
+		t.Fatalf("GSeq 6 answered head %d, want 6", head)
+	}
+	if head := s.ApplyEvent(aliceHome, memberEvent(t, 3), nil); head != 6 {
+		t.Fatalf("duplicate GSeq 3 answered head %d, want 6", head)
+	}
+	p, _ := s.Take(aliceHome)
+	var held []int64
+	for _, e := range p.Events {
+		held = append(held, e.GSeq)
+	}
+	if fmt.Sprint(held) != "[1 2 3 4 5 6]" {
+		t.Fatalf("store holds GSeqs %v, want [1 2 3 4 5 6]", held)
 	}
 }

@@ -811,11 +811,10 @@ func (r *Router) askMigrate(j, node int, addr string, epoch int64) ([]string, er
 			return nil, err
 		}
 		msg, err := protocol.DecodeAny(reply)
-		if err != nil || msg.Type != protocol.TForward {
+		if err != nil {
 			continue
 		}
-		var body protocol.ForwardBody
-		if msg.Into(&body) == nil && body.Kind == protocol.ForwardMigrated {
+		if body, err := protocol.DecodeForward(msg); err == nil && body.Kind == protocol.ForwardMigrated {
 			return body.Groups, nil
 		}
 	}

@@ -361,12 +361,21 @@ type Entry struct {
 // checkpoints. The wire byte slices are shared, not copied; callers
 // must treat them as read-only (every producer in this plane already
 // does).
-func (l *Log) Dump() []Entry {
+func (l *Log) Dump() []Entry { return l.DumpAt(nil) }
+
+// DumpAt is Dump with at run on the export under the log's lock: what at
+// reads of the state an append changes is of the same moment as the
+// events, and what it sends goes out before anything a later append
+// delivers.
+func (l *Log) DumpAt(at func([]Entry)) []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]Entry, 0, len(l.live()))
 	for _, e := range l.live() {
 		out = append(out, Entry{GSeq: e.gseq, CSeq: e.cseq, Class: e.class, State: e.state, Wire: e.wire})
+	}
+	if at != nil {
+		at(out)
 	}
 	return out
 }

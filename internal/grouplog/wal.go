@@ -51,6 +51,15 @@ type WALRecord struct {
 	Data  []byte
 }
 
+// PartitionKey is the log key a record changes: a member drop's Key is
+// the member's ID, and its key is MemberKey's.
+func (r WALRecord) PartitionKey() string {
+	if r.Kind == WALMemberDrop {
+		return MemberKey(r.Key)
+	}
+	return r.Key
+}
+
 // SetWire stores the event's stamped wire bytes.
 func (r *WALRecord) SetWire(wire []byte) { r.Wire = wire }
 

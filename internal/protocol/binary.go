@@ -256,7 +256,8 @@ func appendSuspend(b []byte, v SuspendBody) []byte {
 //	byte    form: fwdReplica, fwdAck or fwdTakeover
 //	uvarint ID
 //	lp      From
-//	rest    replica and takeover: the record, never empty; ack: nothing
+//	rest    replica and takeover: the record, never empty;
+//	        ack: lp key (Group), uvarint Head
 //
 // The frame checks only this shape; the record is read by Into, whose
 // error a bad record wraps (grouplog.ErrRecord), so that the receiver
@@ -285,7 +286,7 @@ func appendForward(b []byte, v *ForwardBody) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(v.ID))
 	b = appendLPString(b, v.From)
 	if v.Kind == ForwardAck {
-		return b, nil
+		return binary.AppendUvarint(appendLPString(b, v.Group), uint64(v.Head)), nil
 	}
 	rec := v.Record
 	if rec.Kind == 0 && v.Kind == ForwardReplica {
@@ -591,7 +592,14 @@ func skipForward(r *frameReader) error {
 	if _, err := r.uvarint(); err != nil { // ID
 		return err
 	}
-	if err := skipStrings(r, 1); err != nil || form == fwdAck { // From
+	if err := skipStrings(r, 1); err != nil { // From
+		return err
+	}
+	if form == fwdAck {
+		if err := skipStrings(r, 1); err != nil { // key
+			return err
+		}
+		_, err := r.uvarint() // head
 		return err
 	}
 	if r.off == len(r.data) {
@@ -667,7 +675,7 @@ func intoNative(t Type, body []byte, out any) error {
 		if !ok {
 			return fmt.Errorf("%w: %s: native body needs *ForwardBody", ErrBodyMismatch, t)
 		}
-		err = readForward(body, v)
+		*v, err = readForward(body)
 	default:
 		return fmt.Errorf("%w: %s has no native codec", ErrBodyMismatch, t)
 	}
@@ -771,28 +779,57 @@ func readStrings(r *frameReader) ([]string, error) {
 	return out, nil
 }
 
+// DecodeForward reads a forward frame's body into a value the caller
+// keeps: unlike Into, which takes the body as an interface, it leaves a
+// native body on the caller's stack. A record that does not read back
+// wraps grouplog.ErrRecord.
+func DecodeForward(m Message) (v ForwardBody, err error) {
+	switch {
+	case m.Type != TForward:
+		return v, fmt.Errorf("%w: %s is no forward", ErrBodyMismatch, m.Type)
+	case m.bodyBin == nil:
+		var j ForwardBody // its own variable: only a JSON body escapes
+		err = m.Into(&j)
+		return j, err
+	}
+	if v, err = readForward(m.bodyBin); err != nil {
+		err = fmt.Errorf("%w: %s: %w", ErrBodyMismatch, m.Type, err)
+	}
+	return v, err
+}
+
 // readForward decodes a forward body skipForward has accepted. The
 // record aliases the frame.
-func readForward(body []byte, v *ForwardBody) error {
+func readForward(body []byte) (v ForwardBody, err error) {
 	if len(body) > 0 && body[0] == '{' {
-		return json.Unmarshal(body, v)
+		var j ForwardBody // its own variable: only a JSON body escapes
+		err = json.Unmarshal(body, &j)
+		return j, err
 	}
 	r := &frameReader{data: body}
 	form, err := r.byteAt()
 	if err != nil {
-		return err
+		return v, err
 	}
-	*v = ForwardBody{Kind: forwardKinds[form]} // a form skipForward accepted
+	v.Kind = forwardKinds[form] // a form skipForward accepted
 	id, err := r.uvarint()
 	if err != nil {
-		return err
+		return v, err
 	}
 	v.ID = int64(id)
-	if v.From, err = r.lpString(); err != nil || form == fwdAck {
-		return err
+	if v.From, err = r.lpString(); err != nil {
+		return v, err
+	}
+	if form == fwdAck {
+		if v.Group, err = r.lpString(); err != nil {
+			return v, err
+		}
+		head, err := r.uvarint()
+		v.Head = int64(head)
+		return v, err
 	}
 	v.Record, err = grouplog.DecodeRecord(body[r.off:])
-	return err
+	return v, err
 }
 
 // jsonBody materializes the JSON form of a natively-decoded body, for

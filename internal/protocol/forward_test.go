@@ -51,7 +51,8 @@ func sampleForwards() map[string]ForwardBody {
 		}), ID: 8, From: "n0:1"},
 		"replica package member": {Kind: ForwardReplica, Record: pkg(TakeoverBody{Key: "~m1#1", Member: &info, Token: "tok"}), ID: 9, From: "n0:1"},
 		"replica member drop":    {Kind: ForwardReplica, Record: grouplog.WALRecord{Kind: grouplog.WALMemberDrop, Key: "m1#1"}, ID: 10, From: "n0:1"},
-		"ack":                    {Kind: ForwardAck, ID: 5, From: "n1:1"},
+		"ack":                    {Kind: ForwardAck, ID: 5, From: "n1:1", Group: "g", Head: 7},
+		"ack of the barrier":     {Kind: ForwardAck, ID: 11, From: "n1:1"},
 		"invite":                 {Kind: ForwardInvite, To: "m1#1", Msg: inner},
 		"migrate":                {Kind: ForwardMigrate, Node: 1, Addr: "n1:1", Epoch: 3},
 		"migrated":               {Kind: ForwardMigrated, Groups: []string{"g", "~m1#1"}, Epoch: 3, ID: 11, From: "n0:1"},
@@ -87,6 +88,9 @@ func TestForwardRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: body drift:\n got %+v\nwant %+v", name, got, want)
+		}
+		if kept, err := DecodeForward(msg); err != nil || !reflect.DeepEqual(kept, want) {
+			t.Fatalf("%s: DecodeForward drift: %+v, %v", name, kept, err)
 		}
 		native := want.Kind == ForwardReplica || want.Kind == ForwardAck || want.Kind == ForwardTakeover
 		if native == bytes.Contains(wire, []byte(`"kind"`)) {
@@ -156,6 +160,33 @@ func TestReplicaForwardAllocs(t *testing.T) {
 	}
 }
 
+// TestDecodeForwardStaysOnTheStack: a replica reads a forward, and an
+// owner its ack, without a heap allocation — the body is a value the
+// caller keeps, and the record and the strings alias the frame.
+func TestDecodeForwardStaysOnTheStack(t *testing.T) {
+	for _, name := range []string{"replica event with floor", "ack"} {
+		wire, err := EncodeForward(sampleForwards()[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			msg, err := DecodeBinary(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeForward(msg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: decode = %.0f allocs, want 0", name, allocs)
+		}
+	}
+	if _, err := DecodeForward(MustNew(TChat, ChatBody{Text: "hi"})); !errors.Is(err, ErrBodyMismatch) {
+		t.Fatalf("a chat read as a forward: %v", err)
+	}
+}
+
 // hostileForwards are forward frames a peer must refuse: each is a
 // valid envelope around a native body that is cut short, names a length
 // it cannot back, or carries no record.
@@ -166,6 +197,9 @@ func hostileForwards() map[string][]byte {
 	return map[string][]byte{
 		"unknown form":            frame(9, 1, 0),
 		"ack cut in its id":       frame(fwdAck, 0x80),
+		"ack cut before its key":  frame(fwdAck, 1, 0),
+		"ack key past the frame":  frame(fwdAck, 1, 0, 9, 'g'),
+		"ack head past the bytes": frame(fwdAck, 1, 0, 1, 'g', 0x80),
 		"hostile from length":     append(frame(fwdReplica, 1), huge...),
 		"from past the frame":     frame(fwdReplica, 1, 7, 'n'),
 		"replica without record":  frame(fwdReplica, 1, 0),
@@ -220,6 +254,22 @@ func TestForwardMalformed(t *testing.T) {
 		var body ForwardBody
 		if err := msg.Into(&body); !errors.Is(err, grouplog.ErrRecord) {
 			t.Errorf("%s: into %+v, err = %v, want grouplog.ErrRecord", name, body, err)
+		}
+	}
+}
+
+// TestDecodeForwardJSONFrames: a forward in the JSON framing decodes as
+// its JSON, and one whose body is no JSON object is refused, not read
+// as a native body.
+func TestDecodeForwardJSONFrames(t *testing.T) {
+	for body, ok := range map[string]bool{`{"kind":"invite","to":"m1#1"}`: true, `"x"`: false, `7`: false, `[1]`: false} {
+		msg, err := Decode([]byte(`{"type":"forward","body":` + body + `}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeForward(msg)
+		if (err == nil) != ok || (ok && got.To != "m1#1") {
+			t.Errorf("body %s: %+v, %v", body, got, err)
 		}
 	}
 }

@@ -626,11 +626,12 @@ const (
 	// journalled as: a logged event, a partition package, or a member's
 	// expiry.
 	ForwardReplica = "replica"
-	// ForwardAck acknowledges an identified replication forward: the
-	// receiver echoes ID back to From once the payload is durably applied
-	// to its replica store. The sender's in-flight table clears the entry
-	// (or resends it after a timeout) — replication factor R means a
-	// logged append is only lost if R nodes die before any ack lands.
+	// ForwardAck answers every replica forward: the receiver names the
+	// record's key (Group) and its head there, the highest event GSeq it
+	// holds with none missing below, and echoes the forward's ID. A head
+	// below the forward's GSeq is a refusal: the sender repairs the key
+	// with a package of its whole state. The migration barrier is acked
+	// by ID alone.
 	ForwardAck = "ack"
 	// ForwardMigrate asks a node to ship every partition it adopted from
 	// the recovering node (Node/Addr) back to it — the coordinated
@@ -715,25 +716,28 @@ func PackageOf(rec grouplog.WALRecord) (p TakeoverBody, err error) {
 
 // ForwardBody is a typed node-to-node forward. Kind selects the shape:
 // ForwardInvite carries To (the member) and Msg (the inner event);
-// ForwardReplica carries Record, ID and From — the receiver acks by ID
-// to From; ForwardTakeover carries Record (a package record);
-// ForwardAck carries ID and From; ForwardMigrate carries Node, Addr and
-// Epoch; ForwardMigrated carries Groups. On the wire a forward is an
+// ForwardReplica carries Record, ID and From — the receiver acks to
+// From; ForwardTakeover carries Record (a package record); ForwardAck
+// carries ID, From, the key (Group) and Head; ForwardMigrate carries
+// Node, Addr and Epoch; ForwardMigrated carries Groups. On the wire a forward is an
 // ordinary binary frame: the replica, takeover and ack kinds have a
 // native body (binary.go) in which the record rides in the journal's
 // own encoding, the rest ride as this struct's JSON inside the frame.
 type ForwardBody struct {
 	Kind string `json:"kind"`
 	// Group and Msg alone, with Record unset, make a replica forward of
-	// a bare event record (key and stamped frame).
+	// a bare event record (key and stamped frame). An ack's Group is the
+	// key it answers for, and Head the receiver's head there.
 	Group string `json:"group,omitempty"`
+	Head  int64  `json:"head,omitempty"`
 	To    string `json:"to,omitempty"`
 	// Msg is the inner binary frame (base64 where the body rides as
 	// JSON: invite).
 	Msg []byte `json:"msg,omitempty"`
-	// ID identifies an acked replication forward (per-sender monotonic,
-	// 0 = unacked fire-and-forget); From is the sender's peer address the
-	// ack is sent back to.
+	// ID orders a sender's package and drop records (per-sender
+	// monotonic; 0 for event records and a migration's packages) and
+	// names the migration barrier; From is the sender's peer address
+	// the ack is sent back to.
 	ID   int64  `json:"id,omitempty"`
 	From string `json:"from,omitempty"`
 	// Epoch stamps migration-coordination forwards with the partition-map

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dmps/internal/cluster"
@@ -48,16 +49,19 @@ type ClusterConfig struct {
 
 // clusterState is a node's runtime cluster machinery: the shared
 // partition map, the pooled peer transport, the replica store holding
-// partitions this node stands by for, the in-flight ack table for the
-// replication stream, and the partition keys it has adopted after a
-// failover.
+// partitions this node stands by for, the head table of its own
+// replicas with the IDs its package records take, and the partition
+// keys it has adopted after a failover.
 type clusterState struct {
 	cfg        ClusterConfig
 	topo       *cluster.Map
 	pool       *cluster.Pool
 	store      *cluster.ReplicaStore
-	acks       *cluster.AckTable
+	peers      []string // the replica peers, ring successors
+	ids        *cluster.AckTable
+	heads      *cluster.HeadTable
 	ackLatency *metrics.Histogram
+	repairs    atomic.Int64 // forwards a repair sent
 
 	// stateMu orders directory changes: a key's directory part is read
 	// and its package record's forward given an ID under it, so a higher
@@ -103,11 +107,14 @@ func newClusterState(cfg ClusterConfig, fallback transport.Network, replicaCap i
 		topo:       cluster.NewMap(cfg.Nodes),
 		pool:       cluster.NewPool(cfg.Network),
 		store:      cluster.NewReplicaStore(replicaCap),
+		ids:        cluster.NewAckTable(nil),
 		adopted:    make(map[string]bool),
 		migrating:  make(map[string]bool),
 		ackLatency: metrics.NewHistogram(nil),
 	}
-	cs.acks = cluster.NewAckTable(func(sec float64) { cs.ackLatency.Observe(sec) })
+	for _, i := range cs.topo.Successors(cfg.Self, cfg.ReplicationFactor-1) {
+		cs.peers = append(cs.peers, cfg.Nodes[i])
+	}
 	return cs, nil
 }
 
@@ -123,17 +130,6 @@ func (c *clusterState) partitionOwner(key string) int {
 	return c.topo.Primary(key)
 }
 
-// replicaPeers lists the R-1 ring successors this node replicates its
-// partitions to (empty outside cluster mode or in a single-node ring).
-func (c *clusterState) replicaPeers() []string {
-	idxs := c.topo.Successors(c.cfg.Self, c.cfg.ReplicationFactor-1)
-	out := make([]string, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, c.cfg.Nodes[i])
-	}
-	return out
-}
-
 // ReplicaHead reports the highest replicated GSeq this node holds for a
 // group it stands by for — what tests wait on before killing the owner.
 func (s *Server) ReplicaHead(groupID string) int64 {
@@ -143,14 +139,15 @@ func (s *Server) ReplicaHead(groupID string) int64 {
 	return s.cluster.store.Head(groupID)
 }
 
-// ReplicationPending reports the number of in-flight (unacked)
-// replication forwards — what tests drain to zero before a kill proves
+// ReplicationPending reports what the replicas have not acked storing:
+// the events past each (peer, key) head, and the package and drop
+// records not acked — what tests drain to zero before a kill proves
 // every copy landed.
 func (s *Server) ReplicationPending() int {
 	if s.cluster == nil {
 		return 0
 	}
-	return s.cluster.acks.Pending()
+	return s.cluster.heads.Pending()
 }
 
 // homesMember reports whether this node is the member's home — the
@@ -276,51 +273,77 @@ func (s *Server) adoptResume(token string) (group.MemberID, string, bool) {
 
 // record is the one way a change leaves the live planes: rec goes to
 // the journal when it is on and, when replicate says this node serves
-// the change's key, to every replica peer in one forward carrying the
-// same record. The journal is best-effort (replication covers a full
-// disk), so a record it refused is counted
-// (dmps_errors_total{site="wal_append"}) and still shipped. The forward
-// gets an ID and waits in the in-flight ack table: the receivers ack by
-// ID, and the probe loop resends overdue entries with backoff. An
+// the change's key, to every replica peer (ship). The journal is
+// best-effort (replication covers a full disk), so a record it refused
+// is counted (dmps_errors_total{site="wal_append"}) and still shipped.
+// A package or drop record takes an ID, which orders it among this
+// sender's others at a replica; an event is ordered by its GSeq. An
 // event's record runs inside its log append's deliver callback, which
-// is safe: the WAL and the ack table take only their own locks, and
-// the pool's Send never blocks. A forward whose event frame belongs to
-// a sampled trace rides that trace (the replica records its apply span
-// under it), and the ack table learns the trace ID, so the full-ack
-// round trip becomes this node's repl_ack span.
+// is safe: the WAL and the head table take only their own locks, and
+// the pool's Send never blocks.
 func (s *Server) record(rec grouplog.WALRecord, replicate bool) {
 	if s.wal != nil && s.wal.Append(rec) != nil {
 		s.walAppendErrs.Add(1)
 	}
-	if !replicate || s.cluster == nil {
-		return
+	if replicate && s.cluster != nil && len(s.cluster.peers) > 0 {
+		var id int64
+		if rec.Kind != grouplog.WALEvent {
+			id = s.cluster.ids.NextID()
+		}
+		s.ship(s.cluster.peers, rec, id)
 	}
-	peers := s.cluster.replicaPeers()
-	if len(peers) == 0 {
-		return
-	}
-	fwd := protocol.ForwardBody{Kind: protocol.ForwardReplica, Record: rec, ID: s.cluster.acks.NextID(), From: s.cluster.selfAddr()}
-	wire := cluster.WrapForward(fwd)
+}
+
+// ship sends peers one replica forward carrying rec, and notes it in the
+// head table. An event frame's sampled trace rides the forward (the
+// replica records its apply span under it), and its ack becomes this
+// node's repl_ack span.
+func (s *Server) ship(peers []string, rec grouplog.WALRecord, id int64) {
+	wire := cluster.WrapForward(protocol.ForwardBody{Kind: protocol.ForwardReplica, Record: rec, ID: id, From: s.cluster.selfAddr()})
 	if wire == nil {
 		return
 	}
-	s.cluster.acks.Track(fwd.ID, peers, wire)
-	if tid, _, flags := protocol.FrameTrace(wire); flags&protocol.TraceSampled != 0 {
-		s.cluster.acks.TrackTrace(fwd.ID, tid)
+	tid, _, flags := protocol.FrameTrace(wire)
+	if flags&protocol.TraceSampled == 0 {
+		tid = 0
 	}
+	now := time.Now()
 	for _, peer := range peers {
+		s.cluster.heads.Shipped(peer, rec, id, tid, now)
 		s.cluster.pool.Send(peer, wire)
 	}
 }
 
-// resendOverdue runs one ack-table sweep, resending overdue forwards
-// over the pool. The probe loop calls it each tick.
-func (s *Server) resendOverdue(now time.Time) {
+// repairReplicas is the replication sweep of the probe tick: each
+// (peer, key) pair behind for its repair interval is sent the key's
+// current state as one package — dump, as a client too far behind
+// gets a snapshot — or, for a member no longer homed here, the drop.
+// The package is read and given its ID under stateMu, like every
+// package record, and shipped under the key's log lock, so the events
+// appended after it reach the peer after it. A peer whose circuit is
+// open is skipped, and a key this node no longer serves is forgotten.
+func (s *Server) repairReplicas() {
 	if s.cluster == nil {
 		return
 	}
-	for _, r := range s.cluster.acks.Due(now) {
-		s.cluster.pool.Send(r.Peer, r.Wire)
+	links := s.cluster.pool.PeerStats()
+	for _, r := range s.cluster.heads.Due(time.Now(), func(peer string) bool { return links[peer].CircuitOpen }) {
+		if !s.replicates(r.Key) {
+			s.cluster.heads.Forget(r.Key)
+			continue
+		}
+		s.cluster.stateMu.Lock()
+		s.dump(r.Key, func(p protocol.TakeoverBody) {
+			rec, err := protocol.PackageRecord(p)
+			if strings.HasPrefix(r.Key, "~") && p.Member == nil {
+				rec, err = grouplog.WALRecord{Kind: grouplog.WALMemberDrop, Key: r.Key[1:]}, nil
+			}
+			if err == nil {
+				s.ship([]string{r.Peer}, rec, s.cluster.ids.NextID())
+				s.cluster.repairs.Add(1)
+			}
+		})
+		s.cluster.stateMu.Unlock()
 	}
 }
 
@@ -360,24 +383,10 @@ func (s *Server) peerLoop(conn transport.Conn, first protocol.Message) {
 		if err != nil {
 			return
 		}
-		msg, err := protocol.DecodeAny(wire)
-		if err != nil || msg.Type != protocol.TForward {
-			continue
+		if msg, err := protocol.DecodeAny(wire); err == nil {
+			s.handleForward(conn, msg)
 		}
-		s.handleForward(conn, msg)
 	}
-}
-
-// ackForward acknowledges an identified replication forward back to its
-// sender, over this node's own pool (the inbound peer link is a one-way
-// writer on the sender's side).
-func (s *Server) ackForward(body protocol.ForwardBody) {
-	if body.ID == 0 || body.From == "" {
-		return
-	}
-	s.cluster.pool.Send(body.From, cluster.WrapForward(protocol.ForwardBody{
-		Kind: protocol.ForwardAck, ID: body.ID, From: s.cluster.selfAddr(),
-	}))
 }
 
 // handleForward applies one typed node-to-node forward. conn is the
@@ -387,8 +396,8 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 	if s.cluster == nil {
 		return
 	}
-	var body protocol.ForwardBody
-	if err := msg.Into(&body); err != nil {
+	body, err := protocol.DecodeForward(msg)
+	if err != nil {
 		if errors.Is(err, grouplog.ErrRecord) {
 			s.replicaApplyErrs.Add(1) // a replica or takeover record cut short or of no known kind
 		}
@@ -403,18 +412,24 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 		if sampled {
 			t0 = time.Now()
 		}
-		if s.cluster.store.ApplyRecord(body.Record, body.From, body.ID) != nil {
-			s.replicaApplyErrs.Add(1) // and no ack: the sender's resends give up in time
+		head, err := s.cluster.store.ApplyRecord(body.Record, body.From, body.ID)
+		if err != nil {
+			s.replicaApplyErrs.Add(1) // and no ack: nothing here names a key
 			return
 		}
-		s.ackForward(body)
+		// The ack names what this store holds, over this node's own pool
+		// (the inbound peer link is a one-way writer on the sender's side).
+		if body.From != "" {
+			s.cluster.pool.Send(body.From, cluster.WrapForward(protocol.ForwardBody{
+				Kind: protocol.ForwardAck, ID: body.ID, From: s.cluster.selfAddr(),
+				Group: body.Record.PartitionKey(), Head: head,
+			}))
+		}
 		if sampled {
 			s.plane.Span(msg.TraceID, msg.TraceParent, trace.StageReplAck, t0)
 		}
 	case protocol.ForwardAck:
-		if body.From != "" {
-			s.cluster.acks.Ack(body.From, body.ID)
-		}
+		s.cluster.heads.Ack(body.From, body.Group, body.Head, body.ID, time.Now())
 	case protocol.ForwardTakeover:
 		if s.installTakeover(body.Record) != nil {
 			s.replicaApplyErrs.Add(1)

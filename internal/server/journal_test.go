@@ -461,3 +461,56 @@ func TestReplayRefusesAnUndecodableFloor(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayedRosterDropsWhoLeft: a package that carries a chair states
+// the key's roster whole. alice, bob and carol join; a checkpoint
+// restates the group; carol leaves. The node restarted on its journal
+// must serve the roster the leave left, not the checkpoint's.
+func TestReplayedRosterDropsWhoLeft(t *testing.T) {
+	n := netsim.New(25)
+	dir := t.TempDir()
+	srv, err := New(Config{Network: n, Addr: "roster:1", ProbeInterval: time.Hour, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	const g = "hall"
+	ids := map[string]string{}
+	var carol *client.Client
+	for _, who := range []string{"alice", "bob", "carol"} {
+		c, err := client.Dial(client.Config{Network: n.From(who + "host"), Addr: "roster:1", Name: who, Role: "participant", Priority: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Join(g); err != nil {
+			t.Fatal(err)
+		}
+		ids[who], carol = c.MemberID(), c
+	}
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := carol.Leave(g); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+
+	restarted, err := New(Config{Network: n, Addr: "roster:2", ProbeInterval: time.Hour, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	got, err := restarted.registry.GroupMemberIDs(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roster []string
+	for _, id := range got {
+		roster = append(roster, string(id))
+	}
+	sort.Strings(roster)
+	if want := []string{ids["alice"], ids["bob"]}; !reflect.DeepEqual(roster, want) {
+		t.Fatalf("replayed roster %v, want %v", roster, want)
+	}
+}

@@ -61,10 +61,9 @@ import (
 // dmps_cluster_forward_drops_total{peer}, dmps_cluster_redials_total{peer},
 // dmps_cluster_circuit_open{peer}, the replication-durability series
 //
-//	dmps_repl_ack_latency_seconds        append→last-ack round trip
-//	dmps_repl_unacked                    in-flight (unacked) forwards
-//	dmps_repl_resends_total              overdue forwards resent
-//	dmps_repl_lost_total                 forwards written off after retries
+//	dmps_repl_ack_latency_seconds        oldest unacked ship→head-moving ack
+//	dmps_repl_unacked                    events and records not acked, over (peer, key)
+//	dmps_repl_resends_total              repair forwards sent
 //
 // plus the shared partition-map series from cluster.RegisterMapMetrics
 // (including dmps_cluster_map_epoch) and the dmps_trunk_* series of
@@ -182,15 +181,12 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 		return
 	}
 	reg.RegisterHistogram("dmps_repl_ack_latency_seconds",
-		"Replication forward append-to-last-ack round trip.", s.cluster.ackLatency)
-	reg.GaugeFunc("dmps_repl_unacked", "In-flight (unacked) replication forwards.", func() []metrics.Sample {
-		return one(float64(s.cluster.acks.Pending()))
+		"Replication lag: a replica's oldest unacked ship to the ack that moves its head.", s.cluster.ackLatency)
+	reg.GaugeFunc("dmps_repl_unacked", "Events, package and drop records the replicas have not acked, summed over (peer, key).", func() []metrics.Sample {
+		return one(float64(s.ReplicationPending()))
 	})
-	reg.CounterFunc("dmps_repl_resends_total", "Overdue replication forwards resent.", func() []metrics.Sample {
-		return one(float64(s.cluster.acks.Resends()))
-	})
-	reg.CounterFunc("dmps_repl_lost_total", "Replication forwards written off after exhausting retries.", func() []metrics.Sample {
-		return one(float64(s.cluster.acks.Lost()))
+	reg.CounterFunc("dmps_repl_resends_total", "Forwards sent to repair a replica that stayed behind.", func() []metrics.Sample {
+		return one(float64(s.cluster.repairs.Load()))
 	})
 	peerSamples := func(pick func(cluster.PeerStats) int64) []metrics.Sample {
 		stats := s.cluster.pool.PeerStats()

@@ -72,7 +72,7 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 		}
 	}
 	for _, key := range live {
-		packages = append(packages, s.dump(key))
+		packages = append(packages, s.dump(key, nil))
 	}
 
 	// abort unfreezes and reports nothing shipped: this node keeps
@@ -113,7 +113,7 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	}
 	// Barrier: the receiver acks this marker only after processing every
 	// package that preceded it on this in-order connection.
-	barrierID := s.cluster.acks.NextID()
+	barrierID := s.cluster.ids.NextID()
 	if err := ship.Send(cluster.WrapForward(protocol.ForwardBody{
 		Kind: protocol.ForwardMigrated, ID: barrierID, From: s.cluster.selfAddr(), Groups: shipped,
 	})); err != nil {
@@ -127,11 +127,10 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 			return
 		}
 		msg, err := protocol.DecodeAny(wire)
-		if err != nil || msg.Type != protocol.TForward {
+		if err != nil {
 			continue
 		}
-		var ack protocol.ForwardBody
-		if msg.Into(&ack) == nil && ack.Kind == protocol.ForwardAck && ack.ID == barrierID {
+		if ack, err := protocol.DecodeForward(msg); err == nil && ack.Kind == protocol.ForwardAck && ack.ID == barrierID {
 			break
 		}
 	}

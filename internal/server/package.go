@@ -9,11 +9,13 @@ package server
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 
 	"dmps/internal/floor"
 	"dmps/internal/group"
+	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
 	"dmps/internal/whiteboard"
 )
@@ -44,21 +46,34 @@ func (s *Server) directory(key string) protocol.TakeoverBody {
 }
 
 // dump exports a partition key's live state as a package: the directory
-// part, a group's encoded floor snapshot and board head, and the log's
-// retained window.
-func (s *Server) dump(key string) protocol.TakeoverBody {
+// part, a group's board head, and — read under the key's log lock, so
+// that they are of one moment — a group's encoded floor snapshot and
+// the log's retained window. then, when set, gets the package under
+// that lock too, so that what it ships goes out before any later event.
+func (s *Server) dump(key string, then func(protocol.TakeoverBody)) protocol.TakeoverBody {
 	p := s.directory(key)
-	if !strings.HasPrefix(key, "~") {
-		p.Floor = s.floorCtl.Snapshot(key).AppendBinary(nil)
+	grp := !strings.HasPrefix(key, "~")
+	if grp {
 		gb := s.board(key)
 		gb.mu.Lock()
 		p.BoardHead = gb.board.Seq()
 		gb.mu.Unlock()
 	}
-	if lg, ok := s.logs.Peek(key); ok {
-		for _, e := range lg.Dump() {
+	at := func(es []grouplog.Entry) {
+		if grp {
+			p.Floor = s.floorCtl.Snapshot(key).AppendBinary(nil)
+		}
+		for _, e := range es {
 			p.Events = append(p.Events, protocol.ReplicaEventBody{GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.Wire})
 		}
+		if then != nil {
+			then(p)
+		}
+	}
+	if lg, ok := s.logs.Peek(key); ok {
+		lg.DumpAt(at)
+	} else {
+		at(nil)
 	}
 	return p
 }
@@ -96,7 +111,16 @@ func (s *Server) install(p protocol.TakeoverBody, replicate bool) (err error) {
 		s.bumpNextID(m.ID)
 	}
 	if p.Chair != "" {
+		// The roster is stated whole: whoever the registry still lists
+		// beyond it (a journal's earlier package, an earlier adoption's
+		// residue) has left since.
 		s.installed(s.registry.CreateGroup(p.Key, group.MemberID(p.Chair)))
+		ids, _ := s.registry.GroupMemberIDs(p.Key) // no group: CreateGroup counted why
+		for _, id := range ids {
+			if !slices.ContainsFunc(p.Members, func(m protocol.NodeMemberInfo) bool { return m.ID == string(id) }) {
+				s.installed(s.registry.Leave(p.Key, id))
+			}
+		}
 		for _, m := range p.Members {
 			s.installed(s.registry.Join(p.Key, group.MemberID(m.ID)))
 		}

@@ -128,7 +128,7 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 
 	want := map[string]protocol.TakeoverBody{}
 	for _, key := range keys {
-		want[key] = src.dump(key)
+		want[key] = src.dump(key, nil)
 	}
 	hall := want["hall"]
 	if fs, err := floor.DecodeSnapshot(hall.Floor); hall.Chair != alice.MemberID() || len(hall.Members) != 4 || hall.BoardHead != 3 ||
@@ -208,7 +208,7 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 	for i, path := range paths {
 		dst := path.land("dst" + string(rune('a'+i)) + ":1")
 		for _, key := range keys {
-			if got := dst.dump(key); !reflect.DeepEqual(got, want[key]) {
+			if got := dst.dump(key, nil); !reflect.DeepEqual(got, want[key]) {
 				t.Errorf("%s: %s arrived as\n %+v\nwant\n %+v", path.name, key, got, want[key])
 			}
 		}
@@ -276,7 +276,7 @@ func TestMixedAuthorBurstSurvivesTransfer(t *testing.T) {
 	if len(want) != 4 || want[1].Author == want[2].Author {
 		t.Fatalf("source board %+v, want four strokes by alternating authors", want)
 	}
-	events := src.dump("hall").Events
+	events := src.dump("hall", nil).Events
 
 	same := func(path string, dst *Server) {
 		t.Helper()

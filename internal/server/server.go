@@ -700,9 +700,9 @@ func New(cfg Config) (*Server, error) {
 		boardHold: metrics.NewHistogram(nil),
 	}
 	if cl != nil {
-		// Replication round trips become repl_ack spans: the ack table
-		// hands back each traced forward's identity and RTT on full ack.
-		cl.acks.OnTraceAck(func(tid uint64, sentAt time.Time, rtt time.Duration) {
+		// Replication round trips become repl_ack spans: the head table
+		// hands back each traced event's trace and RTT once acked.
+		cl.heads = cluster.NewHeadTable(cl.ackLatency.Observe, func(tid uint64, sentAt time.Time, rtt time.Duration) {
 			s.plane.SpanDur(tid, tid, trace.StageReplAck, sentAt, rtt)
 		})
 	}

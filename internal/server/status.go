@@ -45,10 +45,9 @@ func (s *Server) probeLoop() {
 		s.maybeReinstate()
 		now := s.cfg.Clock.Now()
 		s.Reap(now)
-		// The replication ack sweep rides the probe tick: overdue
-		// in-flight forwards are resent with backoff until acked or
-		// written off as lost.
-		s.resendOverdue(now)
+		// The replication sweep rides the probe tick: a replica that
+		// stayed behind is repaired from this node's live state.
+		s.repairReplicas()
 		if s.wal != nil && now.Sub(lastCkpt) >= s.cfg.WALCheckpointInterval {
 			lastCkpt = now
 			// A failed checkpoint deletes no older segment, so replay just

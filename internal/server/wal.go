@@ -88,7 +88,7 @@ func (s *Server) Checkpoint() error {
 			continue
 		}
 		seen[key] = true
-		rec, err := protocol.PackageRecord(s.dump(key))
+		rec, err := protocol.PackageRecord(s.dump(key, nil))
 		if err != nil {
 			return err
 		}

@@ -194,8 +194,10 @@ func (m *Mux) unlink(st *Stream) {
 		return
 	}
 	delete(m.streams, st.id)
-	close(st.done)
+	// Count first: a caller that has seen the stream end (done closed,
+	// its Send or Recv returning ErrClosed) must not read it as live.
 	m.stats.Streams.Add(-1)
+	close(st.done)
 }
 
 // Open opens a new stream. Only the dialing end may. The messages in
