@@ -41,7 +41,7 @@ func TestTrafficAdoptionSurvivesTheAdopter(t *testing.T) {
 		t.Fatalf("grant: dec=%+v err=%v", dec, err)
 	}
 	waitFor(t, "the owner's forwards acked", func() bool {
-		return cl.Nodes[1].ReplicaHead(g) >= 1 && cl.Nodes[0].ReplicationPending() == 0
+		return cl.Nodes[1].ReplicaHead(g) >= 3 && cl.Nodes[0].ReplicationPending() == 0
 	})
 
 	// The owner dies; the next request makes its successor adopt g.

@@ -6,6 +6,7 @@
 package cluster_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"dmps/internal/core"
 	"dmps/internal/floor"
 	"dmps/internal/group"
+	"dmps/internal/netsim"
 )
 
 // reconnect rides a client across a dead home node: Drop severs the
@@ -79,10 +81,11 @@ func TestDoubleFailureRF2FailsLoudly(t *testing.T) {
 	if err := alice.Chat(g, "before the blast"); err != nil {
 		t.Fatal(err)
 	}
-	// RF=2 puts the only replica on the ring successor (node 2); the
-	// surviving node 0 must hold nothing for g.
+	// RF=2 puts the only replica on the ring successor (node 2): the
+	// join's directory entry and the grant at least. The surviving node 0
+	// must hold nothing for g.
 	waitFor(t, "replica at the successor", func() bool {
-		return cl.Nodes[2].ReplicaHead(g) >= 1
+		return cl.Nodes[2].ReplicaHead(g) >= 2
 	})
 	if head := cl.Nodes[0].ReplicaHead(g); head != 0 {
 		t.Fatalf("RF=2 replicated to node 0 (head %d); the drill needs it blind", head)
@@ -185,8 +188,8 @@ func TestRF3SurvivesDoubleFailure(t *testing.T) {
 		return watcher.Board(g).Seq() == 1 && watcher.Holder(g) == alice.MemberID()
 	})
 	// Let every append reach its full replica set before the kills. The
-	// survivor must hold all three logged events — the grant, bob's
-	// queueing and the chat. Replicas ack in the background, so an ack
+	// survivor must hold the three joins' directory entries and all
+	// three logged events — the grant, bob's queueing and the chat. Replicas ack in the background, so an ack
 	// alone says nothing about the replica set; with the head there, a
 	// drained ack table on each node means the RF acks landed.
 	waitFor(t, "replication drained at RF=3", func() bool {
@@ -195,7 +198,7 @@ func TestRF3SurvivesDoubleFailure(t *testing.T) {
 				return false
 			}
 		}
-		return cl.Nodes[0].ReplicaHead(g) >= 3
+		return cl.Nodes[0].ReplicaHead(g) >= 6
 	})
 
 	cl.KillNode(1)
@@ -359,12 +362,13 @@ func TestRecoveredNodeMigratesPartitionsHomeUnderNewEpoch(t *testing.T) {
 	if err := alice.Chat(g, "born on the owner"); err != nil {
 		t.Fatal(err)
 	}
-	// Both logged events, the grant and the chat: a chat line is acked
+	// The join's directory entry and both logged events, the grant and
+	// the chat: a chat line is acked
 	// before its paced batch is appended and replication is
 	// asynchronous, so the chat's ack does not put it on the successor
 	// yet.
 	waitFor(t, "replica at the successor", func() bool {
-		return cl.Nodes[0].ReplicaHead(g) >= 2
+		return cl.Nodes[0].ReplicaHead(g) >= 3
 	})
 	epoch0 := cl.Router.Map().Epoch()
 
@@ -403,5 +407,76 @@ func TestRecoveredNodeMigratesPartitionsHomeUnderNewEpoch(t *testing.T) {
 	})
 	if err := alice.ReleaseFloor(g); err != nil {
 		t.Fatalf("release after migration: %v", err)
+	}
+}
+
+// TestMigrationHomeKeepsTheAdoptersChanges: the owner dies with records
+// in its journal that its replica never got (the peer link was cut), so
+// the adopter forks the group's log below the owner's journal head. The
+// adopter takes one change, a join, which its package covers at a GSeq
+// still below that head; the migration home is the newer epoch, so the
+// restarted owner installs the package all the same, and the join
+// survives. GSeqs of the two histories do not compare.
+func TestMigrationHomeKeepsTheAdoptersChanges(t *testing.T) {
+	cl, err := core.StartCluster(core.ClusterOptions{
+		Options: core.Options{Seed: 29}, Nodes: 2, WALDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	dial := func(prefix, role string) *client.Client {
+		t.Helper()
+		c, err := cl.NewClientOn(prefix+"host", pickKey(t, 2, prefix, 0), role, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	alice, bob, carol := dial("forkchair", "chair"), dial("forkbob", "participant"), dial("forkcarol", "participant")
+	g := pickKey(t, 2, "fork", 1)
+	if err := alice.Join(g); err != nil {
+		t.Fatal(err)
+	}
+	if dec, err := alice.RequestFloor(g, floor.EqualControl, ""); err != nil || !dec.Granted {
+		t.Fatalf("grant: dec=%+v err=%v", dec, err)
+	}
+	waitFor(t, "the join's entry and the grant at the successor", func() bool {
+		return cl.Nodes[0].ReplicaHead(g) >= 2
+	})
+
+	peers := []string{netsim.Host(core.NodeAddr(0)), netsim.Host(core.NodeAddr(1))}
+	cl.Net.Partition(peers[0], peers[1], true)
+	if err := bob.Join(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.Chat(g, "journalled, never shipped"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the owner to journal the join and the line", func() bool {
+		return cl.Nodes[1].ReplicationPending() >= 2
+	})
+	cl.KillNode(1)
+	cl.Net.Partition(peers[0], peers[1], false)
+	waitFor(t, "successor adopts", func() bool {
+		return string(cl.Nodes[0].FloorController().Holder(g)) == alice.MemberID()
+	})
+	waitFor(t, "client converges on the adopter", func() bool {
+		return alice.Holder(g) == alice.MemberID()
+	})
+	if err := carol.Join(g); err != nil {
+		t.Fatalf("join on the adopter: %v", err)
+	}
+
+	if err := cl.RestartNode(1); err != nil {
+		t.Fatal(err)
+	}
+	reinstate(t, cl)
+	waitFor(t, "the adopter's join home", func() bool {
+		ids, _ := cl.Nodes[1].Registry().GroupMemberIDs(g)
+		return slices.Contains(ids, group.MemberID(carol.MemberID()))
+	})
+	if err := alice.Chat(g, "back home"); err != nil {
+		t.Fatalf("chat after migration home: %v", err)
 	}
 }

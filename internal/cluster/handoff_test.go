@@ -69,10 +69,10 @@ func TestPartitionHandoffMidFloorHold(t *testing.T) {
 	}
 	waitFor(t, "bob sees alice's grant", func() bool { return bob.Holder(g) == alice.MemberID() })
 
-	// Let replication land on the successor before the kill: the grant
-	// and the queued event at least.
+	// Let replication land on the successor before the kill: the two
+	// joins' directory entries, the grant and the queued event at least.
 	waitFor(t, "replication at successor", func() bool {
-		return cl.Nodes[0].ReplicaHead(g) >= 2
+		return cl.Nodes[0].ReplicaHead(g) >= 4
 	})
 
 	cl.KillNode(1)
@@ -163,9 +163,10 @@ func TestModeratedApprovalSurvivesHandoff(t *testing.T) {
 	if dec, err := alice.ApproveFloor(g, bob.MemberID()); err != nil || dec.Granted {
 		t.Fatalf("approval: dec=%+v err=%v", dec, err)
 	}
-	// The grant, the queued request and the approval.
+	// The two joins' directory entries, the grant, the queued request
+	// and the approval.
 	waitFor(t, "replication at successor", func() bool {
-		return cl.Nodes[0].ReplicaHead(g) >= 3
+		return cl.Nodes[0].ReplicaHead(g) >= 5
 	})
 
 	cl.KillNode(1)

@@ -16,11 +16,16 @@ const (
 )
 
 // HeadTable is an owner's view of its replicas, per (peer, key): the
-// highest event GSeq shipped, the head last acked — the highest GSeq
-// the peer holds with none missing below, as Raft's matchIndex — and
-// the package or drop record not yet acked. It keeps nothing shipped: a
-// pair that stays behind is repaired from the owner's live state. It
-// takes only its own lock, so Shipped may run inside a log append.
+// highest GSeq shipped — an event's or directory entry's, the one a
+// package covers, or a drop's — and the head last acked, the highest
+// GSeq the peer holds with none missing below, as Raft's matchIndex. A
+// pair is out of step while the two differ: behind, or ahead — the peer
+// holds GSeqs this node never shipped it, another history of the key (a
+// life of this node without its journal, another node's adoption). It
+// keeps nothing shipped: a pair out of step is repaired from the owner's
+// live state. A pair in step and idle for the base interval is
+// forgotten, and Shipped makes it again. It takes only its own lock, so
+// Shipped may run inside a log append.
 type HeadTable struct {
 	mu    sync.Mutex
 	pairs map[[2]string]*replicaHead
@@ -32,7 +37,7 @@ type HeadTable struct {
 
 type replicaHead struct {
 	sent, acked int64
-	pkg         int64 // the package or drop record's ID awaiting its ack
+	dropped     bool // the last record shipped was the key's drop
 	due         time.Time
 	wait        time.Duration // the interval after the next repair
 	// One event at a time is timed to its ack: its GSeq, ship time and
@@ -42,58 +47,53 @@ type replicaHead struct {
 	tid    uint64
 }
 
-func (h *replicaHead) behind() bool { return h.acked < h.sent || h.pkg != 0 }
+func (h *replicaHead) behind() bool { return h.acked != h.sent }
 
-// Repair is a pair Due hands back: a peer behind on a key.
-type Repair struct{ Peer, Key string }
+// Repair is a pair Due hands back: a peer out of step on a key, the
+// highest GSeq shipped to it there (a dropped key's drop GSeq) and the
+// head it last acked.
+type Repair struct {
+	Peer, Key   string
+	Sent, Acked int64
+}
 
 // NewHeadTable returns an empty head table with its measurement hooks.
 func NewHeadTable(observe func(seconds float64), traced func(tid uint64, sentAt time.Time, rtt time.Duration)) *HeadTable {
 	return &HeadTable{pairs: make(map[[2]string]*replicaHead), observe: observe, traced: traced}
 }
 
-// Shipped notes a record sent to peer: an event raises the shipped
-// GSeq, a package or drop record (id) awaits its ack, and a drop also
-// empties the pair — the member's log is gone on both sides. tid names
-// a sampled event's trace (0: none).
-func (t *HeadTable) Shipped(peer string, rec grouplog.WALRecord, id int64, tid uint64, now time.Time) {
+// Shipped notes a record sent to peer: it raises the shipped GSeq, and
+// a drop marks the pair to be forgotten once acked — the member's log is
+// gone on both sides. tid names a sampled event's trace (0: none).
+func (t *HeadTable) Shipped(peer string, rec grouplog.WALRecord, tid uint64, now time.Time) {
 	k := [2]string{peer, rec.PartitionKey()}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h := t.pairs[k]
 	if h == nil {
-		h = &replicaHead{}
+		// A pair is forgotten in step: until its ack says otherwise, the
+		// peer holds what came before this record.
+		h = &replicaHead{acked: rec.GSeq - 1}
 		t.pairs[k] = h
 	}
 	if !h.behind() {
 		h.due, h.wait = now.Add(ackTimeoutBase), ackTimeoutBase
 	}
-	switch rec.Kind {
-	case grouplog.WALEvent:
-		h.sent = max(h.sent, rec.GSeq)
-		if h.probe == 0 || (tid != 0 && h.tid == 0) {
-			h.probe, h.sentAt, h.tid = rec.GSeq, now, tid
-		}
-	case grouplog.WALMemberDrop:
-		h.sent, h.acked, h.probe, h.pkg = 0, 0, 0, id
-	default:
-		h.pkg = id
+	h.sent, h.dropped = max(h.sent, rec.GSeq), rec.Kind == grouplog.WALMemberDrop
+	if rec.Kind == grouplog.WALEvent && (h.probe == 0 || (tid != 0 && h.tid == 0)) {
+		h.probe, h.sentAt, h.tid = rec.GSeq, now, tid
 	}
 }
 
-// Ack takes peer's answer for key: its head and the forward's ID. A
-// head that moved restarts the pair's repair interval; a pair caught up
-// with nothing shipped is forgotten.
-func (t *HeadTable) Ack(peer, key string, head, id int64, now time.Time) {
+// Ack takes peer's answer for key: its head. A head that moved restarts
+// the pair's repair interval; a dropped key's pair in step is forgotten.
+func (t *HeadTable) Ack(peer, key string, head int64, now time.Time) {
 	k := [2]string{peer, key}
 	t.mu.Lock()
 	h := t.pairs[k]
 	if h == nil {
 		t.mu.Unlock()
 		return
-	}
-	if id != 0 && id == h.pkg {
-		h.pkg, h.sent = 0, max(h.sent, head) // a package states a log part too
 	}
 	if head != h.acked {
 		h.acked, h.due, h.wait = head, now.Add(ackTimeoutBase), ackTimeoutBase
@@ -102,7 +102,7 @@ func (t *HeadTable) Ack(peer, key string, head, id int64, now time.Time) {
 	if timed {
 		h.probe = 0
 	}
-	if !h.behind() && h.sent == 0 {
+	if !h.behind() && h.dropped {
 		delete(t.pairs, k)
 	}
 	t.mu.Unlock()
@@ -114,15 +114,20 @@ func (t *HeadTable) Ack(peer, key string, head, id int64, now time.Time) {
 	}
 }
 
-// Due hands back each pair behind and due for repair, its next repair
-// twice the interval later; a peer skip names is left due.
+// Due hands back each pair out of step and due for repair, its next
+// repair twice the interval later; a peer skip names is left due. A pair
+// in step and due is forgotten.
 func (t *HeadTable) Due(now time.Time, skip func(peer string) bool) []Repair {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []Repair
 	for k, h := range t.pairs {
-		if h.behind() && !now.Before(h.due) && !skip(k[0]) {
-			out = append(out, Repair{Peer: k[0], Key: k[1]})
+		switch {
+		case now.Before(h.due):
+		case !h.behind():
+			delete(t.pairs, k)
+		case !skip(k[0]):
+			out = append(out, Repair{Peer: k[0], Key: k[1], Sent: h.sent, Acked: h.acked})
 			h.wait = min(2*h.wait, ackTimeoutMax)
 			h.due = now.Add(h.wait)
 		}
@@ -142,15 +147,15 @@ func (t *HeadTable) Forget(key string) {
 }
 
 // Pending counts what the replicas have not acked, over all pairs: the
-// events past each acked head, and each package or drop record.
+// GSeqs shipped past each acked head, and one package for each pair
+// ahead.
 func (t *HeadTable) Pending() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
 	for _, h := range t.pairs {
-		n += int(max(h.sent-h.acked, 0))
-		if h.pkg != 0 {
-			n++
+		if h.behind() {
+			n += int(max(h.sent-h.acked, 1))
 		}
 	}
 	return n

@@ -194,9 +194,10 @@ func (m *Map) Version() int {
 // Epoch returns the map's migration epoch: a monotonic counter bumped
 // by every coordinated live migration (node recovery, replacement,
 // resharding). Takeover packages are stamped with the epoch that
-// shipped them, and receivers discard packages from epochs older than
-// the newest they have installed — the rule that makes concurrent or
-// repeated migrations converge instead of resurrecting stale state.
+// shipped them, which a receiver's map advances to, and a migration's
+// barrier is named by it. Which package is stale is the GSeq rule's to
+// say: a package covering less of the key's log than the receiver holds
+// is discarded.
 func (m *Map) Epoch() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

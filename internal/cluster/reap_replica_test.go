@@ -66,7 +66,7 @@ func TestReapedMemberLeavesNoReplica(t *testing.T) {
 	}
 	logKey := server.MemberLogKeyOf(bob.MemberID())
 	waitFor(t, "bob's member log replicated to node 1", func() bool {
-		return cl.Nodes[1].ReplicaHead(logKey) >= 1
+		return cl.Nodes[1].ReplicaHead(logKey) >= 2
 	})
 
 	reaped := cl.Nodes[0].Reap(time.Now().Add(2 * time.Hour))

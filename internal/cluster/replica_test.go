@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
 )
 
@@ -21,15 +22,15 @@ func memberEvent(t *testing.T, gseq int64) []byte {
 	return wire
 }
 
-// The version rule every replicated package and drop obeys — roster,
-// member home, member drop alike: a peer link that fails is re-dialled
-// while its old connection may still be read out, so a forward can
-// arrive after one the same sender made later, and the store must keep
-// the newer state. Forwards
-// of different senders are not ordered (the partition changed owner),
-// an unidentified package (id 0: a migration's, ordered by epoch
-// instead) is never stale, and a drop leaves a tombstone that refuses
-// both a late home and a late event of the dropped member's log.
+// The one rule every replicated record obeys — roster, member home,
+// member drop, event alike — is its key's GSeq: a peer link that fails
+// is re-dialled while its old connection may still be read out, so a
+// record can arrive after one the owner made later, and the store must
+// keep the newer state. A partition that changes owner keeps its log,
+// so the new owner's records continue its GSeqs; a package is taken if
+// it covers at least the head, a drop if it is past it; and a drop
+// leaves a tombstone at its GSeq that refuses both a late home and a
+// late event of the dropped member's log.
 
 var (
 	alice = protocol.NodeMemberInfo{ID: "alice#1", Name: "alice"}
@@ -55,12 +56,41 @@ func homeToken(tok string) protocol.TakeoverBody {
 	return protocol.TakeoverBody{Key: aliceHome, Member: &alice, Token: tok}
 }
 
-func apply(p protocol.TakeoverBody, from string, id int64) replicaOp {
-	return func(_ *testing.T, s *ReplicaStore) { s.Apply(p, from, id) }
+// applyRecord feeds the store one record, which must read back.
+func applyRecord(t *testing.T, s *ReplicaStore, rec grouplog.WALRecord, err error) int64 {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := s.ApplyRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return head
 }
 
-func dropHome(from string, id int64) replicaOp {
-	return func(_ *testing.T, s *ReplicaStore) { s.Drop(aliceHome, from, id) }
+// apply feeds the store p as a package record covering gseq.
+func apply(p protocol.TakeoverBody, gseq int64) replicaOp {
+	return func(t *testing.T, s *ReplicaStore) {
+		p.GSeq = gseq
+		rec, err := protocol.PackageRecord(p)
+		applyRecord(t, s, rec, err)
+	}
+}
+
+// entry feeds the store p's directory part as the directory entry at
+// gseq.
+func entry(p protocol.TakeoverBody, gseq int64) replicaOp {
+	return func(t *testing.T, s *ReplicaStore) {
+		rec, err := protocol.DirectoryEntry(p, gseq, gseq)
+		applyRecord(t, s, rec, err)
+	}
+}
+
+func dropHome(gseq int64) replicaOp {
+	return func(t *testing.T, s *ReplicaStore) {
+		applyRecord(t, s, grouplog.WALRecord{Kind: grouplog.WALMemberDrop, Key: aliceHome[1:], GSeq: gseq}, nil)
+	}
 }
 
 func event(gseq int64) replicaOp {
@@ -99,16 +129,16 @@ func runVersionCases(t *testing.T, cases []versionCase) {
 // TestApplyMembersDropsStaleRoster replays the race that used to strand
 // a member after failover: the owner ships roster 1 (alice), then
 // roster 2 (alice, bob), and roster 1 arrives again afterwards. The
-// replica must keep roster 2. A roster from a different sender (the
-// partition changed owner) always applies, whatever its ID.
+// replica must keep roster 2. A roster from the partition's new owner
+// continues the key's GSeqs, and applies.
 func TestApplyMembersDropsStaleRoster(t *testing.T) {
 	runVersionCases(t, []versionCase{
 		{
 			name: "a late resend of an older roster keeps the newer one",
 			ops: []replicaOp{
-				apply(roster("alice#1", alice), "n1", 10),
-				apply(roster("alice#1", alice, bob), "n1", 11),
-				apply(roster("alice#1", alice), "n1", 10),
+				apply(roster("alice#1", alice), 10),
+				apply(roster("alice#1", alice, bob), 11),
+				apply(roster("alice#1", alice), 10),
 			},
 			want: func(s *ReplicaStore) string {
 				if p, _ := s.Take("g"); len(p.Members) != 2 {
@@ -120,8 +150,8 @@ func TestApplyMembersDropsStaleRoster(t *testing.T) {
 		{
 			name: "a roster from the partition's new owner applies whatever its id",
 			ops: []replicaOp{
-				apply(roster("alice#1", alice, bob), "n1", 12),
-				apply(roster("bob#1", bob), "n2", 3),
+				apply(roster("alice#1", alice, bob), 12),
+				apply(roster("bob#1", bob), 13),
 			},
 			want: func(s *ReplicaStore) string {
 				if p, _ := s.Take("g"); len(p.Members) != 1 || p.Chair != "bob#1" {
@@ -137,59 +167,62 @@ func TestApplyMembersDropsStaleRoster(t *testing.T) {
 // to member homes: a home, its drop, and then the home again.
 // The member must stay dropped, or a reaped member's resume token comes
 // back to life on the successor. Likewise an older token must not land
-// over a newer one. Forwards of another sender, and a migration's
-// unidentified install, always apply.
+// over a newer one. The new owner's forwards continue the key's GSeqs,
+// and a migration's package covering the head applies.
 func TestMemberHomeForwardsDropStale(t *testing.T) {
 	runVersionCases(t, []versionCase{
 		{
 			name: "a home resent after its drop stays dropped",
-			ops:  []replicaOp{apply(homeToken("tok-old"), "n1", 5), dropHome("n1", 6), apply(homeToken("tok-old"), "n1", 5)},
+			ops:  []replicaOp{apply(homeToken("tok-old"), 5), dropHome(6), apply(homeToken("tok-old"), 5)},
 			want: homeGone,
 		},
 		{
 			name: "a resent home does not put an old token over a new one",
-			ops:  []replicaOp{apply(homeToken("tok-1"), "n1", 7), apply(homeToken("tok-2"), "n1", 8), apply(homeToken("tok-1"), "n1", 7)},
+			ops:  []replicaOp{apply(homeToken("tok-1"), 7), apply(homeToken("tok-2"), 8), apply(homeToken("tok-1"), 7)},
 			want: holds("tok-2"),
 		},
 		{
 			name: "a stale drop does not retract a newer home",
-			ops:  []replicaOp{apply(homeToken("tok-2"), "n1", 8), dropHome("n1", 7)},
+			ops:  []replicaOp{apply(homeToken("tok-2"), 8), dropHome(7)},
 			want: holds("tok-2"),
 		},
 		{
 			name: "different senders are unordered",
-			ops:  []replicaOp{apply(homeToken("tok-n1"), "n1", 9), apply(homeToken("tok-n2"), "n2", 1)},
+			ops:  []replicaOp{apply(homeToken("tok-n1"), 9), apply(homeToken("tok-n2"), 10)},
 			want: holds("tok-n2"),
 		},
 		{
 			name: "id 0 is never stale",
-			ops:  []replicaOp{apply(homeToken("tok-1"), "n1", 7), apply(homeToken("tok-a"), "", 0), apply(homeToken("tok-migrated"), "", 0)},
+			ops:  []replicaOp{apply(homeToken("tok-1"), 7), apply(homeToken("tok-a"), 7), apply(homeToken("tok-migrated"), 7)},
 			want: holds("tok-migrated"),
 		},
 	})
 }
 
-// TestReplicaVersionRule: the member log follows its home — a drop takes
-// the log with it, its tombstone refuses a late event of that log, and a
-// newer home lifts the tombstone.
+// TestReplicaVersionRule: the member log follows its home, by GSeq
+// alone — the drop takes the log's last GSeq and the log with it, its
+// tombstone refuses a late event of that log and any past it (a dropped
+// log has ended), and a newer home lifts the tombstone: a node that
+// restarts without its journal may mint the member's ID again, and its
+// package, past the head the store acked, replaces the tombstone.
 func TestReplicaVersionRule(t *testing.T) {
 	runVersionCases(t, []versionCase{
 		{
 			name: "a drop takes the member log with it",
-			ops:  []replicaOp{apply(homeToken("tok"), "n1", 5), event(1), dropHome("n1", 6)},
+			ops:  []replicaOp{entry(homeToken("tok"), 1), event(2), dropHome(3)},
 			want: homeGone,
 		},
 		{
 			name: "a tombstone refuses a late member-log event",
-			ops:  []replicaOp{apply(homeToken("tok"), "n1", 5), event(1), dropHome("n1", 6), event(2)},
+			ops:  []replicaOp{entry(homeToken("tok"), 1), event(2), dropHome(3), event(2), event(4)},
 			want: homeGone,
 		},
 		{
 			name: "a newer home lifts the tombstone",
-			ops:  []replicaOp{apply(homeToken("tok"), "n1", 5), dropHome("n1", 6), apply(homeToken("tok-new"), "n1", 7), event(1)},
+			ops:  []replicaOp{entry(homeToken("tok"), 1), dropHome(2), apply(homeToken("tok-new"), 3), event(4)},
 			want: func(s *ReplicaStore) string {
-				if s.Head(aliceHome) != 1 {
-					return fmt.Sprintf("log head %d after the member came back, want 1", s.Head(aliceHome))
+				if s.Head(aliceHome) != 4 {
+					return fmt.Sprintf("log head %d after the member came back, want 4", s.Head(aliceHome))
 				}
 				return holds("tok-new")(s)
 			},
@@ -197,31 +230,36 @@ func TestReplicaVersionRule(t *testing.T) {
 	})
 }
 
-// TestAckTableIDsRiseAcrossRestarts: a new table — a restarted sender —
-// mints IDs above everything the table before it minted, which is what
-// lets receivers order one sender's forwards by ID alone.
-func TestAckTableIDsRiseAcrossRestarts(t *testing.T) {
-	before := NewAckTable(nil)
-	var last int64
-	for i := 0; i < 1000; i++ {
-		last = before.NextID()
+// TestLateDirectoryEntryIsRefused: a directory entry is a record of its
+// key's log like any event. Entries 1 and 2 land; entry 1 delivered
+// again late (as from a re-dialled link's old connection) is refused by
+// the head rule, and the roster stays entry 2's (each entry keeps its
+// place without its bytes, as in the owner's log).
+func TestLateDirectoryEntryIsRefused(t *testing.T) {
+	s := NewReplicaStore(0)
+	for _, o := range []replicaOp{entry(roster("alice#1", alice), 1), entry(roster("alice#1", alice, bob), 2)} {
+		o(t, s)
 	}
-	if first := NewAckTable(nil).NextID(); first <= last {
-		t.Fatalf("restarted sender's first ID %d does not exceed its previous life's %d", first, last)
+	late, err := protocol.DirectoryEntry(roster("alice#1", alice), 1, 1)
+	if head := applyRecord(t, s, late, err); head != 2 {
+		t.Fatalf("the late entry answered head %d, want 2", head)
+	}
+	if p, _ := s.Take("g"); len(p.Members) != 2 || p.GSeq != 2 || len(p.Events) != 2 || p.Events[0].Wire != nil || p.Events[1].Wire != nil {
+		t.Fatalf("after the late entry: roster %v, head %d, entries %+v; want alice and bob at 2, entries without bytes", p.Members, p.GSeq, p.Events)
 	}
 }
 
-// TestTombstonesAreBounded: drops leave version tombstones, and only
-// the newest maxTombstones of them are kept.
+// TestTombstonesAreBounded: drops leave tombstones, and only the newest
+// maxTombstones of them are kept.
 func TestTombstonesAreBounded(t *testing.T) {
 	s := NewReplicaStore(0)
 	for i := 0; i < maxTombstones+10; i++ {
 		key := fmt.Sprintf("~m#%d", i)
-		s.Apply(protocol.TakeoverBody{Key: key, Member: &protocol.NodeMemberInfo{ID: key[1:]}, Token: "tok"}, "n1", int64(2*i+1))
-		s.Drop(key, "n1", int64(2*i+2))
+		entry(protocol.TakeoverBody{Key: key, Member: &protocol.NodeMemberInfo{ID: key[1:]}, Token: "tok"}, 1)(t, s)
+		applyRecord(t, s, grouplog.WALRecord{Kind: grouplog.WALMemberDrop, Key: key[1:], GSeq: 2}, nil)
 	}
-	if len(s.versions) != maxTombstones || len(s.tombs) != maxTombstones {
-		t.Fatalf("%d versions and %d tombstones kept, want %d", len(s.versions), len(s.tombs), maxTombstones)
+	if len(s.dropped) != maxTombstones || len(s.tombs) != maxTombstones {
+		t.Fatalf("%d dropped keys and %d tombstones kept, want %d", len(s.dropped), len(s.tombs), maxTombstones)
 	}
 }
 

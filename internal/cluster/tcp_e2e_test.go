@@ -130,7 +130,7 @@ func TestClusterTCPE2E(t *testing.T) {
 	// Handoff: let the replica land, kill the owner, and reconnect a
 	// dropped client across the handoff — the PR 3 resume path must
 	// converge it on the adopted partition.
-	waitFor(t, "replication before kill", func() bool { return nodes[0].ReplicaHead(g1) >= 1 })
+	waitFor(t, "replication before kill", func() bool { return nodes[0].ReplicaHead(g1) >= 3 })
 	bob.Drop()
 	nodes[1].Close()
 	waitFor(t, "successor restores the held floor", func() bool {

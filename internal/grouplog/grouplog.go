@@ -45,10 +45,22 @@ const DefaultCap = 512
 // group ID itself as the key.
 func MemberKey(memberID string) string { return "~" + memberID }
 
-// Plane is the set of per-key logs, sharded for concurrency.
+// ClassDirectory is the class of a key's directory entries: each marks
+// a change to the key's directory part (a group's chair and roster, a
+// member's row and token), which takes the key's next GSeq like any
+// event. It is internal: no client receives it, Replay and ClassHeads
+// leave it out, and the log keeps none of its bytes — the directory is
+// read live, and the journal and the replicas get the entry's record.
+const ClassDirectory = "~directory"
+
+// Plane is the set of per-key logs, sharded for concurrency. shown
+// holds the logs with an entry of a client class, the ones the heads
+// digest walks: a member's log holds only directory entries until an
+// invitation reaches it.
 type Plane struct {
-	cap  int
-	logs *shard.Map[*Log]
+	cap   int
+	logs  *shard.Map[*Log]
+	shown *shard.Map[*Log]
 }
 
 // NewPlane returns an empty plane whose logs hold cap entries each
@@ -57,7 +69,7 @@ func NewPlane(cap int) *Plane {
 	if cap <= 0 {
 		cap = DefaultCap
 	}
-	return &Plane{cap: cap, logs: shard.NewMap[*Log]()}
+	return &Plane{cap: cap, logs: shard.NewMap[*Log](), shown: shard.NewMap[*Log]()}
 }
 
 // Cap returns the per-key retained-entry capacity.
@@ -65,7 +77,11 @@ func (p *Plane) Cap() int { return p.cap }
 
 // Get returns (creating) the log for a key.
 func (p *Plane) Get(key string) *Log {
-	return p.logs.GetOrCreate(key, func() *Log { return newLog(p.cap) })
+	return p.logs.GetOrCreate(key, func() *Log {
+		l := newLog(p.cap)
+		l.show = func() { p.shown.Set(key, l) }
+		return l
+	})
 }
 
 // Peek returns the log for a key without creating it.
@@ -73,19 +89,22 @@ func (p *Plane) Peek(key string) (*Log, bool) { return p.logs.Get(key) }
 
 // Drop discards a key's log entirely — the reap path for members whose
 // session and directory entry have expired.
-func (p *Plane) Drop(key string) { p.logs.Delete(key) }
+func (p *Plane) Drop(key string) {
+	p.logs.Delete(key)
+	p.shown.Delete(key)
+}
 
-// ClassHeads returns, for every log with at least one assigned
-// sequence, its per-class head CSeqs. It is the digest the server
+// ClassHeads returns, for every log with an entry of a client class,
+// its per-class head CSeqs. It is the digest the server
 // broadcasts with the connection lights so clients can detect that
 // they are behind even when the group has gone quiet — filtered per
 // recipient to their groups and subscribed classes before it leaves
 // the server.
 func (p *Plane) ClassHeads() map[string]map[string]int64 {
-	keys := p.logs.Keys()
+	keys := p.shown.Keys()
 	out := make(map[string]map[string]int64, len(keys))
 	for _, key := range keys {
-		if lg, ok := p.logs.Get(key); ok {
+		if lg, ok := p.shown.Get(key); ok {
 			if heads := lg.ClassHeads(); len(heads) > 0 {
 				out[key] = heads
 			}
@@ -171,6 +190,9 @@ type Log struct {
 	// evicted counter climbs is outliving its replay window.
 	compactions int64
 	evicted     int64
+	// show enters the log in its plane's shown set, once, at its first
+	// entry of a client class (nil outside a plane).
+	show func()
 }
 
 func newLog(cap int) *Log {
@@ -203,18 +225,8 @@ func (l *Log) Append(class string, state bool, encode func(gseq, cseq int64) ([]
 	if err != nil {
 		return 0, err
 	}
-	l.head = gseq
 	l.cheads[class] = cseq
-	if state {
-		l.superseded += l.fresh[class]
-		l.fresh[class] = 0
-		l.latestState[class] = gseq
-	}
-	l.fresh[class]++
-	l.entries = append(l.entries, entry{gseq: gseq, cseq: cseq, class: class, state: state, wire: wire})
-	if len(l.live()) > l.cap {
-		l.compactLocked()
-	}
+	l.pushLocked(entry{gseq: gseq, cseq: cseq, class: class, state: state, wire: wire})
 	if deliver != nil {
 		deliver(wire)
 	}
@@ -238,17 +250,27 @@ func (l *Log) AppendRaw(gseq, cseq int64, class string, state bool, wire []byte)
 	if gseq <= l.head {
 		return
 	}
-	l.head = gseq
-	if cseq > l.cheads[class] {
-		l.cheads[class] = cseq
+	l.cheads[class] = max(l.cheads[class], cseq)
+	l.pushLocked(entry{gseq: gseq, cseq: cseq, class: class, state: state, wire: wire})
+}
+
+// pushLocked retains a newly sequenced entry as the log's head,
+// compacting under capacity pressure. Requires l.mu.
+func (l *Log) pushLocked(e entry) {
+	l.head = e.gseq
+	if e.class == ClassDirectory {
+		e.wire = nil
+	} else if l.show != nil {
+		l.show()
+		l.show = nil
 	}
-	if state {
-		l.superseded += l.fresh[class]
-		l.fresh[class] = 0
-		l.latestState[class] = gseq
+	if e.state {
+		l.superseded += l.fresh[e.class]
+		l.fresh[e.class] = 0
+		l.latestState[e.class] = e.gseq
 	}
-	l.fresh[class]++
-	l.entries = append(l.entries, entry{gseq: gseq, cseq: cseq, class: class, state: state, wire: wire})
+	l.fresh[e.class]++
+	l.entries = append(l.entries, e)
 	if len(l.live()) > l.cap {
 		l.compactLocked()
 	}
@@ -334,13 +356,20 @@ func (l *Log) Head() int64 {
 	return l.head
 }
 
-// ClassHeads returns the highest assigned CSeq per class.
+// ClassHeads returns the highest assigned CSeq per client class.
 func (l *Log) ClassHeads() map[string]int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.classHeadsLocked()
+}
+
+// classHeadsLocked copies the client classes' heads. Requires l.mu.
+func (l *Log) classHeadsLocked() map[string]int64 {
 	out := make(map[string]int64, len(l.cheads))
 	for c, h := range l.cheads {
-		out[c] = h
+		if c != ClassDirectory {
+			out[c] = h
+		}
 	}
 	return out
 }
@@ -357,17 +386,16 @@ type Entry struct {
 }
 
 // Dump exports the retained window in log order — the live-state source
-// for an epoch-versioned migration's takeover package and for WAL
-// checkpoints. The wire byte slices are shared, not copied; callers
-// must treat them as read-only (every producer in this plane already
-// does).
+// for a migration's takeover package and for WAL checkpoints. The wire
+// byte slices are shared, not copied; callers must treat them as
+// read-only (every producer in this plane already does).
 func (l *Log) Dump() []Entry { return l.DumpAt(nil) }
 
-// DumpAt is Dump with at run on the export under the log's lock: what at
-// reads of the state an append changes is of the same moment as the
-// events, and what it sends goes out before anything a later append
-// delivers.
-func (l *Log) DumpAt(at func([]Entry)) []Entry {
+// DumpAt is Dump with at run on the export, and the head it covers,
+// under the log's lock: what at reads of the state an append changes is
+// of the same moment as the events, and what it sends goes out before
+// anything a later append delivers.
+func (l *Log) DumpAt(at func(head int64, es []Entry)) []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]Entry, 0, len(l.live()))
@@ -375,7 +403,7 @@ func (l *Log) DumpAt(at func([]Entry)) []Entry {
 		out = append(out, Entry{GSeq: e.gseq, CSeq: e.cseq, Class: e.class, State: e.state, Wire: e.wire})
 	}
 	if at != nil {
-		at(out)
+		at(l.head, out)
 	}
 	return out
 }
@@ -383,11 +411,11 @@ func (l *Log) DumpAt(at func([]Entry)) []Entry {
 // Keys lists the plane's live log keys.
 func (p *Plane) Keys() []string { return p.logs.Keys() }
 
-// Replay emits, in log order, every retained event whose class passes
-// the want filter and whose CSeq is beyond the caller's position in
-// afters (a class absent from afters counts as position 0). It reports
-// the per-class heads and whether the emitted suffix lets the caller
-// converge.
+// Replay emits, in log order, every retained event whose client class
+// passes the want filter and whose CSeq is beyond the caller's position
+// in afters (a class absent from afters counts as position 0). It
+// reports the per-class heads and whether the emitted suffix lets the
+// caller converge.
 //
 // Convergence is judged by simulating the client's admission rule over
 // the retained entries: a cursor at position p admits an entry with
@@ -401,13 +429,11 @@ func (p *Plane) Keys() []string { return p.logs.Keys() }
 // The lock is held across the emits so a concurrent Append cannot fan
 // out between (or ahead of) replayed entries; like Append's deliver,
 // emit must not block.
-func (l *Log) Replay(afters map[string]int64, want func(class string) bool, emit func(wire []byte)) (heads map[string]int64, complete bool) {
+func (l *Log) Replay(afters map[string]int64, wants func(class string) bool, emit func(wire []byte)) (heads map[string]int64, complete bool) {
+	want := func(class string) bool { return class != ClassDirectory && wants(class) }
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	heads = make(map[string]int64, len(l.cheads))
-	for c, h := range l.cheads {
-		heads[c] = h
-	}
+	heads = l.classHeadsLocked()
 	// Entries older than the newest state-bearing entry of their class
 	// within the needed suffix are superseded by it — replaying them
 	// would only re-derive what that one restatement already says, and

@@ -176,6 +176,41 @@ func TestClassFilterSkipsUnwantedClasses(t *testing.T) {
 	}
 }
 
+// TestDirectoryEntriesStayInside: directory entries take GSeqs like
+// any event, but a replay that wants every class emits none, counts
+// none towards convergence and names no directory head, and neither
+// does ClassHeads — nor the plane's digest, which does not walk a log
+// holding only them. None keeps its bytes.
+func TestDirectoryEntriesStayInside(t *testing.T) {
+	p := NewPlane(16)
+	lg := p.Get("g")
+	appendClass(t, lg, ClassDirectory, true, 2)
+	appendClass(t, lg, "floor", true, 1)
+	appendClass(t, lg, ClassDirectory, true, 1)
+	appendClass(t, p.Get(MemberKey("alice#1")), ClassDirectory, true, 1)
+	var got []string
+	heads, complete := lg.Replay(map[string]int64{}, all, func(wire []byte) { got = append(got, string(wire)) })
+	if !complete || fmt.Sprint(got) != "[floor:1]" || fmt.Sprint(heads) != "map[floor:1]" || lg.Head() != 4 {
+		t.Fatalf("replay (%v, heads %v, complete %v), head %d", got, heads, complete, lg.Head())
+	}
+	if h := lg.ClassHeads(); fmt.Sprint(h) != "map[floor:1]" {
+		t.Fatalf("class heads %v", h)
+	}
+	if digest := p.ClassHeads(); fmt.Sprint(digest) != "map[g:map[floor:1]]" {
+		t.Fatalf("plane digest %v", digest)
+	}
+	if _, shown := p.shown.Get(MemberKey("alice#1")); shown {
+		t.Fatal("the digest walks a log holding only directory entries")
+	}
+	var kept []string
+	for _, e := range lg.Dump() {
+		kept = append(kept, fmt.Sprintf("%d:%s", e.GSeq, e.Wire))
+	}
+	if fmt.Sprint(kept) != "[1: 2: 3:floor:1 4:]" {
+		t.Fatalf("retained %v", kept)
+	}
+}
+
 func TestPlaneKeysAndClassHeads(t *testing.T) {
 	p := NewPlane(8)
 	if p.Cap() != 8 {

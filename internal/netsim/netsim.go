@@ -391,6 +391,11 @@ func (c *conn) Send(payload []byte) error {
 			return transport.ErrClosed
 		}
 	}
+	select {
+	case <-c.peer.done:
+		return transport.ErrClosed // as a TCP write fails once the other end has closed
+	default:
+	}
 	c.deliver(payload)
 	return nil
 }

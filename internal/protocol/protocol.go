@@ -623,15 +623,14 @@ const (
 	ForwardInvite = "invite"
 	// ForwardReplica ships one change of a partition the sender serves
 	// to its replica peers for takeover, as the journal record it was
-	// journalled as: a logged event, a partition package, or a member's
-	// expiry.
+	// journalled as: a logged event or directory entry, a partition
+	// package, or a member's expiry. Each names the key's GSeq it is at.
 	ForwardReplica = "replica"
 	// ForwardAck answers every replica forward: the receiver names the
-	// record's key (Group) and its head there, the highest event GSeq it
-	// holds with none missing below, and echoes the forward's ID. A head
-	// below the forward's GSeq is a refusal: the sender repairs the key
-	// with a package of its whole state. The migration barrier is acked
-	// by ID alone.
+	// record's key (Group) and its head there, the highest GSeq it holds
+	// with none missing below. A head below the forward's GSeq is a
+	// refusal: the sender repairs the key with a package of its whole
+	// state. The migration barrier is acked by its ID alone.
 	ForwardAck = "ack"
 	// ForwardMigrate asks a node to ship every partition it adopted from
 	// the recovering node (Node/Addr) back to it — the coordinated
@@ -668,15 +667,18 @@ type ReplicaEventBody struct {
 // store's standby copy, failover adoption, epoch migration. A group key
 // carries its roster and chair, the floor snapshot, the board head and
 // the retained log suffix; a "~member" key carries the member's row,
-// their resume token and their member log's events. A package may be
-// partial: a directory change carries only the directory part (chair
-// and roster, or member row and token), a replayed journal event one
-// event and its floor snapshot. Epoch stamps a migration's package; a
+// their resume token and their member log's events. GSeq is the head of
+// the key's log the package covers: it rides in the record's own GSeq,
+// and a replica store takes no package that covers less than it holds.
+// A package may be partial: a replayed journal event or directory entry
+// is a package of that one event (and, for a directory entry, the
+// directory part it states). Epoch stamps a migration's package; a
 // receiver discards packages older than the newest epoch it has
 // installed for the key. Floor is a floor.Snapshot's encoding, opaque
 // here (base64 inside the package's JSON).
 type TakeoverBody struct {
 	Key       string             `json:"key"`
+	GSeq      int64              `json:"-"`
 	Epoch     int64              `json:"epoch"`
 	Chair     string             `json:"chair,omitempty"`
 	Members   []NodeMemberInfo   `json:"members,omitempty"`
@@ -688,19 +690,34 @@ type TakeoverBody struct {
 }
 
 // PackageRecord is a package as a journal record: its JSON, keyed by
-// the package's key.
+// the package's key, at the GSeq it covers.
 func PackageRecord(p TakeoverBody) (grouplog.WALRecord, error) {
 	data, err := json.Marshal(p)
-	return grouplog.WALRecord{Kind: grouplog.WALPackage, Key: p.Key, Data: data}, err
+	return grouplog.WALRecord{Kind: grouplog.WALPackage, Key: p.Key, GSeq: p.GSeq, Data: data}, err
+}
+
+// DirectoryEntry is a key's directory part (p's chair and roster, or
+// member row and token) as the record of a directory entry at gseq and
+// cseq in the key's log: its JSON is the entry's bytes.
+func DirectoryEntry(p TakeoverBody, gseq, cseq int64) (grouplog.WALRecord, error) {
+	wire, err := json.Marshal(p)
+	return grouplog.WALRecord{
+		Kind: grouplog.WALEvent, Key: p.Key, GSeq: gseq, CSeq: cseq, Class: grouplog.ClassDirectory, State: true, Wire: wire,
+	}, err
 }
 
 // PackageOf reads an event or package record back as the package it
-// restates (an event record as a one-event package): PackageRecord's
-// inverse, and the one reader of a package record — journal replay, a
-// replica store and a migration's takeover all read through it.
+// restates (an event record as a one-event package, a directory entry's
+// with the directory part its bytes state): PackageRecord's inverse, and
+// the one reader of a package record or directory entry — journal
+// replay, a replica store and a migration's takeover all read through
+// it.
 func PackageOf(rec grouplog.WALRecord) (p TakeoverBody, err error) {
 	switch rec.Kind {
 	case grouplog.WALEvent:
+		if rec.Class == grouplog.ClassDirectory {
+			err = json.Unmarshal(rec.Wire, &p)
+		}
 		p.Key, p.Floor = rec.Key, rec.Data
 		p.Events = []ReplicaEventBody{{GSeq: rec.GSeq, CSeq: rec.CSeq, Class: rec.Class, State: rec.State, Wire: rec.Wire}}
 	case grouplog.WALPackage:
@@ -711,12 +728,13 @@ func PackageOf(rec grouplog.WALRecord) (p TakeoverBody, err error) {
 	if err == nil && p.Key == "" {
 		err = fmt.Errorf("protocol: kind %d record without a key", rec.Kind)
 	}
+	p.GSeq = rec.GSeq
 	return p, err
 }
 
 // ForwardBody is a typed node-to-node forward. Kind selects the shape:
 // ForwardInvite carries To (the member) and Msg (the inner event);
-// ForwardReplica carries Record, ID and From — the receiver acks to
+// ForwardReplica carries Record and From — the receiver acks to
 // From; ForwardTakeover carries Record (a package record); ForwardAck
 // carries ID, From, the key (Group) and Head; ForwardMigrate carries
 // Node, Addr and Epoch; ForwardMigrated carries Groups. On the wire a forward is an
@@ -734,10 +752,8 @@ type ForwardBody struct {
 	// Msg is the inner binary frame (base64 where the body rides as
 	// JSON: invite).
 	Msg []byte `json:"msg,omitempty"`
-	// ID orders a sender's package and drop records (per-sender
-	// monotonic; 0 for event records and a migration's packages) and
-	// names the migration barrier; From is the sender's peer address
-	// the ack is sent back to.
+	// ID names the migration barrier (0 on every replica forward); From
+	// is the sender's peer address the ack is sent back to.
 	ID   int64  `json:"id,omitempty"`
 	From string `json:"from,omitempty"`
 	// Epoch stamps migration-coordination forwards with the partition-map

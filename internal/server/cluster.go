@@ -50,24 +50,16 @@ type ClusterConfig struct {
 // clusterState is a node's runtime cluster machinery: the shared
 // partition map, the pooled peer transport, the replica store holding
 // partitions this node stands by for, the head table of its own
-// replicas with the IDs its package records take, and the partition
-// keys it has adopted after a failover.
+// replicas, and the partition keys it has adopted after a failover.
 type clusterState struct {
 	cfg        ClusterConfig
 	topo       *cluster.Map
 	pool       *cluster.Pool
 	store      *cluster.ReplicaStore
 	peers      []string // the replica peers, ring successors
-	ids        *cluster.AckTable
 	heads      *cluster.HeadTable
 	ackLatency *metrics.Histogram
 	repairs    atomic.Int64 // forwards a repair sent
-
-	// stateMu orders directory changes: a key's directory part is read
-	// and its package record's forward given an ID under it, so a higher
-	// ID always carries newer state and replicas can refuse the older
-	// one however late it arrives.
-	stateMu sync.Mutex
 
 	mu sync.Mutex
 	// adopted holds the partition keys — group IDs and "~member" keys —
@@ -107,7 +99,6 @@ func newClusterState(cfg ClusterConfig, fallback transport.Network, replicaCap i
 		topo:       cluster.NewMap(cfg.Nodes),
 		pool:       cluster.NewPool(cfg.Network),
 		store:      cluster.NewReplicaStore(replicaCap),
-		ids:        cluster.NewAckTable(nil),
 		adopted:    make(map[string]bool),
 		migrating:  make(map[string]bool),
 		ackLatency: metrics.NewHistogram(nil),
@@ -140,9 +131,8 @@ func (s *Server) ReplicaHead(groupID string) int64 {
 }
 
 // ReplicationPending reports what the replicas have not acked storing:
-// the events past each (peer, key) head, and the package and drop
-// records not acked — what tests drain to zero before a kill proves
-// every copy landed.
+// the GSeqs shipped past each (peer, key) head — what tests drain to
+// zero before a kill proves every copy landed.
 func (s *Server) ReplicationPending() int {
 	if s.cluster == nil {
 		return 0
@@ -276,21 +266,16 @@ func (s *Server) adoptResume(token string) (group.MemberID, string, bool) {
 // the change's key, to every replica peer (ship). The journal is
 // best-effort (replication covers a full disk), so a record it refused
 // is counted (dmps_errors_total{site="wal_append"}) and still shipped.
-// A package or drop record takes an ID, which orders it among this
-// sender's others at a replica; an event is ordered by its GSeq. An
-// event's record runs inside its log append's deliver callback, which
-// is safe: the WAL and the head table take only their own locks, and
-// the pool's Send never blocks.
+// Every record names its key's GSeq, which is all a replica orders it
+// by. An event's or directory entry's record runs inside its log
+// append's deliver callback, which is safe: the WAL and the head table
+// take only their own locks, and the pool's Send never blocks.
 func (s *Server) record(rec grouplog.WALRecord, replicate bool) {
 	if s.wal != nil && s.wal.Append(rec) != nil {
 		s.walAppendErrs.Add(1)
 	}
 	if replicate && s.cluster != nil && len(s.cluster.peers) > 0 {
-		var id int64
-		if rec.Kind != grouplog.WALEvent {
-			id = s.cluster.ids.NextID()
-		}
-		s.ship(s.cluster.peers, rec, id)
+		s.ship(s.cluster.peers, rec)
 	}
 }
 
@@ -298,8 +283,8 @@ func (s *Server) record(rec grouplog.WALRecord, replicate bool) {
 // head table. An event frame's sampled trace rides the forward (the
 // replica records its apply span under it), and its ack becomes this
 // node's repl_ack span.
-func (s *Server) ship(peers []string, rec grouplog.WALRecord, id int64) {
-	wire := cluster.WrapForward(protocol.ForwardBody{Kind: protocol.ForwardReplica, Record: rec, ID: id, From: s.cluster.selfAddr()})
+func (s *Server) ship(peers []string, rec grouplog.WALRecord) {
+	wire := cluster.WrapForward(protocol.ForwardBody{Kind: protocol.ForwardReplica, Record: rec, From: s.cluster.selfAddr()})
 	if wire == nil {
 		return
 	}
@@ -309,19 +294,23 @@ func (s *Server) ship(peers []string, rec grouplog.WALRecord, id int64) {
 	}
 	now := time.Now()
 	for _, peer := range peers {
-		s.cluster.heads.Shipped(peer, rec, id, tid, now)
+		s.cluster.heads.Shipped(peer, rec, tid, now)
 		s.cluster.pool.Send(peer, wire)
 	}
 }
 
 // repairReplicas is the replication sweep of the probe tick: each
-// (peer, key) pair behind for its repair interval is sent the key's
+// (peer, key) pair out of step for its repair interval is sent the key's
 // current state as one package — dump, as a client too far behind
-// gets a snapshot — or, for a member no longer homed here, the drop.
-// The package is read and given its ID under stateMu, like every
-// package record, and shipped under the key's log lock, so the events
-// appended after it reach the peer after it. A peer whose circuit is
-// open is skipped, and a key this node no longer serves is forgotten.
+// gets a snapshot — or, for a member no longer homed here, the drop at
+// the GSeq it was shipped at. The package is read, and shipped, under
+// the key's log lock, so it covers the log's head and the records
+// appended after it reach the peer after it. A peer that acked a head
+// past what it was shipped holds another history of the key (a life of
+// this node without its journal, another node's adoption): the key's
+// log first moves past that head, so the package, or the drop, replaces
+// it. A peer whose circuit is open is skipped, and a key this node no
+// longer serves is forgotten.
 func (s *Server) repairReplicas() {
 	if s.cluster == nil {
 		return
@@ -332,18 +321,22 @@ func (s *Server) repairReplicas() {
 			s.cluster.heads.Forget(r.Key)
 			continue
 		}
-		s.cluster.stateMu.Lock()
+		if lg, ok := s.logs.Peek(r.Key); ok && r.Acked > r.Sent {
+			// The peer holds GSeqs of the key this node never shipped
+			// it, another history: an empty directory entry past them
+			// makes the package below cover more.
+			lg.AppendRaw(r.Acked+1, 0, grouplog.ClassDirectory, true, nil)
+		}
 		s.dump(r.Key, func(p protocol.TakeoverBody) {
 			rec, err := protocol.PackageRecord(p)
 			if strings.HasPrefix(r.Key, "~") && p.Member == nil {
-				rec, err = grouplog.WALRecord{Kind: grouplog.WALMemberDrop, Key: r.Key[1:]}, nil
+				rec, err = grouplog.WALRecord{Kind: grouplog.WALMemberDrop, Key: r.Key[1:], GSeq: max(r.Sent, r.Acked+1)}, nil
 			}
 			if err == nil {
-				s.ship([]string{r.Peer}, rec, s.cluster.ids.NextID())
+				s.ship([]string{r.Peer}, rec)
 				s.cluster.repairs.Add(1)
 			}
 		})
-		s.cluster.stateMu.Unlock()
 	}
 }
 
@@ -412,7 +405,7 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 		if sampled {
 			t0 = time.Now()
 		}
-		head, err := s.cluster.store.ApplyRecord(body.Record, body.From, body.ID)
+		head, err := s.cluster.store.ApplyRecord(body.Record)
 		if err != nil {
 			s.replicaApplyErrs.Add(1) // and no ack: nothing here names a key
 			return
@@ -421,7 +414,7 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 		// (the inbound peer link is a one-way writer on the sender's side).
 		if body.From != "" {
 			s.cluster.pool.Send(body.From, cluster.WrapForward(protocol.ForwardBody{
-				Kind: protocol.ForwardAck, ID: body.ID, From: s.cluster.selfAddr(),
+				Kind: protocol.ForwardAck, From: s.cluster.selfAddr(),
 				Group: body.Record.PartitionKey(), Head: head,
 			}))
 		}
@@ -429,7 +422,7 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 			s.plane.Span(msg.TraceID, msg.TraceParent, trace.StageReplAck, t0)
 		}
 	case protocol.ForwardAck:
-		s.cluster.heads.Ack(body.From, body.Group, body.Head, body.ID, time.Now())
+		s.cluster.heads.Ack(body.From, body.Group, body.Head, time.Now())
 	case protocol.ForwardTakeover:
 		if s.installTakeover(body.Record) != nil {
 			s.replicaApplyErrs.Add(1)

@@ -178,8 +178,9 @@ func TestJournalCrashInjection(t *testing.T) {
 		}
 	}
 	// A chat line is acked before its paced batch is appended: wait for
-	// the three grants-or-queueings, two releases and three lines.
-	waitFor(t, "every event to be logged", func() bool { return srv.logs.Get(g).Head() == 8 })
+	// the four joins' directory entries, the three grants-or-queueings,
+	// two releases and three lines.
+	waitFor(t, "every event to be logged", func() bool { return srv.logs.Get(g).Head() == 12 })
 	sim.Advance(time.Minute)
 	for _, who := range []string{"alice", "bob", "carol"} {
 		if _, err := members[who].SyncClock(); err != nil {

@@ -13,7 +13,7 @@ package server
 // Shipped packages are stamped with the epoch; receivers discard
 // packages from epochs older than one already installed, which makes
 // repeated or racing migrations converge instead of resurrecting stale
-// state.
+// state. The epoch, not a GSeq, orders them (ReplicaStore.AdmitEpoch).
 
 import (
 	"fmt"
@@ -112,10 +112,11 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 		shipped = append(shipped, p.Key)
 	}
 	// Barrier: the receiver acks this marker only after processing every
-	// package that preceded it on this in-order connection.
-	barrierID := s.cluster.ids.NextID()
+	// package that preceded it on this in-order connection, which carries
+	// one migration, so its epoch names the barrier: the router bumps the
+	// epoch for every migration, and an epoch is never 0.
 	if err := ship.Send(cluster.WrapForward(protocol.ForwardBody{
-		Kind: protocol.ForwardMigrated, ID: barrierID, From: s.cluster.selfAddr(), Groups: shipped,
+		Kind: protocol.ForwardMigrated, ID: epoch, From: s.cluster.selfAddr(), Groups: shipped,
 	})); err != nil {
 		abort()
 		return
@@ -130,7 +131,7 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 		if err != nil {
 			continue
 		}
-		if ack, err := protocol.DecodeForward(msg); err == nil && ack.Kind == protocol.ForwardAck && ack.ID == barrierID {
+		if ack, err := protocol.DecodeForward(msg); err == nil && ack.Kind == protocol.ForwardAck && ack.ID == epoch {
 			break
 		}
 	}
@@ -150,10 +151,12 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 }
 
 // installTakeover installs one migration package, carried as a package
-// record: into the live planes when this node natively owns the key
-// (the recovering primary), into the replica store otherwise (a
-// successor restocking its standby copy). Stale epochs are discarded;
-// a record that is no package is refused with an error.
+// record, unless a newer migration's package for the key came first:
+// into the live planes when this node natively owns the key (the
+// recovering primary), whatever its own log's head, and into the
+// replica store otherwise, in place of what it held (a successor
+// restocking its standby copy). A record that is no package is refused
+// with an error.
 func (s *Server) installTakeover(rec grouplog.WALRecord) error {
 	p, err := protocol.PackageOf(rec)
 	if err == nil && rec.Kind != grouplog.WALPackage {
@@ -167,6 +170,7 @@ func (s *Server) installTakeover(rec grouplog.WALRecord) error {
 		_ = s.install(p, false) // an undecodable floor is counted (state_install)
 		return nil
 	}
-	s.cluster.store.Apply(p, "", 0)
-	return nil
+	s.cluster.store.Take(p.Key)
+	_, err = s.cluster.store.ApplyRecord(rec)
+	return err
 }

@@ -2,10 +2,10 @@ package server
 
 // The partition package (protocol.TakeoverBody) is the one form a
 // partition key's state takes when it leaves or enters the live planes:
-// dump is the only producer (migration, checkpoint), install the only
-// consumer (WAL replay, failover adoption of a group or a member home,
-// a migration's takeover), and persist records the directory part
-// whenever it changes.
+// dump is the only producer (migration, checkpoint, repair), install the
+// only consumer (WAL replay, failover adoption of a group or a member
+// home, a migration's takeover), and persist appends the directory part
+// to the key's log whenever it changes.
 
 import (
 	"errors"
@@ -45,21 +45,25 @@ func (s *Server) directory(key string) protocol.TakeoverBody {
 	return p
 }
 
-// dump exports a partition key's live state as a package: the directory
-// part, a group's board head, and — read under the key's log lock, so
-// that they are of one moment — a group's encoded floor snapshot and
-// the log's retained window. then, when set, gets the package under
-// that lock too, so that what it ships goes out before any later event.
+// dump exports a partition key's live state as a package: a group's
+// board head, and — read under the key's log lock, so that they are of
+// one moment — the directory part, a group's encoded floor snapshot, the
+// log's retained window and the head it covers. then, when set, gets the
+// package under that lock too, so that what it ships goes out before
+// any later record.
 func (s *Server) dump(key string, then func(protocol.TakeoverBody)) protocol.TakeoverBody {
-	p := s.directory(key)
+	var boardHead int64
 	grp := !strings.HasPrefix(key, "~")
 	if grp {
 		gb := s.board(key)
 		gb.mu.Lock()
-		p.BoardHead = gb.board.Seq()
+		boardHead = gb.board.Seq()
 		gb.mu.Unlock()
 	}
-	at := func(es []grouplog.Entry) {
+	var p protocol.TakeoverBody
+	at := func(head int64, es []grouplog.Entry) {
+		p = s.directory(key)
+		p.GSeq, p.BoardHead = head, boardHead
 		if grp {
 			p.Floor = s.floorCtl.Snapshot(key).AppendBinary(nil)
 		}
@@ -73,7 +77,7 @@ func (s *Server) dump(key string, then func(protocol.TakeoverBody)) protocol.Tak
 	if lg, ok := s.logs.Peek(key); ok {
 		lg.DumpAt(at)
 	} else {
-		at(nil)
+		at(0, nil)
 	}
 	return p
 }
@@ -149,7 +153,13 @@ func (s *Server) install(p protocol.TakeoverBody, replicate bool) (err error) {
 		gb.board.SkipTo(p.BoardHead)
 		gb.mu.Unlock()
 	}
-	s.recordPackage(p, replicate)
+	if s.wal != nil || replicate {
+		if rec, perr := protocol.PackageRecord(p); perr != nil {
+			s.walAppendErrs.Add(1) // a package that does not encode
+		} else {
+			s.record(rec, replicate)
+		}
+	}
 	return err
 }
 
@@ -189,19 +199,27 @@ func (s *Server) installed(err error) {
 	}
 }
 
-// persist records a partition key's directory part after it changed —
-// a group's membership, a member's admission or adoption: journalled,
-// and shipped to the replica peers when this node serves the key, read
-// and given its forward ID under stateMu so that a higher ID always
-// carries newer state.
+// persist appends a partition key's directory part to the key's log
+// after it changed — a group's membership, a member's admission — as a
+// directory entry, which no client receives: read under the log's lock,
+// so that a later GSeq always states a newer directory, and recorded
+// there (journalled, and shipped to the replica peers when this node
+// serves the key). The read takes the registry's locks, and s.mu for a
+// member's token, beneath the log's: the lock order of a floor
+// transition, log → floor → registry. Without a journal or peers
+// nothing reads the entry, and nothing is appended.
 func (s *Server) persist(key string) {
-	if s.cluster != nil {
-		s.cluster.stateMu.Lock()
-		defer s.cluster.stateMu.Unlock()
-	} else if s.wal == nil {
+	if s.wal == nil && s.cluster == nil {
 		return
 	}
-	s.recordPackage(s.directory(key), s.replicates(key))
+	var rec grouplog.WALRecord
+	_, err := s.logs.Get(key).Append(grouplog.ClassDirectory, true, func(gseq, cseq int64) (wire []byte, err error) {
+		rec, err = protocol.DirectoryEntry(s.directory(key), gseq, cseq)
+		return rec.Wire, err
+	}, func([]byte) { s.record(rec, s.replicates(key)) })
+	if err != nil {
+		s.logAppendErrs.Add(1)
+	}
 }
 
 // bumpNextID advances the member-ID counter past the numeric suffix of

@@ -119,11 +119,12 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 	}
 	keys := []string{grouplog.MemberKey(string(dave)), "hall", "seminar"}
 	// Board lines and invitations are acked before their events are
-	// appended: wait for all of them — three floor events, the
-	// suspension, two board events, the invitation — so that nothing
+	// appended: wait for all of them — after the four joins' directory
+	// entries, three floor events, the suspension and two board events;
+	// after dave's admission entry, the invitation — so that nothing
 	// lands after the source is dumped.
 	waitFor(t, "every event to be logged", func() bool {
-		return src.logs.Get(keys[0]).Head() == 1 && src.logs.Get("hall").Head() == 6
+		return src.logs.Get(keys[0]).Head() == 2 && src.logs.Get("hall").Head() == 10
 	})
 
 	want := map[string]protocol.TakeoverBody{}
@@ -135,7 +136,8 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 		err != nil || string(fs.Holder) != alice.MemberID() || len(fs.Queue) != 2 || len(fs.Suspended) != 1 || !fs.Pinned {
 		t.Fatalf("source group package is missing state: %+v floor %+v %v", hall, fs, err)
 	}
-	if home := want[keys[0]]; home.Member == nil || home.Token == "" || len(home.Events) != 1 {
+	// dave's member log: his admission's directory entry and the invitation.
+	if home := want[keys[0]]; home.Member == nil || home.Token == "" || len(home.Events) != 2 {
 		t.Fatalf("source member package is missing state: %+v", home)
 	}
 	if fs, err := floor.DecodeSnapshot(want["seminar"].Floor); err != nil || len(fs.Approved) != 1 || len(fs.Contacts) != 2 {
@@ -181,7 +183,13 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 		{"failover adoption from the replica store", func(addr string) *Server {
 			dst := node(addr, "")
 			for _, key := range keys {
-				dst.cluster.store.Apply(want[key], "", 0)
+				rec, err := protocol.PackageRecord(want[key])
+				if err == nil {
+					_, err = dst.cluster.store.ApplyRecord(rec)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 				dst.cluster.mu.Lock()
 				dst.adoptLocked(key)
 				dst.cluster.mu.Unlock()
@@ -271,13 +279,12 @@ func TestMixedAuthorBurstSurvivesTransfer(t *testing.T) {
 	if src.FlushBoardBatches() != 1 {
 		t.Fatal("the held strokes did not flush as one batch")
 	}
-	waitFor(t, "both board events to be logged", func() bool { return src.logs.Get("hall").Head() == 2 })
+	// The two joins' directory entries, then both board events.
+	waitFor(t, "both board events to be logged", func() bool { return src.logs.Get("hall").Head() == 4 })
 	want := src.board("hall").board.Since(0)
 	if len(want) != 4 || want[1].Author == want[2].Author {
 		t.Fatalf("source board %+v, want four strokes by alternating authors", want)
 	}
-	events := src.dump("hall", nil).Events
-
 	same := func(path string, dst *Server) {
 		t.Helper()
 		if got := dst.board("hall").board.Since(0); !reflect.DeepEqual(got, want) {
@@ -288,10 +295,22 @@ func TestMixedAuthorBurstSurvivesTransfer(t *testing.T) {
 		}
 	}
 
-	// Failover adoption: the replica store is fed the owner's forwards.
+	// Failover adoption: the replica store is fed the owner's forwards,
+	// the records its journal holds.
+	src.Close()
+	w, err := grouplog.OpenWAL(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dst := node("dst:1", "")
-	for _, e := range events {
-		dst.cluster.store.ApplyEvent("hall", e.Wire, nil)
+	if err := w.Replay(func(rec grouplog.WALRecord) error {
+		if rec.Key != "hall" {
+			return nil
+		}
+		_, err := dst.cluster.store.ApplyRecord(rec)
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
 	p, ok := dst.cluster.store.Take("hall")
 	if !ok || p.BoardHead != 4 {
@@ -301,6 +320,5 @@ func TestMixedAuthorBurstSurvivesTransfer(t *testing.T) {
 	same("failover adoption", dst)
 
 	// WAL replay: the source's own journal, read by a fresh process.
-	src.Close()
 	same("WAL replay", node("replay:1", dir))
 }

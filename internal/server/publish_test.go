@@ -230,6 +230,9 @@ func TestPublishPipelineTable(t *testing.T) {
 		taps[who].mu.Unlock()
 	}
 	for _, e := range owner.logs.Get(g).Dump() {
+		if e.Class == grouplog.ClassDirectory {
+			continue // a join's directory entry: no client frame
+		}
 		msg, err := protocol.DecodeBinary(e.Wire)
 		if err != nil {
 			t.Fatal(err)
@@ -245,8 +248,9 @@ func TestPublishPipelineTable(t *testing.T) {
 	if got, want := replica.ReplicaHead(g), owner.logs.Get(g).Head(); got != want {
 		t.Errorf("replica holds group events up to %d, owner's head is %d", got, want)
 	}
-	if got := replica.ReplicaHead(daveLog); got != 2 {
-		t.Errorf("replica holds member-log events up to %d, want 2", got)
+	// dave's admission entry, then his two invitations.
+	if got := replica.ReplicaHead(daveLog); got != 3 {
+		t.Errorf("replica holds member-log events up to %d, want 3", got)
 	}
 	// …and in the journal, one event record each, every floor- and
 	// suspend-class one carrying the floor snapshot in the same record.
@@ -258,8 +262,8 @@ func TestPublishPipelineTable(t *testing.T) {
 	defer w.Close()
 	var events, snaps int64
 	if err := w.Replay(func(rec grouplog.WALRecord) error {
-		if rec.Kind != grouplog.WALEvent {
-			return nil
+		if rec.Kind != grouplog.WALEvent || rec.Class == grouplog.ClassDirectory {
+			return nil // not a publish: a package, or a directory entry
 		}
 		events++
 		if len(rec.Data) > 0 {

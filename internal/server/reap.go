@@ -65,14 +65,21 @@ func (s *Server) Reap(now time.Time) []string {
 				return protocol.FloorEventBody{Member: string(id), Event: event}, wasHolder || wasQueued
 			})
 		}
-		s.registry.Unregister(id)
-		s.logs.Drop(grouplog.MemberKey(string(id)))
+		key := grouplog.MemberKey(string(id))
 		if sess.homed {
 			// Only the member's home retracts their replicated state: a
 			// node-scoped session expiring must not revoke the home's
-			// journal entry or the successors' standby copy.
-			s.record(grouplog.WALRecord{Kind: grouplog.WALMemberDrop, Key: string(id)}, true)
+			// journal entry or the successors' standby copy. The drop
+			// takes the member log's last GSeq, and is recorded under its
+			// lock; its entry has no bytes to encode, so it cannot fail.
+			var drop grouplog.WALRecord
+			_, _ = s.logs.Get(key).Append(grouplog.ClassDirectory, true, func(gseq, _ int64) ([]byte, error) {
+				drop = grouplog.WALRecord{Kind: grouplog.WALMemberDrop, Key: string(id), GSeq: gseq}
+				return nil, nil
+			}, func([]byte) { s.record(drop, true) })
 		}
+		s.registry.Unregister(id)
+		s.logs.Drop(key)
 		out = append(out, string(id))
 	}
 	return out

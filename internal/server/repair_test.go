@@ -106,6 +106,72 @@ func TestCutPeerLinkLeavesNoHole(t *testing.T) {
 	}
 }
 
+// TestRestartWithoutJournalReplacesTheReplica: an owner restarted
+// without a journal, and never marked down, begins its group's log
+// again at GSeq 1, below the head its replica holds of the previous
+// life. The replica refuses the new life's records and acks that old
+// head, past what it was shipped; the owner moves the log past it and
+// repairs with a package, so the replica, and an adoption from it, hold
+// the new life's roster and floor, not the old one's.
+func TestRestartWithoutJournalReplacesTheReplica(t *testing.T) {
+	n := netsim.New(43)
+	nodes := []string{"n0:1", "n1:1"}
+	start := func(i int) *Server {
+		srv, err := New(Config{
+			Network: n, Addr: nodes[i], ProbeInterval: 20 * time.Millisecond,
+			Cluster: &ClusterConfig{Nodes: nodes, Self: i, Network: n.From(netsim.Host(nodes[i]))},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start()
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	g := ownedBy(nodes, 0, "hall")
+	request := func(who string) {
+		t.Helper()
+		c, err := client.Dial(client.Config{
+			Network: n.From(who + "host"), Addr: nodes[0], Name: ownedBy(nodes, 0, who),
+			Role: "participant", Priority: 2, Timeout: 2 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("dial %s: %v", who, err)
+		}
+		t.Cleanup(c.Close)
+		if err := c.Join(g); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RequestFloor(g, floor.EqualControl, ""); err != nil {
+			t.Fatalf("%s's request: %v", who, err)
+		}
+	}
+	owner, replica := start(0), start(1)
+	request("alice")
+	request("bob") // queued behind alice
+	waitFor(t, "the first life at the replica", func() bool {
+		return owner.ReplicationPending() == 0 && replica.ReplicaHead(g) >= 4
+	})
+	old := replica.ReplicaHead(g)
+	owner.Close()
+
+	owner = start(0)
+	request("carol")
+	waitFor(t, "the second life at the replica", func() bool {
+		return owner.ReplicationPending() == 0 && replica.ReplicaHead(g) > old
+	})
+	want, _ := owner.registry.GroupMemberIDs(g)
+	wantFloor := owner.floorCtl.Snapshot(g)
+	owner.Close()
+	if !replica.servesGroup(g) {
+		t.Fatal("the replica did not adopt the group of its dead owner")
+	}
+	got, _ := replica.registry.GroupMemberIDs(g)
+	if gotFloor := replica.floorCtl.Snapshot(g); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotFloor, wantFloor) {
+		t.Fatalf("adopted roster %v and floor %+v; the second life's were %v and %+v", got, gotFloor, want, wantFloor)
+	}
+}
+
 // ownedBy is the first key prefix0, prefix1, … that node natively owns.
 func ownedBy(nodes []string, node int, prefix string) string {
 	pmap := cluster.NewMap(nodes)

@@ -43,12 +43,14 @@ func TestHostileReplicaRecordsAreCounted(t *testing.T) {
 		return wire[:len(wire)-len(grouplog.AppendRecord(nil, rec))+n]
 	}
 	pkg := grouplog.WALRecord{Kind: grouplog.WALPackage, Key: "hall", Data: []byte(`{"key":"hall","epoch":1,"chair":"m#1"}`)}
+	dir := grouplog.WALRecord{Kind: grouplog.WALEvent, Key: "hall", GSeq: 1, CSeq: 1, Class: grouplog.ClassDirectory, State: true, Wire: []byte("{not json")}
 	hostile := map[string][]byte{
 		"record cut to its kind":         cut(protocol.ForwardReplica, good, 1),
 		"record cut in its frame":        cut(protocol.ForwardReplica, good, 12),
 		"record of an unknown kind":      forward(protocol.ForwardReplica, grouplog.WALRecord{Kind: 9, Key: "hall"}),
 		"next_id on the peer wire":       forward(protocol.ForwardReplica, grouplog.WALRecord{Kind: grouplog.WALNextID, Key: "hall", GSeq: 5}),
 		"package that is not JSON":       forward(protocol.ForwardReplica, grouplog.WALRecord{Kind: grouplog.WALPackage, Key: "hall", Data: []byte("{not json")}),
+		"directory entry not JSON":       forward(protocol.ForwardReplica, dir),
 		"member drop without a key":      forward(protocol.ForwardReplica, grouplog.WALRecord{Kind: grouplog.WALMemberDrop}),
 		"takeover of an event record":    forward(protocol.ForwardTakeover, good),
 		"takeover cut in its package":    cut(protocol.ForwardTakeover, pkg, 9),

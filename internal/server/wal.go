@@ -2,39 +2,29 @@ package server
 
 // Write-ahead durability for a node's live planes. When Config.WALDir
 // is set, every change to the serving state is journaled as one record
-// in an append-only segment store (grouplog.WAL): a logged append as
-// its stamped frame, with the encoded floor snapshot beside a floor or
-// suspend event; a change to a key's directory part — roster and
-// chair, member row and token — as the key's partition package; a
-// member's expiry; the ID counter. A replica forward carries the same
-// record (record sends both). New replays the journal through the one
-// install before listening, so a restarted node resumes with the exact
-// GSeq/CSeq cursors its clients hold: a pre-crash client Reconnects
-// with its token and converges through ordinary backfill, no snapshot
-// needed. Periodic checkpoints restate the ID counter and every key's
-// package into a fresh segment and truncate the old ones, bounding both
-// replay time and disk. All hooks are no-ops when the WAL is off
-// (s.wal == nil), so the standalone in-memory server pays nothing.
+// in an append-only segment store (grouplog.WAL), each at the GSeq it
+// took in its key's log: a logged append as its stamped frame, with the
+// encoded floor snapshot beside a floor or suspend event; a change to a
+// key's directory part — roster and chair, member row and token — as
+// the directory entry it appended; a member's expiry, as the last GSeq
+// of the member's log; and, unkeyed, the ID counter. A replica forward
+// carries the same record (record sends both). New replays the journal
+// through the one install before listening, so a restarted node resumes
+// with the exact GSeq/CSeq cursors its clients hold: a pre-crash client
+// Reconnects with its token and converges through ordinary backfill, no
+// snapshot needed. Periodic checkpoints restate the ID counter and every
+// key's package, at the GSeq it covers, into a fresh segment and
+// truncate the old ones, bounding both replay time and disk. A journal
+// written before directory entries holds package records for directory
+// changes instead, at no GSeq; replay installs them as before. All
+// hooks are no-ops when the WAL is off (s.wal == nil), so the
+// standalone in-memory server pays nothing.
 
 import (
 	"dmps/internal/group"
 	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
 )
-
-// recordPackage records a partition package (record); one that does
-// not encode counts as a failed journal append.
-func (s *Server) recordPackage(p protocol.TakeoverBody, replicate bool) {
-	if s.wal == nil && !replicate {
-		return // nowhere to send it: skip the encoding
-	}
-	rec, err := protocol.PackageRecord(p)
-	if err != nil {
-		s.walAppendErrs.Add(1)
-		return
-	}
-	s.record(rec, replicate)
-}
 
 // replayWAL installs every journaled record into the live planes, in
 // write order — run by New before the listener accepts anyone, so the

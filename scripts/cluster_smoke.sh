@@ -60,7 +60,15 @@ start)
     echo \$! > "$RUN/node\$i.pid"
     ;;
 kill)
-    kill -9 "\$(cat "$RUN/node\$i.pid")"
+    pid="\$(cat "$RUN/node\$i.pid")"
+    kill -9 "\$pid"
+    # Wait for the process to be gone (a zombie has closed its sockets
+    # too), so that a start right after can bind the same port.
+    for _ in \$(seq 200); do
+        stat="\$(ps -o stat= -p "\$pid" 2>/dev/null | tr -d " " || true)"
+        if [ -z "\$stat" ] || [ "\${stat#Z}" != "\$stat" ]; then break; fi
+        sleep 0.05
+    done
     ;;
 esac
 EOF
@@ -141,7 +149,8 @@ fi
 
 # Drill 3: full-cluster restart on the same WAL dirs. The router never
 # tears its map down (no sessions were flowing), so the fleet must come
-# back serving from its replayed journals alone.
+# back serving from its replayed journals alone. node_ctl kill returns
+# only once the old process is gone, so each start can bind its port.
 for i in 0 1 2; do "$RUN/node_ctl" kill "$i"; done
 for i in 0 1 2; do "$RUN/node_ctl" start "$i"; done
 wait_up "$NODE0" "$NODE1" "$NODE2"
