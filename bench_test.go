@@ -277,7 +277,7 @@ func BenchmarkArbitrate(b *testing.B) {
 // BenchmarkBroadcast measures group fan-out over netsim: one server-
 // originated message delivered to every member of an N-member group. The
 // encodes/op metric proves the encode-once invariant (exactly one
-// protocol.Encode per broadcast regardless of group size), and allocs/op
+// protocol.EncodeBinary per broadcast regardless of group size), and allocs/op
 // must stay flat in N modulo the per-recipient delivery itself.
 func BenchmarkBroadcast(b *testing.B) {
 	for _, n := range []int{2, 8, 32} {
@@ -1080,11 +1080,11 @@ func BenchmarkProtocolEncodeDecode(b *testing.B) {
 	msg.Seq = 42
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wire, err := protocol.Encode(msg)
+		wire, err := protocol.EncodeBinary(msg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := protocol.Decode(wire); err != nil {
+		if _, err := protocol.DecodeBinary(wire); err != nil {
 			b.Fatal(err)
 		}
 	}

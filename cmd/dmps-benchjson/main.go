@@ -1,7 +1,7 @@
 // Command dmps-benchjson converts `go test -bench` output into the
 // repository's BENCH_*.json format and gates the log plane's headline
 // invariants: with the event-log append on the broadcast hot path,
-// encodes/op must stay at exactly one Encode per broadcast, and an
+// encodes/op must stay at exactly one EncodeBinary per broadcast, and an
 // annotation storm must coalesce board ops into paced batches
 // (logged_board_events/op from BenchmarkBoardStorm). CI pipes the
 // bench output through it and fails the step on a regression.

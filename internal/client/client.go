@@ -276,18 +276,20 @@ func (c *Client) groupClassesLocked() []string {
 func handshake(conn transport.Conn, cfg Config, hello protocol.HelloBody, seq int64, behind ...[]byte) (protocol.WelcomeBody, error) {
 	msg := protocol.MustNew(protocol.THello, hello)
 	msg.Seq = seq
-	wire, err := protocol.Encode(msg)
+	wire, err := protocol.EncodeBinary(msg)
 	if err != nil {
 		return protocol.WelcomeBody{}, err
 	}
-	if err := transport.SendAll(conn, append([][]byte{wire}, behind...)); err != nil {
+	// A server that refuses the hello may close before the frames behind
+	// it are written: the refusal is still there to read.
+	if err := transport.SendAll(conn, append([][]byte{wire}, behind...)); err != nil && !errors.Is(err, transport.ErrClosed) {
 		return protocol.WelcomeBody{}, err
 	}
 	reply, err := recvDeadline(conn, cfg.Clock, cfg.Timeout)
 	if err != nil {
 		return protocol.WelcomeBody{}, fmt.Errorf("client: handshake recv: %w", err)
 	}
-	got, err := protocol.Decode(reply)
+	got, err := protocol.DecodeBinary(reply)
 	if err == nil && got.Type == protocol.TErr {
 		var body protocol.ErrBody
 		_ = got.Into(&body)
@@ -359,7 +361,10 @@ func (c *Client) send(msg protocol.Message) error {
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	return conn.Send(wire)
+	if err = conn.Send(wire); errors.Is(err, transport.ErrClosed) {
+		err = fmt.Errorf("%w: %w", ErrClosed, err) // connection loss, as the reader reports it
+	}
+	return err
 }
 
 // request sends a message and waits for the matching TAck/TErr/TClockSync

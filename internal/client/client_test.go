@@ -61,7 +61,7 @@ func TestDialRejectsWrongWelcomeType(t *testing.T) {
 	fakeServer(t, n, func(conn transport.Conn) {
 		_, _ = conn.Recv()
 		msg := protocol.MustNew(protocol.TChat, protocol.ChatBody{Text: "hi"})
-		wire, _ := protocol.Encode(msg)
+		wire, _ := protocol.EncodeBinary(msg)
 		_ = conn.Send(wire)
 	})
 	if _, err := client.Dial(client.Config{Network: n, Addr: "fake:1", Name: "x"}); err == nil {
@@ -86,13 +86,13 @@ func silentServer(t *testing.T, n *netsim.Net) {
 		if err != nil {
 			return
 		}
-		msg, err := protocol.Decode(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			return
 		}
 		welcome := protocol.MustNew(protocol.TWelcome, protocol.WelcomeBody{MemberID: "m#1", WireVersion: protocol.WireVersion})
 		welcome.Seq = msg.Seq
-		out, _ := protocol.Encode(welcome)
+		out, _ := protocol.EncodeBinary(welcome)
 		_ = conn.Send(out)
 		for {
 			if _, err := conn.Recv(); err != nil {

@@ -24,7 +24,7 @@ func resumeServer(t *testing.T, n *netsim.Net, asks int, holder string) {
 	}
 	t.Cleanup(func() { l.Close() })
 	send := func(conn transport.Conn, msg protocol.Message, binary bool) {
-		wire, err := protocol.Encode(msg)
+		wire, err := protocol.EncodeBinary(msg)
 		if binary {
 			wire, err = protocol.EncodeBinary(msg)
 		}
@@ -51,7 +51,7 @@ func resumeServer(t *testing.T, n *netsim.Net, asks int, holder string) {
 					if err != nil {
 						return
 					}
-					hello, err := protocol.Decode(wire)
+					hello, err := protocol.DecodeBinary(wire)
 					if err != nil {
 						return
 					}
@@ -76,7 +76,7 @@ func resumeServer(t *testing.T, n *netsim.Net, asks int, holder string) {
 				if err != nil {
 					return
 				}
-				hello, err := protocol.Decode(wire)
+				hello, err := protocol.DecodeBinary(wire)
 				if err != nil || hello.Type != protocol.THello {
 					return
 				}

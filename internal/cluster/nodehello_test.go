@@ -25,14 +25,14 @@ func refusingNode(t *testing.T, network transport.Network, addr string) {
 		if err != nil {
 			return
 		}
-		hello, err := protocol.Decode(wire)
+		hello, err := protocol.DecodeBinary(wire)
 		if err != nil || hello.Type != protocol.TNodeHello {
 			t.Errorf("stream's first message is %v (%v), want node_hello", hello.Type, err)
 			return
 		}
 		refusal := protocol.MustNew(protocol.TErr, protocol.ErrBody{Code: protocol.CodeWireUnsupported, Detail: "refused"})
 		refusal.Seq = hello.Seq
-		if wire, err := protocol.Encode(refusal); err == nil {
+		if wire, err := protocol.EncodeBinary(refusal); err == nil {
 			_ = st.Send(wire)
 		}
 		leak := protocol.MustNew(protocol.TChatEvent, protocol.ChatBody{Text: "from a refused stream"})
@@ -53,7 +53,7 @@ func rawSession(t *testing.T, network transport.Network, addr, name string) (tra
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
-	hello, err := protocol.Encode(protocol.MustNew(protocol.THello, protocol.HelloBody{
+	hello, err := protocol.EncodeBinary(protocol.MustNew(protocol.THello, protocol.HelloBody{
 		Name: name, Role: "participant", WireVersion: protocol.WireVersion,
 	}))
 	if err != nil {
@@ -66,7 +66,7 @@ func rawSession(t *testing.T, network transport.Network, addr, name string) (tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg, err := protocol.Decode(wire); err != nil || msg.Type != protocol.TWelcome {
+	if msg, err := protocol.DecodeBinary(wire); err != nil || msg.Type != protocol.TWelcome {
 		t.Fatalf("handshake reply %v (%v), want welcome", msg.Type, err)
 	}
 	frames := make(chan protocol.Message, 64)
@@ -76,7 +76,7 @@ func rawSession(t *testing.T, network transport.Network, addr, name string) (tra
 			if err != nil {
 				return
 			}
-			if msg, err := protocol.DecodeAny(wire); err == nil {
+			if msg, err := protocol.DecodeBinary(wire); err == nil {
 				frames <- msg
 			}
 		}
@@ -204,7 +204,7 @@ func recordingHome(t *testing.T, network transport.Network, addr string, got cha
 		if err != nil {
 			return
 		}
-		hello, err := protocol.Decode(wire)
+		hello, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			return
 		}
@@ -212,7 +212,7 @@ func recordingHome(t *testing.T, network transport.Network, addr string, got cha
 			MemberID: "m#1", Token: "token", WireVersion: protocol.WireVersion,
 		})
 		welcome.Seq = hello.Seq
-		if wire, err := protocol.Encode(welcome); err == nil {
+		if wire, err := protocol.EncodeBinary(welcome); err == nil {
 			_ = st.Send(wire)
 		}
 		for {
@@ -220,7 +220,7 @@ func recordingHome(t *testing.T, network transport.Network, addr string, got cha
 			if err != nil {
 				return
 			}
-			if msg, err := protocol.DecodeAny(wire); err == nil {
+			if msg, err := protocol.DecodeBinary(wire); err == nil {
 				got <- msg
 			}
 		}

@@ -109,7 +109,7 @@ func (s *ReplicaStore) ApplyRecord(rec grouplog.WALRecord) (int64, error) {
 // frame's envelope, floor stored beside it. It returns the key's head
 // after it.
 func (s *ReplicaStore) ApplyEvent(key string, wire, floor []byte) int64 {
-	env, err := protocol.DecodeAny(wire)
+	env, err := protocol.DecodeBinary(wire)
 	if err != nil {
 		return s.Head(key)
 	}
@@ -134,7 +134,7 @@ func (s *ReplicaStore) appendLocked(q *protocol.TakeoverBody, rec grouplog.WALRe
 		// so takeover knows where sequence minting must resume even if
 		// earlier board events were trimmed from the retained suffix.
 		var body protocol.SequencedBody
-		if msg, err := protocol.DecodeAny(rec.Wire); err == nil && msg.Into(&body) == nil {
+		if msg, err := protocol.DecodeBinary(rec.Wire); err == nil && msg.Into(&body) == nil {
 			q.BoardHead = max(q.BoardHead, body.Seq)
 			for _, op := range body.More {
 				q.BoardHead = max(q.BoardHead, op.Seq)

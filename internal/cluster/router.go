@@ -258,7 +258,7 @@ func (r *Router) openStream(idx int, first ...[]byte) (transport.Conn, error) {
 // admission at the home, which needs the reply (the welcome names the
 // member). An owner's node hello does not wait (see ensureUpstream).
 func (r *Router) openUpstream(idx int, hello protocol.Message) (transport.Conn, protocol.Message, []byte, error) {
-	wire, err := protocol.Encode(hello)
+	wire, err := protocol.EncodeBinary(hello)
 	if err != nil {
 		return nil, protocol.Message{}, nil, err
 	}
@@ -269,7 +269,7 @@ func (r *Router) openUpstream(idx int, hello protocol.Message) (transport.Conn, 
 	var reply protocol.Message
 	replyWire, err := conn.Recv()
 	if err == nil {
-		reply, err = protocol.Decode(replyWire)
+		reply, err = protocol.DecodeBinary(replyWire)
 	}
 	if err != nil {
 		_ = conn.Close()
@@ -398,7 +398,11 @@ func (rs *routerSession) admit() error {
 	if err != nil {
 		return err
 	}
-	msg, err := protocol.Decode(wire)
+	if refusal, old := protocol.OldWireRefusal(wire); old {
+		rs.tellClient(refusal)
+		return transport.ErrClosed
+	}
+	msg, err := protocol.DecodeBinary(wire)
 	if err != nil || msg.Type != protocol.THello {
 		return fmt.Errorf("cluster: router: first message %v (%w)", msg.Type, transport.ErrClosed)
 	}
@@ -479,7 +483,7 @@ func (rs *routerSession) admit() error {
 	}
 	tagged := protocol.MustNew(protocol.TWelcome, welcome)
 	tagged.Seq = reply.Seq
-	taggedWire, err := protocol.Encode(tagged)
+	taggedWire, err := protocol.EncodeBinary(tagged)
 	if err != nil {
 		return err
 	}
@@ -495,7 +499,7 @@ func (rs *routerSession) admit() error {
 func (rs *routerSession) reject(seq int64, code, detail string) {
 	msg := protocol.MustNew(protocol.TErr, protocol.ErrBody{Code: code, Detail: detail})
 	msg.Seq = seq
-	if wire, err := protocol.Encode(msg); err == nil {
+	if wire, err := protocol.EncodeBinary(msg); err == nil {
 		rs.tellClient(wire)
 	}
 }
@@ -617,7 +621,7 @@ func (rs *routerSession) ensureUpstream(idx int, msg protocol.Message, gid strin
 		rs.mu.Unlock()
 		return nil, false, transport.ErrClosed
 	}
-	hello, err := protocol.Encode(protocol.MustNew(protocol.TNodeHello, rs.identity))
+	hello, err := protocol.EncodeBinary(protocol.MustNew(protocol.TNodeHello, rs.identity))
 	rs.mu.Unlock()
 	if err != nil {
 		return nil, false, err
@@ -660,7 +664,7 @@ func (rs *routerSession) relay(up *upstream) {
 	if up.ready != nil {
 		wire, err := up.conn.Recv()
 		if err == nil {
-			if msg, derr := protocol.Decode(wire); derr != nil || msg.Type != protocol.TWelcome {
+			if msg, derr := protocol.DecodeBinary(wire); derr != nil || msg.Type != protocol.TWelcome {
 				rs.r.nodeHelloErrs.Add(1)
 				err = transport.ErrClosed
 			}
@@ -810,7 +814,7 @@ func (r *Router) askMigrate(j, node int, addr string, epoch int64) ([]string, er
 		if err != nil {
 			return nil, err
 		}
-		msg, err := protocol.DecodeAny(reply)
+		msg, err := protocol.DecodeBinary(reply)
 		if err != nil {
 			continue
 		}

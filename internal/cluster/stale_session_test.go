@@ -35,11 +35,11 @@ func helloNode(t *testing.T, network transport.Network, addr string, hellos *ato
 					if err != nil {
 						return
 					}
-					if msg, err := protocol.Decode(wire); err == nil && msg.Type == protocol.TNodeHello {
+					if msg, err := protocol.DecodeBinary(wire); err == nil && msg.Type == protocol.TNodeHello {
 						hellos.Add(1)
 					}
 					welcome := protocol.MustNew(protocol.TWelcome, protocol.WelcomeBody{})
-					if wire, err := protocol.Encode(welcome); err == nil {
+					if wire, err := protocol.EncodeBinary(welcome); err == nil {
 						_ = st.Send(wire)
 					}
 					for {

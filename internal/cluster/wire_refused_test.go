@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -12,13 +13,15 @@ import (
 	"dmps/internal/transport"
 )
 
-// TestOldWireAskRefused: the one framing is binary version 2, and the
-// handshake's wire_version is a stamp, not a request. A hello stamped 0
-// (JSON) or 1 (binary without the trace extension) — straight to a
-// server, to a cluster node, or through the router, over real TCP — is
-// answered with a typed wire_unsupported error and a closed connection,
-// before anything is admitted; a current client is served by the same
-// processes afterwards.
+// TestOldWireAskRefused: the one framing is binary version 3, the hello
+// included, and the handshake's wire_version is a stamp, not a request.
+// The hello of every older client — straight to a server, to a cluster
+// node, or through the router, over real TCP — is answered with a typed
+// wire_unsupported error echoing its seq, then a closed connection,
+// before anything is admitted: a JSON hello stamped 0 (no stamp at all),
+// 1 or 2 gets the refusal in JSON, which those clients read, and a
+// binary hello stamped 2 gets it as a binary frame. A current client is
+// served by the same processes afterwards.
 func TestOldWireAskRefused(t *testing.T) {
 	addrs := freePorts(t, 4)
 	nodeAddrs, routerAddr, soloAddr := addrs[:2], addrs[2], addrs[3]
@@ -52,18 +55,26 @@ func TestOldWireAskRefused(t *testing.T) {
 	for _, target := range []struct{ what, addr string }{
 		{"standalone server", soloAddr}, {"cluster node", nodeAddrs[0]}, {"router", routerAddr},
 	} {
-		for _, version := range []int{0, 1} {
-			t.Run(fmt.Sprintf("%s/v%d", target.what, version), func(t *testing.T) {
+		for i, ask := range []string{"v0", "v1", "v2", "v2-binary"} {
+			t.Run(fmt.Sprintf("%s/%s", target.what, ask), func(t *testing.T) {
 				conn, err := transport.TCP{}.Dial(target.addr)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer conn.Close()
-				hello := protocol.MustNew(protocol.THello, protocol.HelloBody{Name: name, Role: "participant", Priority: 2, WireVersion: version})
-				hello.Seq = 1
-				wire, err := protocol.Encode(hello)
-				if err != nil {
-					t.Fatal(err)
+				seq := int64(5 + i)
+				var wire []byte
+				switch ask {
+				case "v0":
+					wire = fmt.Appendf(nil, `{"type":"hello","seq":%d,"body":{"name":%q,"role":"participant","priority":2}}`, seq, name)
+				case "v1", "v2":
+					wire = fmt.Appendf(nil, `{"type":"hello","seq":%d,"body":{"name":%q,"role":"participant","priority":2,"wire_version":%s}}`, seq, name, ask[1:])
+				default:
+					hello := protocol.MustNew(protocol.THello, protocol.HelloBody{Name: name, Role: "participant", Priority: 2, WireVersion: 2})
+					hello.Seq = seq
+					if wire, err = protocol.EncodeBinary(hello); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if err := conn.Send(wire); err != nil {
 					t.Fatal(err)
@@ -72,13 +83,22 @@ func TestOldWireAskRefused(t *testing.T) {
 				if err != nil {
 					t.Fatalf("no typed refusal: %v", err)
 				}
-				msg, err := protocol.Decode(reply) // the handshake, refusals included, is JSON
-				if err != nil {
-					t.Fatalf("refusal is not a JSON handshake message: %v", err)
+				var got struct {
+					Type protocol.Type
+					Seq  int64
+					Body protocol.ErrBody
 				}
-				var body protocol.ErrBody
-				if msg.Type != protocol.TErr || msg.Seq != 1 || msg.Into(&body) != nil || body.Code != protocol.CodeWireUnsupported {
-					t.Fatalf("reply = %s seq %d %+v, want err %s", msg.Type, msg.Seq, body, protocol.CodeWireUnsupported)
+				if ask == "v2-binary" {
+					msg, err := protocol.DecodeBinary(reply)
+					if err != nil || msg.Into(&got.Body) != nil {
+						t.Fatalf("refusal of a binary hello is no binary err: %q (%v)", reply, err)
+					}
+					got.Type, got.Seq = msg.Type, msg.Seq
+				} else if err := json.Unmarshal(reply, &got); err != nil {
+					t.Fatalf("refusal of a JSON hello is no JSON message: %q (%v)", reply, err)
+				}
+				if got.Type != protocol.TErr || got.Seq != seq || got.Body.Code != protocol.CodeWireUnsupported {
+					t.Fatalf("reply = %s seq %d %+v, want err %s seq %d", got.Type, got.Seq, got.Body, protocol.CodeWireUnsupported, seq)
 				}
 				if _, err := conn.Recv(); !errors.Is(err, transport.ErrClosed) {
 					t.Fatalf("after the refusal: %v, want a closed connection", err)

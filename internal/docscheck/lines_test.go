@@ -13,7 +13,7 @@ import (
 // counts them, comments and blank lines included). It is a ratchet: a
 // change that removes lines lowers it to the new count, and one that
 // needs more raises it on purpose, in the same change, saying why.
-const maxRuntimeLines = 16293
+const maxRuntimeLines = 16241
 
 // goLines counts the lines of the non-test Go files under each root,
 // walking its subdirectories when deep is set.

@@ -15,7 +15,7 @@ import (
 // RunE11 measures the PR-2 data plane: encode-once broadcast fan-out on
 // the live netsim stack, and multi-group arbitration throughput on the
 // sharded controller. The encodes/op column is the load-bearing number —
-// one protocol.Encode per broadcast, whatever the group size; the
+// one protocol.EncodeBinary per broadcast, whatever the group size; the
 // arbitration rows show aggregate request throughput staying flat (or
 // climbing with available cores) as independent groups are added, where
 // a single controller-wide mutex would serialize them.

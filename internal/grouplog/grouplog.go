@@ -172,18 +172,15 @@ type Log struct {
 	mu      sync.Mutex
 	cap     int
 	entries []entry
-	start   int              // entries[start:] is the live window
-	head    int64            // highest assigned GSeq (0 when empty)
-	cheads  map[string]int64 // class → highest assigned CSeq
-	// latestState tracks, per class, the GSeq of the newest
-	// state-bearing entry: everything older of the same class is
-	// superseded and is compaction's first prey. fresh counts each
-	// class's retained not-superseded entries, and superseded the total
-	// retained superseded entries — bookkeeping that lets the compactor
-	// skip its sweep when there is nothing to sweep.
-	latestState map[string]int64
-	fresh       map[string]int
-	superseded  int
+	start   int   // entries[start:] is the live window
+	head    int64 // highest assigned GSeq (0 when empty)
+	// classes holds a row per class the log has sequenced (a handful at
+	// most, found by a scan), and superseded counts the retained entries
+	// a later state-bearing entry of their class restates — bookkeeping
+	// that lets the compactor skip its sweep when there is nothing to
+	// sweep.
+	classes    []classRow
+	superseded int
 	// compactions counts compactLocked runs and evicted the entries
 	// those runs dropped (superseded sweeps and front trims alike) —
 	// the observability plane's view of retention pressure: a log whose
@@ -195,13 +192,29 @@ type Log struct {
 	show func()
 }
 
-func newLog(cap int) *Log {
-	return &Log{
-		cap:         cap,
-		cheads:      make(map[string]int64),
-		latestState: make(map[string]int64),
-		fresh:       make(map[string]int),
+// classRow is one class's bookkeeping in a log: its highest assigned
+// CSeq, the GSeq of its newest state-bearing entry — everything older
+// of the class is superseded and is compaction's first prey — and its
+// retained entries that are not superseded.
+type classRow struct {
+	class       string
+	head        int64
+	latestState int64
+	fresh       int
+}
+
+func newLog(cap int) *Log { return &Log{cap: cap} }
+
+// row returns class's row, adding an empty one if the log has none.
+// Requires l.mu.
+func (l *Log) row(class string) *classRow {
+	for i := range l.classes {
+		if l.classes[i].class == class {
+			return &l.classes[i]
+		}
 	}
+	l.classes = append(l.classes, classRow{class: class})
+	return &l.classes[len(l.classes)-1]
 }
 
 // live returns the retained window. Requires l.mu.
@@ -220,12 +233,11 @@ func (l *Log) Append(class string, state bool, encode func(gseq, cseq int64) ([]
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	gseq := l.head + 1
-	cseq := l.cheads[class] + 1
+	cseq := l.row(class).head + 1
 	wire, err := encode(gseq, cseq)
 	if err != nil {
 		return 0, err
 	}
-	l.cheads[class] = cseq
 	l.pushLocked(entry{gseq: gseq, cseq: cseq, class: class, state: state, wire: wire})
 	if deliver != nil {
 		deliver(wire)
@@ -250,7 +262,6 @@ func (l *Log) AppendRaw(gseq, cseq int64, class string, state bool, wire []byte)
 	if gseq <= l.head {
 		return
 	}
-	l.cheads[class] = max(l.cheads[class], cseq)
 	l.pushLocked(entry{gseq: gseq, cseq: cseq, class: class, state: state, wire: wire})
 }
 
@@ -264,12 +275,14 @@ func (l *Log) pushLocked(e entry) {
 		l.show()
 		l.show = nil
 	}
+	r := l.row(e.class)
+	r.head = max(r.head, e.cseq)
 	if e.state {
-		l.superseded += l.fresh[e.class]
-		l.fresh[e.class] = 0
-		l.latestState[e.class] = e.gseq
+		l.superseded += r.fresh
+		r.fresh = 0
+		r.latestState = e.gseq
 	}
-	l.fresh[e.class]++
+	r.fresh++
 	l.entries = append(l.entries, e)
 	if len(l.live()) > l.cap {
 		l.compactLocked()
@@ -291,7 +304,7 @@ func (l *Log) compactLocked() {
 		prev := l.entries
 		kept := l.entries[:0]
 		for _, e := range l.live() {
-			if e.gseq < l.latestState[e.class] {
+			if e.gseq < l.row(e.class).latestState {
 				continue // superseded: a newer full restatement exists
 			}
 			kept = append(kept, e)
@@ -312,7 +325,7 @@ func (l *Log) compactLocked() {
 		// so every eviction debits fresh.
 		idx := -1
 		for i, e := range l.live() {
-			if !(e.state && e.gseq == l.latestState[e.class]) {
+			if !(e.state && e.gseq == l.row(e.class).latestState) {
 				idx = i
 				break
 			}
@@ -322,7 +335,7 @@ func (l *Log) compactLocked() {
 			// at most the number of classes.
 			return
 		}
-		l.fresh[l.live()[idx].class]--
+		l.row(l.live()[idx].class).fresh--
 		// Shift the idx leading anchors right one slot (idx is bounded
 		// by the number of classes) and bump start: the eviction is
 		// O(classes), never a rebuild.
@@ -363,12 +376,13 @@ func (l *Log) ClassHeads() map[string]int64 {
 	return l.classHeadsLocked()
 }
 
-// classHeadsLocked copies the client classes' heads. Requires l.mu.
+// classHeadsLocked copies the client classes' heads (a row an append
+// that failed to encode added has none). Requires l.mu.
 func (l *Log) classHeadsLocked() map[string]int64 {
-	out := make(map[string]int64, len(l.cheads))
-	for c, h := range l.cheads {
-		if c != ClassDirectory {
-			out[c] = h
+	out := make(map[string]int64, len(l.classes))
+	for _, r := range l.classes {
+		if r.class != ClassDirectory && r.head > 0 {
+			out[r.class] = r.head
 		}
 	}
 	return out
@@ -466,8 +480,8 @@ func (l *Log) Replay(afters map[string]int64, wants func(class string) bool, emi
 		return cur
 	}
 	cur := walk(nil)
-	for c, h := range l.cheads {
-		if want(c) && cur[c] < h {
+	for _, r := range l.classes {
+		if want(r.class) && cur[r.class] < r.head {
 			return heads, false
 		}
 	}

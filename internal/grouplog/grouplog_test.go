@@ -307,3 +307,23 @@ func TestConcurrentAppendBackfillChurn(t *testing.T) {
 		}
 	}
 }
+
+// dirBytes is a directory entry's bytes (a log keeps none of them).
+var dirBytes = []byte("a directory entry")
+
+// TestMemberLogIsSmall: a member log holding its one directory entry —
+// what every admitted member has on a node with a journal or peers —
+// costs the log, its entry and one class row: three allocations (eight,
+// and 1,046 B a member, when each log made three class maps).
+func TestMemberLogIsSmall(t *testing.T) {
+	var err error
+	allocs := testing.AllocsPerRun(200, func() {
+		_, err = newLog(DefaultCap).Append(ClassDirectory, true, func(int64, int64) ([]byte, error) { return dirBytes, nil }, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 3 {
+		t.Fatalf("a member log with one directory entry = %.0f allocs, want <= 3", allocs)
+	}
+}

@@ -1,8 +1,8 @@
-// Binary wire framing — the one framing of client sessions, peer links
-// and the journal. The handshake (hello, node_hello, welcome and the
-// typed errors answering them) speaks JSON; everything after it is
-// these frames. The first byte discriminates (binMagic vs '{'), so
-// DecodeAny reads either.
+// Binary wire framing — the one framing of every connection, from the
+// handshake (hello, node_hello, welcome and the typed errors answering
+// them) on, of peer links and of the journal. A first frame that opens
+// with '{' instead of binMagic is an older client's JSON hello, which
+// OldWireRefusal answers.
 //
 // Frame layout (the outer transport already delimits the frame, so no
 // inner length prefix is needed; all lengths are uvarints that the
@@ -43,8 +43,8 @@ import (
 	"dmps/internal/grouplog"
 )
 
-// binMagic is the first byte of every binary frame. JSON frames start
-// with '{' (0x7B), so one byte discriminates the two formats.
+// binMagic is the first byte of every binary frame. An older client's
+// JSON hello starts with '{' (0x7B), so one byte tells it apart.
 const binMagic = 0xDF
 
 // Frame flag bits (byte 1).
@@ -84,8 +84,7 @@ var encScratch = sync.Pool{
 }
 
 // EncodeBinary serializes a message as one binary frame. It counts
-// against EncodeCount like Encode: the encode-once benchmarks gate the
-// sum of both formats.
+// against EncodeCount, which the encode-once benchmarks gate.
 func EncodeBinary(m Message) ([]byte, error) {
 	encodes.Add(1)
 	return encodeFrame(m, nil)
@@ -309,55 +308,20 @@ func appendLPString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// DecodeAny dispatches on the first byte: binary frames to
-// DecodeBinary, everything else to the JSON Decode. A connection's
-// first message needs it (a JSON hello, or a peer's binary forward), as
-// does anything that prints captured traffic.
-func DecodeAny(data []byte) (Message, error) {
-	if len(data) > 0 && data[0] == binMagic {
-		return DecodeBinary(data)
-	}
-	return Decode(data)
-}
-
 // FrameTrace peeks a binary frame's trace context without decoding the
-// body: the envelope fields ahead of the extension are skipped with the
-// same bounds-checked reader DecodeBinary uses, and nothing allocates.
-// Frames without the extension — including every JSON frame — return
-// the zero context, so the untraced fast path is two byte reads.
+// body: the envelope is read as DecodeBinary reads it, and nothing
+// allocates for a sound frame. Frames without the extension — and bytes
+// that are no frame — return the zero context, so the untraced fast
+// path is two byte reads.
 func FrameTrace(data []byte) (id, parent uint64, flags uint8) {
 	if len(data) < 2 || data[0] != binMagic || data[1]&flagTrace == 0 {
 		return 0, 0, 0
 	}
-	r := &frameReader{data: data, off: 3}
-	for i := 0; i < 3; i++ { // Seq, GSeq, CSeq
-		if _, err := r.uvarint(); err != nil {
-			return 0, 0, 0
-		}
-	}
-	cc, err := r.byteAt()
-	if err != nil {
+	var m Message
+	if _, err := decodeEnvelope(data, &m); err != nil {
 		return 0, 0, 0
 	}
-	if cc == classEscape {
-		if _, err := r.lpBytes(); err != nil {
-			return 0, 0, 0
-		}
-	}
-	if err := skipStrings(r, 3); err != nil { // From, To, Group
-		return 0, 0, 0
-	}
-	if id, err = r.uvarint(); err != nil {
-		return 0, 0, 0
-	}
-	if parent, err = r.uvarint(); err != nil {
-		return 0, 0, 0
-	}
-	fl, err := r.byteAt()
-	if err != nil {
-		return 0, 0, 0
-	}
-	return id, parent, fl
+	return m.TraceID, m.TraceParent, m.TraceFlags
 }
 
 // frameReader walks a frame with bounds-checked reads: every length is
@@ -424,67 +388,13 @@ func zstring(b []byte) string {
 // data (strings and body are subslices): callers must not mutate the
 // buffer afterwards, which every transport already guarantees.
 func DecodeBinary(data []byte) (Message, error) {
-	if len(data) < 3 || data[0] != binMagic {
-		return Message{}, fmt.Errorf("%w: not a binary frame", ErrDecode)
-	}
-	flags := data[1]
-	code := int(data[2])
-	if code >= len(AllTypes) {
-		return Message{}, fmt.Errorf("%w: unknown type code %d", ErrDecode, code)
-	}
-	m := Message{Type: AllTypes[code], State: flags&flagState != 0}
-	r := &frameReader{data: data, off: 3}
-	var err error
-	var u uint64
-	if u, err = r.uvarint(); err != nil {
-		return Message{}, err
-	}
-	m.Seq = int64(u)
-	if u, err = r.uvarint(); err != nil {
-		return Message{}, err
-	}
-	m.GSeq = int64(u)
-	if u, err = r.uvarint(); err != nil {
-		return Message{}, err
-	}
-	m.CSeq = int64(u)
-	cc, err := r.byteAt()
+	var m Message
+	off, err := decodeEnvelope(data, &m)
 	if err != nil {
 		return Message{}, err
 	}
-	switch {
-	case cc == 0:
-	case cc == classEscape:
-		if m.Class, err = r.lpString(); err != nil {
-			return Message{}, err
-		}
-	case int(cc) <= len(AllClasses):
-		m.Class = AllClasses[cc-1]
-	default:
-		return Message{}, fmt.Errorf("%w: unknown class code %d", ErrDecode, cc)
-	}
-	if m.From, err = r.lpString(); err != nil {
-		return Message{}, err
-	}
-	if m.To, err = r.lpString(); err != nil {
-		return Message{}, err
-	}
-	if m.Group, err = r.lpString(); err != nil {
-		return Message{}, err
-	}
-	if flags&flagTrace != 0 {
-		if m.TraceID, err = r.uvarint(); err != nil {
-			return Message{}, err
-		}
-		if m.TraceParent, err = r.uvarint(); err != nil {
-			return Message{}, err
-		}
-		if m.TraceFlags, err = r.byteAt(); err != nil {
-			return Message{}, err
-		}
-	}
-	body := data[r.off:]
-	if flags&flagNativeBody != 0 {
+	body := data[off:]
+	if data[1]&flagNativeBody != 0 {
 		if len(body) == 0 {
 			return Message{}, fmt.Errorf("%w: native-body flag on empty body", ErrDecode)
 		}
@@ -502,6 +412,70 @@ func DecodeBinary(data []byte) (Message, error) {
 		m.Body = json.RawMessage(body)
 	}
 	return m, nil
+}
+
+// decodeEnvelope reads a binary frame's envelope into m; the body
+// starts at off.
+func decodeEnvelope(data []byte, m *Message) (off int, err error) {
+	if len(data) < 3 || data[0] != binMagic {
+		return 0, fmt.Errorf("%w: not a binary frame", ErrDecode)
+	}
+	flags := data[1]
+	code := int(data[2])
+	if code >= len(AllTypes) {
+		return 0, fmt.Errorf("%w: unknown type code %d", ErrDecode, code)
+	}
+	*m = Message{Type: AllTypes[code], State: flags&flagState != 0}
+	r := &frameReader{data: data, off: 3}
+	var u uint64
+	if u, err = r.uvarint(); err != nil {
+		return 0, err
+	}
+	m.Seq = int64(u)
+	if u, err = r.uvarint(); err != nil {
+		return 0, err
+	}
+	m.GSeq = int64(u)
+	if u, err = r.uvarint(); err != nil {
+		return 0, err
+	}
+	m.CSeq = int64(u)
+	cc, err := r.byteAt()
+	if err != nil {
+		return 0, err
+	}
+	switch {
+	case cc == 0:
+	case cc == classEscape:
+		if m.Class, err = r.lpString(); err != nil {
+			return 0, err
+		}
+	case int(cc) <= len(AllClasses):
+		m.Class = AllClasses[cc-1]
+	default:
+		return 0, fmt.Errorf("%w: unknown class code %d", ErrDecode, cc)
+	}
+	if m.From, err = r.lpString(); err != nil {
+		return 0, err
+	}
+	if m.To, err = r.lpString(); err != nil {
+		return 0, err
+	}
+	if m.Group, err = r.lpString(); err != nil {
+		return 0, err
+	}
+	if flags&flagTrace != 0 {
+		if m.TraceID, err = r.uvarint(); err != nil {
+			return 0, err
+		}
+		if m.TraceParent, err = r.uvarint(); err != nil {
+			return 0, err
+		}
+		if m.TraceFlags, err = r.byteAt(); err != nil {
+			return 0, err
+		}
+	}
+	return r.off, nil
 }
 
 // hasNativeCodec reports whether a type's body has a native binary
@@ -670,12 +644,6 @@ func intoNative(t Type, body []byte, out any) error {
 		if v.Kind, err = r.lpString(); err == nil {
 			v.Data, err = r.lpString()
 		}
-	case TForward:
-		v, ok := out.(*ForwardBody)
-		if !ok {
-			return fmt.Errorf("%w: %s: native body needs *ForwardBody", ErrBodyMismatch, t)
-		}
-		*v, err = readForward(body)
 	default:
 		return fmt.Errorf("%w: %s has no native codec", ErrBodyMismatch, t)
 	}
@@ -779,18 +747,13 @@ func readStrings(r *frameReader) ([]string, error) {
 	return out, nil
 }
 
-// DecodeForward reads a forward frame's body into a value the caller
-// keeps: unlike Into, which takes the body as an interface, it leaves a
-// native body on the caller's stack. A record that does not read back
-// wraps grouplog.ErrRecord.
+// DecodeForward reads a forward frame's body, the one reader of a
+// forward, into a value the caller keeps: a native body stays on the
+// caller's stack. A record that does not read back wraps
+// grouplog.ErrRecord.
 func DecodeForward(m Message) (v ForwardBody, err error) {
-	switch {
-	case m.Type != TForward:
-		return v, fmt.Errorf("%w: %s is no forward", ErrBodyMismatch, m.Type)
-	case m.bodyBin == nil:
-		var j ForwardBody // its own variable: only a JSON body escapes
-		err = m.Into(&j)
-		return j, err
+	if m.Type != TForward || m.bodyBin == nil {
+		return v, fmt.Errorf("%w: %s is no forward frame", ErrBodyMismatch, m.Type)
 	}
 	if v, err = readForward(m.bodyBin); err != nil {
 		err = fmt.Errorf("%w: %s: %w", ErrBodyMismatch, m.Type, err)
@@ -830,34 +793,4 @@ func readForward(body []byte) (v ForwardBody, err error) {
 	}
 	v.Record, err = grouplog.DecodeRecord(body[r.off:])
 	return v, err
-}
-
-// jsonBody materializes the JSON form of a natively-decoded body, for
-// Encode's debug rendering of a binary frame.
-func jsonBody(t Type, body []byte) (json.RawMessage, error) {
-	var out any
-	switch t {
-	case TChatEvent, TAnnotateEvent:
-		out = &SequencedBody{}
-	case TFloorEvent:
-		out = &FloorEventBody{}
-	case TSuspend, TResume:
-		out = &SuspendBody{}
-	case TChat:
-		out = &ChatBody{}
-	case TAnnotate:
-		out = &AnnotateBody{}
-	case TForward:
-		out = &ForwardBody{}
-	default:
-		return nil, fmt.Errorf("%w: %s has no native codec", ErrBodyMismatch, t)
-	}
-	if err := intoNative(t, body, out); err != nil {
-		return nil, err
-	}
-	raw, err := json.Marshal(out)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: transcode %s body: %w", t, err)
-	}
-	return raw, nil
 }

@@ -3,18 +3,22 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
 // sampleBody returns a representative body value for a type, nil for
-// the body-less types. Round-trip tests range AllTypes through it so a
-// new type cannot ship without binary coverage.
+// the body-less types and for TForward, whose samples are
+// sampleForwards. Round-trip tests range AllTypes through it so a new
+// type cannot ship without binary coverage.
 func sampleBody(t Type) any {
 	switch t {
 	case THello:
 		return HelloBody{Name: "Alice", Role: "chair", Priority: 5, WireVersion: WireVersion}
 	case TWelcome:
 		return WelcomeBody{MemberID: "m1", Token: "tok", WireVersion: WireVersion}
+	case TNodeHello:
+		return NodeHelloBody{MemberID: "m1#1", Name: "m1", Role: "chair", Priority: 5, Classes: []string{ClassFloor}, WireVersion: WireVersion}
 	case TJoin, TLeave, TCreateGroup:
 		return GroupBody{Group: "class"}
 	case TFloorRequest:
@@ -34,19 +38,23 @@ func sampleBody(t Type) any {
 		return SequencedBody{Seq: 1, Author: "m1", Kind: "text", Data: "hi"}
 	case TErr:
 		return ErrBody{Code: "no_floor", Detail: "nope"}
-	case TForward:
-		return sampleForwards()["replica with floor"]
 	default:
 		return nil
 	}
 }
 
 // TestBinaryRoundTripAllTypes drives every wire type through
-// EncodeBinary → DecodeAny and checks the envelope survives intact and
-// the body JSON-normalizes to the same bytes the JSON path produces.
+// EncodeBinary → DecodeBinary and checks the envelope survives intact
+// and the body decodes Into the sample it was made from: the native
+// codecs are lossless. Forwards, read only by DecodeForward, are
+// TestForwardRoundTrip's.
 func TestBinaryRoundTripAllTypes(t *testing.T) {
 	for _, typ := range AllTypes {
-		msg := MustNew(typ, sampleBody(typ))
+		if typ == TForward {
+			continue
+		}
+		sample := sampleBody(typ)
+		msg := MustNew(typ, sample)
 		msg.Seq = 41
 		msg.GSeq = 7
 		msg.CSeq = 3
@@ -62,7 +70,7 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 		if wire[0] != binMagic {
 			t.Fatalf("%s: frame not recognized as binary", typ)
 		}
-		got, err := DecodeAny(wire)
+		got, err := DecodeBinary(wire)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", typ, err)
 		}
@@ -71,18 +79,12 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 			got.Group != "class" || !got.State {
 			t.Fatalf("%s: envelope = %+v", typ, got)
 		}
-		// The JSON re-encode of the decoded frame must carry the same
-		// body the JSON path would have: transcode is lossless.
-		jsonWire, err := Encode(got)
-		if err != nil {
-			t.Fatalf("%s: transcode: %v", typ, err)
-		}
-		direct, err := Encode(msg)
-		if err != nil {
-			t.Fatalf("%s: json encode: %v", typ, err)
-		}
-		if !bytes.Equal(jsonWire, direct) {
-			t.Fatalf("%s: transcode drift:\n bin→json: %s\n    json: %s", typ, jsonWire, direct)
+		if sample == nil {
+			if len(got.Body) != 0 || got.bodyBin != nil {
+				t.Fatalf("%s: a body-less message arrived with a body", typ)
+			}
+		} else if body := intoSample(t, got, sample); !reflect.DeepEqual(body, sample) {
+			t.Fatalf("%s: body drift:\n got %+v\nwant %+v", typ, body, sample)
 		}
 	}
 }
@@ -154,7 +156,7 @@ func TestBinaryNonNativeCarrierStaysJSON(t *testing.T) {
 	if wire[1]&flagNativeBody != 0 {
 		t.Fatal("ack frame flagged native")
 	}
-	got, err := DecodeAny(wire)
+	got, err := DecodeBinary(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,53 +248,35 @@ func TestBinaryMalformed(t *testing.T) {
 	}
 }
 
-// TestEncodeBinaryCountsEncodes pins the encode-once accounting: both
-// formats bump the same counter the benchmarks gate.
+// TestEncodeBinaryCountsEncodes pins the encode-once accounting: each
+// EncodeBinary bumps the counter the benchmarks gate.
 func TestEncodeBinaryCountsEncodes(t *testing.T) {
 	before := EncodeCount()
-	if _, err := EncodeBinary(MustNew(TChat, ChatBody{Text: "x"})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Encode(MustNew(TChat, ChatBody{Text: "x"})); err != nil {
-		t.Fatal(err)
+	for _, typ := range []Type{TChat, THello} {
+		if _, err := EncodeBinary(MustNew(typ, sampleBody(typ))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := EncodeCount() - before; got != 2 {
 		t.Fatalf("EncodeCount delta = %d, want 2", got)
 	}
 }
 
-// TestDecodeAnyDispatch checks the one-byte format sniff both ways.
-func TestDecodeAnyDispatch(t *testing.T) {
-	msg := MustNew(TChat, ChatBody{Text: "x"})
-	msg.Group = "g"
-	bin, err := EncodeBinary(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err := Encode(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if js[0] == binMagic {
-		t.Fatal("JSON frame sniffed as binary")
-	}
-	for _, wire := range [][]byte{bin, js} {
-		got, err := DecodeAny(wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body ChatBody
-		if got.Type != TChat || got.Into(&body) != nil || body.Text != "x" {
-			t.Fatalf("DecodeAny(% x) = %+v", wire[:3], got)
-		}
-	}
-}
-
-// FuzzDecodeBinary throws arbitrary bytes at the binary decoder. The
-// invariant under fuzz: DecodeBinary never panics, and anything it
-// accepts must survive a re-encode → re-decode round trip with the
-// envelope intact (the decoder and encoder agree on the format).
+// FuzzDecodeBinary throws arbitrary bytes at the binary decoder, the
+// reader of every frame a connection carries, its first (the hello)
+// included. The invariant under fuzz: DecodeBinary never panics, takes
+// no frame without the magic (an older client's JSON hello is refused),
+// and anything it accepts must survive a re-encode → re-decode round
+// trip with the envelope intact (the decoder and encoder agree on the
+// format).
 func FuzzDecodeBinary(f *testing.F) {
+	for _, typ := range []Type{THello, TNodeHello, TWelcome, TErr} {
+		msg := MustNew(typ, sampleBody(typ)) // as a handshake sends it
+		msg.Seq = 1
+		if wire, err := EncodeBinary(msg); err == nil {
+			f.Add(wire)
+		}
+	}
 	for _, typ := range AllTypes {
 		msg := MustNew(typ, sampleBody(typ))
 		msg.Seq = 12
@@ -316,14 +300,14 @@ func FuzzDecodeBinary(f *testing.F) {
 	}
 	f.Add([]byte{binMagic})
 	f.Add([]byte{binMagic, flagNativeBody | flagState, 14, 0x80, 0x01})
-	f.Add([]byte(`{"type":"chat","body":{"text":"hi"}}`))
+	f.Add([]byte(`{"type":"hello","seq":1,"body":{"name":"Alice","role":"chair","priority":5,"wire_version":2}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := DecodeAny(data)
+		msg, err := DecodeBinary(data)
 		if err != nil {
 			return
 		}
 		if data[0] != binMagic {
-			return
+			t.Fatalf("accepted a frame without the magic: % x", data)
 		}
 		wire, err := EncodeBinary(msg)
 		if err != nil {

@@ -64,7 +64,7 @@ func sampleForwards() map[string]ForwardBody {
 }
 
 // TestForwardRoundTrip drives every forward kind through EncodeForward →
-// DecodeAny → Into: the body survives, a replica's or takeover's record
+// DecodeBinary → DecodeForward: the body survives, a replica's or takeover's record
 // rides in the journal's encoding (an event's frame verbatim, no
 // base64, aliasing the forward's own bytes), a traced inner frame puts
 // its context on the forward's envelope, and no native kind's bytes
@@ -75,22 +75,19 @@ func TestForwardRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
 		}
-		msg, err := DecodeAny(wire)
+		msg, err := DecodeBinary(wire)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
 		if msg.Type != TForward {
 			t.Fatalf("%s: type %q", name, msg.Type)
 		}
-		var got ForwardBody
-		if err := msg.Into(&got); err != nil {
-			t.Fatalf("%s: into: %v", name, err)
+		got, err := DecodeForward(msg)
+		if err != nil {
+			t.Fatalf("%s: DecodeForward: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: body drift:\n got %+v\nwant %+v", name, got, want)
-		}
-		if kept, err := DecodeForward(msg); err != nil || !reflect.DeepEqual(kept, want) {
-			t.Fatalf("%s: DecodeForward drift: %+v, %v", name, kept, err)
 		}
 		native := want.Kind == ForwardReplica || want.Kind == ForwardAck || want.Kind == ForwardTakeover
 		if native == bytes.Contains(wire, []byte(`"kind"`)) {
@@ -126,8 +123,11 @@ func TestBareReplicaForwardIsAnEventRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg, err := DecodeBinary(wire)
-	var got ForwardBody
-	if err != nil || msg.Into(&got) != nil {
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	got, err := DecodeForward(msg)
+	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	want := grouplog.WALRecord{Kind: grouplog.WALEvent, Key: "g", Wire: inner}
@@ -137,8 +137,8 @@ func TestBareReplicaForwardIsAnEventRecord(t *testing.T) {
 }
 
 // TestReplicaForwardAllocs holds the replication hot path to one
-// allocation a side: the frame on the owner, the decoded body on the
-// replica. No JSON, no base64, no copy of the inner frame.
+// allocation, the frame on the owner: the replica decodes on its stack
+// (DecodeForward). No JSON, no base64, no copy of the inner frame.
 func TestReplicaForwardAllocs(t *testing.T) {
 	fwd := sampleForwards()["replica event with floor"]
 	allocs := testing.AllocsPerRun(200, func() {
@@ -150,13 +150,12 @@ func TestReplicaForwardAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got ForwardBody
-		if err := msg.Into(&got); err != nil || got.ID != fwd.ID {
-			t.Fatalf("into: %+v %v", got, err)
+		if got, err := DecodeForward(msg); err != nil || got.ID != fwd.ID {
+			t.Fatalf("decode: %+v %v", got, err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("wrap + decode of a replica forward = %.0f allocs, want <= 2", allocs)
+	if allocs > 1 {
+		t.Fatalf("wrap + decode of a replica forward = %.0f allocs, want <= 1", allocs)
 	}
 }
 
@@ -209,7 +208,7 @@ func hostileForwards() map[string][]byte {
 }
 
 // hostileRecords are forward frames whose shape is sound but whose
-// record is not: the frame decodes, and Into refuses the record with
+// record is not: the frame decodes, and DecodeForward refuses the record with
 // grouplog.ErrRecord — which the receiving node counts.
 func hostileRecords() map[string][]byte {
 	good, err := EncodeForward(sampleForwards()["replica event with floor"])
@@ -236,7 +235,7 @@ func hostileRecords() map[string][]byte {
 }
 
 // TestForwardMalformed: hostile forward bytes error at the decode
-// boundary, and a hostile record in a sound frame errors at Into with
+// boundary, and a hostile record in a sound frame errors at DecodeForward with
 // grouplog.ErrRecord. The hostile lengths name 2³² bytes — sizing
 // anything from them would not return.
 func TestForwardMalformed(t *testing.T) {
@@ -251,25 +250,35 @@ func TestForwardMalformed(t *testing.T) {
 			t.Errorf("%s: the frame itself was refused: %v", name, err)
 			continue
 		}
-		var body ForwardBody
-		if err := msg.Into(&body); !errors.Is(err, grouplog.ErrRecord) {
-			t.Errorf("%s: into %+v, err = %v, want grouplog.ErrRecord", name, body, err)
+		if body, err := DecodeForward(msg); !errors.Is(err, grouplog.ErrRecord) {
+			t.Errorf("%s: decoded %+v, err = %v, want grouplog.ErrRecord", name, body, err)
 		}
 	}
 }
 
-// TestDecodeForwardJSONFrames: a forward in the JSON framing decodes as
-// its JSON, and one whose body is no JSON object is refused, not read
-// as a native body.
-func TestDecodeForwardJSONFrames(t *testing.T) {
+// TestDecodeForwardJSONBodies: a binary-framed forward whose body rides
+// as JSON decodes as that JSON, and one whose body is no JSON object is
+// refused, not read as a native body. A forward frame without the
+// native flag has no reader.
+func TestDecodeForwardJSONBodies(t *testing.T) {
+	frame := func(flags byte, body string) []byte {
+		return append([]byte{binMagic, flags, typeCodes[TForward], 0, 0, 0, 0, 0, 0, 0}, body...)
+	}
 	for body, ok := range map[string]bool{`{"kind":"invite","to":"m1#1"}`: true, `"x"`: false, `7`: false, `[1]`: false} {
-		msg, err := Decode([]byte(`{"type":"forward","body":` + body + `}`))
-		if err != nil {
-			t.Fatal(err)
+		msg, err := DecodeBinary(frame(flagNativeBody, body))
+		var got ForwardBody
+		if err == nil {
+			got, err = DecodeForward(msg)
 		}
-		got, err := DecodeForward(msg)
 		if (err == nil) != ok || (ok && got.To != "m1#1") {
 			t.Errorf("body %s: %+v, %v", body, got, err)
 		}
+	}
+	msg, err := DecodeBinary(frame(0, `{"kind":"invite","to":"m1#1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodeForward(msg); !errors.Is(err, ErrBodyMismatch) {
+		t.Errorf("a forward without the native flag read as %+v, %v", got, err)
 	}
 }

@@ -3,12 +3,11 @@
 // client↔server traffic — handshake, group administration, floor
 // control requests, chat/whiteboard, clock synchronization, status
 // probing and presentation control — uses these messages. The envelope
-// has one wire form, the binary framing of binary.go
-// (EncodeBinary/DecodeBinary): sessions, peer links and the journal all
-// carry it. JSON (Encode/Decode) is spoken only by the handshake —
-// hello, node_hello, welcome and the typed errors that answer them —
-// and doubles as the debug rendering of a binary frame; DecodeAny reads
-// either.
+// has one wire form, the binary frame of binary.go
+// (EncodeBinary/DecodeBinary): the handshake, sessions, peer links and
+// the journal all carry it. A body without a native codec rides inside
+// the frame as its JSON; the one JSON envelope left is OldWireRefusal's
+// answer to a client of an older wire version.
 package protocol
 
 import (
@@ -232,17 +231,17 @@ var (
 // Message is the wire envelope.
 type Message struct {
 	// Type discriminates the body.
-	Type Type `json:"type"`
+	Type Type
 	// Seq correlates requests and replies (client-assigned, echoed by the
 	// server in TAck/TErr).
-	Seq int64 `json:"seq,omitempty"`
+	Seq int64
 	// GSeq is the event-log sequence number stamped on logged state
 	// broadcasts (floor events, suspend/resume, board operations, mode
 	// switches, invitations): 1-based and dense per log at append time
 	// (compaction may later retain a gapped subset). 0 on everything
 	// unlogged (replies, probes, lights, media, private lines,
 	// presentation starts).
-	GSeq int64 `json:"gseq,omitempty"`
+	GSeq int64
 	// Class is the logged event's class (ClassFloor, ClassSuspend,
 	// ClassBoard, ClassInvite) and CSeq its 1-based dense sequence
 	// number within (log, class). Clients admit logged events strictly
@@ -251,8 +250,8 @@ type Message struct {
 	// trigger for TBackfill. Per-class sequencing is what lets the
 	// server filter whole classes per recipient without punching holes
 	// in the stream a client admits against.
-	Class string `json:"class,omitempty"`
-	CSeq  int64  `json:"cseq,omitempty"`
+	Class string
+	CSeq  int64
 	// State marks a state-bearing event: one that fully restates its
 	// class's group state (a floor event carries the mode/holder/queue
 	// its transition left, read inside the same append; suspend notices
@@ -262,31 +261,30 @@ type Message struct {
 	// class's state is restated here. Log compaction relies on the same
 	// property: under ring pressure only each class's latest
 	// state-bearing event (plus the board suffix) is retained.
-	State bool `json:"state,omitempty"`
+	State bool
 	// From and To are member IDs ("" when implicit).
-	From string `json:"from,omitempty"`
-	To   string `json:"to,omitempty"`
+	From string
+	To   string
 	// Group scopes the message to a group.
-	Group string `json:"group,omitempty"`
+	Group string
 	// TraceID, TraceParent and TraceFlags carry the causal tracing
 	// context: a nonzero TraceID names the op's trace, TraceParent is
 	// the span context the sender was inside when it emitted this frame
 	// (0 at the root), and TraceFlags carries TraceSampled. All three
-	// are omitted from the wire — JSON omitempty, binary flagTrace —
-	// whenever TraceID is zero.
-	TraceID     uint64 `json:"trace_id,omitempty"`
-	TraceParent uint64 `json:"trace_parent,omitempty"`
-	TraceFlags  uint8  `json:"trace_flags,omitempty"`
+	// are left out of the frame (flagTrace clear) whenever TraceID is
+	// zero.
+	TraceID     uint64
+	TraceParent uint64
+	TraceFlags  uint8
 	// Body is the type-specific payload.
-	Body json.RawMessage `json:"body,omitempty"`
+	Body json.RawMessage
 
 	// bodyObj retains the typed body New marshalled, so EncodeBinary
 	// can natively encode the hot types without re-parsing Body.
 	bodyObj any
 	// bodyBin holds the natively-encoded body of a decoded binary frame
-	// (Body stays nil for those): Into decodes it directly, Encode
-	// materializes the JSON form on demand, and EncodeBinary copies it
-	// verbatim.
+	// (Body stays nil for those): Into decodes it directly and
+	// EncodeBinary copies it verbatim.
 	bodyBin []byte
 }
 
@@ -303,21 +301,36 @@ type HelloBody struct {
 	// event classes this client wants pushed (nil or empty means all;
 	// ClassNone alone means none). TSubscribe replaces it later.
 	Classes []string `json:"classes,omitempty"`
-	// WireVersion stamps the framing the client speaks once the JSON
-	// handshake is over. It must equal the WireVersion constant: a hello
-	// stamped otherwise is answered with a CodeWireUnsupported error and
-	// the connection is closed.
+	// WireVersion stamps the framing the client speaks. It must equal the
+	// WireVersion constant: a hello stamped otherwise is answered with a
+	// CodeWireUnsupported error and the connection is closed.
 	WireVersion int `json:"wire_version,omitempty"`
 }
 
 // WireVersion is the one wire framing: binary frames with the
-// trace-context extension (binary.go). Versions 0 (JSON) and 1 (binary
-// without the extension) are no longer spoken.
-const WireVersion = 2
+// trace-context extension (binary.go), from the hello on. Versions 0 to
+// 2 opened with a JSON hello and are no longer spoken.
+const WireVersion = 3
 
 // CodeWireUnsupported is the TErr code that answers a hello whose
 // WireVersion stamp is not WireVersion.
 const CodeWireUnsupported = "wire_unsupported"
+
+// OldWireRefusal answers a connection's first frame when it is a JSON
+// envelope, the hello of every client of wire version 2 or older: the
+// reply is a JSON err CodeWireUnsupported echoing the hello's seq, which
+// such a client reads as a typed refusal before the connection closes.
+// ok is false for any other frame.
+func OldWireRefusal(first []byte) (reply []byte, ok bool) {
+	var hello struct {
+		Seq int64 `json:"seq"`
+	}
+	if len(first) == 0 || first[0] != '{' || json.Unmarshal(first, &hello) != nil {
+		return nil, false
+	}
+	return fmt.Appendf(nil, `{"type":"err","seq":%d,"body":{"code":%q,"detail":"the only framing is binary wire version %d"}}`,
+		hello.Seq, CodeWireUnsupported, WireVersion), true
+}
 
 // SubscribeBody replaces the session's event-class mask: the server
 // stops queuing logged events of classes outside it. Nil or empty means
@@ -849,53 +862,26 @@ func MustNew(t Type, body any) Message {
 	return m
 }
 
-// encodes counts Encode calls process-wide; the broadcast benchmarks read
-// it to prove the encode-once fan-out invariant (one Encode per broadcast
-// regardless of group size).
+// encodes counts EncodeBinary calls process-wide; the broadcast
+// benchmarks read it to prove the encode-once fan-out invariant (one
+// encode per broadcast regardless of group size).
 var encodes atomic.Int64
 
-// EncodeCount returns the number of Encode calls since process start.
+// EncodeCount returns the number of EncodeBinary calls since process
+// start.
 func EncodeCount() int64 { return encodes.Load() }
-
-// Encode serializes a message as JSON: the handshake's framing, and the
-// debug rendering of a decoded binary frame, whose natively-encoded
-// body has its JSON form materialized here.
-func Encode(m Message) ([]byte, error) {
-	encodes.Add(1)
-	if len(m.Body) == 0 && m.bodyBin != nil {
-		raw, err := jsonBody(m.Type, m.bodyBin)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: encode: %w", err)
-		}
-		m.Body = raw
-	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encode: %w", err)
-	}
-	return out, nil
-}
-
-// Decode parses wire bytes into a message.
-func Decode(data []byte) (Message, error) {
-	var m Message
-	if err := json.Unmarshal(data, &m); err != nil {
-		return Message{}, fmt.Errorf("%w: %v", ErrDecode, err)
-	}
-	if m.Type == "" {
-		return Message{}, fmt.Errorf("%w: missing type", ErrDecode)
-	}
-	return m, nil
-}
 
 // Into unmarshals the message body into out. A natively-encoded binary
 // body decodes directly (out must be a pointer to the type's body
-// struct, the same contract the JSON path enforces by shape).
+// struct, the same contract the JSON path enforces by shape). A forward
+// reads through DecodeForward alone.
 func (m Message) Into(out any) error {
-	if len(m.Body) == 0 {
-		if m.bodyBin != nil {
-			return intoNative(m.Type, m.bodyBin, out)
-		}
+	switch {
+	case m.Type == TForward:
+		return fmt.Errorf("%w: a forward reads through DecodeForward", ErrBodyMismatch)
+	case m.bodyBin != nil:
+		return intoNative(m.Type, m.bodyBin, out)
+	case len(m.Body) == 0:
 		return fmt.Errorf("%w: %s has no body", ErrBodyMismatch, m.Type)
 	}
 	if err := json.Unmarshal(m.Body, out); err != nil {

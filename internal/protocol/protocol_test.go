@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -11,11 +12,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	msg.Seq = 7
 	msg.From = "alice"
 	msg.Group = "class"
-	wire, err := Encode(msg)
+	wire, err := EncodeBinary(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(wire)
+	got, err := DecodeBinary(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +32,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeErrors: bytes that are no binary frame — garbage, or a JSON
+// envelope — are refused.
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode([]byte("{not json")); !errors.Is(err, ErrDecode) {
-		t.Errorf("garbage: %v", err)
-	}
-	if _, err := Decode([]byte(`{"seq":1}`)); !errors.Is(err, ErrDecode) {
-		t.Errorf("missing type: %v", err)
+	for _, wire := range []string{"{not json", `{"seq":1}`, `{"type":"hello","seq":1,"body":{"name":"a"}}`} {
+		if _, err := DecodeBinary([]byte(wire)); !errors.Is(err, ErrDecode) {
+			t.Errorf("%s: %v", wire, err)
+		}
 	}
 }
 
@@ -50,6 +52,10 @@ func TestIntoErrors(t *testing.T) {
 	if err := bad.Into(&body); !errors.Is(err, ErrBodyMismatch) {
 		t.Errorf("wrong field type: %v", err)
 	}
+	var fwd ForwardBody
+	if err := (Message{Type: TForward, Body: []byte(`{"kind":"invite"}`)}).Into(&fwd); !errors.Is(err, ErrBodyMismatch) {
+		t.Errorf("a forward read through Into: %+v, %v", fwd, err)
+	}
 }
 
 func TestNewNilBody(t *testing.T) {
@@ -60,9 +66,9 @@ func TestNewNilBody(t *testing.T) {
 	if len(msg.Body) != 0 {
 		t.Errorf("body = %s", msg.Body)
 	}
-	wire, _ := Encode(msg)
-	got, err := Decode(wire)
-	if err != nil || got.Type != TBye {
+	wire, _ := EncodeBinary(msg)
+	got, err := DecodeBinary(wire)
+	if err != nil || got.Type != TBye || len(got.Body) != 0 {
 		t.Errorf("round trip: %+v %v", got, err)
 	}
 }
@@ -105,22 +111,32 @@ func TestAllBodyTypesRoundTrip(t *testing.T) {
 		{TErr, ErrBody{Code: "floor_busy", Detail: "position 2"}},
 	}
 	for _, c := range cases {
-		msg := MustNew(c.typ, c.body)
-		wire, err := Encode(msg)
+		wire, err := EncodeBinary(MustNew(c.typ, c.body))
 		if err != nil {
 			t.Fatalf("%s: %v", c.typ, err)
 		}
-		got, err := Decode(wire)
+		got, err := DecodeBinary(wire)
 		if err != nil {
 			t.Fatalf("%s decode: %v", c.typ, err)
 		}
 		if got.Type != c.typ {
 			t.Errorf("type = %s, want %s", got.Type, c.typ)
 		}
-		if len(got.Body) == 0 {
-			t.Errorf("%s: empty body", c.typ)
+		if body := intoSample(t, got, c.body); !reflect.DeepEqual(body, c.body) {
+			t.Errorf("%s: body drift:\n got %+v\nwant %+v", c.typ, body, c.body)
 		}
 	}
+}
+
+// intoSample decodes msg's body Into a fresh value of sample's type and
+// returns it as that type's value.
+func intoSample(t *testing.T, msg Message, sample any) any {
+	t.Helper()
+	out := reflect.New(reflect.TypeOf(sample))
+	if err := msg.Into(out.Interface()); err != nil {
+		t.Fatalf("%s: into: %v", msg.Type, err)
+	}
+	return out.Elem().Interface()
 }
 
 func TestNanosRoundTrip(t *testing.T) {

@@ -376,7 +376,7 @@ func (s *Server) peerLoop(conn transport.Conn, first protocol.Message) {
 		if err != nil {
 			return
 		}
-		if msg, err := protocol.DecodeAny(wire); err == nil {
+		if msg, err := protocol.DecodeBinary(wire); err == nil {
 			s.handleForward(conn, msg)
 		}
 	}

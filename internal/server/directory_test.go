@@ -172,18 +172,24 @@ func TestClientsNeverSeeDirectoryEntries(t *testing.T) {
 	if err := others["alice"].Join(g); err != nil {
 		t.Fatal(err)
 	}
+	floorEvent := func(cseq int64) func() bool {
+		return func() bool {
+			return slices.ContainsFunc(tap.received(), func(wire []byte) bool {
+				msg, err := protocol.DecodeBinary(wire)
+				return err == nil && msg.Class == protocol.ClassFloor && msg.CSeq == cseq
+			})
+		}
+	}
 	churn("bob", "alice") // live
-	waitFor(t, "the live floor event", func() bool {
-		return slices.ContainsFunc(tap.received(), func(wire []byte) bool {
-			msg, err := protocol.DecodeBinary(wire)
-			return err == nil && msg.Class == protocol.ClassFloor && msg.CSeq == 1
-		})
-	})
+	waitFor(t, "the live floor event", floorEvent(1))
 	watcher.Drop()
 	churn("carol", "bob") // missed: comes back in the backfill
 	if err := watcher.Reconnect(); err != nil {
 		t.Fatal(err)
 	}
+	// Before the next transition: a backfill served after it would skip
+	// this event, which that transition's own event restates.
+	waitFor(t, "the backfilled floor event", floorEvent(2))
 	churn("dave", "carol") // live again
 	// A snapshot on request.
 	if err := watcher.Replay(g, 0); err != nil {
@@ -215,9 +221,9 @@ func TestClientsNeverSeeDirectoryEntries(t *testing.T) {
 		return len(seen) == 4
 	})
 	for _, wire := range tap.received() {
-		// The welcome is the handshake's JSON; a directory entry's record
-		// bytes, JSON without a type, would not decode.
-		msg, err := protocol.DecodeAny(wire)
+		// A directory entry's record bytes, JSON, are no frame and
+		// would not decode.
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			t.Fatalf("the client got a frame that does not decode: %v", err)
 		}

@@ -87,7 +87,10 @@ func (s *Server) onJoin(sess *session, msg protocol.Message) {
 	}
 	err := s.registry.Join(body.Group, sess.member.ID)
 	if errors.Is(err, group.ErrUnknownGroup) {
-		err = s.registry.CreateGroup(body.Group, sess.member.ID)
+		// Another first join may create the group in between: join that.
+		if err = s.registry.CreateGroup(body.Group, sess.member.ID); errors.Is(err, group.ErrDuplicate) {
+			err = s.registry.Join(body.Group, sess.member.ID)
+		}
 	}
 	if err != nil {
 		s.replyErr(sess, msg.Seq, "join", err)

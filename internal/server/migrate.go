@@ -127,7 +127,7 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 			abort()
 			return
 		}
-		msg, err := protocol.DecodeAny(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			continue
 		}

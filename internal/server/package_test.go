@@ -169,9 +169,12 @@ func TestPartitionPackageRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				msg, err := protocol.DecodeAny(cluster.WrapForward(protocol.ForwardBody{Kind: protocol.ForwardTakeover, Record: rec}))
-				var fwd protocol.ForwardBody
-				if err != nil || msg.Into(&fwd) != nil || fwd.Kind != protocol.ForwardTakeover {
+				msg, err := protocol.DecodeBinary(cluster.WrapForward(protocol.ForwardBody{Kind: protocol.ForwardTakeover, Record: rec}))
+				if err != nil {
+					t.Fatalf("takeover forward: %v", err)
+				}
+				fwd, err := protocol.DecodeForward(msg)
+				if err != nil || fwd.Kind != protocol.ForwardTakeover {
 					t.Fatalf("takeover forward: %v", err)
 				}
 				if err := dst.installTakeover(fwd.Record); err != nil {

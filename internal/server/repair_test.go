@@ -265,7 +265,7 @@ func TestDumpReadsTheFloorWithTheLog(t *testing.T) {
 		seen := false
 		for _, e := range p.Events {
 			if e.Class == protocol.ClassFloor {
-				msg, err := protocol.DecodeAny(e.Wire)
+				msg, err := protocol.DecodeBinary(e.Wire)
 				if err != nil || msg.Into(&last) != nil {
 					t.Fatalf("floor event GSeq %d does not decode: %v", e.GSeq, err)
 				}

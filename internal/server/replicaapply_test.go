@@ -58,7 +58,7 @@ func TestHostileReplicaRecordsAreCounted(t *testing.T) {
 	}
 	want := int64(0)
 	for name, wire := range hostile {
-		msg, err := protocol.DecodeAny(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			t.Fatalf("%s: the frame was refused before its record: %v", name, err)
 		}
@@ -74,7 +74,7 @@ func TestHostileReplicaRecordsAreCounted(t *testing.T) {
 		t.Fatalf("hostile records installed groups %v", groups)
 	}
 
-	msg, err := protocol.DecodeAny(forward(protocol.ForwardReplica, good))
+	msg, err := protocol.DecodeBinary(forward(protocol.ForwardReplica, good))
 	if err != nil {
 		t.Fatal(err)
 	}

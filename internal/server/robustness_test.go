@@ -26,19 +26,7 @@ func rawDial(t *testing.T, l *lab) transport.Conn {
 	return conn
 }
 
-// sendMsg sends a handshake message (JSON); sendFrame one of the binary
-// frames everything after the handshake must be.
-func sendMsg(t *testing.T, conn transport.Conn, msg protocol.Message) {
-	t.Helper()
-	wire, err := protocol.Encode(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Send(wire); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// sendFrame sends one binary frame, the framing of every message.
 func sendFrame(t *testing.T, conn transport.Conn, msg protocol.Message) {
 	t.Helper()
 	wire, err := protocol.EncodeBinary(msg)
@@ -71,7 +59,7 @@ func TestServerRejectsNonHelloFirstMessage(t *testing.T) {
 	l := newLab(t)
 	conn := rawDial(t, l)
 	msg := protocol.MustNew(protocol.TChat, protocol.ChatBody{Text: "premature"})
-	sendMsg(t, conn, msg)
+	sendFrame(t, conn, msg)
 	if _, err := conn.Recv(); !errors.Is(err, transport.ErrClosed) {
 		t.Errorf("recv = %v, want closed", err)
 	}
@@ -82,7 +70,7 @@ func TestServerSurvivesMalformedBodies(t *testing.T) {
 	conn := rawDial(t, l)
 	hello := protocol.MustNew(protocol.THello, protocol.HelloBody{Name: "abuser", Priority: 2, WireVersion: protocol.WireVersion})
 	hello.Seq = 1
-	sendMsg(t, conn, hello)
+	sendFrame(t, conn, hello)
 	if _, err := conn.Recv(); err != nil { // welcome
 		t.Fatal(err)
 	}

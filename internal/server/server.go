@@ -6,15 +6,15 @@
 // window, and the connection-status monitor behind the Figure-3
 // red/green lights.
 //
-// Delivery runs on an asynchronous broadcast plane: every session owns a
-// bounded outbound queue drained by its own writer goroutine, and a
-// group broadcast encodes the message exactly once, handing the same
-// wire bytes to each recipient's queue. Handler goroutines therefore
-// never block on a peer's socket — a client that stops reading backs up
-// only its own queue, where the slow-consumer policy (count-and-drop by
-// default, optionally disconnect) applies and the per-session
-// backpressure counters (queue depth, drops) surface through
-// Server.SessionStats and the lights broadcast.
+// Delivery writes through: a group broadcast encodes the message exactly
+// once, and the goroutine fanning it out writes those bytes straight to
+// each recipient socket that takes them at once (a non-blocking write,
+// transport.TrySender). Only while a socket pushes back or a frame ahead
+// is still owed (and always on a trunk stream) does a frame wait in the
+// session's bounded queue for its writer goroutine. A client that stops
+// reading backs up only that queue, where the slow-consumer policy
+// (count-and-drop by default, optionally disconnect) applies and the
+// backpressure counters surface through SessionStats and the lights.
 //
 // State reaches clients through one sequenced event-log plane
 // (internal/grouplog): every state broadcast — floor events,
@@ -912,10 +912,9 @@ func (s *Server) serve(conn transport.Conn, mayTrunk bool) {
 var testResumeRaceHook func()
 
 // sendHandshake writes one of the server's handshake messages — the
-// welcome, or a typed refusal — synchronously and in JSON, the
-// handshake's framing.
+// welcome, or a typed refusal — synchronously.
 func sendHandshake(conn transport.Conn, msg protocol.Message) error {
-	wire, err := protocol.Encode(msg)
+	wire, err := protocol.EncodeBinary(msg)
 	if err != nil {
 		return err
 	}
@@ -952,12 +951,16 @@ func rejectWire(conn transport.Conn, seq int64, version int) bool {
 // handshake admits a client: wire, the connection's first message, must
 // be THello (or, on a cluster node, a TNodeHello binding a remote-homed
 // member, or a TForward opening a peer link — returned with a nil
-// session). A hello
+// session). An older client's JSON hello gets its typed refusal. A hello
 // carrying a session token resumes the member it was issued to — the
 // new connection displaces any stale session still in the table, and
 // the client converges through TBackfill instead of re-joining groups.
 func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol.Message, error) {
-	msg, err := protocol.DecodeAny(wire) // a JSON hello, or a peer's binary forward
+	if refusal, old := protocol.OldWireRefusal(wire); old {
+		_ = conn.Send(refusal) // best-effort, as reject's: the connection is given up
+		return nil, protocol.Message{}, fmt.Errorf("server: handshake: a JSON hello (%w)", transport.ErrClosed)
+	}
+	msg, err := protocol.DecodeBinary(wire)
 	if err != nil {
 		return nil, protocol.Message{}, fmt.Errorf("server: handshake: %w (%w)", err, transport.ErrClosed)
 	}

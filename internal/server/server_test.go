@@ -2,7 +2,9 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -432,5 +434,42 @@ func presentBody() protocol.PresentBody {
 		Objects: []protocol.PresentObject{
 			{ID: "slide", Kind: "image", DurationNanos: int64(10 * time.Second)},
 		},
+	}
+}
+
+// TestConcurrentFirstJoinsAllJoin: 16 members join a group nobody has
+// created yet at the same moment, over 50 fresh groups. Each join may
+// find the group unknown and then lose the race to create it; the
+// loser joins the group the winner made instead of failing.
+func TestConcurrentFirstJoinsAllJoin(t *testing.T) {
+	l := newLab(t)
+	var members []*client.Client
+	for i := 0; i < 16; i++ {
+		members = append(members, l.dial(fmt.Sprintf("m%d", i), "participant", 2))
+	}
+	for round := 0; round < 50; round++ {
+		g := fmt.Sprintf("fresh-%d", round)
+		start := make(chan struct{})
+		errs := make(chan error, len(members))
+		var wg sync.WaitGroup
+		for _, c := range members {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs <- c.Join(g)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", g, err)
+			}
+		}
+		if ids, err := l.srv.Registry().GroupMemberIDs(g); err != nil || len(ids) != len(members) {
+			t.Fatalf("%s: roster %v (%v), want all %d members", g, ids, err, len(members))
+		}
 	}
 }

@@ -38,12 +38,12 @@ func rawHello(t *testing.T, conn transport.Conn, name, token string) protocol.Me
 	t.Helper()
 	hello := protocol.MustNew(protocol.THello, protocol.HelloBody{Name: name, Priority: 2, Token: token, WireVersion: protocol.WireVersion})
 	hello.Seq = 1
-	sendMsg(t, conn, hello)
+	sendFrame(t, conn, hello)
 	wire, err := conn.Recv()
 	if err != nil {
 		t.Fatalf("%s: first frame: %v", name, err)
 	}
-	first, err := protocol.DecodeAny(wire)
+	first, err := protocol.DecodeBinary(wire)
 	if err != nil {
 		t.Fatalf("%s: first frame: %v", name, err)
 	}
@@ -407,7 +407,7 @@ func TestTransientAcceptErrorKeepsServing(t *testing.T) {
 	}
 	defer conn.Close()
 	hello := protocol.MustNew(protocol.THello, protocol.HelloBody{Name: "m", Priority: 2, WireVersion: protocol.WireVersion})
-	sendMsg(t, conn, hello)
+	sendFrame(t, conn, hello)
 	got := make(chan []byte, 1)
 	go func() {
 		wire, _ := conn.Recv() // nil once the deferred Close runs
@@ -415,7 +415,7 @@ func TestTransientAcceptErrorKeepsServing(t *testing.T) {
 	}()
 	select {
 	case wire := <-got:
-		if msg, err := protocol.DecodeAny(wire); err != nil || msg.Type != protocol.TWelcome {
+		if msg, err := protocol.DecodeBinary(wire); err != nil || msg.Type != protocol.TWelcome {
 			t.Fatalf("first frame %v (%v), want the welcome", msg.Type, err)
 		}
 	case <-time.After(5 * time.Second):
