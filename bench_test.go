@@ -679,7 +679,11 @@ func BenchmarkTCPFrame(b *testing.B) {
 // one logged event from its owning node, through the router, to sixteen
 // members each on a loopback TCP session — the relay leg of a floor
 // hand-off, which BenchmarkClusterBroadcast's in-memory network prices
-// at zero syscalls.
+// at zero syscalls. From the owning node's registry, trunk_frames/flush
+// is the frames per trunk write to the router (dmps_trunk_frames_per_flush
+// over the run) and inline_writes/delivery the share of its session
+// frames handed to the trunk by the fan-out itself rather than by a
+// session's writer, as BenchmarkBoardStormTCP's. Recorded, not gated.
 func BenchmarkRouterFanout(b *testing.B) {
 	const members = 16
 	b.Run(fmt.Sprintf("members-%d", members), func(b *testing.B) {
@@ -736,6 +740,14 @@ func BenchmarkRouterFanout(b *testing.B) {
 			}
 			clients = append(clients, c)
 		}
+		reg := metrics.NewRegistry()
+		nodes[1].RegisterMetrics(reg)
+		counts := func() (trunkFlushes, trunkFrames, inline, delivered float64) {
+			trunkFlushes = seriesValue(b, reg, "dmps_trunk_flushes_total")
+			flushes := seriesValue(b, reg, "dmps_wire_flushes_total")
+			return trunkFlushes, trunkFlushes * seriesValue(b, reg, "dmps_trunk_frames_per_flush"),
+				seriesValue(b, reg, "dmps_wire_inline_total"), flushes * seriesValue(b, reg, "dmps_wire_msgs_per_flush")
+		}
 		const window = 128
 		converged := func(upTo int64) {
 			deadline := time.Now().Add(30 * time.Second)
@@ -748,6 +760,7 @@ func BenchmarkRouterFanout(b *testing.B) {
 				}
 			}
 		}
+		trunkFlushes0, trunkFrames0, inline0, delivered0 := counts()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -761,6 +774,14 @@ func BenchmarkRouterFanout(b *testing.B) {
 			}
 		}
 		converged(int64(b.N))
+		b.StopTimer()
+		trunkFlushes, trunkFrames, inline, delivered := counts()
+		if trunkFlushes > trunkFlushes0 {
+			b.ReportMetric((trunkFrames-trunkFrames0)/(trunkFlushes-trunkFlushes0), "trunk_frames/flush")
+		}
+		if delivered > delivered0 {
+			b.ReportMetric((inline-inline0)/(delivered-delivered0), "inline_writes/delivery")
+		}
 	})
 }
 

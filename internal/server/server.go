@@ -7,14 +7,15 @@
 // red/green lights.
 //
 // Delivery writes through: a group broadcast encodes the message exactly
-// once, and the goroutine fanning it out writes those bytes straight to
-// each recipient socket that takes them at once (a non-blocking write,
-// transport.TrySender). Only while a socket pushes back or a frame ahead
-// is still owed (and always on a trunk stream) does a frame wait in the
-// session's bounded queue for its writer goroutine. A client that stops
-// reading backs up only that queue, where the slow-consumer policy
-// (count-and-drop by default, optionally disconnect) applies and the
-// backpressure counters surface through SessionStats and the lights.
+// once, and the goroutine fanning it out hands those bytes straight to
+// each recipient connection that takes them at once (transport.TrySender:
+// a non-blocking write to a socket, or a frame joining a trunk's pending
+// write for a routed session). Only while a connection pushes back or a
+// frame ahead is still owed does a frame wait in the session's bounded
+// queue for its writer goroutine. A client that stops reading backs up
+// only that queue, where the slow-consumer policy (count-and-drop by
+// default, optionally disconnect) applies and the backpressure counters
+// surface through SessionStats and the lights.
 //
 // State reaches clients through one sequenced event-log plane
 // (internal/grouplog): every state broadcast — floor events,
@@ -252,17 +253,17 @@ type Server struct {
 }
 
 // session is one connected client. Outbound traffic goes straight to
-// the socket while it takes frames without blocking (transport.TrySender)
-// and nothing is waiting ahead of it; otherwise into a bounded queue
-// drained by a dedicated writer goroutine, so a stalled client socket
-// backs up only its own queue — never the goroutine that is fanning a
-// broadcast out to the rest of the group.
+// the connection while it takes frames without blocking
+// (transport.TrySender) and nothing is waiting ahead of it; otherwise
+// into a bounded queue drained by a dedicated writer goroutine, so a
+// stalled client socket backs up only its own queue — never the
+// goroutine that is fanning a broadcast out to the rest of the group.
 type session struct {
 	member group.Member
 	conn   transport.Conn
-	// try is conn's non-blocking write, nil for a conn without one (a
-	// trunk stream: the mux's writer already merges a fan-out into one
-	// trunk write, so its sessions keep the queue and writer).
+	// try is conn's non-blocking write (a socket's, a netsim link's, a
+	// trunk stream's), nil for a conn without one, whose frames all go
+	// through the queue and writer.
 	try transport.TrySender
 	// wmu serializes writes to conn: the writer holds it across each
 	// flush, an inline write across its TrySend. owed counts frames
@@ -787,7 +788,7 @@ func (s *Server) spawn(conn transport.Conn, mayTrunk bool) {
 		// Close already swept the conn table; a late accept must not
 		// slip past it into a handler nobody can unblock.
 		s.mu.Unlock()
-		_ = conn.Close()
+		_ = conn.Close() // nothing was read or written on it, so its close has nothing to lose
 		return
 	default:
 	}
@@ -805,13 +806,23 @@ func (s *Server) spawn(conn transport.Conn, mayTrunk bool) {
 	}()
 }
 
-// Start runs Serve on a goroutine.
-func (s *Server) Start() { go func() { _ = s.Serve() }() }
+// Start runs Serve on a goroutine. An accept error the listener does
+// not outlive ends it, and is counted (dmps_errors_total{site="accept"}).
+func (s *Server) Start() {
+	go func() {
+		if err := s.Serve(); err != nil {
+			s.acceptErrs.Add(1)
+		}
+	}()
+}
 
 // Close shuts the server down and waits for its goroutines.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closed)
+		// Closing severs: a close that reports an error (the conn or
+		// listener was already down) has released it all the same, and
+		// Serve and every handler exit on s.closed or their failed I/O.
 		_ = s.listener.Close()
 		s.mu.Lock()
 		// Trunks first, so that a router sees this node go the way a
@@ -820,14 +831,14 @@ func (s *Server) Close() {
 		// answer by trying the node again.
 		for conn, trunk := range s.conns {
 			if trunk {
-				_ = conn.Close()
+				_ = conn.Close() // severing, as above
 			}
 		}
 		for _, sess := range s.sessions {
-			_ = sess.conn.Close()
+			_ = sess.conn.Close() // severing, as above
 		}
 		for conn := range s.conns {
-			_ = conn.Close()
+			_ = conn.Close() // severing, as above
 		}
 		s.mu.Unlock()
 		if s.cluster != nil {
@@ -853,7 +864,7 @@ func (s *Server) Close() {
 func (s *Server) serve(conn transport.Conn, mayTrunk bool) {
 	first, err := conn.Recv()
 	if err != nil {
-		_ = conn.Close()
+		_ = conn.Close() // its Recv failed: the close only releases it
 		return
 	}
 	if mayTrunk && transport.IsTrunkPreface(first) {
@@ -870,7 +881,7 @@ func (s *Server) serve(conn transport.Conn, mayTrunk bool) {
 	}
 	sess, peer, err := s.handshake(conn, first)
 	if err != nil {
-		_ = conn.Close()
+		_ = conn.Close() // refused: the connection is given up whatever its close reports
 		return
 	}
 	if sess == nil {
@@ -928,7 +939,7 @@ func sendHandshake(conn transport.Conn, msg protocol.Message) error {
 func reject(conn transport.Conn, seq int64, code, detail string) {
 	msg := protocol.MustNew(protocol.TErr, protocol.ErrBody{Code: code, Detail: detail})
 	msg.Seq = seq
-	_ = sendHandshake(conn, msg)
+	_ = sendHandshake(conn, msg) // best-effort: a client that misses it sees the connection fail instead
 }
 
 // rejectExpired answers a resume attempt whose token no longer resolves
@@ -1082,6 +1093,7 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 		down:     make(chan struct{}),
 		lastSeen: s.cfg.Clock.Now(),
 	}
+	// The comma-ok form: a conn without the capability leaves try nil.
 	sess.try, _ = conn.(transport.TrySender)
 	sess.owed.Store(1) // the welcome, until the writer starts
 	sess.classes.Store(classSet(hello.Classes))
@@ -1113,7 +1125,7 @@ func (s *Server) handshake(conn transport.Conn, wire []byte) (*session, protocol
 			s.revokeTokenLocked(member.ID)
 			s.mu.Unlock()
 			rejectExpired(conn, msg.Seq)
-			_ = conn.Close()
+			_ = conn.Close() // refused: given up whatever its close reports (serve closes it again)
 			return nil, protocol.Message{}, fmt.Errorf("server: handshake: session reaped during resume (%w)", transport.ErrClosed)
 		}
 	}
@@ -1188,7 +1200,7 @@ func (s *Server) revokeTokenLocked(id group.MemberID) {
 // sendWire may call it and a burst of disconnects costs no pushes.
 func (s *Server) disconnect(sess *session) {
 	sess.downOnce.Do(func() { close(sess.down) })
-	_ = sess.conn.Close()
+	_ = sess.conn.Close() // the session is down either way; a failed close has still released the conn
 	// Drop the abandoned backlog so a dead session pins no buffers: the
 	// session itself stays in the table (the red light persists, Figure
 	// 3(c)) but its writer is gone and sendWire's down-gate stops new

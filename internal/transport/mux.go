@@ -12,8 +12,8 @@ import (
 
 // A trunk carries many logical connections ("streams") over one Conn.
 // The router keeps one trunk per node instead of one socket per session
-// and node: every frame the node's session writers produce for routed
-// members leaves in one write and reaches the router in one read.
+// and node: the frames a node's fan-out hands its routed members leave
+// in one write, the trunk flusher's, and reach the router in one read.
 //
 // The side that dialed announces the trunk with TrunkPreface as the
 // connection's first message and is the only side that opens streams.
@@ -102,17 +102,21 @@ type Mux struct {
 
 	// The writer is flat-combining: a sender queues its frames on pend,
 	// and the first sender to find nobody flushing writes out whatever
-	// has gathered — no writer goroutine, so an idle trunk adds no hop.
-	// pend holds references (Conn.Send's contract: a payload is never
-	// modified once sent); the bytes are copied once, into a buffer cut
-	// to the write's exact size. spare is the previous write's emptied
-	// queue, kept so that queueing allocates nothing.
+	// has gathered. A TrySend only queues, and wakes the flusher
+	// goroutine through kick (cap 1) unless a flush is running, which
+	// then writes its frame too. pend holds references (Conn.Send's
+	// contract: a payload is never modified once sent); the bytes are
+	// copied once, into a buffer cut to the write's exact size. spare is
+	// the previous write's emptied queue, kept so that queueing
+	// allocates nothing.
 	wmu       sync.Mutex
 	room      *sync.Cond // data senders waiting for pend to drain
 	pend      []muxFrame
 	spare     []muxFrame
 	pendBytes int
 	flushing  bool
+	kick      chan struct{}
+	flushDone chan struct{} // closed when the flusher goroutine exits
 
 	end      sync.Once
 	dead     atomic.Bool // set by shutdown before it takes wmu, then mu: whoever holds either and reads false is still swept
@@ -140,11 +144,14 @@ func AcceptMux(conn Conn, stats *MuxStats, accept func(Conn)) *Mux {
 func newMux(conn Conn, stats *MuxStats, accept func(Conn), onDown func()) *Mux {
 	m := &Mux{
 		conn: conn, stats: stats, accept: accept, onDown: onDown,
-		streams:  make(map[uint32]*Stream),
-		readDone: make(chan struct{}),
+		streams:   make(map[uint32]*Stream),
+		readDone:  make(chan struct{}),
+		kick:      make(chan struct{}, 1),
+		flushDone: make(chan struct{}),
 	}
 	m.room = sync.NewCond(&m.wmu)
 	go m.readLoop()
+	go m.flushLoop()
 	return m
 }
 
@@ -152,11 +159,14 @@ func newMux(conn Conn, stats *MuxStats, accept func(Conn), onDown func()) *Mux {
 func (m *Mux) Dead() bool { return m.dead.Load() }
 
 // Wait blocks until the trunk has died or been closed and its reader
-// has exited.
-func (m *Mux) Wait() { <-m.readDone }
+// and flusher have exited.
+func (m *Mux) Wait() {
+	<-m.readDone
+	<-m.flushDone
+}
 
 // Close shuts the trunk down: every stream ends, the connection closes
-// and the reader is waited for. Close is idempotent.
+// and the reader and flusher are waited for. Close is idempotent.
 func (m *Mux) Close() {
 	m.shutdown(false)
 	m.Wait()
@@ -215,7 +225,7 @@ func (m *Mux) Open(first ...[]byte) (Conn, error) {
 	// The id is taken under the writer's lock so that open frames reach
 	// the wire in id order.
 	m.wmu.Lock()
-	for len(first) > 0 && m.pendBytes > 0 && m.pendBytes+need > muxMaxPending && !m.dead.Load() {
+	for len(first) > 0 && m.full(need) && !m.dead.Load() {
 		m.room.Wait()
 	}
 	if m.dead.Load() {
@@ -268,7 +278,7 @@ func (m *Mux) send(st *Stream, payloads [][]byte) error {
 		return err
 	}
 	m.wmu.Lock()
-	for m.pendBytes > 0 && m.pendBytes+need > muxMaxPending && !m.dead.Load() && !st.ended() {
+	for m.full(need) && !m.dead.Load() && !st.ended() {
 		m.room.Wait()
 	}
 	if m.dead.Load() || st.ended() {
@@ -279,6 +289,25 @@ func (m *Mux) send(st *Stream, payloads [][]byte) error {
 		m.queue(muxData, st.id, p)
 	}
 	return m.flushLocked()
+}
+
+// full reports whether need more bytes would take pend past
+// muxMaxPending; an empty pend takes anything. The caller holds wmu.
+func (m *Mux) full(need int) bool { return m.pendBytes > 0 && m.pendBytes+need > muxMaxPending }
+
+// flushLoop is the flusher: it writes out what TrySends queued until
+// the trunk ends.
+func (m *Mux) flushLoop() {
+	defer close(m.flushDone)
+	for {
+		select {
+		case <-m.kick:
+			m.wmu.Lock()
+			_ = m.flushLocked() // a failed flush has already shut the trunk down
+		case <-m.readDone:
+			return
+		}
+	}
 }
 
 // streamBytes is the room a run of data frames takes in pend, or
@@ -310,12 +339,13 @@ func (m *Mux) control(kind byte, id uint32) {
 // flushLocked is entered with wmu held and releases it. If another
 // sender is flushing, the frames just queued ride along with its next
 // write and the call returns at once. Otherwise this sender writes until
-// pend is empty. Before it takes the queue it yields once: the session
-// writers a fan-out woke together are runnable right now, and letting
-// them queue first is what turns sixteen writes into one. Each write
-// gets a new buffer of exactly its size, because the connection keeps
-// the one it is handed (Conn.Send's contract — the in-memory network
-// delivers that very slice).
+// pend is empty. Before it takes the queue it yields once: the fan-out
+// that woke the flusher is still handing frames in (and any senders
+// woken with it are runnable), and letting them queue first is what
+// turns sixteen writes into one. Each write gets a new buffer of
+// exactly its size, because the connection keeps the one it is handed
+// (Conn.Send's contract — the in-memory network delivers that very
+// slice).
 func (m *Mux) flushLocked() error {
 	if m.flushing {
 		m.wmu.Unlock()
@@ -523,6 +553,7 @@ type Stream struct {
 var (
 	_ Conn        = (*Stream)(nil)
 	_ BatchSender = (*Stream)(nil)
+	_ TrySender   = (*Stream)(nil)
 )
 
 func (st *Stream) ended() bool {
@@ -545,6 +576,33 @@ func (st *Stream) Send(payload []byte) error {
 // SendBatch implements BatchSender: the run joins the trunk's pending
 // write under one lock acquisition.
 func (st *Stream) SendBatch(payloads [][]byte) error { return st.m.send(st, payloads) }
+
+// TrySend implements TrySender: the frame joins the trunk's pending
+// write, in order with the stream's Sends, and wakes the trunk's
+// flusher unless a flush is running (which then writes it too). It
+// reports false, taking nothing, once the stream or trunk has ended,
+// for a payload over MaxStreamMessage, or while the pending write has
+// no room for it. tail is always false: a frame is queued whole or not
+// at all.
+func (st *Stream) TrySend(payload []byte) (ok, tail bool) {
+	m := st.m
+	if len(payload) > MaxStreamMessage {
+		return false, false
+	}
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	if m.dead.Load() || st.ended() || m.full(muxHeaderLen+len(payload)) {
+		return false, false
+	}
+	m.queue(muxData, st.id, payload)
+	if !m.flushing {
+		select {
+		case m.kick <- struct{}{}:
+		default: // a wake is already pending
+		}
+	}
+	return true, false
+}
 
 // Recv implements Conn: frames still in the inbox when the stream ends
 // are delivered before ErrClosed.

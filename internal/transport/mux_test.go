@@ -145,6 +145,52 @@ func TestMuxPerStreamFIFO(t *testing.T) {
 	})
 }
 
+// TestMuxTrySendKeepsStreamOrder alternates TrySend and Send on every
+// stream, in both directions: a TrySend queues behind the stream's
+// earlier Sends and ahead of its later ones, so each stream still
+// delivers in order. A refused TrySend falls back to Send, as a
+// session's writer would take the frame.
+func TestMuxTrySendKeepsStreamOrder(t *testing.T) {
+	eachNetwork(t, func(t *testing.T, p *trunkPair) {
+		const streams, msgs = 8, 200
+		var wg sync.WaitGroup
+		pump := func(s int, from, to transport.Conn) {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < msgs; i++ {
+					msg := numbered(s, i)
+					if i%2 == 0 {
+						if ok, _ := from.(transport.TrySender).TrySend(msg); ok {
+							continue
+						}
+					}
+					if err := from.Send(msg); err != nil {
+						t.Errorf("stream %d send %d: %v", s, i, err)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for i := 0; i < msgs; i++ {
+					got, err := to.Recv()
+					if err != nil || !bytes.Equal(got, numbered(s, i)) {
+						t.Errorf("stream %d message %d: got %q, %v", s, i, got, err)
+						return
+					}
+				}
+			}()
+		}
+		for s := 0; s < streams; s++ {
+			near, far := p.open(t)
+			pump(s, near, far)
+			pump(s+streams, far, near)
+		}
+		wg.Wait()
+	})
+}
+
 // TestMuxOpenClose closes streams from either end: the other end drains
 // what was sent before the close, then reads ErrClosed, and can no
 // longer send; closing twice and closing an ended stream are harmless.
